@@ -16,15 +16,15 @@ Pfaffian-side quantities so that the equalities are genuine cross-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence
 
-from .linalg import PolyMatrix, det_bareiss, det_minor_expansion, pfaffian, rat_inverse, rat_kernel
+from .linalg import PolyMatrix, det_bareiss, det_minor_expansion, pfaffian, rat_inverse, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly
-from .systems import ConservativeSystem
+from .systems import ConservativeSystem, _clear_denominators
 
 __all__ = [
     "sample_points",
@@ -83,26 +83,41 @@ def sample_points(
 # ----- torsion tensors ------------------------------------------------------
 
 
+def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     """Nijenhuis torsion of the flux Jacobian at u, from first principles:
 
     N^i_jk = V^p_j V^i_{kp} - V^p_k V^i_{jp} - V^i_p (V^p_{kj} - V^p_{jk}).
 
     Second partials commute, so the last bracket vanishes pointwise; it is
-    kept in the formula for fidelity and costs nothing.
+    kept in the formula for fidelity and costs nothing.  The contraction runs
+    over the integer numerators R (over D^2) and S (over D^3) and divides
+    once at the end.
     """
     n = system.op.n
-    jac = system.jacobian_at(u)
-    hess = system.hessian_at(u)
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    num = system._numerators(u)
+    kern = system._kernel()
+    r, s = num.r, num.s
+    num_scale = kern.den_d ** 2
+    den = kern.den_q ** 2 * num.d ** 5
+    out = []
     for i in range(n):
+        ri = r[i]
+        # a[k][j] = S_ikp R_pj
+        a = _matmul(s[i], r)
+        plane = []
         for j in range(n):
+            row = []
             for k in range(n):
-                total = Fraction(0)
-                for p in range(n):
-                    total += jac[p][j] * hess[i][k][p] - jac[p][k] * hess[i][j][p]
-                    total -= jac[i][p] * (hess[p][k][j] - hess[p][j][k])
-                out[i][j][k] = total
+                total = a[k][j] - a[j][k]
+                total -= sum(ri[p] * (s[p][k][j] - s[p][j][k]) for p in range(n))
+                row.append(Fraction(num_scale * total, den))
+            plane.append(row)
+        out.append(plane)
     return out
 
 
@@ -110,48 +125,35 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     """Closed form of the torsion using only first derivatives and the tensor:
 
     N^i_jk = g^{ia} (T_jal V^l_p V^p_k - T_kal V^l_p V^p_j - 2 T_alp V^l_k V^p_j).
+
+    Contracted in integers from the Jacobian numerators R, the dense tensor
+    array and g^{-1} cleared of its denominators, divided once at the end.
     """
     n = system.op.n
     point = system._point(u)
-    jac = system.jacobian_at(point)
-    ginv = rat_inverse(system.op.metric_at(point))
-    jj = [[sum((jac[l][p] * jac[p][k] for p in range(n)), Fraction(0)) for k in range(n)] for l in range(n)]
-    tval = system.op.t_value
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    num = system._numerators(point)
+    kern = system._kernel()
+    r, t = num.r, kern.t
+    g_den, ginv = _clear_denominators(rat_inverse(system.op.metric_at(point)))
+    rr = _matmul(r, r)
+    rt = list(zip(*r))
+    # inner[a][j][k] = T_jal RR_lk - T_kal RR_lj - 2 (R^T T_a R)_kj
+    inner = []
     for a in range(n):
-        inner = [[Fraction(0)] * n for _ in range(n)]
+        x = _matmul([t[j][a] for j in range(n)], rr)
+        y = _matmul(rt, _matmul(t[a], r))
+        inner.append([[x[j][k] - x[k][j] - 2 * y[k][j] for k in range(n)] for j in range(n)])
+    num_scale = kern.den_d ** 2
+    den = kern.den_q ** 2 * num.d ** 4 * kern.t_den * g_den
+    out = []
+    for i in range(n):
+        gi = ginv[i]
+        plane = []
         for j in range(n):
-            for k in range(n):
-                total = Fraction(0)
-                for l in range(n):
-                    t_jal = Fraction(tval(j, a, l))
-                    if t_jal:
-                        total += t_jal * jj[l][k]
-                    t_kal = Fraction(tval(k, a, l))
-                    if t_kal:
-                        total -= t_kal * jj[l][j]
-                    for p in range(n):
-                        t_alp = Fraction(tval(a, l, p))
-                        if t_alp:
-                            total -= 2 * t_alp * jac[l][k] * jac[p][j]
-                inner[j][k] = total
-        for i in range(n):
-            gia = ginv[i][a]
-            if gia:
-                for j in range(n):
-                    for k in range(n):
-                        if inner[j][k]:
-                            out[i][j][k] += gia * inner[j][k]
+            sums = [sum(gi[a] * inner[a][j][k] for a in range(n)) for k in range(n)]
+            plane.append([Fraction(num_scale * x, den) for x in sums])
+        out.append(plane)
     return out
-
-
-def _lcm_denominator(values) -> int:
-    scale = 1
-    for v in values:
-        d = v.denominator
-        if d != 1:
-            scale = scale * d // math.gcd(scale, d)
-    return scale
 
 
 def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Fraction]]]:
@@ -160,40 +162,39 @@ def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Frac
     H^i_jk = N^i_pr V^p_j V^r_k - N^p_jr V^i_p V^r_k
              - N^p_rk V^i_p V^r_j + N^p_jk V^i_r V^r_p.
 
-    The O(n^5) contraction runs over integers after clearing the common
-    denominators of the Jacobian and the torsion, then divides back.
+    The contraction runs over integers: the Jacobian numerators R and the
+    torsion cleared of its common denominator, divided once at the end.
     """
     n = system.op.n
-    jac = system.jacobian_at(u)
+    num = system._numerators(u)
+    kern = system._kernel()
     nij = torsion if torsion is not None else nijenhuis(system, u)
-    aj = _lcm_denominator(x for row in jac for x in row)
-    an = _lcm_denominator(x for plane in nij for row in plane for x in row)
-    jaci = [[int(x * aj) for x in row] for row in jac]
-    niji = [[[int(x * an) for x in row] for row in plane] for plane in nij]
-    jj = [[sum(jaci[i][r] * jaci[r][p] for r in range(n)) for p in range(n)] for i in range(n)]
-    denom = an * aj * aj
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    n_den, rows = _clear_denominators([row for plane in nij for row in plane])
+    niji = [rows[i * n : (i + 1) * n] for i in range(n)]
+    r = num.r
+    rt = list(zip(*r))
+    rr = _matmul(r, r)
+    # w[p] = -(N^p R + R^T N^p), so that the middle two terms are R_ip w[p]_jk
+    w = []
+    for plane in niji:
+        left, right = _matmul(plane, r), _matmul(rt, plane)
+        w.append([[-x - y for x, y in zip(lrow, rrow)] for lrow, rrow in zip(left, right)])
+    num_scale = kern.den_d ** 2
+    den = kern.den_q ** 2 * num.d ** 4 * n_den
+    out = []
     for i in range(n):
+        first = _matmul(rt, _matmul(niji[i], r))
+        ri, rri = r[i], rr[i]
+        plane = []
         for j in range(n):
+            row = []
             for k in range(n):
-                total = 0
+                total = first[j][k]
                 for p in range(n):
-                    nip = niji[i][p]
-                    njp = niji[p]
-                    for r in range(n):
-                        npr = nip[r]
-                        if npr:
-                            total += npr * jaci[p][j] * jaci[r][k]
-                        njr = njp[j][r]
-                        if njr:
-                            total -= njr * jaci[i][p] * jaci[r][k]
-                        nrk = njp[r][k]
-                        if nrk:
-                            total -= nrk * jaci[i][p] * jaci[r][j]
-                    npjk = njp[j][k]
-                    if npjk:
-                        total += npjk * jj[i][p]
-                out[i][j][k] = Fraction(total, denom)
+                    total += ri[p] * w[p][j][k] + rri[p] * niji[p][j][k]
+                row.append(Fraction(num_scale * total, den))
+            plane.append(row)
+        out.append(plane)
     return out
 
 
@@ -700,8 +701,6 @@ def diag_check(system: ConservativeSystem, u, mode: str = "exact", digits: int =
                 [jac[i][j] - (root if i == j else Fraction(0)) for j in range(n)]
                 for i in range(n)
             ]
-            from .linalg import rat_rank
-
             geometric = n - rat_rank(shifted)
             label = str(root)
         else:

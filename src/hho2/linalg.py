@@ -26,7 +26,6 @@ __all__ = [
     "inverse_skew",
     "poly_rank",
     "rat_mat_mul",
-    "rat_identity",
     "rat_det",
     "rat_inverse",
     "rat_rank",
@@ -336,10 +335,6 @@ def rat_mat_mul(a, b):
         [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
         for i in range(rows)
     ]
-
-
-def rat_identity(n: int):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def _rat_echelon(matrix):

@@ -24,7 +24,6 @@ __all__ = [
     "MultiPoly",
     "RationalFn",
     "poly_gcd",
-    "poly_lcm",
     "rat",
 ]
 
@@ -381,26 +380,6 @@ class MultiPoly:
             return self
         return self * (Fraction(1) / Fraction(lc))
 
-    def int_normalized(self) -> "MultiPoly":
-        """Scale by a positive rational so coefficients are coprime integers
-        with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        from math import gcd as igcd
-
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num_gcd = igcd(num_gcd, abs(f.numerator))
-            den_lcm = den_lcm * f.denominator // igcd(den_lcm, f.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        p = self * scale
-        _, lc = p.leading_term()
-        if lc < 0:
-            p = -p
-        return p
-
     # ----- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -658,12 +637,6 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         pp_g = {d: c.exact_div(cont_r) for d, c in r.items()}
     result = _attach_var(pp_g, f.vars, main) * poly_gcd(cont_f, cont_g)
     return result.monic()
-
-
-def poly_lcm(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    if f.is_zero() or g.is_zero():
-        return MultiPoly.zero(f.vars)
-    return (f * g).exact_div(poly_gcd(f, g)).monic()
 
 
 class RationalFn:

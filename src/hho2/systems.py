@@ -17,18 +17,28 @@ S_kpl = R_{kp,l} D - 2 R_kp D_l is the numerator of the second derivative
 over D^3.  The derivatives here are genuine quotient-rule derivatives of the
 flux components; the checks do not assume any structural identity that would
 make them vacuous.
+
+Pointwise evaluation works in integers.  D, the Q_k and their first and
+second partials are scaled to integer coefficients and share one monomial
+table; at a point each monomial is evaluated once, and the integer numerators
+R_kp (over D^2) and S_kpl (over D^3) are formed from the values.  A rational
+point is first multiplied by the common denominator q of its coordinates;
+the monomials are homogenised to one degree, so the powers of q cancel from
+V and its derivatives and D(u) divides by the one power of q left.  Exact
+Fractions are formed only at the end, by one division per entry.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import PolyMatrix, pfaffian_adjugate, poly_rank, rat_kernel, rat_rank
+from .linalg import PolyMatrix, pfaffian_adjugate, poly_rank, rat_kernel
 from .operators import Hho2
-from .poly import Fraction as _Fr  # noqa: F401  (re-exported convenience)
 from .poly import MultiPoly, RationalFn, rat
 
 __all__ = [
@@ -177,10 +187,10 @@ class ConservativeSystem:
         self._q2: Optional[List[Dict[Tuple[int, int], MultiPoly]]] = None
         self._r: Optional[List[List[MultiPoly]]] = None
         self._mtilde: Optional[PolyMatrix] = None
-        # Diagnostics evaluate several tensors at the same points; memoize
-        # the two expensive per-point tables (bounded, copies handed out).
-        self._jac_cache: Dict[tuple, List[List[Fraction]]] = {}
-        self._hess_cache: Dict[tuple, List[List[List[Fraction]]]] = {}
+        # Diagnostics evaluate several tensors at one point before moving to
+        # the next; memoize the integer numerators of the last few points.
+        self._kern: Optional[_PointKernel] = None
+        self._num_cache: Dict[tuple, _PointNumerators] = {}
 
     # ----- derivative tables ------------------------------------------------
 
@@ -225,78 +235,46 @@ class ConservativeSystem:
             raise ValueError(f"point must have {self.op.n} coordinates")
         return point
 
+    def _kernel(self) -> _PointKernel:
+        if self._kern is None:
+            self._kern = _PointKernel(self)
+        return self._kern
+
+    def _numerators(self, u, regular: bool = True) -> _PointNumerators:
+        """Integer numerators at u, memoized; regular=True rejects D(u) = 0."""
+        point = self._point(u)
+        num = self._num_cache.get(point)
+        if num is None:
+            num = self._kernel().evaluate(point)
+            if len(self._num_cache) >= 16:
+                self._num_cache.pop(next(iter(self._num_cache)))
+            self._num_cache[point] = num
+        if regular and not num.d:
+            raise ZeroDivisionError("point lies on the degeneracy locus")
+        return num
+
     def pfaffian_at(self, u) -> Fraction:
-        return self.d.eval(self._point(u))
+        num = self._numerators(u, regular=False)
+        return Fraction(num.d, num.d_scale)
 
     def flux_at(self, u) -> List[Fraction]:
-        point = self._point(u)
-        d = self.d.eval(point)
-        if d == 0:
-            raise ZeroDivisionError("point lies on the degeneracy locus")
-        return [qk.eval(point) / d for qk in self.q]
+        num = self._numerators(u)
+        kern = self._kernel()
+        den = kern.den_q * num.d
+        return [Fraction(kern.den_d * x, den) for x in num.qv]
 
     def jacobian_at(self, u) -> List[List[Fraction]]:
-        point = self._point(u)
-        cached = self._jac_cache.get(point)
-        if cached is None:
-            self._ensure_first()
-            n = self.op.n
-            d = self.d.eval(point)
-            if d == 0:
-                raise ZeroDivisionError("point lies on the degeneracy locus")
-            d2 = d * d
-            qv = [qk.eval(point) for qk in self.q]
-            d1v = [dp.eval(point) for dp in self._d1]
-            cached = []
-            for k in range(n):
-                row = []
-                q1k = self._q1[k]
-                for p in range(n):
-                    row.append((q1k[p].eval(point) * d - qv[k] * d1v[p]) / d2)
-                cached.append(row)
-            if len(self._jac_cache) >= 128:
-                self._jac_cache.pop(next(iter(self._jac_cache)))
-            self._jac_cache[point] = cached
-        return [row[:] for row in cached]
+        num = self._numerators(u)
+        kern = self._kernel()
+        den = kern.den_q * num.d ** 2
+        return [[Fraction(kern.den_d * x, den) for x in row] for row in num.r]
 
     def hessian_at(self, u) -> List[List[List[Fraction]]]:
         """hess[k][p][l] = d^2 V^k / du^p du^l, exact at the point."""
-        point = self._point(u)
-        hess = self._hess_cache.get(point)
-        if hess is None:
-            self._ensure_second()
-            n = self.op.n
-            d = self.d.eval(point)
-            if d == 0:
-                raise ZeroDivisionError("point lies on the degeneracy locus")
-            d3 = d ** 3
-            qv = [qk.eval(point) for qk in self.q]
-            d1v = [dp.eval(point) for dp in self._d1]
-            d2v = {key: poly.eval(point) for key, poly in self._d2.items()}
-            q1v = [[self._q1[k][p].eval(point) for p in range(n)] for k in range(n)]
-            q2v = [
-                {key: poly.eval(point) for key, poly in self._q2[k].items()} for k in range(n)
-            ]
-            hess = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for p in range(n):
-                    for l in range(p, n):
-                        key = (p, l)
-                        r_kp = q1v[k][p] * d - qv[k] * d1v[p]
-                        r_kpl = (
-                            q2v[k][key] * d
-                            + q1v[k][p] * d1v[l]
-                            - q1v[k][l] * d1v[p]
-                            - qv[k] * d2v[key]
-                        )
-                        s = r_kpl * d - 2 * r_kp * d1v[l]
-                        value = s / d3
-                        hess[k][p][l] = value
-                        hess[k][l][p] = value
-            if len(self._hess_cache) >= 128:
-                self._hess_cache.pop(next(iter(self._hess_cache)))
-            self._hess_cache[point] = hess
-        return [[row[:] for row in plane] for plane in hess]
+        num = self._numerators(u)
+        kern = self._kernel()
+        den = kern.den_q * num.d ** 3
+        return [[[Fraction(kern.den_d * x, den) for x in row] for row in plane] for plane in num.s]
 
     # ----- eigenvalue pencil -------------------------------------------------
 
@@ -398,6 +376,120 @@ class ConservativeSystem:
 
     def __repr__(self):
         return f"ConservativeSystem(n={self.op.n})"
+
+
+def _coeff_denominator(polys: Sequence[MultiPoly]) -> int:
+    """Least common denominator of all coefficients of the polynomials."""
+    dens = (c.denominator for p in polys for c in p.terms.values() if isinstance(c, Fraction))
+    return math.lcm(1, *dens)
+
+
+class _PointNumerators(NamedTuple):
+    """Integer numerators of the flux data at one point.
+
+    With c = den_d / den_q from the kernel:  V^k = c qv[k] / d,
+    dV^k/du^p = c r[k][p] / d^2,  d^2 V^k/du^p du^l = c s[k][p][l] / d^3,
+    and D(u) = d / d_scale.  r and s are R_kp and S_kpl of the module
+    docstring, evaluated at the point.
+    """
+
+    d: int
+    d_scale: int
+    qv: List[int]
+    r: List[List[int]]
+    s: List[List[List[int]]]
+
+
+class _PointKernel:
+    """Integer evaluation of D, Q_k and their first and second partials.
+
+    D and its partials are scaled to integer coefficients by the common
+    denominator den_d of D, the Q_k and their partials by the common
+    denominator den_q of all Q_k.  Their monomials form one table; at a point
+    each monomial is evaluated once, homogenised to the table's top degree,
+    so a rational point U/q needs only integers: every value carries the
+    factor q^top, which cancels from V and its derivatives.  t is the dense
+    array T * t_den for the tensor contractions.
+    """
+
+    def __init__(self, system: ConservativeSystem):
+        system._ensure_second()
+        n = system.op.n
+        self.n = n
+        self.pairs = [(p, l) for p in range(n) for l in range(p, n)]
+
+        def family(f, f1, f2):
+            return [f, *f1, *(f2[key] for key in self.pairs)]
+
+        self.den_d = _coeff_denominator([system.d])
+        self.den_q = _coeff_denominator(system.q)
+        index: Dict[Tuple[int, ...], int] = {}
+        d_family = family(system.d, system._d1, system._d2)
+        self.polys = [self._compile(f, self.den_d, index) for f in d_family]
+        for k in range(n):
+            fam = family(system.q[k], system._q1[k], system._q2[k])
+            self.polys += [self._compile(f, self.den_q, index) for f in fam]
+        self.top = max((sum(e) for e in index), default=0)
+        self.monomials = [
+            (self.top - sum(e), [(v, x) for v, x in enumerate(e) if x]) for e in index
+        ]
+
+        op = system.op
+        self.t_den = math.lcm(1, *(Fraction(x).denominator for x in op.t3.values()))
+        self.t = [
+            [[int(Fraction(op.t_value(i, j, k)) * self.t_den) for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def _compile(poly: MultiPoly, scale: int, index: Dict[Tuple[int, ...], int]):
+        idxs, coeffs = [], []
+        for e, c in poly.terms.items():
+            idxs.append(index.setdefault(e, len(index)))
+            coeffs.append(int(c * scale))
+        return idxs, coeffs
+
+    def evaluate(self, point: Sequence[Fraction]) -> _PointNumerators:
+        n, top = self.n, self.top
+        q = math.lcm(*(x.denominator for x in point))
+        coords = [x.numerator * (q // x.denominator) for x in point]
+
+        def powers(base):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * base)
+            return row
+
+        upow = [powers(c) for c in coords]
+        qpow = powers(q)
+        mono = []
+        for lift, factors in self.monomials:
+            value = qpow[lift]
+            for v, x in factors:
+                value *= upow[v][x]
+            mono.append(value)
+        get = mono.__getitem__
+        vals = [sum(map(operator.mul, coeffs, map(get, idxs))) for idxs, coeffs in self.polys]
+
+        block = 1 + n + len(self.pairs)
+        d, d1 = vals[0], vals[1 : 1 + n]
+        d2 = dict(zip(self.pairs, vals[1 + n : block]))
+        qv, r = [], []
+        s = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for k in range(n):
+            fam = vals[block * (k + 1) : block * (k + 2)]
+            qk, q1 = fam[0], fam[1 : 1 + n]
+            q2 = dict(zip(self.pairs, fam[1 + n :]))
+            rk = [q1[p] * d - qk * d1[p] for p in range(n)]
+            sk = s[k]
+            for p, l in self.pairs:
+                r_kpl = q2[(p, l)] * d + q1[p] * d1[l] - q1[l] * d1[p] - qk * d2[(p, l)]
+                value = r_kpl * d - 2 * rk[p] * d1[l]
+                sk[p][l] = value
+                sk[l][p] = value
+            qv.append(qk)
+            r.append(rk)
+        return _PointNumerators(d, self.den_d * q ** top, qv, r, s)
 
 
 def generate_flux(
@@ -505,40 +597,50 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
 
 
 def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
+    """Both identity families at each point, contracted in integers.
+
+    With g = G / g_den, T = t / t_den and c = den_d / den_q of the kernel,
+    the first family times D^2 g_den / c is the sum over j of
+    G_qj R_jp + G_pj R_jq, and the second times D^3 g_den t_den / c is the
+    sum over k of t_den G_qk S_kpl + g_den D (t_pqk R_kl + t_qkl R_kp).
+    """
     n = system.op.n
+    kern = system._kernel()
+    t, t_den = kern.t, kern.t_den
     report = CompatReport(mode="points", n=n, points_checked=0)
     fail1 = set()
     fail2 = set()
     for u in points:
         point = system._point(u)
-        gmat = system.op.metric_at(point)
-        jac = system.jacobian_at(point)
-        hess = system.hessian_at(point)
+        num = system._numerators(point)
+        r, s, d = num.r, num.s, num.d
+        g_den, gmat = _clear_denominators(system.op.metric_at(point))
         for q in range(n):
             for p in range(q, n):
-                total = Fraction(0)
-                for j in range(n):
-                    total += gmat[q][j] * jac[j][p] + gmat[p][j] * jac[j][q]
+                total = sum(gmat[q][j] * r[j][p] + gmat[p][j] * r[j][q] for j in range(n))
                 if total:
                     fail1.add((q + 1, p + 1))
+        gd = g_den * d
         for q in range(n):
+            gq = [t_den * x for x in gmat[q]]
             for p in range(n):
+                tpq = t[p][q]
                 for l in range(p, n):
-                    total = Fraction(0)
+                    total = 0
                     for k in range(n):
-                        total += gmat[q][k] * hess[k][p][l]
-                        t1 = Fraction(system.op.t_value(p, q, k))
-                        if t1:
-                            total += t1 * jac[k][l]
-                        t2 = Fraction(system.op.t_value(q, k, l))
-                        if t2:
-                            total += t2 * jac[k][p]
+                        total += gq[k] * s[k][p][l] + gd * (tpq[k] * r[k][l] + t[q][k][l] * r[k][p])
                     if total:
                         fail2.add((q + 1, p + 1, l + 1))
         report.points_checked += 1
     report.first_order_failures = sorted(fail1)
     report.second_order_failures = sorted(fail2)
     return report
+
+
+def _clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """(den, M) with M = matrix * den integral and den the least such."""
+    den = math.lcm(1, *(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
 def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None) -> CompatReport:

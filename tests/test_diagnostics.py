@@ -86,6 +86,42 @@ def test_haantjes_nonzero_regression_pin():
     assert h[0][0][1] == Fraction(-108973296, 887410625)
 
 
+def test_haantjes_matches_its_definition():
+    # Reference: the defining contraction summed term by term in Fractions,
+    # at an integer point and at a rational one.
+    rng = random.Random(36)
+    system = generate_flux(build("n6-X"), rng=rng)
+    n = 6
+    u = sample_points(system.op, 1, rng)[0]
+    v = tuple(Fraction(x) for x in ("1/2", "-2/3", "3", "5/4", "-1", "2/7"))
+    assert system.d.eval(v)
+    for point in (u, v):
+        jac = system.jacobian_at(point)
+        nij = nijenhuis(system, point)
+        expected = [
+            [
+                [
+                    sum(
+                        (
+                            nij[i][p][r] * jac[p][j] * jac[r][k]
+                            - nij[p][j][r] * jac[i][p] * jac[r][k]
+                            - nij[p][r][k] * jac[i][p] * jac[r][j]
+                            + nij[p][j][k] * jac[i][r] * jac[r][p]
+                            for p in range(n)
+                            for r in range(n)
+                        ),
+                        Fraction(0),
+                    )
+                    for k in range(n)
+                ]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        assert not tensor_is_zero(expected)
+        assert haantjes(system, point) == expected
+
+
 def test_haantjes_antisymmetry_in_lower_indices():
     rng = random.Random(34)
     system = generate_flux(build("n6-IX"), rng=rng)

@@ -73,6 +73,15 @@ def test_compat_pointwise_mode():
     rep = check_compat(system, mode="points", points=pts)
     assert rep.passed
     assert rep.points_checked == 6
+    # An incompatible flux: Q_1 perturbed before any derivative table is
+    # built.  The points must find exactly the identities the proof rejects.
+    broken = generate_flux(build("n6-IX"), rng=rng)
+    broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "u1*u2 - 3*u5")
+    proof = check_compat(broken, mode="symbolic")
+    rep = check_compat(broken, mode="points", points=pts)
+    assert not rep.passed
+    assert rep.first_order_failures == proof.first_order_failures
+    assert rep.second_order_failures == proof.second_order_failures
 
 
 def test_flux_evaluation_routes_agree():
@@ -84,18 +93,41 @@ def test_flux_evaluation_routes_agree():
 
 
 def test_jacobian_and_hessian_match_quotient_rule():
+    # Inputs: a catalog system at integer points and at rational points p/q,
+    # and a system whose T, g0, A, B and constants are not integers, so that
+    # D is not constant and D and the Q_k have Fraction coefficients.
     rng = random.Random(16)
-    system = generate_flux(build("n4-open"), rng=rng)
     n = 4
-    jac_fns = [[system.v[k].diff(p) for p in range(n)] for k in range(n)]
-    for u in sample_points(system.op, 3, rng):
-        jac = system.jacobian_at(u)
-        hess = system.hessian_at(u)
-        for k in range(n):
-            for p in range(n):
-                assert jac[k][p] == jac_fns[k][p].eval(u)
-                for l in range(n):
-                    assert hess[k][p][l] == jac_fns[k][p].diff(l).eval(u)
+    catalog = generate_flux(build("n4-open"), rng=rng)
+    catalog_points = sample_points(catalog.op, 3, rng)
+    op = Hho2(n, {(0, 1, 2): 1, (1, 2, 3): Fraction(3, 2)}, {(0, 3): 1, (1, 2): Fraction(-1, 3)})
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = Fraction(rng.randint(-5, 5), rng.randint(2, 5))
+            a[j][i] = -a[i][j]
+    b = [Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in range(n)]
+    consts = [Fraction(rng.randint(-3, 3), rng.randint(2, 4)) for _ in range(n)]
+    fractional = ConservativeSystem(op, FluxParams.make(a, b), consts)
+    assert not fractional.d.is_constant()
+    assert any(isinstance(c, Fraction) for qk in fractional.q for c in qk.terms.values())
+    for system, points in ((catalog, catalog_points), (fractional, sample_points(op, 3, rng))):
+        while len(points) < 6:
+            u = tuple(Fraction(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(n))
+            if any(x.denominator != 1 for x in u) and system.d.eval(u):
+                points.append(u)
+        jac_fns = [[system.v[k].diff(p) for p in range(n)] for k in range(n)]
+        hess_fns = [[[jac_fns[k][p].diff(l) for l in range(n)] for p in range(n)] for k in range(n)]
+        for u in points:
+            assert system.pfaffian_at(u) == system.d.eval(u)
+            assert system.flux_at(u) == [vk.eval(u) for vk in system.v]
+            jac = system.jacobian_at(u)
+            hess = system.hessian_at(u)
+            for k in range(n):
+                for p in range(n):
+                    assert jac[k][p] == jac_fns[k][p].eval(u)
+                    for l in range(n):
+                        assert hess[k][p][l] == hess_fns[k][p][l].eval(u)
 
 
 def test_additive_constants_absorb_into_effective_parameters():
