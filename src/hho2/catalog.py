@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .operators import Hho2
 from .poly import MultiPoly
-from .threeform import ThreeForm, embed
+from .threeform import ThreeForm, chart_split, embed
 
 __all__ = ["CatalogEntry", "list_entries", "get_entry", "build", "N8_CLASS_COUNT"]
 
@@ -84,25 +84,21 @@ def _combined_form_op(weights: Sequence[Tuple[str, int, tuple]], params: Tuple[s
     """Operator whose tensor data are the coefficients of sum(c_a * p_a).
 
     weights: (param name or empty for unit weight, sign, triples) per summand.
-    The triple coefficients land in T for k < n and in g0 for k = n.
+    The summed table is split on the chart like any extended tensor: T for
+    k < n and g0 for k = n.
     """
 
     def make() -> Hho2:
-        n = 8
-        t3: dict = {}
-        g0: dict = {}
+        table: dict = {}
         for name, sign, triples in weights:
             if name:
                 coeff = MultiPoly.variable(params, name) * sign
             else:
                 coeff = MultiPoly.const(params, sign)
-            for (i, j, k), base in triples:
-                value = coeff * base
-                if k < n:
-                    t3[(i, j, k)] = t3.get((i, j, k), MultiPoly.zero(params)) + value
-                else:
-                    g0[(i, j)] = g0.get((i, j), MultiPoly.zero(params)) + value
-        return Hho2(n, t3, g0, params)
+            for key, base in triples:
+                table[key] = table.get(key, 0) + coeff * base
+        t3, g0 = chart_split(table, 8)
+        return Hho2(8, t3, g0, params)
 
     return make
 

@@ -337,8 +337,6 @@ def cmd_op_to_3form(args, config: RunConfig) -> int:
 def cmd_op_from_3form(args, config: RunConfig) -> int:
     try:
         form = ThreeForm.from_json(_read_text(args.file))
-        if form.dim < 3:
-            raise ValueError("form dimension must be at least 3")
         t3, g0 = chart_restrict(form)
         op = Hho2(form.dim - 1, t3, g0, form.params)
     except (ValueError, KeyError, TypeError) as exc:
@@ -397,14 +395,9 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
     if args.out:
         _write_payload(payload, args.out)
         lines.append(f"system written to {args.out}")
-        _emit(report, config, lines)
     else:
-        if config.output == "json":
-            print(_dump(report))
-        else:
-            for line in lines:
-                print(line)
-            print(payload)
+        lines.append(payload)
+    _emit(report, config, lines)
     return 0
 
 

@@ -256,7 +256,7 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
         for j in range(h + 1, n):
             c = Fraction(system.a_eff[h][j])
             for i in range(n):
-                t = Fraction(system.op.t_value(h, j, i))
+                t = system.op.t_value(h, j, i)
                 if t:
                     c += t * vvals[i]
             entry = _univar(c) - lam * gmat[h][j]
@@ -266,7 +266,10 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     return [pf.coeff_of((k,)) / d for k in range(n // 2 + 1)]
 
 
-def _poly_mul_coeffs(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+def _poly_mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
+    """Product of two ascending coefficient lists, skipping zero coefficients."""
+    if not (a and b):
+        return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -475,9 +478,6 @@ class _QuotientField:
         out[1] = Fraction(1)
         return tuple(out)
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
 
@@ -485,12 +485,7 @@ class _QuotientField:
         return all(not x for x in a)
 
     def mul(self, a, b):
-        raw = [Fraction(0)] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        raw[i + j] += x * y
+        raw = _poly_mul_coeffs(a, b)
         for top in range(len(raw) - 1, self.deg - 1, -1):
             c = raw[top]
             if c:
@@ -507,15 +502,6 @@ class _QuotientField:
             while p and not p[-1]:
                 p.pop()
             return p
-
-        def polymul(p, q):
-            out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-            for i, x in enumerate(p):
-                if x:
-                    for j, y in enumerate(q):
-                        if y:
-                            out[i + j] += x * y
-            return trim(out)
 
         def polysub(p, q):
             out = [Fraction(0)] * max(len(p), len(q))
@@ -544,7 +530,7 @@ class _QuotientField:
         while r1:
             quo, rem = polydivmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, polysub(s0, polymul(quo, s1))
+            s0, s1 = s1, polysub(s0, trim(_poly_mul_coeffs(quo, s1)))
         if len(r0) != 1:
             raise ZeroDivisionError("element is a zero divisor (modulus not irreducible?)")
         scale = Fraction(1) / r0[0]

@@ -55,22 +55,6 @@ class PolyMatrix:
                     raise ValueError("mixed variable sets in matrix")
         self.vars = vs if vs is not None else ()
 
-    @classmethod
-    def from_scalars(cls, variables, rows) -> "PolyMatrix":
-        lift = lambda v: v if isinstance(v, MultiPoly) else MultiPoly.const(variables, v)
-        return cls([[lift(v) for v in row] for row in rows])
-
-    @classmethod
-    def identity(cls, variables, n: int) -> "PolyMatrix":
-        one = MultiPoly.const(variables, 1)
-        zero = MultiPoly.zero(variables)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, variables, rows: int, cols: int) -> "PolyMatrix":
-        zero = MultiPoly.zero(variables)
-        return cls([[zero for _ in range(cols)] for _ in range(rows)])
-
     def at(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
 
@@ -87,45 +71,6 @@ class PolyMatrix:
                 if self.entries[i][j] != -self.entries[j][i]:
                     return False
         return True
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def scale(self, factor) -> "PolyMatrix":
-        return PolyMatrix([[e * factor for e in row] for row in self.entries])
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = MultiPoly.zero(self.vars)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

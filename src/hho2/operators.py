@@ -8,10 +8,11 @@ degenerate operators are representable and flagged, but excluded from
 inversion-dependent work.
 
 Projective reciprocal transformations act through an invertible matrix on the
-n+2 homogeneous coordinates of the extended tensor; the induced point map and
-its Jacobian live on the affine chart.  `transform` pulls the extended tensor
-back along the inverse matrix, which makes `conformal_check` the literal
-conformal identity J^T gt(ut) J = A(u)^{-3} g(u).
+n+1 homogeneous coordinates of the extended tensor; the induced point map and
+its Jacobian live on the affine chart.  `transform` embeds the operator as a
+3-form, pulls it back along the inverse matrix and restricts it to the chart
+again, which makes `conformal_check` the literal conformal identity
+J^T gt(ut) J = A(u)^{-3} g(u).
 """
 
 from __future__ import annotations
@@ -19,11 +20,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, pfaffian, rat_det
-from .poly import MultiPoly, rat
-from .threeform import LinearMapN1, ThreeForm, pullback
+from .poly import MultiPoly
+from .threeform import (
+    LinearMapN1,
+    Value,
+    chart_layout,
+    chart_restrict,
+    coefficient,
+    embed,
+    pullback,
+    skew_key,
+    skew_value,
+)
 
 __all__ = [
     "Hho2",
@@ -35,38 +46,11 @@ __all__ = [
     "conformal_check",
 ]
 
-Value = Union[int, Fraction, MultiPoly]
-
-_SKEW3_SIGNS = {
-    (0, 1, 2): 1,
-    (0, 2, 1): -1,
-    (1, 0, 2): -1,
-    (1, 2, 0): 1,
-    (2, 0, 1): 1,
-    (2, 1, 0): -1,
-}
-
 
 def _lift(value: Value, variables: Tuple[str, ...]) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value.with_vars(variables)
     return MultiPoly.const(variables, value)
-
-
-def _value_eq(a: Value, b: Value) -> bool:
-    if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-        if isinstance(a, MultiPoly) and isinstance(b, MultiPoly):
-            return a == b
-        if isinstance(a, MultiPoly):
-            return a == Fraction(b)
-        return b == Fraction(a)
-    return Fraction(a) == Fraction(b)
-
-
-def _value_zero(a: Value) -> bool:
-    if isinstance(a, MultiPoly):
-        return a.is_zero()
-    return not a
 
 
 class Hho2:
@@ -84,7 +68,8 @@ class Hho2:
             i, j, k = key
             if not (0 <= i < j < k < n):
                 raise ValueError(f"tensor triple {key} is not strictly increasing inside range(n)")
-            if not _value_zero(value):
+            value = coefficient(value, self.params)
+            if value:
                 clean[key] = value
         self.t3 = clean
         if isinstance(g0, dict):
@@ -92,21 +77,19 @@ class Hho2:
             for (i, j), value in g0.items():
                 if not (0 <= i < j < n):
                     raise ValueError(f"g0 pair {(i, j)} is not strictly increasing inside range(n)")
-                mat[i][j] = value
-                mat[j][i] = -value if isinstance(value, MultiPoly) or value else Fraction(0)
-            self.g0 = mat
+                mat[i][j] = coefficient(value, self.params)
+                mat[j][i] = -mat[i][j]
         else:
-            mat = [list(row) for row in g0]
+            mat = [[coefficient(value, self.params) for value in row] for row in g0]
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError("g0 must be an n x n matrix")
             for i in range(n):
-                if not _value_zero(mat[i][i]):
+                if mat[i][i]:
                     raise ValueError("g0 has a nonzero diagonal entry")
                 for j in range(i + 1, n):
-                    neg = -mat[i][j] if isinstance(mat[i][j], MultiPoly) else -Fraction(mat[i][j])
-                    if not _value_eq(mat[j][i], neg):
+                    if mat[j][i] != -mat[i][j]:
                         raise ValueError(f"g0 is not skew at ({i}, {j})")
-            self.g0 = mat
+        self.g0 = mat
         self._metric = None
         self._pf = None
 
@@ -120,18 +103,19 @@ class Hho2:
         triples must agree up to permutation sign, otherwise the tensor is not
         totally skew and the input is rejected.
         """
+        params = tuple(params)
         canonical: Dict[Tuple[int, int, int], Value] = {}
         for i, j, k, value in t_entries:
-            if i == j or j == k or i == k:
-                if not _value_zero(value):
+            value = coefficient(value, params)
+            found = skew_key(i, j, k)
+            if found is None:
+                if value:
                     raise ValueError(f"tensor entry ({i}, {j}, {k}) with repeated index must vanish")
                 continue
-            order = sorted(((i, 0), (j, 1), (k, 2)))
-            key = tuple(x for x, _ in order)
-            sign = _SKEW3_SIGNS[tuple(pos for _, pos in order)]
-            v = value if sign > 0 else (-value if isinstance(value, MultiPoly) else -Fraction(value))
+            key, sign = found
+            v = value if sign > 0 else -value
             if key in canonical:
-                if not _value_eq(canonical[key], v):
+                if canonical[key] != v:
                     raise ValueError(f"tensor entries around {key} are not totally skew")
             else:
                 canonical[key] = v
@@ -144,17 +128,7 @@ class Hho2:
         return tuple(f"u{i + 1}" for i in range(self.n)) + self.params
 
     def t_value(self, i: int, j: int, k: int) -> Value:
-        if i == j or j == k or i == k:
-            return Fraction(0)
-        order = sorted(((i, 0), (j, 1), (k, 2)))
-        key = tuple(x for x, _ in order)
-        base = self.t3.get(key)
-        if base is None:
-            return Fraction(0)
-        sign = _SKEW3_SIGNS[tuple(pos for _, pos in order)]
-        if sign > 0:
-            return base
-        return -base if isinstance(base, MultiPoly) else -Fraction(base)
+        return skew_value(self.t3, i, j, k)
 
     def metric(self) -> PolyMatrix:
         """Covariant metric g(u) = T u + g0 as a polynomial matrix."""
@@ -170,7 +144,7 @@ class Hho2:
                 entry = _lift(self.g0[i][j], vs)
                 for k in range(n):
                     tv = self.t_value(i, j, k)
-                    if not _value_zero(tv):
+                    if tv:
                         entry = entry + _lift(tv, vs) * gens[k]
                 rows[i][j] = entry
                 rows[j][i] = -entry
@@ -197,17 +171,12 @@ class Hho2:
     def __eq__(self, other):
         if not isinstance(other, Hho2):
             return NotImplemented
-        if self.n != other.n or self.params != other.params:
-            return False
-        keys = set(self.t3) | set(other.t3)
-        for key in keys:
-            if not _value_eq(self.t3.get(key, 0), other.t3.get(key, 0)):
-                return False
-        for i in range(self.n):
-            for j in range(self.n):
-                if not _value_eq(self.g0[i][j], other.g0[i][j]):
-                    return False
-        return True
+        return (
+            self.n == other.n
+            and self.params == other.params
+            and self.t3 == other.t3
+            and self.g0 == other.g0
+        )
 
     __hash__ = None
 
@@ -224,13 +193,13 @@ class Hho2:
             op = self.instantiate(param_values)
         t_items = []
         for (i, j, k), value in sorted(op.t3.items()):
-            t_items.append([i + 1, j + 1, k + 1, str(Fraction(value))])
+            t_items.append([i + 1, j + 1, k + 1, str(value)])
         g_items = []
         for i in range(op.n):
             for j in range(i + 1, op.n):
                 v = op.g0[i][j]
                 if v:
-                    g_items.append([i + 1, j + 1, str(Fraction(v))])
+                    g_items.append([i + 1, j + 1, str(v)])
         return json.dumps({"n": op.n, "T": t_items, "g0": g_items, "params": {}}, sort_keys=True)
 
     @classmethod
@@ -250,7 +219,7 @@ class Hho2:
             key = (i - 1, j - 1, k - 1)
             if key in t3:
                 raise ValueError(f"T[{pos}]: duplicate triple {item[:3]}")
-            t3[key] = rat(value)
+            t3[key] = value
         g0 = {}
         for pos, item in enumerate(data.get("g0", [])):
             if len(item) != 3:
@@ -261,7 +230,7 @@ class Hho2:
             key = (i - 1, j - 1)
             if key in g0:
                 raise ValueError(f"g0[{pos}]: duplicate pair {item[:2]}")
-            g0[key] = rat(value)
+            g0[key] = value
         if data.get("params"):
             raise ValueError("operator documents with unresolved params are not supported")
         return cls(n, t3, g0)
@@ -274,7 +243,7 @@ class Hho2:
         def crush(v: Value) -> Fraction:
             if isinstance(v, MultiPoly):
                 return v.eval([param_values[p] for p in v.vars])
-            return Fraction(v)
+            return v
         t3 = {key: crush(v) for key, v in self.t3.items()}
         g0 = [[crush(v) for v in row] for row in self.g0]
         return Hho2(self.n, t3, g0)
@@ -304,14 +273,8 @@ def validate(op: Hho2) -> ValidationReport:
     t_skew = all(0 <= i < j < k < op.n for (i, j, k) in op.t3)
     if not t_skew:
         problems.append("tensor triples out of canonical range")
-    g_skew = True
-    for i in range(op.n):
-        if not _value_zero(op.g0[i][i]):
-            g_skew = False
-        for j in range(i + 1, op.n):
-            neg = -op.g0[i][j] if isinstance(op.g0[i][j], MultiPoly) else -Fraction(op.g0[i][j])
-            if not _value_eq(op.g0[j][i], neg):
-                g_skew = False
+    # j starts at i, so a nonzero diagonal entry also fails the check.
+    g_skew = all(op.g0[j][i] == -op.g0[i][j] for i in range(op.n) for j in range(i, op.n))
     if not g_skew:
         problems.append("g0 is not skew")
     pf = op.pfaffian_poly()
@@ -322,25 +285,7 @@ def validate(op: Hho2) -> ValidationReport:
 def extend_tensor(op: Hho2) -> Dict[Tuple[int, int, int], Value]:
     """Extended constant tensor on n+1 indices: T on the first n, g0 in the
     slots involving the extra index."""
-    ext: Dict[Tuple[int, int, int], Value] = dict(op.t3)
-    n = op.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = op.g0[i][j]
-            if not _value_zero(v):
-                ext[(i, j, n)] = v
-    return ext
-
-
-def split_extended(ext: Dict[Tuple[int, int, int], Value], n: int):
-    t3 = {}
-    g0: Dict[Tuple[int, int], Value] = {}
-    for (i, j, k), value in ext.items():
-        if k < n:
-            t3[(i, j, k)] = value
-        else:
-            g0[(i, j)] = value
-    return t3, g0
+    return chart_layout(op.t3, op.g0, op.n)
 
 
 class ProjReciprocal:
@@ -397,10 +342,8 @@ def transform(op: Hho2, r: ProjReciprocal) -> Hho2:
     """
     if r.n != op.n:
         raise ValueError(f"transformation dimension {r.n} does not match operator n={op.n}")
-    ext = extend_tensor(op)
-    form = ThreeForm(op.n + 1, ext, op.params)
-    moved = pullback(form, r.a.inverse())
-    t3, g0 = split_extended(moved.coeffs, op.n)
+    moved = pullback(embed(op.t3, op.g0, op.n, op.params), r.a.inverse())
+    t3, g0 = chart_restrict(moved)
     return Hho2(op.n, t3, g0, op.params)
 
 

@@ -29,7 +29,13 @@ __all__ = [
 
 
 def rat(value) -> Fraction:
-    """Parse anything Fraction accepts (including 'p/q' strings) exactly."""
+    """Parse an exact rational: an int, a Fraction or a 'p/q' string.
+
+    Floats and bools are refused, so no binary approximation or JSON `true`
+    silently becomes a Fraction.
+    """
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"{value!r} is not an exact rational; give an integer or a 'p/q' string")
     return Fraction(value)
 
 
@@ -99,11 +105,6 @@ class MultiPoly:
         exp = [0] * len(vs)
         exp[i] = 1
         return cls._raw(vs, {tuple(exp): 1})
-
-    @classmethod
-    def gens(cls, variables: Sequence[str]):
-        """All generators of the ring, in order."""
-        return [cls.variable(variables, i) for i in range(len(variables))]
 
     # ----- scalars ------------------------------------------------------
 

@@ -172,12 +172,10 @@ class ConservativeSystem:
                     for i in range(n):
                         ci = self.constants[i]
                         if ci:
-                            shift += Fraction(op.t_value(h, i, j)) * ci
+                            shift += op.t_value(h, i, j) * ci
                     a_eff[h][j] += shift
                 g0row = op.g0[h]
-                b_eff[h] += sum(
-                    (Fraction(g0row[k]) * self.constants[k] for k in range(n)), Fraction(0)
-                )
+                b_eff[h] += sum((g0row[k] * self.constants[k] for k in range(n)), Fraction(0))
         self.a_eff = tuple(tuple(row) for row in a_eff)
         self.b_eff = tuple(b_eff)
 
@@ -297,7 +295,7 @@ class ConservativeSystem:
             for j in range(h + 1, n):
                 entry = MultiPoly.zero(rvars)
                 for i in range(n):
-                    t = Fraction(self.op.t_value(h, j, i))
+                    t = self.op.t_value(h, j, i)
                     if t:
                         entry = entry + self.q[i].with_vars(rvars) * t
                 if self.a_eff[h][j]:
@@ -435,9 +433,9 @@ class _PointKernel:
         ]
 
         op = system.op
-        self.t_den = math.lcm(1, *(Fraction(x).denominator for x in op.t3.values()))
+        self.t_den = math.lcm(1, *(x.denominator for x in op.t3.values()))
         self.t = [
-            [[int(Fraction(op.t_value(i, j, k)) * self.t_den) for k in range(n)] for j in range(n)]
+            [[int(op.t_value(i, j, k) * self.t_den) for k in range(n)] for j in range(n)]
             for i in range(n)
         ]
 
@@ -585,10 +583,10 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
                     gqk = g.at(q, k)
                     if not gqk.is_zero():
                         acc = acc + gqk * s_table[k][(p, l)]
-                    t1 = Fraction(system.op.t_value(p, q, k))
+                    t1 = system.op.t_value(p, q, k)
                     if t1:
                         acc = acc + rd[k][l] * t1
-                    t2 = Fraction(system.op.t_value(q, k, l))
+                    t2 = system.op.t_value(q, k, l)
                     if t2:
                         acc = acc + rd[k][p] * t2
                 if not acc.is_zero():
@@ -699,10 +697,10 @@ def check_compat_rational(op: Hho2, v: Sequence[RationalFn]) -> CompatReport:
                     gqk = g.at(q, k)
                     if not gqk.is_zero():
                         acc = acc + hess[k][p][l] * gqk
-                    t1 = Fraction(op.t_value(p, q, k))
+                    t1 = op.t_value(p, q, k)
                     if t1:
                         acc = acc + jac[k][l] * t1
-                    t2 = Fraction(op.t_value(q, k, l))
+                    t2 = op.t_value(q, k, l)
                     if t2:
                         acc = acc + jac[k][p] * t2
                 if not acc.is_zero():
@@ -743,10 +741,10 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
         acc = MultiPoly.zero(vs)
         for k in range(n):
             for l in range(n):
-                t = Fraction(system.op.t_value(j, k, l))
+                t = system.op.t_value(j, k, l)
                 if t:
                     acc = acc + (gens[l] * system.q[k] - gens[k] * system.q[l]) * (t * half)
-            g0jk = Fraction(system.op.g0[j][k])
+            g0jk = system.op.g0[j][k]
             if g0jk:
                 acc = acc + system.q[k] * g0jk
         rhs = MultiPoly.const(vs, system.b_eff[j])
@@ -879,10 +877,6 @@ class LinearityReport:
     checked_eigenvalues: int
     skipped_eigenvalues: int
     gradients_orthogonal: bool
-
-    @property
-    def linearly_degenerate_confirmed(self) -> bool:
-        return self.gradients_orthogonal and self.checked_eigenvalues > 0
 
 
 def linearity_report(system: ConservativeSystem, points=None) -> LinearityReport:

@@ -4,11 +4,16 @@ A form of dimension d is stored by its coefficients on strictly increasing
 index triples (0-based internally, 1-based in JSON); the stored value is the
 value of the totally skew coefficient family on that triple.  The affine chart
 v^d = 1 identifies forms in dimension n+1 with pairs (T, g0): a constant fully
-skew rank-3 tensor plus a constant skew matrix.  The conversion factor 3 comes
-from collapsing the full-skew summation onto increasing triples.
+skew rank-3 tensor plus a constant skew matrix.  `chart_layout` lays (T, g0)
+out as one skew table on n+1 indices and `chart_split` takes such a table
+apart; operators use the same table (`extend_tensor`) and the same sign map
+(`skew_key`).  The conversion factor 3 comes from collapsing the full-skew
+summation onto increasing triples and is applied only by `embed` and
+`chart_restrict`.
 
-Coefficient values are exact rationals, or polynomials in parameter symbols
-for parametric families; linear maps acting on forms are always rational.
+Coefficient values are stored as Fractions, or as polynomials in parameter
+symbols for parametric families (`coefficient` normalises both); linear maps
+acting on forms are always rational.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ __all__ = [
     "CongruenceSystem",
 ]
 
-Value = Union[int, Fraction, MultiPoly]
+Value = Union[Fraction, MultiPoly]
 
 _PERM_SIGNS = {
     (0, 1, 2): 1,
@@ -44,10 +49,32 @@ _PERM_SIGNS = {
 }
 
 
-def _is_zero_value(v) -> bool:
-    if isinstance(v, MultiPoly):
-        return v.is_zero()
-    return not v
+def skew_key(i: int, j: int, k: int):
+    """(increasing triple, permutation sign) of an index triple, or None when
+    an index repeats and every totally skew family vanishes there."""
+    if i == j or j == k or i == k:
+        return None
+    order = sorted(((i, 0), (j, 1), (k, 2)))
+    return tuple(x for x, _ in order), _PERM_SIGNS[tuple(pos for _, pos in order)]
+
+
+def skew_value(coeffs: Dict[Tuple[int, int, int], Value], i: int, j: int, k: int) -> Value:
+    """Value at an arbitrary triple of the skew family stored on increasing triples."""
+    found = skew_key(i, j, k)
+    if found is None:
+        return Fraction(0)
+    key, sign = found
+    base = coeffs.get(key, Fraction(0))
+    return base if sign > 0 else -base
+
+
+def coefficient(value, params: Tuple[str, ...]) -> Value:
+    """One stored coefficient: a MultiPoly over `params`, or an exact rational."""
+    if isinstance(value, MultiPoly):
+        if value.vars != params:
+            raise ValueError(f"coefficient ring {value.vars} does not match params {params}")
+        return value
+    return rat(value)
 
 
 class ThreeForm:
@@ -65,55 +92,19 @@ class ThreeForm:
             i, j, k = key
             if not (0 <= i < j < k < dim):
                 raise ValueError(f"triple {key} is not strictly increasing inside range")
-            if isinstance(value, MultiPoly):
-                if value.vars != self.params:
-                    raise ValueError(f"coefficient ring {value.vars} does not match params {self.params}")
-                if value.is_zero():
-                    continue
+            value = coefficient(value, self.params)
+            if value:
                 clean[(i, j, k)] = value
-            else:
-                v = Fraction(value)
-                if v:
-                    clean[(i, j, k)] = v
         self.coeffs = clean
 
     def value(self, i: int, j: int, k: int) -> Value:
         """Full skew family value at an arbitrary index triple."""
-        if i == j or j == k or i == k:
-            return Fraction(0)
-        order = sorted(((i, 0), (j, 1), (k, 2)))
-        key = tuple(x for x, _ in order)
-        sign = _PERM_SIGNS[tuple(pos for _, pos in order)]
-        base = self.coeffs.get(key)
-        if base is None:
-            return Fraction(0)
-        return base if sign > 0 else -base
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return skew_value(self.coeffs, i, j, k)
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        for key in keys:
-            a = self.coeffs.get(key, 0)
-            b = other.coeffs.get(key, 0)
-            if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-                if isinstance(a, MultiPoly) and isinstance(b, MultiPoly):
-                    if a != b:
-                        return False
-                elif isinstance(a, MultiPoly):
-                    if a != Fraction(b):
-                        return False
-                else:
-                    if b != Fraction(a):
-                        return False
-            elif Fraction(a) != Fraction(b):
-                return False
-        return True
+        return self.dim == other.dim and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -124,10 +115,7 @@ class ThreeForm:
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
             out[key] = out.get(key, 0) + value
-        return ThreeForm(self.dim, {k: v for k, v in out.items() if not _is_zero_value(v)}, params)
-
-    def scale(self, factor) -> "ThreeForm":
-        return ThreeForm(self.dim, {k: v * factor for k, v in self.coeffs.items()}, self.params)
+        return ThreeForm(self.dim, out, params)
 
     def __str__(self):
         if not self.coeffs:
@@ -145,7 +133,7 @@ class ThreeForm:
         for (i, j, k), value in sorted(self.coeffs.items()):
             if isinstance(value, MultiPoly):
                 raise ValueError("parametric forms need numeric parameters before export")
-            coeffs.append([i + 1, j + 1, k + 1, str(Fraction(value))])
+            coeffs.append([i + 1, j + 1, k + 1, str(value)])
         return json.dumps({"dim": self.dim, "coeffs": coeffs}, sort_keys=True)
 
     @classmethod
@@ -166,7 +154,7 @@ class ThreeForm:
             key = (i - 1, j - 1, k - 1)
             if key in coeffs:
                 raise ValueError(f"coeffs[{pos}]: duplicate triple {item[:3]}")
-            coeffs[key] = rat(value)
+            coeffs[key] = value
         return cls(dim, coeffs)
 
 
@@ -176,7 +164,7 @@ class LinearMapN1:
     __slots__ = ("dim", "entries", "det")
 
     def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
+        self.entries = [[rat(x) for x in row] for row in entries]
         self.dim = len(self.entries)
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("linear map matrix must be square")
@@ -236,7 +224,7 @@ class LinearMapN1:
             entries = data["entries"]
         except (KeyError, TypeError):
             raise ValueError("malformed linear map document: missing entries") from None
-        return cls([[rat(x) for x in row] for row in entries])
+        return cls(entries)
 
 
 def _minor3(a: LinearMapN1, rows, cols) -> Fraction:
@@ -265,9 +253,36 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
             minor = _minor3(a, src, target)
             if minor:
                 total = total + value * minor
-        if not _is_zero_value(total):
-            out[target] = total
+        out[target] = total
     return ThreeForm(form.dim, out, form.params)
+
+
+def chart_layout(t3: Dict[Tuple[int, int, int], Value], g0: Sequence[Sequence], n: int):
+    """The (T, g0) data of an operator as one skew table on n+1 indices:
+    T on the triples inside range(n), g0[i][j] on the triple (i, j, n)."""
+    table = {}
+    for (i, j, k), value in t3.items():
+        if not (0 <= i < j < k < n):
+            raise ValueError(f"tensor triple {(i, j, k)} out of range for n={n}")
+        table[(i, j, k)] = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g0[i][j]:
+                table[(i, j, n)] = g0[i][j]
+    return table
+
+
+def chart_split(table: Dict[Tuple[int, int, int], Value], n: int):
+    """Inverse of chart_layout: (triples dict, skew matrix rows), both 0-based."""
+    t3 = {}
+    g0 = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j, k), value in table.items():
+        if k < n:
+            t3[(i, j, k)] = value
+        else:
+            g0[i][j] = value
+            g0[j][i] = -value
+    return t3, g0
 
 
 def chart_restrict(form: ThreeForm):
@@ -276,32 +291,14 @@ def chart_restrict(form: ThreeForm):
     T[i][j][k] = 3*omega[i][j][k] for i,j,k <= n and g0[i][j] = 3*omega[i][j][n+1];
     returned as (triples dict, skew matrix rows), both 0-based.
     """
-    n = form.dim - 1
-    t3 = {}
-    g0 = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j, k), value in form.coeffs.items():
-        if k < n:
-            t3[(i, j, k)] = 3 * value
-        elif j < n:
-            g0[i][j] = 3 * value
-            g0[j][i] = -3 * value
-    return t3, g0
+    return chart_split({key: 3 * value for key, value in form.coeffs.items()}, form.dim - 1)
 
 
 def embed(t3: Dict[Tuple[int, int, int], Value], g0: Sequence[Sequence], n: int, params=()) -> ThreeForm:
     """Inverse of chart_restrict: omega[ijk] = T[ijk]/3, omega[ij,n+1] = g0[ij]/3."""
-    coeffs = {}
     third = Fraction(1, 3)
-    for (i, j, k), value in t3.items():
-        if not (0 <= i < j < k < n):
-            raise ValueError(f"tensor triple {(i, j, k)} out of range for n={n}")
-        coeffs[(i, j, k)] = value * third
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = g0[i][j]
-            if not _is_zero_value(v):
-                coeffs[(i, j, n)] = v * third
-    return ThreeForm(n + 1, coeffs, params)
+    table = chart_layout(t3, g0, n)
+    return ThreeForm(n + 1, {key: value * third for key, value in table.items()}, params)
 
 
 @dataclass

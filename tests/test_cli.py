@@ -211,3 +211,64 @@ def test_json_output_parses_for_verify(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, out, err = run(capsys, "op", "validate", "/nonexistent/op.json")
     assert code == 2
+
+
+def _system_doc(a_value, b_value):
+    op = {"n": 2, "T": [], "g0": [[1, 2, "1"]], "params": {}}
+    return json.dumps({"op": op, "A": [[1, 2, a_value]], "B": [b_value, "0"]})
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True])
+def test_inexact_values_exit_2(tmp_path, capsys, bad):
+    def assert_rejected(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and repr(bad) in err
+        assert "Traceback" not in err
+
+    op_doc = {"n": 2, "T": [], "g0": [[1, 2, bad]]}
+    assert_rejected("op", "validate", write(tmp_path, "op.json", json.dumps(op_doc)))
+    op_t = {"n": 4, "T": [[1, 2, 3, bad]], "g0": [[1, 4, "1"], [2, 3, "1"]]}
+    assert_rejected("op", "validate", write(tmp_path, "op_t.json", json.dumps(op_t)))
+    assert_rejected("sys", "verify", write(tmp_path, "sys_a.json", _system_doc(bad, "0")))
+    assert_rejected("sys", "verify", write(tmp_path, "sys_b.json", _system_doc("1", bad)))
+    good_op = write(tmp_path, "good.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]]}))
+    assert_rejected("sys", "generate", good_op, "--A", json.dumps([["0", bad], ["-1", "0"]]),
+                    "--B", json.dumps(["0", "0"]))
+    assert_rejected("sys", "generate", good_op, "--A", json.dumps([["0", "1"], ["-1", "0"]]),
+                    "--B", json.dumps([bad, "0"]))
+    form = {"dim": 3, "coeffs": [[1, 2, 3, bad]]}
+    assert_rejected("op", "from-3form", write(tmp_path, "form.json", json.dumps(form)))
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows[0][1] = bad
+    assert_rejected("op", "transform", good_op, "--sl", json.dumps(rows))
+    assert_rejected("op", "transform", good_op, "--sl", json.dumps({"entries": rows}))
+
+
+def test_from_3form_rejects_dimension_2(tmp_path, capsys):
+    path = write(tmp_path, "form.json", json.dumps({"dim": 2, "coeffs": []}))
+    code, out, err = run(capsys, "op", "from-3form", path)
+    assert code == 2
+    assert "a 3-form needs dimension at least 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_generate_stdout_without_out(tmp_path, capsys, output):
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    argv = ["--seed", "5", "--output", output, "sys", "generate", op_path, "--random"]
+    code, out, err = run(capsys, *argv, "--out", sys_path)
+    assert code == 0
+    written = open(sys_path).read()
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    if output == "text":
+        lines = out.splitlines()
+        assert lines[0] == "generated conservative system on n=4"
+        assert lines[-1] + "\n" == written
+    else:
+        doc = json.loads(out)
+        assert doc["command"] == "sys generate"
+        assert doc["system"] == json.loads(written)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -11,12 +12,11 @@ from hho2.operators import (
     conformal_check,
     conformal_determinant_check,
     extend_tensor,
-    split_extended,
     transform,
     validate,
 )
 from hho2.poly import MultiPoly
-from hho2.threeform import LinearMapN1
+from hho2.threeform import LinearMapN1, chart_split, embed
 from hho2.diagnostics import sample_points
 
 
@@ -74,6 +74,73 @@ def test_from_raw_tensor_requires_full_skewness():
         Hho2.from_raw_tensor(4, [(0, 0, 1, Fraction(2))], {})
 
 
+def _inversion_sign(seq):
+    sign = 1
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                sign = -sign
+    return sign
+
+
+def _skew_oracle(table, i, j, k):
+    """Value at (i, j, k) of the skew family stored on increasing triples,
+    with the sign counted by inversions rather than looked up."""
+    if len({i, j, k}) < 3:
+        return 0
+    return _inversion_sign((i, j, k)) * table.get(tuple(sorted((i, j, k))), 0)
+
+
+@pytest.mark.parametrize("params", [(), ("s", "t")])
+def test_sign_table_views_agree(params):
+    rng = random.Random(41 + len(params))
+
+    def draw():
+        value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
+        if not params:
+            return value
+        s, t = (MultiPoly.variable(params, name) for name in params)
+        return s * value + t * rng.randint(-3, 3) + rng.randint(-2, 2)
+
+    for n in (4, 6):
+        for _ in range(4):
+            entries = []
+            given = {}
+            for tri in rng.sample(list(combinations(range(n), 3)), 4):
+                v = draw()
+                for perm in permutations(range(3)):
+                    idx = tuple(tri[p] for p in perm)
+                    given[idx] = _inversion_sign(perm) * v
+                    entries.append((*idx, given[idx]))
+            entries.append((0, 0, 1, Fraction(0)))
+            rng.shuffle(entries)
+            g0 = {pair: draw() for pair in rng.sample(list(combinations(range(n), 2)), 3)}
+            op = Hho2.from_raw_tensor(n, entries, g0, params)
+            form = embed(op.t3, op.g0, n, params)
+            ext = extend_tensor(op)
+            for idx, v in given.items():
+                assert op.t_value(*idx) == v
+            for (i, j), v in g0.items():
+                assert ext[(i, j, n)] == v
+            for i, j, k in product(range(n + 1), repeat=3):
+                want = _skew_oracle(ext, i, j, k)
+                assert 3 * form.value(i, j, k) == want
+                if max(i, j, k) < n:
+                    assert op.t_value(i, j, k) == want
+                    assert want == given.get((i, j, k), 0)
+
+
+def test_constructor_rejects_inexact_values():
+    with pytest.raises(ValueError, match="0.5"):
+        Hho2(2, {}, {(0, 1): 0.5})
+    with pytest.raises(ValueError, match="True"):
+        Hho2(4, {(0, 1, 2): True}, {})
+    with pytest.raises(ValueError, match="0.25"):
+        Hho2(2, {}, [[0, 0.25], [-0.25, 0]])
+    with pytest.raises(ValueError, match="0.5"):
+        Hho2.from_raw_tensor(4, [(0, 1, 2, 0.5)], {})
+
+
 def test_t_value_signs():
     op = simple_n4()
     assert op.t_value(0, 1, 2) == 1
@@ -117,9 +184,12 @@ def test_extend_split_round_trip():
     ext = extend_tensor(op)
     assert ext[(0, 1, 2)] == Fraction(1)
     assert ext[(0, 3, 4)] == Fraction(1)
-    t3, g0 = split_extended(ext, 4)
+    t3, g0 = chart_split(ext, 4)
     assert t3 == op.t3
-    assert g0 == {(0, 3): Fraction(1)}
+    assert {(i, j): v for i, row in enumerate(g0) for j, v in enumerate(row) if i < j and v} == {
+        (0, 3): Fraction(1)
+    }
+    assert g0 == op.g0
 
 
 def test_transform_identity_is_identity():

@@ -174,6 +174,12 @@ def test_rat_parse():
     assert rat(5) == Fraction(5)
 
 
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+def test_rat_rejects_floats_and_bools(value):
+    with pytest.raises(ValueError, match=repr(value)):
+        rat(value)
+
+
 class TestRationalFn:
     def test_reduction_on_construction(self):
         x = MultiPoly.variable(("x", "y"), "x")

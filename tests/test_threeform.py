@@ -111,6 +111,13 @@ def test_chart_restrict_embed_round_trip():
         assert g0b == g0
 
 
+def test_constructors_reject_inexact_values():
+    with pytest.raises(ValueError, match="0.5"):
+        ThreeForm(3, {(0, 1, 2): 0.5})
+    with pytest.raises(ValueError, match="True"):
+        LinearMapN1([[1, True], [0, 1]])
+
+
 def test_form_json_round_trip():
     rng = random.Random(14)
     form = rand_form(rng, 7, entries=5)
@@ -134,7 +141,7 @@ def test_form_algebra():
     s = a + b
     for idx in set(a.coeffs) | set(b.coeffs):
         assert s.value(*idx) == a.value(*idx) + b.value(*idx)
-    doubled = a.scale(Fraction(2))
+    doubled = a + a
     for idx, v in a.coeffs.items():
         assert doubled.value(*idx) == 2 * v
 
