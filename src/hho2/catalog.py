@@ -12,12 +12,13 @@ produces is cross-checked against its expected closed form in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .operators import Hho2
 from .poly import MultiPoly
-from .threeform import ThreeForm, chart_split, embed
+from .threeform import ThreeForm, embed
 
 __all__ = ["CatalogEntry", "list_entries", "get_entry", "build", "N8_CLASS_COUNT"]
 
@@ -69,23 +70,14 @@ class CatalogEntry:
 
     def defining_form(self) -> ThreeForm:
         """The 3-form whose chart restriction reproduces the entry."""
-        op = self.build_symbolic()
-        return embed(op.t3, op.g0, op.n, op.params)
-
-
-def _simple(n, t3, g0_pairs):
-    def make() -> Hho2:
-        return Hho2(n, dict(t3), dict(g0_pairs))
-
-    return make
+        return embed(self.build_symbolic())
 
 
 def _combined_form_op(weights: Sequence[Tuple[str, int, tuple]], params: Tuple[str, ...]):
     """Operator whose tensor data are the coefficients of sum(c_a * p_a).
 
     weights: (param name or empty for unit weight, sign, triples) per summand.
-    The summed table is split on the chart like any extended tensor: T for
-    k < n and g0 for k = n.
+    The summed table is the operator table: T for k < n and g0 for k = n.
     """
 
     def make() -> Hho2:
@@ -97,8 +89,7 @@ def _combined_form_op(weights: Sequence[Tuple[str, int, tuple]], params: Tuple[s
                 coeff = MultiPoly.const(params, sign)
             for key, base in triples:
                 table[key] = table.get(key, 0) + coeff * base
-        t3, g0 = chart_split(table, 8)
-        return Hho2(8, t3, g0, params)
+        return Hho2(8, table, params)
 
     return make
 
@@ -106,13 +97,15 @@ def _combined_form_op(weights: Sequence[Tuple[str, int, tuple]], params: Tuple[s
 _FAM1_PARAMS = ("lambda1", "lambda2", "lambda3", "lambda4")
 _FAM2_PARAMS = ("lambda1", "lambda2", "lambda3")
 
+# Each builder gives the operator table: T on triples inside range(n), g0_ij
+# on the triple (i, j, n).
 _ENTRIES: List[CatalogEntry] = [
     CatalogEntry(
         id="n2",
         n=2,
         params=(),
         notes="canonical n=2 operator; constant symplectic leading term",
-        builder=_simple(2, {}, {(0, 1): Fraction(1)}),
+        builder=partial(Hho2, 2, {(0, 1, 2): 1}),
         expected_det="1",
     ),
     CatalogEntry(
@@ -120,7 +113,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=4,
         params=(),
         notes="n=4 open-orbit representative; block constant metric",
-        builder=_simple(4, {}, {(0, 1): Fraction(1), (2, 3): Fraction(1)}),
+        builder=partial(Hho2, 4, {(0, 1, 4): 1, (2, 3, 4): 1}),
         expected_det="1",
     ),
     CatalogEntry(
@@ -128,7 +121,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=4,
         params=(),
         notes="degenerate n=4 example: Pfaffian vanishes identically",
-        builder=_simple(4, {(0, 1, 2): Fraction(1)}, {}),
+        builder=partial(Hho2, 4, {(0, 1, 2): 1}),
         expected_det="0",
         degenerate=True,
     ),
@@ -137,11 +130,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case X (open orbit)",
-        builder=_simple(
-            6,
-            {(0, 1, 2): Fraction(1), (3, 4, 5): Fraction(1)},
-            {(0, 3): Fraction(1), (1, 4): Fraction(1), (2, 5): Fraction(1)},
-        ),
+        builder=partial(Hho2, 6, {(0, 1, 2): 1, (3, 4, 5): 1, (0, 3, 6): 1, (1, 4, 6): 1, (2, 5, 6): 1}),
         expected_det="(u1*u4 + u2*u5 + u3*u6 - 1)^2",
     ),
     CatalogEntry(
@@ -149,11 +138,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case IX",
-        builder=_simple(
-            6,
-            {(0, 1, 2): Fraction(1), (3, 4, 5): Fraction(1)},
-            {(0, 3): Fraction(1), (1, 4): Fraction(1)},
-        ),
+        builder=partial(Hho2, 6, {(0, 1, 2): 1, (3, 4, 5): 1, (0, 3, 6): 1, (1, 4, 6): 1}),
         expected_det="(u1*u4 + u2*u5)^2",
     ),
     CatalogEntry(
@@ -161,11 +146,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case VIII",
-        builder=_simple(
-            6,
-            {(0, 1, 2): Fraction(1), (3, 4, 5): Fraction(1)},
-            {(0, 3): Fraction(1)},
-        ),
+        builder=partial(Hho2, 6, {(0, 1, 2): 1, (3, 4, 5): 1, (0, 3, 6): 1}),
         expected_det="(u1*u4)^2",
     ),
     CatalogEntry(
@@ -173,11 +154,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case VII",
-        builder=_simple(
-            6,
-            {(3, 4, 5): Fraction(1)},
-            {(0, 3): Fraction(1), (1, 4): Fraction(1), (2, 5): Fraction(1)},
-        ),
+        builder=partial(Hho2, 6, {(3, 4, 5): 1, (0, 3, 6): 1, (1, 4, 6): 1, (2, 5, 6): 1}),
         expected_det="1",
     ),
     CatalogEntry(
@@ -185,11 +162,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case VI; constant metric",
-        builder=_simple(
-            6,
-            {},
-            {(0, 3): Fraction(1), (1, 4): Fraction(1), (2, 5): Fraction(1)},
-        ),
+        builder=partial(Hho2, 6, {(0, 3, 6): 1, (1, 4, 6): 1, (2, 5, 6): 1}),
         expected_det="1",
     ),
     CatalogEntry(

@@ -290,6 +290,7 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
     if a.dim != op.n + 1:
         raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
     r = ProjReciprocal(a)
+    moved = transform(op, r)
     count = args.points if args.points is not None else config.samples
     rng = random.Random(config.seed)
     checked = 0
@@ -301,8 +302,8 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
         u = sample_points(op, 1, rng, bound=config.coefficient_range, allow_degenerate=True)[0]
         if not r.affine_factor(u):
             continue
-        ok_metric = conformal_check(op, r, u)
-        ok_det = conformal_determinant_check(op, r, u)
+        ok_metric = conformal_check(op, moved, r, u)
+        ok_det = conformal_determinant_check(op, moved, r, u)
         results.append({"point": [str(x) for x in u], "metric_identity": ok_metric, "determinant_identity": ok_det})
         if not (ok_metric and ok_det):
             failures += 1
@@ -329,7 +330,7 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
 
 def cmd_op_to_3form(args, config: RunConfig) -> int:
     op = _load_operator(args.file)
-    form = embed(op.t3, op.g0, op.n, op.params)
+    form = embed(op)
     _write_payload(form.to_json(), args.out)
     return 0
 
@@ -337,8 +338,7 @@ def cmd_op_to_3form(args, config: RunConfig) -> int:
 def cmd_op_from_3form(args, config: RunConfig) -> int:
     try:
         form = ThreeForm.from_json(_read_text(args.file))
-        t3, g0 = chart_restrict(form)
-        op = Hho2(form.dim - 1, t3, g0, form.params)
+        op = Hho2(form.dim - 1, chart_restrict(form), form.params)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{args.file}: {exc}") from exc
     _write_payload(op.to_json(), args.out)
@@ -364,9 +364,7 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
             a_data = _load_json(args.A)
             b_data = _load_json(args.B)
             try:
-                a = [[rat(x) for x in row] for row in a_data]
-                b = [rat(x) for x in b_data]
-                flux = FluxParams.make(a, b)
+                flux = FluxParams.make(a_data, b_data)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise InputError(f"bad flux data: {exc}") from exc
             system = ConservativeSystem(op, flux, constants)

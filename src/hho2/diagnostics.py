@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence
 
-from .linalg import PolyMatrix, det_bareiss, det_minor_expansion, pfaffian, rat_inverse, rat_rank
+from .linalg import PolyMatrix, det_bareiss, pfaffian, rat_inverse, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly
 from .systems import ConservativeSystem, _clear_denominators
@@ -346,9 +346,13 @@ def charpoly_square_symbolic(system: ConservativeSystem, det_route: str = "auto"
       det(g) = D^2 yields the identity, with every step exact.
 
     det_route: "auto" picks direct for n <= 4 and factored above, "bareiss"
-    and "minor" force the direct expansion, "factored" forces the other.
+    forces the direct expansion, "factored" forces the other.
     """
     n = system.op.n
+    if det_route == "auto":
+        det_route = "bareiss" if n <= 4 else "factored"
+    elif det_route not in ("bareiss", "factored"):
+        raise ValueError(f"unknown det_route {det_route!r}; use 'auto', 'bareiss' or 'factored'")
     rvars = system.vars + ("lam",)
     lam = MultiPoly.variable(rvars, "lam")
     r = system.r_polys()
@@ -364,8 +368,6 @@ def charpoly_square_symbolic(system: ConservativeSystem, det_route: str = "auto"
             row.append(entry)
         rows.append(row)
     lam_index = len(rvars) - 1
-    if det_route == "auto":
-        det_route = "bareiss" if n <= 4 else "factored"
     if det_route == "factored":
         mt = system.mtilde()
         g = system.op.metric()
@@ -391,7 +393,7 @@ def charpoly_square_symbolic(system: ConservativeSystem, det_route: str = "auto"
             pf_side_degree_in_lam=pf.degree_in(lam_index) * 2,
         )
     mat = PolyMatrix(rows)
-    det_side = det_bareiss(mat) if det_route == "bareiss" else det_minor_expansion(mat)
+    det_side = det_bareiss(mat)
     pf = pfaffian(system.mtilde())
     pf_side = pf * pf
     if n > 2:

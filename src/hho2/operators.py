@@ -2,14 +2,18 @@
 
 An operator is determined by a constant fully skew rank-3 tensor T and a
 constant skew matrix g0 on n dependent variables (n even): its covariant
-metric is g_ij(u) = T_ijk u^k + g0_ij, summed over the full skew range.  The
-operator is nondegenerate when the Pfaffian of g is not the zero polynomial;
-degenerate operators are representable and flagged, but excluded from
-inversion-dependent work.
+metric is g_ij(u) = T_ijk u^k + g0_ij, summed over the full skew range.  Both
+are stored as one skew table on the n+1 homogeneous indices (`Hho2.table`),
+T on the triples inside range(n) and g0_ij on (i, j, n), so the metric is the
+table contracted with (u, 1).  The table is three times the coefficients of
+the constant 3-form the operator corresponds to; `embed` and `chart_restrict`
+apply that factor.  The operator is nondegenerate when the Pfaffian of g is not
+the zero polynomial; degenerate operators are representable and flagged, but
+excluded from inversion-dependent work.
 
 Projective reciprocal transformations act through an invertible matrix on the
-n+1 homogeneous coordinates of the extended tensor; the induced point map and
-its Jacobian live on the affine chart.  `transform` embeds the operator as a
+n+1 homogeneous coordinates of the table; the induced point map and its
+Jacobian live on the affine chart.  `transform` embeds the operator as a
 3-form, pulls it back along the inverse matrix and restricts it to the chart
 again, which makes `conformal_check` the literal conformal identity
 J^T gt(ut) J = A(u)^{-3} g(u).
@@ -27,12 +31,12 @@ from .poly import MultiPoly
 from .threeform import (
     LinearMapN1,
     Value,
-    chart_layout,
     chart_restrict,
     coefficient,
     embed,
     pullback,
     skew_key,
+    skew_table,
     skew_value,
 )
 
@@ -41,7 +45,6 @@ __all__ = [
     "ProjReciprocal",
     "ValidationReport",
     "validate",
-    "extend_tensor",
     "transform",
     "conformal_check",
 ]
@@ -54,58 +57,39 @@ def _lift(value: Value, variables: Tuple[str, ...]) -> MultiPoly:
 
 
 class Hho2:
-    """Operator data (n, T, g0), possibly with named rational parameters."""
+    """Operator data: one skew table on the n+1 indices, possibly with named
+    rational parameters.
 
-    __slots__ = ("n", "t3", "g0", "params", "_metric", "_pf")
+    The table maps strictly increasing triples in range(n+1) to coefficients,
+    stored as in `ThreeForm.coeffs`: T on the triples inside range(n) and g0_ij
+    on the triple (i, j, n).
+    """
 
-    def __init__(self, n: int, t3: Dict[Tuple[int, int, int], Value], g0, params: Sequence[str] = ()):
+    __slots__ = ("n", "table", "params", "_metric", "_pf")
+
+    def __init__(self, n: int, table: Dict[Tuple[int, int, int], Value], params: Sequence[str] = ()):
         if n < 2 or n % 2 != 0:
             raise ValueError(f"n must be even and at least 2, got {n}")
         self.n = n
         self.params = tuple(params)
-        clean: Dict[Tuple[int, int, int], Value] = {}
-        for key, value in t3.items():
-            i, j, k = key
-            if not (0 <= i < j < k < n):
-                raise ValueError(f"tensor triple {key} is not strictly increasing inside range(n)")
-            value = coefficient(value, self.params)
-            if value:
-                clean[key] = value
-        self.t3 = clean
-        if isinstance(g0, dict):
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            for (i, j), value in g0.items():
-                if not (0 <= i < j < n):
-                    raise ValueError(f"g0 pair {(i, j)} is not strictly increasing inside range(n)")
-                mat[i][j] = coefficient(value, self.params)
-                mat[j][i] = -mat[i][j]
-        else:
-            mat = [[coefficient(value, self.params) for value in row] for row in g0]
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ValueError("g0 must be an n x n matrix")
-            for i in range(n):
-                if mat[i][i]:
-                    raise ValueError("g0 has a nonzero diagonal entry")
-                for j in range(i + 1, n):
-                    if mat[j][i] != -mat[i][j]:
-                        raise ValueError(f"g0 is not skew at ({i}, {j})")
-        self.g0 = mat
+        self.table = skew_table(table, n + 1, self.params)
         self._metric = None
         self._pf = None
 
     # ----- raw-tensor constructor (checks total skewness of the input) -----
 
     @classmethod
-    def from_raw_tensor(cls, n: int, t_entries, g0, params: Sequence[str] = ()) -> "Hho2":
-        """Build from arbitrary-order tensor entries (i, j, k, value).
+    def from_raw_tensor(cls, n: int, entries, params: Sequence[str] = ()) -> "Hho2":
+        """Build from arbitrary-order entries (i, j, k, value) on the n+1
+        indices; g0_ij is given as (i, j, n, value).
 
         Entries with repeated indices must carry value zero and permuted
         triples must agree up to permutation sign, otherwise the tensor is not
         totally skew and the input is rejected.
         """
         params = tuple(params)
-        canonical: Dict[Tuple[int, int, int], Value] = {}
-        for i, j, k, value in t_entries:
+        table: Dict[Tuple[int, int, int], Value] = {}
+        for i, j, k, value in entries:
             value = coefficient(value, params)
             found = skew_key(i, j, k)
             if found is None:
@@ -114,12 +98,12 @@ class Hho2:
                 continue
             key, sign = found
             v = value if sign > 0 else -value
-            if key in canonical:
-                if canonical[key] != v:
+            if key in table:
+                if table[key] != v:
                     raise ValueError(f"tensor entries around {key} are not totally skew")
             else:
-                canonical[key] = v
-        return cls(n, canonical, g0, params)
+                table[key] = v
+        return cls(n, table, params)
 
     # ----- derived data ----------------------------------------------------
 
@@ -128,24 +112,26 @@ class Hho2:
         return tuple(f"u{i + 1}" for i in range(self.n)) + self.params
 
     def t_value(self, i: int, j: int, k: int) -> Value:
-        return skew_value(self.t3, i, j, k)
+        """Table value at any triple of the n+1 indices; t_value(i, j, n) is g0_ij."""
+        return skew_value(self.table, i, j, k)
 
     def metric(self) -> PolyMatrix:
-        """Covariant metric g(u) = T u + g0 as a polynomial matrix."""
+        """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: the table contracted
+        with (u^1, ..., u^n, 1)."""
         if self._metric is not None:
             return self._metric
         vs = self.vars
         n = self.n
         zero = MultiPoly.zero(vs)
         rows = [[zero for _ in range(n)] for _ in range(n)]
-        gens = [MultiPoly.variable(vs, i) for i in range(n)]
+        coords = [MultiPoly.variable(vs, k) for k in range(n)] + [MultiPoly.const(vs, 1)]
         for i in range(n):
             for j in range(i + 1, n):
-                entry = _lift(self.g0[i][j], vs)
-                for k in range(n):
+                entry = zero
+                for k in range(n + 1):
                     tv = self.t_value(i, j, k)
                     if tv:
-                        entry = entry + _lift(tv, vs) * gens[k]
+                        entry = entry + _lift(tv, vs) * coords[k]
                 rows[i][j] = entry
                 rows[j][i] = -entry
         self._metric = PolyMatrix(rows)
@@ -171,17 +157,12 @@ class Hho2:
     def __eq__(self, other):
         if not isinstance(other, Hho2):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.params == other.params
-            and self.t3 == other.t3
-            and self.g0 == other.g0
-        )
+        return self.n == other.n and self.params == other.params and self.table == other.table
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Hho2(n={self.n}, triples={len(self.t3)}, params={self.params})"
+        return f"Hho2(n={self.n}, entries={len(self.table)}, params={self.params})"
 
     # ----- serialization ----------------------------------------------------
 
@@ -192,14 +173,12 @@ class Hho2:
                 raise ValueError("parametric operator needs parameter values for export")
             op = self.instantiate(param_values)
         t_items = []
-        for (i, j, k), value in sorted(op.t3.items()):
-            t_items.append([i + 1, j + 1, k + 1, str(value)])
         g_items = []
-        for i in range(op.n):
-            for j in range(i + 1, op.n):
-                v = op.g0[i][j]
-                if v:
-                    g_items.append([i + 1, j + 1, str(v)])
+        for (i, j, k), value in sorted(op.table.items()):
+            if k < op.n:
+                t_items.append([i + 1, j + 1, k + 1, str(value)])
+            else:
+                g_items.append([i + 1, j + 1, str(value)])
         return json.dumps({"n": op.n, "T": t_items, "g0": g_items, "params": {}}, sort_keys=True)
 
     @classmethod
@@ -209,7 +188,7 @@ class Hho2:
             n = int(data["n"])
         except (KeyError, TypeError):
             raise ValueError("malformed operator document: missing n") from None
-        t3 = {}
+        table = {}
         for pos, item in enumerate(data.get("T", [])):
             if len(item) != 4:
                 raise ValueError(f"T[{pos}]: expected [i, j, k, value]")
@@ -217,23 +196,22 @@ class Hho2:
             if not (1 <= i < j < k <= n):
                 raise ValueError(f"T[{pos}]: indices must be 1-based strictly increasing, got {item[:3]}")
             key = (i - 1, j - 1, k - 1)
-            if key in t3:
+            if key in table:
                 raise ValueError(f"T[{pos}]: duplicate triple {item[:3]}")
-            t3[key] = value
-        g0 = {}
+            table[key] = value
         for pos, item in enumerate(data.get("g0", [])):
             if len(item) != 3:
                 raise ValueError(f"g0[{pos}]: expected [i, j, value]")
             i, j, value = item
             if not (1 <= i < j <= n):
                 raise ValueError(f"g0[{pos}]: indices must be 1-based strictly increasing, got {item[:2]}")
-            key = (i - 1, j - 1)
-            if key in g0:
+            key = (i - 1, j - 1, n)
+            if key in table:
                 raise ValueError(f"g0[{pos}]: duplicate pair {item[:2]}")
-            g0[key] = value
+            table[key] = value
         if data.get("params"):
             raise ValueError("operator documents with unresolved params are not supported")
-        return cls(n, t3, g0)
+        return cls(n, table)
 
     def instantiate(self, param_values: Dict[str, Fraction]) -> "Hho2":
         """Substitute rational values for all named parameters."""
@@ -244,9 +222,7 @@ class Hho2:
             if isinstance(v, MultiPoly):
                 return v.eval([param_values[p] for p in v.vars])
             return v
-        t3 = {key: crush(v) for key, v in self.t3.items()}
-        g0 = [[crush(v) for v in row] for row in self.g0]
-        return Hho2(self.n, t3, g0)
+        return Hho2(self.n, {key: crush(v) for key, v in self.table.items()})
 
 
 @dataclass
@@ -267,25 +243,21 @@ def validate(op: Hho2) -> ValidationReport:
     """Structural report: skewness of the data and the nondegeneracy flag.
 
     Construction already canonicalises, so the skew checks re-derive the
-    invariants from the stored data rather than trusting flags.
+    invariants from the stored table keys rather than trusting flags: T lives
+    on increasing triples inside range(n), g0 on increasing pairs (i, j) of
+    the triples (i, j, n).
     """
     problems = []
-    t_skew = all(0 <= i < j < k < op.n for (i, j, k) in op.t3)
+    n = op.n
+    t_skew = all(0 <= i < j < k < n for i, j, k in op.table if k != n)
     if not t_skew:
         problems.append("tensor triples out of canonical range")
-    # j starts at i, so a nonzero diagonal entry also fails the check.
-    g_skew = all(op.g0[j][i] == -op.g0[i][j] for i in range(op.n) for j in range(i, op.n))
+    g_skew = all(0 <= i < j < n for i, j, k in op.table if k == n)
     if not g_skew:
         problems.append("g0 is not skew")
     pf = op.pfaffian_poly()
     degenerate = pf.is_zero()
     return ValidationReport(op.n, t_skew, g_skew, pf, degenerate, problems)
-
-
-def extend_tensor(op: Hho2) -> Dict[Tuple[int, int, int], Value]:
-    """Extended constant tensor on n+1 indices: T on the first n, g0 in the
-    slots involving the extra index."""
-    return chart_layout(op.t3, op.g0, op.n)
 
 
 class ProjReciprocal:
@@ -342,13 +314,12 @@ def transform(op: Hho2, r: ProjReciprocal) -> Hho2:
     """
     if r.n != op.n:
         raise ValueError(f"transformation dimension {r.n} does not match operator n={op.n}")
-    moved = pullback(embed(op.t3, op.g0, op.n, op.params), r.a.inverse())
-    t3, g0 = chart_restrict(moved)
-    return Hho2(op.n, t3, g0, op.params)
+    return Hho2(op.n, chart_restrict(pullback(embed(op), r.a.inverse())), op.params)
 
 
-def conformal_check(op: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
-    """Exact pointwise conformal identity J^T gt(ut) J == A^{-3} g(u).
+def conformal_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
+    """Exact pointwise conformal identity J^T gt(ut) J == A^{-3} g(u), with gt
+    the metric of `moved` (normally transform(op, r), computed once per map).
 
     Holds for determinant-one maps; raises at poles of the chart.
     """
@@ -359,7 +330,7 @@ def conformal_check(op: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
         raise ZeroDivisionError("affine factor vanishes at the sample point")
     ut = r.chart(u)
     J = r.jacobian(u)
-    gt = transform(op, r).metric_at(ut)
+    gt = moved.metric_at(ut)
     g = op.metric_at(u)
     n = op.n
     scale = Fraction(1) / (A ** 3)
@@ -371,13 +342,13 @@ def conformal_check(op: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
     return True
 
 
-def conformal_determinant_check(op: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
-    """Determinant consequence of the conformal identity:
-    det(gt(ut)) * det(J)^2 == A^{-3n} det(g(u))."""
+def conformal_determinant_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
+    """Determinant consequence of the conformal identity, with gt the metric
+    of `moved`: det(gt(ut)) * det(J)^2 == A^{-3n} det(g(u))."""
     A = r.affine_factor(u)
     ut = r.chart(u)
     J = r.jacobian(u)
-    gt = transform(op, r).metric_at(ut)
+    gt = moved.metric_at(ut)
     g = op.metric_at(u)
     lhs = rat_det(gt) * rat_det(J) ** 2
     rhs = rat_det(g) / A ** (3 * op.n)

@@ -39,6 +39,11 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
+# Coefficient types taken as they are; anything else goes through `rat`, which
+# also catches bool, a subclass of int.
+_EXACT = (int, Fraction)
+
+
 def _norm_coeff(c):
     """Keep exact coefficients in their leanest form (int when integral)."""
     if isinstance(c, Fraction):
@@ -69,7 +74,7 @@ class MultiPoly:
                 raise ValueError(f"exponent arity {len(e)} does not match {nv} variables")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = _norm_coeff(Fraction(coeff) if not isinstance(coeff, (int, Fraction)) else coeff)
+            c = _norm_coeff(coeff if type(coeff) in _EXACT else rat(coeff))
             if c:
                 clean[e] = c
         self.vars = vs
@@ -93,7 +98,7 @@ class MultiPoly:
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MultiPoly":
         vs = tuple(variables)
-        c = _norm_coeff(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
+        c = _norm_coeff(value if type(value) in _EXACT else rat(value))
         if not c:
             return cls._raw(vs, {})
         return cls._raw(vs, {(0,) * len(vs): c})

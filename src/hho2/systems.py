@@ -87,7 +87,7 @@ class FluxParams:
     @staticmethod
     def make(a, b) -> "FluxParams":
         n = len(b)
-        mat = [[Fraction(x) for x in row] for row in a]
+        mat = [[rat(x) for x in row] for row in a]
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError("A must be square of size len(B)")
         for i in range(n):
@@ -96,7 +96,7 @@ class FluxParams:
             for j in range(i + 1, n):
                 if mat[j][i] != -mat[i][j]:
                     raise ValueError(f"A is not skew at ({i}, {j})")
-        return FluxParams(tuple(tuple(row) for row in mat), tuple(Fraction(x) for x in b))
+        return FluxParams(tuple(tuple(row) for row in mat), tuple(rat(x) for x in b))
 
     @property
     def n(self) -> int:
@@ -133,7 +133,7 @@ class ConservativeSystem:
         else:
             if len(constants) != n:
                 raise ValueError("constants must have length n")
-            self.constants = tuple(Fraction(c) for c in constants)
+            self.constants = tuple(rat(c) for c in constants)
 
         vs = op.vars
         self.vars = vs
@@ -174,8 +174,7 @@ class ConservativeSystem:
                         if ci:
                             shift += op.t_value(h, i, j) * ci
                     a_eff[h][j] += shift
-                g0row = op.g0[h]
-                b_eff[h] += sum((g0row[k] * self.constants[k] for k in range(n)), Fraction(0))
+                b_eff[h] += sum((op.t_value(h, k, n) * self.constants[k] for k in range(n)), Fraction(0))
         self.a_eff = tuple(tuple(row) for row in a_eff)
         self.b_eff = tuple(b_eff)
 
@@ -407,7 +406,8 @@ class _PointKernel:
     each monomial is evaluated once, homogenised to the table's top degree,
     so a rational point U/q needs only integers: every value carries the
     factor q^top, which cancels from V and its derivatives.  t is the dense
-    array T * t_den for the tensor contractions.
+    array T * t_den for the tensor contractions, with t_den the common
+    denominator of the operator table.
     """
 
     def __init__(self, system: ConservativeSystem):
@@ -433,7 +433,7 @@ class _PointKernel:
         ]
 
         op = system.op
-        self.t_den = math.lcm(1, *(x.denominator for x in op.t3.values()))
+        self.t_den = math.lcm(1, *(x.denominator for x in op.table.values()))
         self.t = [
             [[int(op.t_value(i, j, k) * self.t_den) for k in range(n)] for j in range(n)]
             for i in range(n)
@@ -715,8 +715,6 @@ def check_compat_rational(op: Hho2, v: Sequence[RationalFn]) -> CompatReport:
 class PlueckerReport:
     n: int
     row_ok: List[bool]
-    congruence_rank: int
-    congruence_dim: int
 
     @property
     def passed(self) -> bool:
@@ -744,7 +742,7 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
                 t = system.op.t_value(j, k, l)
                 if t:
                     acc = acc + (gens[l] * system.q[k] - gens[k] * system.q[l]) * (t * half)
-            g0jk = system.op.g0[j][k]
+            g0jk = system.op.t_value(j, k, n)
             if g0jk:
                 acc = acc + system.q[k] * g0jk
         rhs = MultiPoly.const(vs, system.b_eff[j])
@@ -752,11 +750,7 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
             if system.a_eff[j][l]:
                 rhs = rhs + gens[l] * system.a_eff[j][l]
         row_ok.append(acc == rhs * system.d)
-
-    # The associated line congruence y^i = u^i y^{n+1} + V^i y^{n+2} defines,
-    # for each u off the degeneracy locus, a 2-plane of solutions spanned by
-    # (u, 1, 0) and (V, 0, 1); its rank is always 2.
-    return PlueckerReport(n=n, row_ok=row_ok, congruence_rank=2, congruence_dim=2)
+    return PlueckerReport(n=n, row_ok=row_ok)
 
 
 def congruence_lines(system: ConservativeSystem, u) -> Tuple[List[Fraction], List[Fraction]]:

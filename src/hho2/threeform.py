@@ -2,14 +2,14 @@
 
 A form of dimension d is stored by its coefficients on strictly increasing
 index triples (0-based internally, 1-based in JSON); the stored value is the
-value of the totally skew coefficient family on that triple.  The affine chart
-v^d = 1 identifies forms in dimension n+1 with pairs (T, g0): a constant fully
-skew rank-3 tensor plus a constant skew matrix.  `chart_layout` lays (T, g0)
-out as one skew table on n+1 indices and `chart_split` takes such a table
-apart; operators use the same table (`extend_tensor`) and the same sign map
-(`skew_key`).  The conversion factor 3 comes from collapsing the full-skew
-summation onto increasing triples and is applied only by `embed` and
-`chart_restrict`.
+value of the totally skew coefficient family on that triple.  `skew_table`
+checks and normalises such a table, `skew_key` is the one permutation-sign map
+and `skew_value` reads a table through it.  An operator (`Hho2.table`) is a
+table of the same kind on n+1 indices: on the affine chart v^{n+1} = 1 a form
+in dimension n+1 is the pair (T, g0), with T on the triples inside range(n)
+and g0 on the triples that contain the last index.  The conversion factor 3
+comes from collapsing the full-skew summation onto increasing triples and is
+applied only by `embed` and `chart_restrict`.
 
 Coefficient values are stored as Fractions, or as polynomials in parameter
 symbols for parametric families (`coefficient` normalises both); linear maps
@@ -77,6 +77,20 @@ def coefficient(value, params: Tuple[str, ...]) -> Value:
     return rat(value)
 
 
+def skew_table(coeffs: Dict[Tuple[int, int, int], Value], dim: int, params: Tuple[str, ...]):
+    """Checked copy of a coefficient table: keys strictly increasing triples
+    inside range(dim), values normalised by `coefficient`, zeros dropped."""
+    clean = {}
+    for key, value in coeffs.items():
+        i, j, k = key
+        if not (0 <= i < j < k < dim):
+            raise ValueError(f"triple {key} is not strictly increasing inside range({dim})")
+        value = coefficient(value, params)
+        if value:
+            clean[(i, j, k)] = value
+    return clean
+
+
 class ThreeForm:
     """Totally skew rank-3 coefficient family on indices 0..dim-1."""
 
@@ -87,15 +101,7 @@ class ThreeForm:
             raise ValueError("a 3-form needs dimension at least 3")
         self.dim = dim
         self.params = tuple(params)
-        clean = {}
-        for key, value in coeffs.items():
-            i, j, k = key
-            if not (0 <= i < j < k < dim):
-                raise ValueError(f"triple {key} is not strictly increasing inside range")
-            value = coefficient(value, self.params)
-            if value:
-                clean[(i, j, k)] = value
-        self.coeffs = clean
+        self.coeffs = skew_table(coeffs, dim, self.params)
 
     def value(self, i: int, j: int, k: int) -> Value:
         """Full skew family value at an arbitrary index triple."""
@@ -257,48 +263,19 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
     return ThreeForm(form.dim, out, form.params)
 
 
-def chart_layout(t3: Dict[Tuple[int, int, int], Value], g0: Sequence[Sequence], n: int):
-    """The (T, g0) data of an operator as one skew table on n+1 indices:
-    T on the triples inside range(n), g0[i][j] on the triple (i, j, n)."""
-    table = {}
-    for (i, j, k), value in t3.items():
-        if not (0 <= i < j < k < n):
-            raise ValueError(f"tensor triple {(i, j, k)} out of range for n={n}")
-        table[(i, j, k)] = value
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g0[i][j]:
-                table[(i, j, n)] = g0[i][j]
-    return table
-
-
-def chart_split(table: Dict[Tuple[int, int, int], Value], n: int):
-    """Inverse of chart_layout: (triples dict, skew matrix rows), both 0-based."""
-    t3 = {}
-    g0 = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j, k), value in table.items():
-        if k < n:
-            t3[(i, j, k)] = value
-        else:
-            g0[i][j] = value
-            g0[j][i] = -value
-    return t3, g0
-
-
-def chart_restrict(form: ThreeForm):
-    """Split a form in dimension n+1 into (T, g0) on the chart v^{n+1} = 1.
+def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Value]:
+    """Operator table of a form in dimension n+1 on the chart v^{n+1} = 1.
 
     T[i][j][k] = 3*omega[i][j][k] for i,j,k <= n and g0[i][j] = 3*omega[i][j][n+1];
-    returned as (triples dict, skew matrix rows), both 0-based.
+    the table is 3*omega on the same increasing triples.
     """
-    return chart_split({key: 3 * value for key, value in form.coeffs.items()}, form.dim - 1)
+    return {key: 3 * value for key, value in form.coeffs.items()}
 
 
-def embed(t3: Dict[Tuple[int, int, int], Value], g0: Sequence[Sequence], n: int, params=()) -> ThreeForm:
-    """Inverse of chart_restrict: omega[ijk] = T[ijk]/3, omega[ij,n+1] = g0[ij]/3."""
+def embed(op) -> ThreeForm:
+    """Inverse of chart_restrict: the form omega = table/3 of an operator."""
     third = Fraction(1, 3)
-    table = chart_layout(t3, g0, n)
-    return ThreeForm(n + 1, {key: value * third for key, value in table.items()}, params)
+    return ThreeForm(op.n + 1, {key: value * third for key, value in op.table.items()}, op.params)
 
 
 @dataclass

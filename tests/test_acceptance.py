@@ -30,7 +30,6 @@ from hho2.operators import (
     ProjReciprocal,
     conformal_check,
     conformal_determinant_check,
-    extend_tensor,
     transform,
     validate,
 )
@@ -46,7 +45,7 @@ from hho2.systems import (
     linearity_report,
     random_flux_params,
 )
-from hho2.threeform import LinearMapN1, chart_restrict, embed
+from hho2.threeform import LinearMapN1, chart_restrict, embed, skew_value
 
 
 N8_PARAMS = {
@@ -137,18 +136,17 @@ def test_criterion_02_pfaffian_squares_to_determinant():
 
 
 def random_operator(n: int, rng) -> Hho2:
-    t3 = {}
+    table = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 if rng.random() < 0.5:
-                    t3[(i, j, k)] = Fraction(rng.randint(-9, 9))
-    g0 = {}
+                    table[(i, j, k)] = Fraction(rng.randint(-9, 9))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
-                g0[(i, j)] = Fraction(rng.randint(-9, 9))
-    return Hho2(n, t3, g0)
+                table[(i, j, n)] = Fraction(rng.randint(-9, 9))
+    return Hho2(n, table)
 
 
 def test_criterion_03_correspondence_round_trip():
@@ -159,15 +157,16 @@ def test_criterion_03_correspondence_round_trip():
     for n in (2, 4, 6, 8):
         for _ in range(25):
             op = random_operator(n, rng)
-            form = embed(op.t3, op.g0, n)
-            t3, g0 = chart_restrict(form)
-            if t3 != op.t3:
+            form = embed(op)
+            table = chart_restrict(form)
+            tensor = {key: v for key, v in op.table.items() if key[2] < n}
+            if {key: v for key, v in table.items() if key[2] < n} != tensor:
                 ok = False
             for i in range(n):
                 for j in range(n):
-                    if g0[i][j] != op.g0[i][j]:
+                    if skew_value(table, i, j, n) != op.t_value(i, j, n):
                         ok = False
-            ext = extend_tensor(op)
+            ext = op.table
             keys = set(ext) | set(form.coeffs)
             for key in keys:
                 if ext.get(key, Fraction(0)) != 3 * form.coeffs.get(key, Fraction(0)):
@@ -222,6 +221,7 @@ def test_criterion_05_conformal_invariance():
         op = build_any(entry_id)
         a = LinearMapN1.random_sl(op.n + 1, rng)
         r = ProjReciprocal(a)
+        moved = transform(op, r)
         done = 0
         attempts = 0
         while done < count:
@@ -232,9 +232,9 @@ def test_criterion_05_conformal_invariance():
             u = sample_points(op, 1, rng, allow_degenerate=True)[0]
             if not r.affine_factor(u):
                 continue
-            if not conformal_check(op, r, u):
+            if not conformal_check(op, moved, r, u):
                 ok = False
-            if not op.is_degenerate and not conformal_determinant_check(op, r, u):
+            if not op.is_degenerate and not conformal_determinant_check(op, moved, r, u):
                 ok = False
             done += 1
             checked_points += 1

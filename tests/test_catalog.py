@@ -6,7 +6,7 @@ import pytest
 from hho2.catalog import N8_CLASS_COUNT, build, get_entry, list_entries
 from hho2.linalg import det_bareiss
 from hho2.poly import MultiPoly
-from hho2.threeform import chart_restrict
+from hho2.threeform import chart_restrict, skew_value
 
 
 N8_PARAMS = {
@@ -142,11 +142,13 @@ def test_n8_fam2_differ_by_nilpotent_part():
     # entries differ exactly in one constant g0 coefficient.
     a = build("n8-fam2-e1", N8_PARAMS)
     b = build("n8-fam2-e2", N8_PARAMS)
-    assert a.t3 == b.t3
+    assert {key: v for key, v in a.table.items() if key[2] < 8} == {
+        key: v for key, v in b.table.items() if key[2] < 8
+    }
     g0_diff = {(i, j) for i in range(8) for j in range(8)
-               if a.g0[i][j] != b.g0[i][j]}
+               if a.t_value(i, j, 8) != b.t_value(i, j, 8)}
     assert g0_diff == {(1, 3), (3, 1)}
-    assert a.g0[1][3] - b.g0[1][3] == Fraction(1)
+    assert a.t_value(1, 3, 8) - b.t_value(1, 3, 8) == Fraction(1)
 
 
 def test_parameter_validation():
@@ -163,15 +165,15 @@ def test_parameter_validation():
 def test_defining_form_round_trip():
     for entry in list_entries():
         form = entry.defining_form()
-        t3, g0 = chart_restrict(form)
+        table = chart_restrict(form)
         op = entry.build_symbolic()
         assert form.dim == op.n + 1
-        got = {k: v for k, v in t3.items()}
-        want = {k: v for k, v in op.t3.items()}
+        got = {k: v for k, v in table.items() if k[2] < op.n}
+        want = {k: v for k, v in op.table.items() if k[2] < op.n}
         assert got == want, entry.id
         for i in range(op.n):
             for j in range(op.n):
-                assert g0[i][j] == op.g0[i][j], (entry.id, i, j)
+                assert skew_value(table, i, j, op.n) == op.t_value(i, j, op.n), (entry.id, i, j)
 
 
 def test_degenerate_entry_flag():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -272,3 +274,79 @@ def test_generate_stdout_without_out(tmp_path, capsys, output):
         doc = json.loads(out)
         assert doc["command"] == "sys generate"
         assert doc["system"] == json.loads(written)
+
+
+_GOLDEN_ENTRIES = (
+    ("n2", []),
+    ("n4-open", []),
+    ("n6-X", []),
+    ("n8-fam1", ["--params", "lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7"]),
+)
+
+
+def _fixed_sl(dim):
+    """A fixed determinant-one map with a non-constant affine factor: a unit
+    lower triangular matrix times a unit upper triangular one."""
+    lower = [[Fraction(int(i == j)) if j >= i else Fraction((3 * i + j) % 4 - 1, 2) for j in range(dim)]
+             for i in range(dim)]
+    upper = [[Fraction(int(i == j)) if j <= i else Fraction((i + 2 * j) % 5 - 2, 1 + (i + j) % 2) for j in range(dim)]
+             for i in range(dim)]
+    rows = [[sum(lower[i][k] * upper[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+    return json.dumps([[str(x) for x in row] for row in rows])
+
+
+def _golden_digests(tmp_path, capsys):
+    digests = {}
+
+    def digest(name, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (name, err)
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+        return out
+
+    for entry, params in _GOLDEN_ENTRIES:
+        op_path = str(tmp_path / f"{entry}.json")
+        assert run(capsys, "catalog", "export", entry, *params, "--out", op_path)[0] == 0
+        n = json.loads(open(op_path).read())["n"]
+        digest(f"{entry} show", "--output", "json", "catalog", "show", entry)
+        digest(f"{entry} validate", "op", "validate", op_path)
+        form = digest(f"{entry} to-3form", "op", "to-3form", op_path)
+        digest(f"{entry} from-3form", "op", "from-3form", write(tmp_path, f"{entry}.form.json", form))
+        digest(f"{entry} transform", "op", "transform", op_path, "--sl", _fixed_sl(n + 1))
+        digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
+    return digests
+
+
+# SHA-256 of the stdout of each command in `_golden_digests`.  A change to how
+# operators are stored or converted must leave every seeded output byte as it
+# is; a digest changes only with an intended change of output.
+_GOLDEN = {
+    "n2 show": "b7770678f275d87eb9da8e7c67d801a10cb394d6d9bf7db60b11585a4f15e2ae",
+    "n2 validate": "b542ee9931c980affd143ce4957c46ac84a6188a280843c1a032c3e42e3d6329",
+    "n2 to-3form": "24def14cad883bbf36d08947e9ce63549e0aae2cf3d05de7d48fb2242f741ecf",
+    "n2 from-3form": "ef44458d8d3ce36cfd4429d9e655e5d4b16d53636daa40689e7286b5960113db",
+    "n2 transform": "ef44458d8d3ce36cfd4429d9e655e5d4b16d53636daa40689e7286b5960113db",
+    "n2 generate": "d4170471d873161f41975e9a3056edfbc1c1bfb7a441ccda91539a91038a347b",
+    "n4-open show": "a5ce237aba7ac5eb028923b447a6eed9fe1bc8def42d2bef35a991cee2034533",
+    "n4-open validate": "176b1307792fe5cb017a6aaf17812e202f74744c58d2c460ca9efaae87a71f06",
+    "n4-open to-3form": "3789db1f9c34965966b8dad04c40b00938246d6bae5ea2025dac67b8151dee1a",
+    "n4-open from-3form": "bb003bf5db48544aed13b0f824baa18c85f7d1c70878ba4824f97da9335be7db",
+    "n4-open transform": "d46e1107192866bfffd74fec240c07d94ce9b183f6615426857e1260a43a558f",
+    "n4-open generate": "a76d611681b44d97b6596ca5334adb399f7767b0ff3381a4024b702791baaf7b",
+    "n6-X show": "bb45916ba028ba1769e0a1d02dc6abcb766050e118f2593d449f3d7329c09c0c",
+    "n6-X validate": "b10a6f39bb174d9116e4b9980c67e8e6988d042eb3144a7c13bcdec656797c6e",
+    "n6-X to-3form": "7032fd721ffbac30b69f852829b0484c517df3a21ba60ee6f8b6d83cacbe9f4a",
+    "n6-X from-3form": "47b0cc3b573f084e4ad420892d004a40c2056ed25fcb637ceeec75612fb72e2d",
+    "n6-X transform": "40d92caaa0d89c3427463971ccd8a3040aa6f1aaa24de138645a39fd73d00340",
+    "n6-X generate": "5fc826e1f103abbcb393458c282565665a3f9f855e401968be997db729b2a9a2",
+    "n8-fam1 show": "94b58c9e2286f14ec4fb99044d34647e2e084b08d528df2b60c5efca0bc201c7",
+    "n8-fam1 validate": "328197922eddc56ff48a3033f586ab60c8372773f57d1267efd342d73a6a414f",
+    "n8-fam1 to-3form": "cc2e00c999b7ca146b6a7a3763edcd5da06f776d66bb8601e403b72f0b5c9f93",
+    "n8-fam1 from-3form": "f6f2383bb0ee403482c758ec4384279b944abb102644796e2e8fb6fcf06031d3",
+    "n8-fam1 transform": "f596b7d6dc4e17d919aeb0a1fab23f7522b8a992ea96a27cda6811cf9bc269d4",
+    "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
+}
+
+
+def test_seeded_outputs_match_recorded_digests(tmp_path, capsys):
+    assert _golden_digests(tmp_path, capsys) == _GOLDEN

@@ -164,6 +164,13 @@ def test_charpoly_square_symbolic_routes():
     assert rep6.route == "factored"
 
 
+@pytest.mark.parametrize("route", ["minor", "bariess", ""])
+def test_charpoly_square_symbolic_rejects_unknown_route(route):
+    system = generate_flux(build("n2"), rng=random.Random(37))
+    with pytest.raises(ValueError, match=f"unknown det_route {route!r}"):
+        charpoly_square_symbolic(system, det_route=route)
+
+
 def test_factor_univariate_known():
     # (x - 1)^2 (x + 2)
     coeffs = [Fraction(c) for c in (2, -3, 0, 1)]

@@ -11,17 +11,16 @@ from hho2.operators import (
     ProjReciprocal,
     conformal_check,
     conformal_determinant_check,
-    extend_tensor,
     transform,
     validate,
 )
 from hho2.poly import MultiPoly
-from hho2.threeform import LinearMapN1, chart_split, embed
+from hho2.threeform import LinearMapN1, chart_restrict, embed
 from hho2.diagnostics import sample_points
 
 
 def simple_n4():
-    return Hho2(4, {(0, 1, 2): Fraction(1)}, {(0, 3): Fraction(1)})
+    return Hho2(4, {(0, 1, 2): Fraction(1), (0, 3, 4): Fraction(1)})
 
 
 def test_metric_layout():
@@ -44,18 +43,6 @@ def test_pfaffian_of_simple_n4():
     assert not op.is_degenerate
 
 
-def test_g0_dict_and_matrix_inputs_agree():
-    a = Hho2(4, {}, {(0, 1): Fraction(2), (2, 3): Fraction(-1)})
-    rows = [
-        [0, 2, 0, 0],
-        [-2, 0, 0, 0],
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-    ]
-    b = Hho2(4, {}, rows)
-    assert a == b
-
-
 def test_from_raw_tensor_requires_full_skewness():
     entries = [
         (0, 1, 2, Fraction(1)),
@@ -65,13 +52,13 @@ def test_from_raw_tensor_requires_full_skewness():
         (1, 2, 0, Fraction(1)),
         (2, 1, 0, Fraction(-1)),
     ]
-    op = Hho2.from_raw_tensor(4, entries, {})
+    op = Hho2.from_raw_tensor(4, entries)
     assert op.t_value(0, 1, 2) == 1
     bad = entries + [(1, 0, 2, Fraction(1))]
     with pytest.raises(ValueError):
-        Hho2.from_raw_tensor(4, bad, {})
+        Hho2.from_raw_tensor(4, bad)
     with pytest.raises(ValueError):
-        Hho2.from_raw_tensor(4, [(0, 0, 1, Fraction(2))], {})
+        Hho2.from_raw_tensor(4, [(0, 0, 1, Fraction(2))])
 
 
 def _inversion_sign(seq):
@@ -102,43 +89,48 @@ def test_sign_table_views_agree(params):
         s, t = (MultiPoly.variable(params, name) for name in params)
         return s * value + t * rng.randint(-3, 3) + rng.randint(-2, 2)
 
+    def add(entries, given, tri, v):
+        for perm in permutations(range(3)):
+            idx = tuple(tri[p] for p in perm)
+            given[idx] = _inversion_sign(perm) * v
+            entries.append((*idx, given[idx]))
+
     for n in (4, 6):
         for _ in range(4):
             entries = []
             given = {}
             for tri in rng.sample(list(combinations(range(n), 3)), 4):
-                v = draw()
-                for perm in permutations(range(3)):
-                    idx = tuple(tri[p] for p in perm)
-                    given[idx] = _inversion_sign(perm) * v
-                    entries.append((*idx, given[idx]))
+                add(entries, given, tri, draw())
             entries.append((0, 0, 1, Fraction(0)))
-            rng.shuffle(entries)
+            # g0_ij enters as the entry (i, j, n), in every order.
             g0 = {pair: draw() for pair in rng.sample(list(combinations(range(n), 2)), 3)}
-            op = Hho2.from_raw_tensor(n, entries, g0, params)
-            form = embed(op.t3, op.g0, n, params)
-            ext = extend_tensor(op)
+            for (i, j), v in g0.items():
+                add(entries, given, (i, j, n), v)
+            rng.shuffle(entries)
+            op = Hho2.from_raw_tensor(n, entries, params)
+            form = embed(op)
+            ext = op.table
             for idx, v in given.items():
                 assert op.t_value(*idx) == v
             for (i, j), v in g0.items():
                 assert ext[(i, j, n)] == v
+                assert op.t_value(i, j, n) == v
             for i, j, k in product(range(n + 1), repeat=3):
                 want = _skew_oracle(ext, i, j, k)
                 assert 3 * form.value(i, j, k) == want
-                if max(i, j, k) < n:
-                    assert op.t_value(i, j, k) == want
-                    assert want == given.get((i, j, k), 0)
+                assert op.t_value(i, j, k) == want
+                assert want == given.get((i, j, k), 0)
 
 
 def test_constructor_rejects_inexact_values():
     with pytest.raises(ValueError, match="0.5"):
-        Hho2(2, {}, {(0, 1): 0.5})
+        Hho2(2, {(0, 1, 2): 0.5})
     with pytest.raises(ValueError, match="True"):
-        Hho2(4, {(0, 1, 2): True}, {})
+        Hho2(4, {(0, 1, 2): True})
     with pytest.raises(ValueError, match="0.25"):
-        Hho2(2, {}, [[0, 0.25], [-0.25, 0]])
+        Hho2.from_raw_tensor(2, [(1, 0, 2, -0.25)])
     with pytest.raises(ValueError, match="0.5"):
-        Hho2.from_raw_tensor(4, [(0, 1, 2, 0.5)], {})
+        Hho2.from_raw_tensor(4, [(0, 1, 2, 0.5)])
 
 
 def test_t_value_signs():
@@ -181,15 +173,16 @@ def test_json_rejects_malformed():
 
 def test_extend_split_round_trip():
     op = simple_n4()
-    ext = extend_tensor(op)
+    ext = op.table
     assert ext[(0, 1, 2)] == Fraction(1)
     assert ext[(0, 3, 4)] == Fraction(1)
-    t3, g0 = chart_split(ext, 4)
-    assert t3 == op.t3
-    assert {(i, j): v for i, row in enumerate(g0) for j, v in enumerate(row) if i < j and v} == {
+    back = Hho2(4, chart_restrict(embed(op)))
+    assert {key: v for key, v in back.table.items() if key[2] < 4} == {(0, 1, 2): Fraction(1)}
+    assert {(i, j): back.t_value(i, j, 4) for i in range(4) for j in range(i + 1, 4) if back.t_value(i, j, 4)} == {
         (0, 3): Fraction(1)
     }
-    assert g0 == op.g0
+    assert all(back.t_value(i, j, 4) == op.t_value(i, j, 4) for i in range(4) for j in range(4))
+    assert back == op
 
 
 def test_transform_identity_is_identity():
@@ -226,22 +219,24 @@ def test_conformal_identities_hold_at_points():
         op = build(name)
         a = LinearMapN1.random_sl(op.n + 1, rng)
         r = ProjReciprocal(a)
+        moved = transform(op, r)
         done = 0
         while done < 5:
             u = sample_points(op, 1, rng, bound=9, allow_degenerate=True)[0]
             if not r.affine_factor(u):
                 continue
-            assert conformal_check(op, r, u)
-            assert conformal_determinant_check(op, r, u)
+            assert conformal_check(op, moved, r, u)
+            assert conformal_determinant_check(op, moved, r, u)
             done += 1
 
 
 def test_conformal_identity_has_teeth():
-    # Inline the identity with a deliberately wrong source metric and make
+    # Check the identity with a deliberately wrong source metric and make
     # sure the comparison actually fails somewhere.
     rng = random.Random(78)
     op = build("n4-open")
-    wrong = Hho2(4, {(0, 1, 2): Fraction(1)}, op.g0)
+    # n4-open has no T; keep its g0 and add one T entry.
+    wrong = Hho2(4, {**op.table, (0, 1, 2): Fraction(1)})
     a = LinearMapN1.random_sl(5, rng)
     r = ProjReciprocal(a)
     moved = transform(op, r)
@@ -249,22 +244,10 @@ def test_conformal_identity_has_teeth():
     done = 0
     while done < 5:
         u = sample_points(op, 1, rng, bound=9, allow_degenerate=True)[0]
-        A = r.affine_factor(u)
-        if not A:
+        if not r.affine_factor(u):
             continue
         done += 1
-        ut = r.chart(u)
-        J = r.jacobian(u)
-        gt = moved.metric_at(ut)
-        g = wrong.metric_at(u)
-        scale = Fraction(1) / (A ** 3)
-        ok = True
-        for i in range(4):
-            for j in range(4):
-                lhs = sum(J[k][i] * sum(gt[k][l] * J[l][j] for l in range(4)) for k in range(4))
-                if lhs != scale * g[i][j]:
-                    ok = False
-        if not ok:
+        if not conformal_check(wrong, moved, r, u):
             violations += 1
     assert violations > 0
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hho2.operators import Hho2
 from hho2.threeform import (
     LinearMapN1,
     ThreeForm,
@@ -103,12 +104,14 @@ def test_chart_restrict_embed_round_trip():
     rng = random.Random(7)
     for n in (2, 4, 6, 8):
         form = rand_form(rng, n + 1, entries=6)
-        t3, g0 = chart_restrict(form)
-        assert embed(t3, g0, n) == form
-        form2 = embed(t3, g0, n)
-        t3b, g0b = chart_restrict(form2)
-        assert t3b == t3
-        assert g0b == g0
+        op = Hho2(n, chart_restrict(form))
+        assert embed(op) == form
+        form2 = embed(op)
+        back = Hho2(n, chart_restrict(form2))
+        assert {key: v for key, v in back.table.items() if key[2] < n} == {
+            key: v for key, v in op.table.items() if key[2] < n
+        }
+        assert all(back.t_value(i, j, n) == op.t_value(i, j, n) for i in range(n) for j in range(n))
 
 
 def test_constructors_reject_inexact_values():
