@@ -11,7 +11,7 @@ produces is cross-checked against its expected closed form in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple

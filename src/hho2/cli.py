@@ -36,7 +36,6 @@ from .systems import (
     casimir_check,
     check_compat,
     euler_check,
-    generate_flux,
     linearity_report,
     pluecker_relations,
     random_flux_params,

@@ -12,10 +12,17 @@ non-certifying.  The two headline facts being tested:
 
 Determinant-side quantities are always computed independently of the
 Pfaffian-side quantities so that the equalities are genuine cross-checks.
+
+The exact eigenstructure runs in integers on the Jacobian cleared of its
+denominators, Jac(u) = M / c: the characteristic polynomial by the
+division-free Berkowitz algorithm, and the geometric multiplicity of the
+roots of each rational irreducible factor f of degree d as
+(n - rank f(Jac)) / d, from one rational rank.  No extension field is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -216,26 +223,50 @@ def _univar(value) -> MultiPoly:
     return MultiPoly.const(_LAM, value)
 
 
+def _berkowitz(m: Sequence[Sequence[int]]) -> List[int]:
+    """Ascending coefficients of det(mu I - m) for an integer matrix m.
+
+    Division-free (Berkowitz, IPL 18, 1984): the leading block grows by one
+    row and column at a time.  With the block A, the new column s, row r and
+    corner a, the descending coefficients are multiplied by the lower
+    triangular Toeplitz matrix with first column 1, -a, -r s, -r A s, ...,
+    -r A^(k-1) s.
+    """
+    coeffs = [1]
+    for k in range(len(m)):
+        lead = [row[:k] for row in m[:k]]
+        row, col = m[k][:k], [m[i][k] for i in range(k)]
+        toeplitz = [1, -m[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, block_row, col)) for block_row in lead]
+        coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return coeffs[::-1]
+
+
+def _jacobian_numerators(system: ConservativeSystem, u):
+    """(M, c) with Jac(u) = M / c, M in integers and c the least such."""
+    c, m = _clear_denominators(system.jacobian_at(u))
+    return m, c
+
+
+def _charpoly(m: Sequence[Sequence[int]], c: int) -> List[Fraction]:
+    """Ascending coefficients of det(m / c - lam I) for an integer matrix m.
+
+    With det(mu I - m) = sum a_k mu^k, coefficient k is (-1)^n a_k / c^(n-k).
+    """
+    n = len(m)
+    sign = (-1) ** n
+    return [Fraction(sign * a, c ** (n - k)) for k, a in enumerate(_berkowitz(m))]
+
+
 def charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     """Coefficients (ascending) of det(Jac(u) - lam I), degree n.
 
-    Determinant route only: quotient-rule Jacobian plus fraction-free
-    elimination; no Pfaffians are involved.
+    Determinant route only: the Berkowitz characteristic polynomial of the
+    integer Jacobian numerators; no Pfaffians are involved.
     """
-    n = system.op.n
-    jac = system.jacobian_at(u)
-    lam = MultiPoly.variable(_LAM, "lam")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = _univar(jac[i][j])
-            if i == j:
-                entry = entry - lam
-            row.append(entry)
-        rows.append(row)
-    det = det_bareiss(PolyMatrix(rows))
-    return [det.coeff_of((k,)) for k in range(n + 1)]
+    return _charpoly(*_jacobian_numerators(system, u))
 
 
 def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
@@ -449,131 +480,31 @@ def _rational_roots(coeffs: Sequence[Fraction]):
     return roots
 
 
-# ----- arithmetic in a simple algebraic extension ------------------------------
-
-
-class _QuotientField:
-    """Field Q[lam]/(f) for a monic irreducible f of degree >= 1.
-
-    Elements are coefficient tuples of length deg(f); inversion uses the
-    extended Euclidean algorithm on coefficient lists.
-    """
-
-    def __init__(self, modulus: Sequence[Fraction]):
-        self.f = [Fraction(c) for c in modulus]
-        if self.f[-1] != 1:
-            raise ValueError("modulus must be monic")
-        self.deg = len(self.f) - 1
-        if self.deg < 1:
-            raise ValueError("modulus must have positive degree")
-
-    def const(self, value) -> tuple:
-        out = [Fraction(0)] * self.deg
-        out[0] = Fraction(value)
-        return tuple(out)
-
-    def generator(self) -> tuple:
-        if self.deg == 1:
-            # lam is congruent to the rational root itself
-            return self.const(-self.f[0])
-        out = [Fraction(0)] * self.deg
-        out[1] = Fraction(1)
-        return tuple(out)
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def is_zero(self, a) -> bool:
-        return all(not x for x in a)
-
-    def mul(self, a, b):
-        raw = _poly_mul_coeffs(a, b)
-        for top in range(len(raw) - 1, self.deg - 1, -1):
-            c = raw[top]
-            if c:
-                raw[top] = Fraction(0)
-                for k in range(self.deg):
-                    raw[top - self.deg + k] -= c * self.f[k]
-        return tuple(raw[: self.deg])
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverting zero in the extension field")
-        # extended Euclid on (f, a) over Q[lam]
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def polysub(p, q):
-            out = [Fraction(0)] * max(len(p), len(q))
-            for i, x in enumerate(p):
-                out[i] += x
-            for i, y in enumerate(q):
-                out[i] -= y
-            return trim(out)
-
-        def polydivmod(p, q):
-            p = p[:]
-            quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-            while len(p) >= len(q) and p:
-                shift = len(p) - len(q)
-                factor = p[-1] / q[-1]
-                quo[shift] = factor
-                for i, y in enumerate(q):
-                    p[shift + i] -= factor * y
-                trim(p)
-            return trim(quo), p
-
-        r0 = list(self.f)
-        r1 = trim(list(a))
-        s0: List[Fraction] = []
-        s1: List[Fraction] = [Fraction(1)]
-        while r1:
-            quo, rem = polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, polysub(s0, trim(_poly_mul_coeffs(quo, s1)))
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is a zero divisor (modulus not irreducible?)")
-        scale = Fraction(1) / r0[0]
-        out = [c * scale for c in s0]
-        out += [Fraction(0)] * (self.deg - len(out))
-        return tuple(out[: self.deg])
-
-
-def _rank_over_extension(jac, modulus) -> int:
-    """Rank of (Jac - lam I) over Q[lam]/(modulus)."""
-    field = _QuotientField(modulus)
-    n = len(jac)
-    lam = field.generator()
-    m = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = field.const(jac[i][j])
-            if i == j:
-                e = field.sub(e, lam)
-            row.append(e)
-        m.append(row)
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if not field.is_zero(m[r][col])), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
-        for r in range(n):
-            if r != rank and not field.is_zero(m[r][col]):
-                f = m[r][col]
-                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
 # ----- diagonalizability -------------------------------------------------------
+
+
+def _geometric_multiplicity(m: Sequence[Sequence[int]], c: int, factor: Sequence[Fraction]) -> int:
+    """Geometric multiplicity of each root of a monic irreducible factor f
+    (ascending coefficients) of the characteristic polynomial of J = m / c.
+
+    The roots of f are distinct and conjugate, so ker f(J) is the direct sum
+    of their eigenspaces, which all have the same dimension: each root has
+    geometric multiplicity (n - rank f(J)) / deg f.  f(J) is evaluated in
+    integers by Horner's rule as F = L c^d f(m / c) = sum L f_k c^(d-k) m^k,
+    with L the common denominator of f, so its rank is the rank of f(J).
+    """
+    n, d = len(m), len(factor) - 1
+    lcd = math.lcm(*(x.denominator for x in factor))
+    coeffs = [x.numerator * (lcd // x.denominator) * c ** (d - k) for k, x in enumerate(factor)]
+    f_m = [[coeffs[d] if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(d - 1, -1, -1):
+        f_m = _matmul(f_m, m)
+        for i in range(n):
+            f_m[i][i] += coeffs[k]
+    nullity = n - rat_rank(f_m)
+    if nullity % d:
+        raise ValueError(f"nullity {nullity} of f(J) is not a multiple of deg f = {d}; f is not irreducible")
+    return nullity // d
 
 
 @dataclass
@@ -663,19 +594,20 @@ def diag_check(system: ConservativeSystem, u, mode: str = "exact", digits: int =
     """Diagonalizability of the flux Jacobian at a point.
 
     mode "exact": certified.  The characteristic polynomial is computed by
-    fraction-free elimination, its Pfaffian square root independently, and
-    the geometric multiplicity of every eigenvalue is obtained by exact rank
-    computations, in the rationals or in Q[lam]/(f) for irrational
-    eigenvalues.  mode "float": fast mpmath eigenvalues at the requested
-    precision, NOT a certificate.
+    the Berkowitz algorithm, its Pfaffian square root independently, and the
+    square root is factored over the rationals.  For each monic irreducible
+    factor f of degree d, every root has geometric multiplicity
+    (n - rank f(Jac)) / d, where f(Jac) is evaluated in integers and its rank
+    taken over the rationals; irrational eigenvalues need no extension field.
+    mode "float": fast mpmath eigenvalues at the requested precision, NOT a
+    certificate.
     """
     point = system._point(u)
     if mode == "float":
         return _float_diag(system, point, digits)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'float'")
-    n = system.op.n
-    jac = system.jacobian_at(point)
+    m, c = _jacobian_numerators(system, point)
     square = charpoly_square_at(system, point)
     factors = factor_univariate(square["sqrt_coeffs"])
     eigen_data = []
@@ -683,17 +615,8 @@ def diag_check(system: ConservativeSystem, u, mode: str = "exact", digits: int =
     for fc, mult in factors:
         degree = len(fc) - 1
         algebraic = 2 * mult
-        if degree == 1:
-            root = -fc[0]
-            shifted = [
-                [jac[i][j] - (root if i == j else Fraction(0)) for j in range(n)]
-                for i in range(n)
-            ]
-            geometric = n - rat_rank(shifted)
-            label = str(root)
-        else:
-            geometric = n - _rank_over_extension(jac, fc)
-            label = "root of " + _poly_label(fc)
+        geometric = _geometric_multiplicity(m, c, fc)
+        label = str(-fc[0]) if degree == 1 else "root of " + _poly_label(fc)
         ok = geometric == algebraic
         diagonalizable = diagonalizable and ok
         eigen_data.append(

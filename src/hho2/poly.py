@@ -15,7 +15,7 @@ mutate their arguments, so polynomials can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 

@@ -367,9 +367,10 @@ class ConservativeSystem:
                 raise ValueError(f"A[{pos}]: duplicate pair")
             a[i - 1][j - 1] = rat(value)
             a[j - 1][i - 1] = -a[i - 1][j - 1]
-        b = [rat(x) for x in data["B"]]
-        constants = [rat(x) for x in data["constants"]] if "constants" in data else None
-        return cls(op, FluxParams.make(a, b), constants)
+        if "constants" in data and data["constants"] is None:
+            raise ValueError("malformed system document: constants must list n values")
+        # FluxParams.make and the constructor parse B and the constants.
+        return cls(op, FluxParams.make(a, data["B"]), data.get("constants"))
 
     def __repr__(self):
         return f"ConservativeSystem(n={self.op.n})"

@@ -33,7 +33,7 @@ from hho2.operators import (
     transform,
     validate,
 )
-from hho2.poly import MultiPoly, poly_gcd
+from hho2.poly import MultiPoly
 from hho2.systems import (
     ConservativeSystem,
     DegenerateOperatorError,

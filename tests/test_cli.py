@@ -172,6 +172,23 @@ def test_generate_explicit_flux_and_constants(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("constants, message", [(None, "constants must list n values"),
+                                                (["1", 2.5], "not an exact rational"),
+                                                (["1"], "constants must have length n")])
+def test_system_with_bad_constants_exits_2(tmp_path, capsys, constants, message):
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n2", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    assert run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)[0] == 0
+    doc = json.loads(open(sys_path).read())
+    doc["constants"] = constants
+    bad = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, "sys", "verify", bad)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_generate_degenerate_operator_exits_2(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-degenerate", "--out", op_path)
@@ -284,6 +301,13 @@ _GOLDEN_ENTRIES = (
 )
 
 
+# Entries whose generated system also goes through `sys diagnose`, which pins
+# the exact eigenstructure (charpoly, factors and multiplicities) byte for
+# byte, with the expected exit status: the Haantjes tensor is nonzero for
+# n >= 6 (see README, "Known red: criterion 09").
+_GOLDEN_DIAGNOSE = {"n4-open": 0, "n6-X": 1, "n8-fam1": 1}
+
+
 def _fixed_sl(dim):
     """A fixed determinant-one map with a non-constant affine factor: a unit
     lower triangular matrix times a unit upper triangular one."""
@@ -298,9 +322,9 @@ def _fixed_sl(dim):
 def _golden_digests(tmp_path, capsys):
     digests = {}
 
-    def digest(name, *argv):
+    def digest(name, *argv, expect=0):
         code, out, err = run(capsys, *argv)
-        assert code == 0, (name, err)
+        assert code == expect, (name, err)
         digests[name] = hashlib.sha256(out.encode()).hexdigest()
         return out
 
@@ -313,7 +337,11 @@ def _golden_digests(tmp_path, capsys):
         form = digest(f"{entry} to-3form", "op", "to-3form", op_path)
         digest(f"{entry} from-3form", "op", "from-3form", write(tmp_path, f"{entry}.form.json", form))
         digest(f"{entry} transform", "op", "transform", op_path, "--sl", _fixed_sl(n + 1))
-        digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
+        generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
+        if entry in _GOLDEN_DIAGNOSE:
+            sys_path = write(tmp_path, f"{entry}.sys.json", json.dumps(json.loads(generated)["system"]))
+            digest(f"{entry} diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose", sys_path,
+                   expect=_GOLDEN_DIAGNOSE[entry])
     return digests
 
 
@@ -333,18 +361,21 @@ _GOLDEN = {
     "n4-open from-3form": "bb003bf5db48544aed13b0f824baa18c85f7d1c70878ba4824f97da9335be7db",
     "n4-open transform": "d46e1107192866bfffd74fec240c07d94ce9b183f6615426857e1260a43a558f",
     "n4-open generate": "a76d611681b44d97b6596ca5334adb399f7767b0ff3381a4024b702791baaf7b",
+    "n4-open diagnose": "351b2720d65ad95c9b65aecf5a9fcee29320993b1b80aa809964612a44039148",
     "n6-X show": "bb45916ba028ba1769e0a1d02dc6abcb766050e118f2593d449f3d7329c09c0c",
     "n6-X validate": "b10a6f39bb174d9116e4b9980c67e8e6988d042eb3144a7c13bcdec656797c6e",
     "n6-X to-3form": "7032fd721ffbac30b69f852829b0484c517df3a21ba60ee6f8b6d83cacbe9f4a",
     "n6-X from-3form": "47b0cc3b573f084e4ad420892d004a40c2056ed25fcb637ceeec75612fb72e2d",
     "n6-X transform": "40d92caaa0d89c3427463971ccd8a3040aa6f1aaa24de138645a39fd73d00340",
     "n6-X generate": "5fc826e1f103abbcb393458c282565665a3f9f855e401968be997db729b2a9a2",
+    "n6-X diagnose": "d3975e92d9b872870b9150dd285f956f5885ea80e4d7b013ff520fd75edb09b7",
     "n8-fam1 show": "94b58c9e2286f14ec4fb99044d34647e2e084b08d528df2b60c5efca0bc201c7",
     "n8-fam1 validate": "328197922eddc56ff48a3033f586ab60c8372773f57d1267efd342d73a6a414f",
     "n8-fam1 to-3form": "cc2e00c999b7ca146b6a7a3763edcd5da06f776d66bb8601e403b72f0b5c9f93",
     "n8-fam1 from-3form": "f6f2383bb0ee403482c758ec4384279b944abb102644796e2e8fb6fcf06031d3",
     "n8-fam1 transform": "f596b7d6dc4e17d919aeb0a1fab23f7522b8a992ea96a27cda6811cf9bc269d4",
     "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
+    "n8-fam1 diagnose": "bafe453fde1881f453ff6a55e91ab2f459ebe700e0d9bce36b451f3179c58df0",
 }
 
 

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hho2.catalog import build
 from hho2.diagnostics import (
+    _charpoly,
+    _geometric_multiplicity,
     charpoly_at,
     charpoly_square_at,
     charpoly_square_symbolic,
@@ -19,7 +22,9 @@ from hho2.diagnostics import (
     tensor_is_zero,
     tensor_nonzero_count,
 )
-from hho2.systems import generate_flux
+from hho2.linalg import PolyMatrix, det_bareiss
+from hho2.poly import MultiPoly
+from hho2.systems import _clear_denominators, generate_flux
 
 
 N8_PARAMS = {
@@ -178,6 +183,132 @@ def test_factor_univariate_known():
     as_set = {(tuple(f), m) for f, m in factors}
     assert ((Fraction(-1), Fraction(1)), 2) in as_set
     assert ((Fraction(2), Fraction(1)), 1) in as_set
+
+
+def _bareiss_charpoly(a):
+    """Reference: ascending coefficients of det(a - lam I) by univariate Bareiss."""
+    lam_vars = ("lam",)
+    lam = MultiPoly.variable(lam_vars, "lam")
+    rows = [[MultiPoly.const(lam_vars, x) - (lam if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+    det = det_bareiss(PolyMatrix(rows))
+    return [det.coeff_of((k,)) for k in range(len(a) + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+def test_berkowitz_charpoly_matches_bareiss(n, rational):
+    rng = random.Random(100 * n + rational)
+    for _ in range(3):
+        a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6) if rational else 1) for _ in range(n)]
+             for _ in range(n)]
+        c, m = _clear_denominators(a)
+        assert rational or c == 1
+        assert _charpoly(m, c) == _bareiss_charpoly(a)
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial with ascending coefficients."""
+    d = len(coeffs) - 1
+    return [[(1 if i == j + 1 else 0) if j < d - 1 else -coeffs[i] for j in range(d)] for i in range(d)]
+
+
+# Monic irreducible factors (ascending coefficients) of the test spectra:
+# rational roots, two quadratics and a cubic.
+_LINEAR = ((-3, 1), (2, 1))
+_QUADRATIC = ((2, 0, 1), (-1, -1, 1))
+_CUBIC = ((-2, 0, 0, 1),)
+
+
+def _jordan_like(block, size):
+    """[[C, I, 0], [0, C, I], ...] with `size` copies of C on the diagonal;
+    its geometric multiplicity per root is 1 however many copies it has."""
+    d = len(block)
+    out = [[0] * (d * size) for _ in range(d * size)]
+    for b in range(size):
+        for i in range(d):
+            out[b * d + i][b * d : (b + 1) * d] = block[i]
+            if b + 1 < size:
+                out[b * d + i][(b + 1) * d + i] = 1
+    return out
+
+
+def _similar_matrix(rng, blocks, coupling):
+    """P B P^-1 for a random invertible rational P, with the blocks on the
+    diagonal of B and random entries above them with probability `coupling`."""
+    n = sum(len(block) for block in blocks)
+    b = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        d = len(block)
+        for i in range(d):
+            b[start + i][start : start + d] = block[i]
+            for j in range(start + d, n):
+                if rng.random() < coupling:
+                    b[start + i][j] = rng.randint(-2, 2)
+        start += d
+    while True:
+        p = sympy.Matrix(n, n, lambda i, j: sympy.Rational(rng.randint(-3, 3), rng.randint(1, 3)))
+        if p.det() != 0:
+            return p * sympy.Matrix(b) * p.inv()
+
+
+def _random_blocks(rng, n):
+    blocks = []
+    while sum(len(b) for b in blocks) < n:
+        room = n - sum(len(b) for b in blocks)
+        factor = rng.choice([f for f in _LINEAR + _QUADRATIC + _CUBIC if len(f) - 1 <= room])
+        size = 1 if rng.random() < 0.5 else rng.randint(1, room // (len(factor) - 1))
+        blocks.append(_jordan_like(_companion(factor), size))
+    return blocks
+
+
+def _eigenstructure(a):
+    """(factor, algebraic, geometric) per monic irreducible factor of the
+    characteristic polynomial of the sympy matrix a, from the integer kernels."""
+    c, m = _clear_denominators([[Fraction(int(x.p), int(x.q)) for x in row] for row in a.tolist()])
+    return [(f, mult, _geometric_multiplicity(m, c, f)) for f, mult in factor_univariate(_charpoly(m, c))]
+
+
+def _assert_matches_eigenvects(a, structure):
+    x = sympy.Symbol("x")
+    eigen = a.eigenvects()
+    for f, mult, geometric in structure:
+        fx = sympy.Poly([sympy.Rational(k.numerator, k.denominator) for k in reversed(f)], x)
+        roots = [(alg, len(vecs)) for value, alg, vecs in eigen if abs(sympy.N(fx.eval(value), 50)) < 1e-30]
+        assert roots == [(mult, geometric)] * (len(f) - 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_geometric_multiplicity_matches_sympy_eigenvects(seed):
+    rng = random.Random(seed)
+    a = _similar_matrix(rng, _random_blocks(rng, rng.randint(3, 8)), coupling=0.1)
+    _assert_matches_eigenvects(a, _eigenstructure(a))
+
+
+_C2, _C3 = _companion(_QUADRATIC[0]), _companion(_CUBIC[0])
+
+
+@pytest.mark.parametrize("blocks, expected", [
+    # (degree of the factor, algebraic, geometric) in factor order
+    ([_C2, _C2, _C3], [(2, 2, 2), (3, 1, 1)]),
+    ([_jordan_like(_C2, 2), _C2], [(2, 3, 2)]),
+    ([_jordan_like(_C3, 2), _jordan_like([[2]], 2)], [(1, 2, 1), (3, 2, 1)]),
+    ([_C2] * 4, [(2, 4, 4)]),
+    ([_jordan_like(_companion(_QUADRATIC[1]), 2), [[-3]], [[2]], [[2]]], [(1, 2, 2), (1, 1, 1), (2, 2, 1)]),
+], ids=["diagonalizable", "one-jordan-pair", "cubic-and-rational-jordan", "fourfold", "mixed"])
+def test_geometric_multiplicity_of_known_jordan_blocks(blocks, expected):
+    a = _similar_matrix(random.Random(len(blocks)), blocks, coupling=0)
+    structure = _eigenstructure(a)
+    assert [(len(f) - 1, alg, geo) for f, alg, geo in structure] == expected
+    _assert_matches_eigenvects(a, structure)
+
+
+def test_geometric_multiplicity_rejects_a_reducible_factor():
+    m = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    # (lam - 1)(lam - 5) vanishes on one axis: a nullity of 1 for a degree of 2
+    with pytest.raises(ValueError, match="not irreducible"):
+        _geometric_multiplicity(m, 1, [Fraction(5), Fraction(-6), Fraction(1)])
 
 
 def test_diag_exact_certifies_n6():
