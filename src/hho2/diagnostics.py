@@ -216,13 +216,6 @@ def tensor_nonzero_count(t) -> int:
 # ----- characteristic polynomial --------------------------------------------
 
 
-_LAM = ("lam",)
-
-
-def _univar(value) -> MultiPoly:
-    return MultiPoly.const(_LAM, value)
-
-
 def _berkowitz(m: Sequence[Sequence[int]]) -> List[int]:
     """Ascending coefficients of det(mu I - m) for an integer matrix m.
 
@@ -269,32 +262,66 @@ def charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     return _charpoly(*_jacobian_numerators(system, u))
 
 
+def _pencil_pfaffian(a: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> List[int]:
+    """Ascending coefficients of Pf(a - lam g) for integer skew matrices a, g.
+
+    First-row expansion over bitmasks of the remaining indices, memoised as
+    in linalg.pfaffian, on integer coefficient lists.
+    """
+    n = len(a)
+    memo = {0: [1]}
+
+    def pf(mask: int) -> List[int]:
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        first = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << first)
+        total = [0] * (bin(mask).count("1") // 2 + 1)
+        sign = 1
+        for j in range(first + 1, n):
+            if not rest >> j & 1:
+                continue
+            x, y = sign * a[first][j], sign * g[first][j]
+            sign = -sign
+            if x or y:
+                for k, c in enumerate(pf(rest ^ (1 << j))):
+                    total[k] += x * c
+                    total[k + 1] -= y * c
+        memo[mask] = total
+        return total
+
+    return pf((1 << n) - 1)
+
+
 def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     """Coefficients (ascending) of the Pfaffian square root s(lam) at u:
 
     s = Pf(T V + Aeff - lam g) / Pf(g), degree n/2, leading term (-1)^{n/2}.
+
+    The pencil is cleared of its denominators, T V + Aeff = C / c and
+    g = G / g_den, and its Pfaffian taken in integers.
     """
     n = system.op.n
     point = system._point(u)
     d = system.pfaffian_at(point)
     if d == 0:
         raise ZeroDivisionError("point lies on the degeneracy locus")
-    vvals = system.flux_at(point)
-    gmat = system.op.metric_at(point)
-    lam = MultiPoly.variable(_LAM, "lam")
-    rows = [[MultiPoly.zero(_LAM) for _ in range(n)] for _ in range(n)]
+    kern = system._kernel()
+    t, t_den = kern.t, kern.t_den
+    v_den, (v,) = _clear_denominators([system.flux_at(point)])
+    a_den, a_eff = _clear_denominators(system.a_eff)
+    g_den, g = _clear_denominators(system.op.metric_at(point))
+    # C = a_den t_den v_den (T V + Aeff), scaled by g_den to meet G scaled by c
+    c = a_den * t_den * v_den
+    pencil = [[0] * n for _ in range(n)]
     for h in range(n):
         for j in range(h + 1, n):
-            c = Fraction(system.a_eff[h][j])
-            for i in range(n):
-                t = system.op.t_value(h, j, i)
-                if t:
-                    c += t * vvals[i]
-            entry = _univar(c) - lam * gmat[h][j]
-            rows[h][j] = entry
-            rows[j][h] = -entry
-    pf = pfaffian(PolyMatrix(rows))
-    return [pf.coeff_of((k,)) / d for k in range(n // 2 + 1)]
+            entry = g_den * (a_eff[h][j] * t_den * v_den + a_den * sum(map(mul, t[h][j], v)))
+            pencil[h][j], pencil[j][h] = entry, -entry
+    scaled_g = [[c * x for x in row] for row in g]
+    scale = (c * g_den) ** (n // 2)
+    return [Fraction(x, scale) / d for x in _pencil_pfaffian(pencil, scaled_g)]
 
 
 def _poly_mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
@@ -448,25 +475,19 @@ def factor_univariate(coeffs: Sequence[Fraction]):
     (ascending coefficients of a monic irreducible factor, multiplicity).
     The rational content is dropped.
     """
-    import sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
-    lam = sympy.Symbol("lam")
-    expr = sympy.Integer(0)
-    for power, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            expr += sympy.Rational(c.numerator, c.denominator) * lam ** power
-    if expr == 0:
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    poly = sympy.Poly(expr, lam, domain="QQ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fc = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
-        lead = fc[-1]
-        if lead != 1:
-            fc = [c / lead for c in fc]
-        out.append((fc, int(mult)))
+    # Factor the integer multiple in sympy's dense representation: no sympy
+    # expressions are built, so its expression cache does not grow per call.
+    lcd = math.lcm(*(c.denominator for c in coeffs))
+    _, factors = dup_factor_list([ZZ(c.numerator * (lcd // c.denominator)) for c in reversed(coeffs)], ZZ)
+    out = [([Fraction(int(x), int(fac[0])) for x in reversed(fac)], int(mult)) for fac, mult in factors]
     out.sort(key=lambda item: (len(item[0]), [str(c) for c in item[0]]))
     return out
 

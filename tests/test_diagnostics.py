@@ -8,6 +8,7 @@ from hho2.catalog import build
 from hho2.diagnostics import (
     _charpoly,
     _geometric_multiplicity,
+    _pencil_pfaffian,
     charpoly_at,
     charpoly_square_at,
     charpoly_square_symbolic,
@@ -22,7 +23,7 @@ from hho2.diagnostics import (
     tensor_is_zero,
     tensor_nonzero_count,
 )
-from hho2.linalg import PolyMatrix, det_bareiss
+from hho2.linalg import PolyMatrix, det_bareiss, pfaffian
 from hho2.poly import MultiPoly
 from hho2.systems import _clear_denominators, generate_flux
 
@@ -183,6 +184,47 @@ def test_factor_univariate_known():
     as_set = {(tuple(f), m) for f, m in factors}
     assert ((Fraction(-1), Fraction(1)), 2) in as_set
     assert ((Fraction(2), Fraction(1)), 1) in as_set
+
+
+def test_factor_univariate_matches_sympy_poly():
+    # Reference: sympy's Poly.factor_list over QQ, each factor made monic.
+    rng = random.Random(37)
+    x = sympy.Symbol("x")
+    for _ in range(60):
+        product = sympy.Integer(rng.choice([1, -3, 5]))
+        for _ in range(rng.randint(0, 4)):
+            factor = sum(sympy.Rational(rng.randint(-6, 6), rng.randint(1, 4)) * x ** k
+                         for k in range(rng.randint(0, 3)))
+            product *= (factor + x ** rng.randint(1, 3)) ** rng.randint(1, 2)
+        poly = sympy.Poly(sympy.expand(product), x, domain="QQ")
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        expected = []
+        for fac, mult in poly.factor_list()[1]:
+            fc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+            expected.append(([c / fc[-1] for c in fc], mult))
+        expected.sort(key=lambda item: (len(item[0]), [str(c) for c in item[0]]))
+        assert factor_univariate(coeffs + [Fraction(0)]) == expected
+    with pytest.raises(ValueError):
+        factor_univariate([Fraction(0), Fraction(0)])
+
+
+def test_pencil_pfaffian_matches_linalg_pfaffian():
+    # Reference: linalg.pfaffian on the same pencil as univariate MultiPolys.
+    rng = random.Random(38)
+    lam_vars = ("lam",)
+    lam = MultiPoly.variable(lam_vars, "lam")
+    for n in (2, 4, 6, 8):
+        for _ in range(4):
+            a = [[0] * n for _ in range(n)]
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a[i][j] = rng.choice([0, rng.randint(-9, 9)])
+                    g[i][j] = rng.choice([0, rng.randint(-9, 9)])
+                    a[j][i], g[j][i] = -a[i][j], -g[i][j]
+            rows = [[MultiPoly.const(lam_vars, a[i][j]) - lam * g[i][j] for j in range(n)] for i in range(n)]
+            pf = pfaffian(PolyMatrix(rows))
+            assert _pencil_pfaffian(a, g) == [pf.coeff_of((k,)) for k in range(n // 2 + 1)]
 
 
 def _bareiss_charpoly(a):
