@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .linalg import PolyMatrix, det_bareiss, pfaffian, rat_inverse, rat_rank
 from .operators import Hho2
-from .poly import MultiPoly
+from .poly import MultiPoly, _poly_mul_coeffs
 from .systems import ConservativeSystem, _clear_denominators
 
 __all__ = [
@@ -322,19 +322,6 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     scaled_g = [[c * x for x in row] for row in g]
     scale = (c * g_den) ** (n // 2)
     return [Fraction(x, scale) / d for x in _pencil_pfaffian(pencil, scaled_g)]
-
-
-def _poly_mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    """Product of two ascending coefficient lists, skipping zero coefficients."""
-    if not (a and b):
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def charpoly_square_at(system: ConservativeSystem, u) -> dict:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, pfaffian, rat_det
-from .poly import MultiPoly
+from .poly import MultiPoly, index_entries, json_int
 from .threeform import (
     LinearMapN1,
     Value,
@@ -184,31 +184,12 @@ class Hho2:
     @classmethod
     def from_json(cls, text: str) -> "Hho2":
         data = json.loads(text)
-        try:
-            n = int(data["n"])
-        except (KeyError, TypeError):
-            raise ValueError("malformed operator document: missing n") from None
-        table = {}
-        for pos, item in enumerate(data.get("T", [])):
-            if len(item) != 4:
-                raise ValueError(f"T[{pos}]: expected [i, j, k, value]")
-            i, j, k, value = item
-            if not (1 <= i < j < k <= n):
-                raise ValueError(f"T[{pos}]: indices must be 1-based strictly increasing, got {item[:3]}")
-            key = (i - 1, j - 1, k - 1)
-            if key in table:
-                raise ValueError(f"T[{pos}]: duplicate triple {item[:3]}")
-            table[key] = value
-        for pos, item in enumerate(data.get("g0", [])):
-            if len(item) != 3:
-                raise ValueError(f"g0[{pos}]: expected [i, j, value]")
-            i, j, value = item
-            if not (1 <= i < j <= n):
-                raise ValueError(f"g0[{pos}]: indices must be 1-based strictly increasing, got {item[:2]}")
-            key = (i - 1, j - 1, n)
-            if key in table:
-                raise ValueError(f"g0[{pos}]: duplicate pair {item[:2]}")
-            table[key] = value
+        if not isinstance(data, dict) or "n" not in data:
+            raise ValueError("malformed operator document: missing n")
+        n = json_int(data["n"], "n")
+        table = dict(index_entries(data.get("T", []), 3, n, "T"))
+        for (i, j), value in index_entries(data.get("g0", []), 2, n, "g0"):
+            table[(i, j, n)] = value
         if data.get("params"):
             raise ValueError("operator documents with unresolved params are not supported")
         return cls(n, table)

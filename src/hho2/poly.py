@@ -8,14 +8,21 @@ common all-integer case fast.  The canonical term order is degree-lexicographic
 (total degree first, then the exponent tuple compared left to right); it is
 what ``leading_term`` and all normalisations refer to.
 
+In rings of 3 or more variables ``poly_gcd`` first tries to prove a pair
+coprime exactly on a few fixed lines, an evaluation-homomorphism test as in
+Geddes, Czapor & Labahn, *Algorithms for Computer Algebra* (1992), ch. 7;
+only the pairs it cannot settle go to sympy's multivariate gcd.
+
 Values are immutable in practice: operations return new objects and never
 mutate their arguments, so polynomials can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple, Union
+from itertools import islice
+from typing import List, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -25,6 +32,8 @@ __all__ = [
     "RationalFn",
     "poly_gcd",
     "rat",
+    "json_int",
+    "index_entries",
 ]
 
 
@@ -37,6 +46,38 @@ def rat(value) -> Fraction:
     if isinstance(value, (float, bool)):
         raise ValueError(f"{value!r} is not an exact rational; give an integer or a 'p/q' string")
     return Fraction(value)
+
+
+def json_int(value, where: str) -> int:
+    """A JSON integer from a document; floats, bools and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def index_entries(items, arity: int, bound: int, where: str):
+    """Yield (0-based index tuple, raw value) for each [i, j, ..., value] item.
+
+    `items` is a document list; each item holds `arity` strictly increasing
+    1-based integer indices at most `bound`, then its value.  Malformed items
+    and repeated index tuples raise ValueError naming the item's position.
+    """
+    if not isinstance(items, list):
+        raise ValueError(f"{where}: expected a list, got {items!r}")
+    shape = ", ".join("ijk"[:arity])
+    seen = set()
+    for pos, item in enumerate(items):
+        at = f"{where}[{pos}]"
+        if not isinstance(item, list) or len(item) != arity + 1:
+            raise ValueError(f"{at}: expected [{shape}, value]")
+        idx = [json_int(i, at) for i in item[:arity]]
+        if not (1 <= idx[0] and idx[-1] <= bound and all(a < b for a, b in zip(idx, idx[1:]))):
+            raise ValueError(f"{at}: indices must be 1-based strictly increasing up to {bound}, got {idx}")
+        key = tuple(i - 1 for i in idx)
+        if key in seen:
+            raise ValueError(f"{at}: duplicate indices {idx}")
+        seen.add(key)
+        yield key, item[-1]
 
 
 # Coefficient types taken as they are; anything else goes through `rat`, which
@@ -570,6 +611,89 @@ def _content_of_coeffs(coeffs) -> MultiPoly:
     return acc
 
 
+def _poly_mul_coeffs(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
+    """Product of two ascending coefficient lists, skipping zero coefficients."""
+    if not (a and b):
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _trim(p: List[Scalar]) -> List[Scalar]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _restrict_to_line(p: MultiPoly, a: Sequence[int], c: Sequence[int]) -> List[Scalar]:
+    """Ascending coefficients in t of p(a + c t), trailing zeros dropped."""
+    powers = []
+    for i, step in enumerate(zip(a, c)):
+        row = [[1]]
+        for _ in range(p.degree_in(i)):
+            row.append(_poly_mul_coeffs(row[-1], step))
+        powers.append(row)
+    out = [0] * (p.degree() + 1)
+    for e, coeff in p.terms.items():
+        term = [coeff]
+        for i, k in enumerate(e):
+            if k:
+                term = _poly_mul_coeffs(term, powers[i][k])
+        for j, x in enumerate(term):
+            out[j] += x
+    return _trim(out)
+
+
+def _univariate_coprime(f: List[Scalar], g: List[Scalar]) -> bool:
+    """Whether two trimmed coefficient lists have a constant gcd over Q.
+
+    Euclid's algorithm in place; both lists are consumed.
+    """
+    while g:
+        while len(f) >= len(g):
+            q = Fraction(f[-1], g[-1])
+            shift = len(f) - len(g)
+            for i, y in enumerate(g):
+                f[shift + i] -= q * y
+            _trim(f)
+        f, g = g, f
+    return len(f) == 1
+
+
+# Lines tried by the coprimality proof before poly_gcd falls back to sympy.
+_PROOF_LINES = 3
+
+
+def _proof_lines(nvars: int):
+    """Lines a + c t with small integer a and c, in one fixed order."""
+    rng = random.Random(nvars)
+    while True:
+        yield ([rng.randint(-9, 9) for _ in range(nvars)],
+               [rng.randint(-9, 9) for _ in range(nvars)])
+
+
+def _coprime_on_a_line(f: MultiPoly, g: MultiPoly) -> bool:
+    """Exact proof that gcd(f, g) = 1, or False when no line tried gives one.
+
+    A line counts only when its direction c has f_top(c) != 0, f_top being
+    the top-degree part of f; that value is the t^deg(f) coefficient of
+    f(a + c t).  If h divides f and g, then h_top divides f_top, so
+    h_top(c) != 0 and h(a + c t) has degree deg h in t.  It divides both
+    restrictions, so a constant univariate gcd forces deg h = 0.
+    """
+    deg = f.degree()
+    for a, c in islice(_proof_lines(len(f.vars)), _PROOF_LINES):
+        rf = _restrict_to_line(f, a, c)
+        if len(rf) == deg + 1 and _univariate_coprime(rf, _restrict_to_line(g, a, c)):
+            return True
+    return False
+
+
 def _gcd_via_sympy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     import sympy
 
@@ -595,8 +719,10 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """GCD in Q[vars], normalised monic (deglex leading coefficient +1).
 
     Uses a primitive pseudo-remainder sequence recursively over the variables
-    for one or two variables; larger rings are delegated to sympy, whose
-    modular gcd avoids the coefficient blowup of the naive sequence.
+    for one or two variables.  In larger rings a coprime pair is first sought
+    to be proven coprime exactly by restricting both to a few fixed lines
+    (`_coprime_on_a_line`); sympy, whose modular gcd avoids the coefficient
+    blowup of the naive sequence, is reached only when no line proves it.
     """
     if f.vars != g.vars:
         raise ValueError("variable mismatch in gcd")
@@ -607,6 +733,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if f.is_constant() or g.is_constant():
         return MultiPoly.const(f.vars, 1)
     if len(f.vars) >= 3:
+        if _coprime_on_a_line(f, g):
+            return MultiPoly.const(f.vars, 1)
         return _gcd_via_sympy(f, g)
     main = None
     for i in reversed(range(len(f.vars))):

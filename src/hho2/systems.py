@@ -39,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import PolyMatrix, pfaffian_adjugate, poly_rank, rat_kernel
 from .operators import Hho2
-from .poly import MultiPoly, RationalFn, rat
+from .poly import MultiPoly, RationalFn, index_entries, rat
 
 __all__ = [
     "DegenerateOperatorError",
@@ -357,16 +357,9 @@ class ConservativeSystem:
         if "B" not in data or len(data["B"]) != n:
             raise ValueError("malformed system document: B must list n values")
         a = [[Fraction(0)] * n for _ in range(n)]
-        for pos, item in enumerate(data.get("A", [])):
-            if len(item) != 3:
-                raise ValueError(f"A[{pos}]: expected [i, j, value]")
-            i, j, value = item
-            if not (1 <= i < j <= n):
-                raise ValueError(f"A[{pos}]: indices must be 1-based with i < j <= n")
-            if a[i - 1][j - 1]:
-                raise ValueError(f"A[{pos}]: duplicate pair")
-            a[i - 1][j - 1] = rat(value)
-            a[j - 1][i - 1] = -a[i - 1][j - 1]
+        for (i, j), value in index_entries(data.get("A", []), 2, n, "A"):
+            a[i][j] = rat(value)
+            a[j][i] = -a[i][j]
         if "constants" in data and data["constants"] is None:
             raise ValueError("malformed system document: constants must list n values")
         # FluxParams.make and the constructor parse B and the constants.
@@ -546,6 +539,7 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
     system._ensure_second()
     d = system.d
     d1 = system._d1
+    t = [[[system.op.t_value(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
     report = CompatReport(mode="symbolic", n=n)
 
     for q in range(n):
@@ -584,10 +578,10 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
                     gqk = g.at(q, k)
                     if not gqk.is_zero():
                         acc = acc + gqk * s_table[k][(p, l)]
-                    t1 = system.op.t_value(p, q, k)
+                    t1 = t[p][q][k]
                     if t1:
                         acc = acc + rd[k][l] * t1
-                    t2 = system.op.t_value(q, k, l)
+                    t2 = t[q][k][l]
                     if t2:
                         acc = acc + rd[k][p] * t2
                 if not acc.is_zero():

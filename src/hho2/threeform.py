@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .linalg import PolyMatrix, poly_rank, rat_det, rat_inverse, rat_mat_mul
-from .poly import MultiPoly, rat
+from .poly import MultiPoly, index_entries, json_int, rat
 
 __all__ = [
     "ThreeForm",
@@ -145,22 +145,10 @@ class ThreeForm:
     @classmethod
     def from_json(cls, text: str) -> "ThreeForm":
         data = json.loads(text)
-        try:
-            dim = int(data["dim"])
-            raw = data["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed 3-form document: missing {exc}") from None
-        coeffs = {}
-        for pos, item in enumerate(raw):
-            if len(item) != 4:
-                raise ValueError(f"coeffs[{pos}]: expected [i, j, k, value]")
-            i, j, k, value = item
-            if not (1 <= i < j < k <= dim):
-                raise ValueError(f"coeffs[{pos}]: indices must be 1-based strictly increasing, got {item[:3]}")
-            key = (i - 1, j - 1, k - 1)
-            if key in coeffs:
-                raise ValueError(f"coeffs[{pos}]: duplicate triple {item[:3]}")
-            coeffs[key] = value
+        if not isinstance(data, dict) or "dim" not in data or "coeffs" not in data:
+            raise ValueError("malformed 3-form document: needs dim and coeffs")
+        dim = json_int(data["dim"], "dim")
+        coeffs = dict(index_entries(data["coeffs"], 3, dim, "coeffs"))
         return cls(dim, coeffs)
 
 
@@ -170,7 +158,19 @@ class LinearMapN1:
     __slots__ = ("dim", "entries", "det")
 
     def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [[rat(x) for x in row] for row in entries]
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"entries: expected a list of rows, got {entries!r}")
+        self.entries = []
+        for r, row in enumerate(entries):
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"entries[{r}]: expected a list of rationals, got {row!r}")
+            parsed = []
+            for c, x in enumerate(row):
+                try:
+                    parsed.append(rat(x))
+                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                    raise ValueError(f"entries[{r}][{c}]: {exc}") from None
+            self.entries.append(parsed)
         self.dim = len(self.entries)
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("linear map matrix must be square")

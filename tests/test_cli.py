@@ -264,6 +264,55 @@ def test_inexact_values_exit_2(tmp_path, capsys, bad):
     assert_rejected("op", "transform", good_op, "--sl", json.dumps({"entries": rows}))
 
 
+def _assert_exit_2_at(capsys, where, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert err.startswith("error: ") and f": {where}: " in err, err
+    assert "Traceback" not in err
+
+
+_NOT_INTEGERS = [True, 1.0, "6", None, [1]]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS)
+def test_operator_reader_accepts_only_integer_n_and_indices(tmp_path, capsys, bad):
+    good = {"n": 4, "T": [[1, 2, 3, "1"]], "g0": [[1, 4, "1"], [2, 3, "1"]]}
+    for where, edit in (("n", lambda d: d.update(n=bad)),
+                        ("T[0]", lambda d: d["T"][0].__setitem__(0, bad)),
+                        ("g0[1]", lambda d: d["g0"][1].__setitem__(1, bad))):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        path = write(tmp_path, "op.json", json.dumps(doc))
+        _assert_exit_2_at(capsys, where, "op", "validate", path)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS)
+def test_system_reader_accepts_only_integer_indices(tmp_path, capsys, bad):
+    doc = json.loads(_system_doc("1", "0"))
+    doc["A"][0][0] = bad
+    path = write(tmp_path, "sys.json", json.dumps(doc))
+    _assert_exit_2_at(capsys, "A[0]", "sys", "verify", path)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS)
+def test_3form_reader_accepts_only_integer_dim_and_indices(tmp_path, capsys, bad):
+    for where, doc in (("dim", {"dim": bad, "coeffs": [[1, 2, 3, "1"]]}),
+                       ("coeffs[0]", {"dim": 3, "coeffs": [[1, bad, 3, "1"]]})):
+        path = write(tmp_path, "form.json", json.dumps(doc))
+        _assert_exit_2_at(capsys, where, "op", "from-3form", path)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, None, [1], "x"])
+def test_linear_map_reader_names_the_bad_entry(tmp_path, capsys, bad):
+    good_op = write(tmp_path, "good.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]]}))
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows[2][1] = bad
+    for sl in (rows, {"entries": rows}):
+        _assert_exit_2_at(capsys, "entries[2][1]", "op", "transform", good_op, "--sl", json.dumps(sl))
+    for sl, where in (([[1, 0, 0], "010", [0, 0, 1]], "entries[1]"), ({"entries": 5}, "entries")):
+        _assert_exit_2_at(capsys, where, "op", "transform", good_op, "--sl", json.dumps(sl))
+
+
 def test_from_3form_rejects_dimension_2(tmp_path, capsys):
     path = write(tmp_path, "form.json", json.dumps({"dim": 2, "coeffs": []}))
     code, out, err = run(capsys, "op", "from-3form", path)

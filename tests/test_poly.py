@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hho2.poly import MultiPoly, RationalFn, poly_gcd, rat
+from hho2.poly import (
+    MultiPoly,
+    RationalFn,
+    _coprime_on_a_line,
+    _gcd_via_sympy,
+    _proof_lines,
+    _restrict_to_line,
+    _univariate_coprime,
+    index_entries,
+    json_int,
+    poly_gcd,
+    rat,
+)
 
 VARS = ("x", "y", "z")
 
@@ -166,6 +178,73 @@ def test_gcd_random_products_agree_with_construction():
         q = random_poly(rng, variables, max_deg=1, terms=2)
         g = poly_gcd(common * p, common * q)
         assert common.monic().divides(g) or poly_gcd(p, q).degree() > 0 or (common * p).is_zero() or (common * q).is_zero()
+
+
+def _random_total_degree(rng, variables, degree, terms):
+    out = {}
+    for _ in range(terms):
+        exp = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            exp[rng.randrange(len(variables))] += 1
+        out[tuple(exp)] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    return MultiPoly(variables, out)
+
+
+def test_gcd_matches_sympy_route_in_three_to_eight_variables():
+    rng = random.Random(2024)
+    proved = planted = 0
+    for trial in range(40):
+        variables = tuple(f"u{i}" for i in range(rng.randint(3, 8)))
+        f = _random_total_degree(rng, variables, 3, 5)
+        g = _random_total_degree(rng, variables, 3, 5)
+        common = None
+        if trial % 2:
+            common = _random_total_degree(rng, variables, 2, 3)
+            f, g = f * common, g * common
+        if f.is_constant() or g.is_constant():
+            continue
+        result = poly_gcd(f, g)
+        assert result == _gcd_via_sympy(f, g)
+        if common is None:
+            proved += _coprime_on_a_line(f, g)
+        elif not common.is_constant():
+            planted += 1
+            assert common.monic().divides(result)
+            assert not _coprime_on_a_line(f, g)
+    # Most random pairs are coprime, and the line proof settles them.
+    assert proved >= 12 and planted >= 12
+
+
+def test_line_proof_skips_lines_where_the_top_part_vanishes():
+    variables = ("u1", "u2", "u3", "u4")
+    a, c = next(_proof_lines(len(variables)))
+    assert c[0] or c[1]
+    # h's top part c1*u1 - c0*u2 vanishes on the direction of the first line
+    # tried, so h is the constant 1 along that line.
+    top = {(1, 0, 0, 0): c[1], (0, 1, 0, 0): -c[0]}
+    h = MultiPoly(variables, {**top, (0, 0, 0, 0): 1 - c[1] * a[0] + c[0] * a[1]})
+    assert _restrict_to_line(h, a, c) == [1]
+    p = MultiPoly.parse(variables, "u3^2 + u4 + 1")
+    q = MultiPoly.parse(variables, "u3*u4 - 2*u1 + 5")
+    f, g = h * p, h * q
+    # Without the f_top(c) != 0 guard the first line would call f, g coprime.
+    assert _univariate_coprime(_restrict_to_line(f, a, c), _restrict_to_line(g, a, c))
+    assert poly_gcd(f, g) == h.monic()
+
+
+def test_index_entries_accept_only_integer_indices():
+    assert list(index_entries([[1, 3, "2"]], 2, 4, "A")) == [((0, 2), "2")]
+    assert json_int(6, "n") == 6
+    for bad in (True, 1.0, "6", None):
+        with pytest.raises(ValueError, match=r"^n: "):
+            json_int(bad, "n")
+        with pytest.raises(ValueError, match=r"^A\[0\]: "):
+            list(index_entries([[bad, 2, "1"]], 2, 4, "A"))
+    for items in ([[1, 2]], [[2, 1, "1"]], [[1, 5, "1"]], [5], [[1, 2, "1"], [1, 2, "3"]]):
+        with pytest.raises(ValueError, match=r"^A\[\d\]: "):
+            list(index_entries(items, 2, 4, "A"))
+    with pytest.raises(ValueError, match=r"^A: "):
+        list(index_entries({"1": 2}, 2, 4, "A"))
 
 
 def test_rat_parse():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hho2 import poly
 from hho2.catalog import build
 from hho2.operators import Hho2
 from hho2.poly import MultiPoly, RationalFn
@@ -304,3 +305,20 @@ def test_symbolic_operator_needs_values():
     rng = random.Random(28)
     with pytest.raises(ValueError):
         generate_flux(op, rng=rng)
+
+
+def test_n8_system_build_needs_no_sympy_gcd(monkeypatch):
+    calls = {"poly_gcd": 0, "sympy": 0}
+
+    def counted(name, fn):
+        def wrapper(f, g):
+            calls[name] += 1
+            return fn(f, g)
+        return wrapper
+
+    monkeypatch.setattr(poly, "poly_gcd", counted("poly_gcd", poly.poly_gcd))
+    monkeypatch.setattr(poly, "_gcd_via_sympy", counted("sympy", poly._gcd_via_sympy))
+    op = build("n8-fam1", {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7})
+    system = generate_flux(op, rng=random.Random(909))
+    assert calls == {"poly_gcd": 8, "sympy": 0}
+    assert all(v.den == system.d.monic() for v in system.v)
