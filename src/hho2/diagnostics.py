@@ -22,11 +22,12 @@ roots of each rational irreducible factor f of degree d as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .linalg import PolyMatrix, det_bareiss, pfaffian, rat_inverse, rat_rank
 from .operators import Hho2
@@ -58,31 +59,26 @@ def sample_points(
     count: int,
     rng,
     bound: int = 10,
-    avoid: Sequence[MultiPoly] = (),
     allow_degenerate: bool = False,
 ):
-    """Integer sample points avoiding the degeneracy locus and extra loci.
+    """Integer sample points off the degeneracy locus.
 
     Points are drawn coordinate-wise from [-bound, bound] and rejected while
-    the Pfaffian (or any polynomial in avoid) vanishes there.
+    the Pfaffian vanishes there.  With allow_degenerate, an identically zero
+    Pfaffian rejects nothing.
     """
     n = op.n
-    guards: List[MultiPoly] = []
     pf = op.pfaffian_poly()
-    if pf.is_zero():
-        if not allow_degenerate:
-            raise ValueError("operator is degenerate; every point lies on the locus")
-    else:
-        guards.append(pf)
-    guards.extend(avoid)
+    if pf.is_zero() and not allow_degenerate:
+        raise ValueError("operator is degenerate; every point lies on the locus")
     points = []
     attempts = 0
     while len(points) < count:
         attempts += 1
         if attempts > 200 * count + 200:
-            raise RuntimeError("sampling failed to avoid the excluded loci")
+            raise RuntimeError("sampling failed to avoid the degeneracy locus")
         u = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
-        if all(gp.eval(u) != 0 for gp in guards):
+        if pf.is_zero() or pf.eval(u) != 0:
             points.append(u)
     return points
 
@@ -346,9 +342,7 @@ class CharpolySquareReport:
     pf_side_degree_in_lam: int
 
 
-_UNIVERSAL_SKEW_OK: Dict[int, bool] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
     """det == Pf^2 for the generic skew matrix with indeterminate entries.
 
@@ -356,9 +350,6 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
     entry; every concrete skew matrix is a specialization, so the identity
     transfers by substitution.
     """
-    cached = _UNIVERSAL_SKEW_OK.get(n)
-    if cached is not None:
-        return cached
     names = tuple(f"x{i+1}_{j+1}" for i in range(n) for j in range(i + 1, n))
     rows = [[MultiPoly.zero(names) for _ in range(n)] for _ in range(n)]
     pos = 0
@@ -370,34 +361,33 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
             pos += 1
     mat = PolyMatrix(rows)
     pf = pfaffian(mat)
-    ok = det_bareiss(mat) == pf * pf
-    _UNIVERSAL_SKEW_OK[n] = ok
-    return ok
+    return det_bareiss(mat) == pf * pf
 
 
-def charpoly_square_symbolic(system: ConservativeSystem, det_route: str = "auto") -> CharpolySquareReport:
+def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport:
     """Symbolic identity det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) in (u, lam).
 
     R[k][p] is the numerator of dV^k/du^p over D^2 and Dm is the cleared skew
-    pencil.  Two routes prove the same polynomial identity:
+    pencil.  Two routes prove the same polynomial identity, and the size picks
+    one: the direct expansion for n <= 4, the factored proof above that.
 
     - direct: expand both sides and compare literally.  The left side sees
       only the quotient-rule Jacobian numerators and a fraction-free
-      determinant, the right side only Pfaffians.  Practical for n <= 4.
+      determinant, the right side only Pfaffians.
     - factored: verify g (R - lam D^2 I) == D Dm entrywise, det(g) == D^2,
       and det == Pf^2 for the generic skew matrix of this size.  Together
       with multiplicativity of det in the polynomial ring (a domain, D != 0)
       these give det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2, and cancelling
       det(g) = D^2 yields the identity, with every step exact.
-
-    det_route: "auto" picks direct for n <= 4 and factored above, "bareiss"
-    forces the direct expansion, "factored" forces the other.
     """
+    if system.op.n <= 4:
+        return _charpoly_square_direct(system)
+    return _charpoly_square_factored(system)
+
+
+def _shifted_jacobian(system: ConservativeSystem):
+    """The ring (u, lam), D lifted to it, and the rows of R - lam D^2 I."""
     n = system.op.n
-    if det_route == "auto":
-        det_route = "bareiss" if n <= 4 else "factored"
-    elif det_route not in ("bareiss", "factored"):
-        raise ValueError(f"unknown det_route {det_route!r}; use 'auto', 'bareiss' or 'factored'")
     rvars = system.vars + ("lam",)
     lam = MultiPoly.variable(rvars, "lam")
     r = system.r_polys()
@@ -412,33 +402,43 @@ def charpoly_square_symbolic(system: ConservativeSystem, det_route: str = "auto"
                 entry = entry - lam_d2
             row.append(entry)
         rows.append(row)
+    return rvars, d_lift, rows
+
+
+def _charpoly_square_factored(system: ConservativeSystem) -> CharpolySquareReport:
+    n = system.op.n
+    rvars, d_lift, rows = _shifted_jacobian(system)
+    mt = system.mtilde()
+    g = system.op.metric()
+    g_lift = [[g.at(i, j).with_vars(rvars) for j in range(n)] for i in range(n)]
+    match = True
+    for q in range(n):
+        for p in range(n):
+            lhs = MultiPoly.zero(rvars)
+            for j in range(n):
+                if g_lift[q][j].is_zero():
+                    continue
+                lhs = lhs + g_lift[q][j] * rows[j][p]
+            if lhs != d_lift * mt.at(q, p):
+                match = False
+    gram = det_bareiss(g) == system.d * system.d
+    universal = _universal_skew_det_is_pfaffian_square(n)
+    pf = pfaffian(mt)
+    lam_degree = pf.degree_in(len(rvars) - 1) * 2
+    return CharpolySquareReport(
+        n=n,
+        equal=match and gram and universal,
+        route="factored",
+        det_side_degree_in_lam=lam_degree,
+        pf_side_degree_in_lam=lam_degree,
+    )
+
+
+def _charpoly_square_direct(system: ConservativeSystem) -> CharpolySquareReport:
+    n = system.op.n
+    rvars, d_lift, rows = _shifted_jacobian(system)
     lam_index = len(rvars) - 1
-    if det_route == "factored":
-        mt = system.mtilde()
-        g = system.op.metric()
-        g_lift = [[g.at(i, j).with_vars(rvars) for j in range(n)] for i in range(n)]
-        match = True
-        for q in range(n):
-            for p in range(n):
-                lhs = MultiPoly.zero(rvars)
-                for j in range(n):
-                    if g_lift[q][j].is_zero():
-                        continue
-                    lhs = lhs + g_lift[q][j] * rows[j][p]
-                if lhs != d_lift * mt.at(q, p):
-                    match = False
-        gram = det_bareiss(g) == system.d * system.d
-        universal = _universal_skew_det_is_pfaffian_square(n)
-        pf = pfaffian(mt)
-        return CharpolySquareReport(
-            n=n,
-            equal=match and gram and universal,
-            route="factored",
-            det_side_degree_in_lam=pf.degree_in(lam_index) * 2,
-            pf_side_degree_in_lam=pf.degree_in(lam_index) * 2,
-        )
-    mat = PolyMatrix(rows)
-    det_side = det_bareiss(mat)
+    det_side = det_bareiss(PolyMatrix(rows))
     pf = pfaffian(system.mtilde())
     pf_side = pf * pf
     if n > 2:
@@ -446,7 +446,7 @@ def charpoly_square_symbolic(system: ConservativeSystem, det_route: str = "auto"
     return CharpolySquareReport(
         n=n,
         equal=det_side == pf_side,
-        route=det_route,
+        route="bareiss",
         det_side_degree_in_lam=det_side.degree_in(lam_index),
         pf_side_degree_in_lam=pf_side.degree_in(lam_index),
     )

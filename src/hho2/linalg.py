@@ -2,8 +2,8 @@
 
 Polynomial matrices get fraction-free algorithms: Bareiss elimination for
 determinants and rank, a recursive first-row Pfaffian with memoisation over
-index subsets, and a skew inverse assembled from Pfaffian minors so each
-entry's denominator divides the Pfaffian.  Plain rational matrices (lists of
+index subsets, and a skew adjugate assembled from Pfaffian minors, whose
+entries over the Pfaffian give the inverse.  Plain rational matrices (lists of
 lists of Fraction) get ordinary Gaussian elimination helpers.
 
 Sign conventions are pinned by the small cases: Pf([[0,1],[-1,0]]) = +1 and
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .poly import MultiPoly, RationalFn
+from .poly import MultiPoly
 
 __all__ = [
     "PolyMatrix",
@@ -23,7 +23,6 @@ __all__ = [
     "det_minor_expansion",
     "pfaffian",
     "pfaffian_adjugate",
-    "inverse_skew",
     "poly_rank",
     "rat_mat_mul",
     "rat_det",
@@ -235,16 +234,6 @@ def pfaffian_adjugate(matrix: PolyMatrix):
         out[i][j] = entry
         out[j][i] = -entry
     return PolyMatrix(out), pf
-
-
-def inverse_skew(matrix: PolyMatrix) -> List[List[RationalFn]]:
-    """Exact inverse of a nondegenerate skew matrix as reduced fractions.
-
-    Each reduced denominator divides the Pfaffian and numerator degrees stay
-    one step below it, which is what makes flux denominators Pfaffians.
-    """
-    adj, pf = pfaffian_adjugate(matrix)
-    return [[RationalFn(entry, pf) for entry in row] for row in adj.entries]
 
 
 def poly_rank(matrix: PolyMatrix) -> int:

@@ -8,7 +8,7 @@ common all-integer case fast.  The canonical term order is degree-lexicographic
 (total degree first, then the exponent tuple compared left to right); it is
 what ``leading_term`` and all normalisations refer to.
 
-In rings of 3 or more variables ``poly_gcd`` first tries to prove a pair
+``poly_gcd`` takes one route in every ring: it first tries to prove a pair
 coprime exactly on a few fixed lines, an evaluation-homomorphism test as in
 Geddes, Czapor & Labahn, *Algorithms for Computer Algebra* (1992), ch. 7;
 only the pairs it cannot settle go to sympy's multivariate gcd.
@@ -557,60 +557,6 @@ def _parse_atom(cls, vs, tokens, pos):
 # ----- gcd machinery ------------------------------------------------------------
 
 
-def _coeffs_in_var(p: MultiPoly, index: int):
-    """Split p as a univariate polynomial in variable `index` whose
-    coefficients are polynomials (in the same ring, not using that variable)."""
-    buckets: dict = {}
-    for e, c in p.terms.items():
-        d = e[index]
-        e2 = e[:index] + (0,) + e[index + 1:]
-        buckets.setdefault(d, {})[e2] = c
-    return {d: MultiPoly._raw(p.vars, t) for d, t in buckets.items()}
-
-
-def _attach_var(coeffs: Mapping[int, MultiPoly], variables, index: int) -> MultiPoly:
-    out: dict = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            e2 = e[:index] + (d,) + e[index + 1:]
-            out[e2] = c
-    return MultiPoly._raw(tuple(variables), out)
-
-
-def _pseudo_rem(f: Mapping[int, MultiPoly], g: Mapping[int, MultiPoly]):
-    """Pseudo-remainder of univariate-with-poly-coefficient representations."""
-    df = max(f)
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        shift = dr - dg
-        new: dict = {}
-        for d, c in r.items():
-            new[d] = c * lg
-        for d, c in g.items():
-            key = d + shift
-            term = c * lr
-            if key in new:
-                s = new[key] - term
-            else:
-                s = -term
-            new[key] = s
-        r = {d: c for d, c in new.items() if not c.is_zero()}
-    return r
-
-
-def _content_of_coeffs(coeffs) -> MultiPoly:
-    acc = None
-    for p in coeffs.values():
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.is_constant() and not acc.is_zero():
-            break
-    return acc
-
-
 def _poly_mul_coeffs(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
     """Product of two ascending coefficient lists, skipping zero coefficients."""
     if not (a and b):
@@ -718,11 +664,10 @@ def _gcd_via_sympy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """GCD in Q[vars], normalised monic (deglex leading coefficient +1).
 
-    Uses a primitive pseudo-remainder sequence recursively over the variables
-    for one or two variables.  In larger rings a coprime pair is first sought
-    to be proven coprime exactly by restricting both to a few fixed lines
-    (`_coprime_on_a_line`); sympy, whose modular gcd avoids the coefficient
-    blowup of the naive sequence, is reached only when no line proves it.
+    One route for every ring: a zero or constant argument settles the gcd at
+    once; otherwise the pair is first sought to be proven coprime exactly by
+    restricting both to a few fixed lines (`_coprime_on_a_line`), and sympy's
+    multivariate gcd is reached only when no line proves it.
     """
     if f.vars != g.vars:
         raise ValueError("variable mismatch in gcd")
@@ -730,47 +675,9 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    if f.is_constant() or g.is_constant():
+    if f.is_constant() or g.is_constant() or _coprime_on_a_line(f, g):
         return MultiPoly.const(f.vars, 1)
-    if len(f.vars) >= 3:
-        if _coprime_on_a_line(f, g):
-            return MultiPoly.const(f.vars, 1)
-        return _gcd_via_sympy(f, g)
-    main = None
-    for i in reversed(range(len(f.vars))):
-        if f.degree_in(i) > 0 and g.degree_in(i) > 0:
-            main = i
-            break
-    if main is None:
-        # No shared variable: gcd is the gcd of contents w.r.t. any variable
-        # used by one of them, which reduces to a constant here.
-        for i in reversed(range(len(f.vars))):
-            if f.degree_in(i) > 0:
-                cf = _content_of_coeffs(_coeffs_in_var(f, i))
-                return poly_gcd(cf, g)
-        return MultiPoly.const(f.vars, 1)
-
-    fc = _coeffs_in_var(f, main)
-    gc = _coeffs_in_var(g, main)
-    cont_f = _content_of_coeffs(fc)
-    cont_g = _content_of_coeffs(gc)
-    pp_f = {d: c.exact_div(cont_f) for d, c in fc.items()}
-    pp_g = {d: c.exact_div(cont_g) for d, c in gc.items()}
-    if max(pp_f) < max(pp_g):
-        pp_f, pp_g = pp_g, pp_f
-    while True:
-        r = _pseudo_rem(pp_f, pp_g)
-        if not r:
-            break
-        if max(r) == 0:
-            # Nonzero constant (in the main variable) remainder: coprime parts.
-            pp_g = {0: MultiPoly.const(f.vars, 1)}
-            break
-        cont_r = _content_of_coeffs(r)
-        pp_f = pp_g
-        pp_g = {d: c.exact_div(cont_r) for d, c in r.items()}
-    result = _attach_var(pp_g, f.vars, main) * poly_gcd(cont_f, cont_g)
-    return result.monic()
+    return _gcd_via_sympy(f, g)
 
 
 class RationalFn:

@@ -311,20 +311,21 @@ class ConservativeSystem:
     # ----- reports ------------------------------------------------------------
 
     def flux_denominator_report(self) -> dict:
-        """Degrees of the flux numerators and the divisibility of denominators."""
+        """Degrees of the flux numerators Q_k against the bound n/2.
+
+        Each denominator of V^k = Q_k / D divides D by construction, so only
+        the degree bound is checked.
+        """
         n = self.op.n
         rows = []
         ok = True
         for k in range(n):
-            divides = self.v[k].den.divides(self.d)
-            deg_ok = self.q[k].degree() <= n // 2
-            ok = ok and divides and deg_ok
+            ok = ok and self.q[k].degree() <= n // 2
             rows.append(
                 {
                     "component": k + 1,
                     "numerator_degree": self.q[k].degree(),
                     "degree_bound": n // 2,
-                    "denominator_divides_pfaffian": divides,
                 }
             )
         return {"ok": ok, "pfaffian_degree": self.d.degree(), "components": rows}

@@ -7,6 +7,8 @@ import sympy
 from hho2.catalog import build
 from hho2.diagnostics import (
     _charpoly,
+    _charpoly_square_direct,
+    _charpoly_square_factored,
     _geometric_multiplicity,
     _pencil_pfaffian,
     charpoly_at,
@@ -159,22 +161,16 @@ def test_charpoly_is_square_at_points():
 def test_charpoly_square_symbolic_routes():
     rng = random.Random(36)
     sys4 = generate_flux(build("n4-open"), rng=rng)
-    direct = charpoly_square_symbolic(sys4, det_route="bareiss")
-    factored = charpoly_square_symbolic(sys4, det_route="factored")
+    direct = _charpoly_square_direct(sys4)
+    factored = _charpoly_square_factored(sys4)
     assert direct.equal and factored.equal
     assert direct.route == "bareiss"
     assert factored.route == "factored"
+    assert charpoly_square_symbolic(sys4) == direct
     sys6 = generate_flux(build("n6-VIII"), rng=rng)
     rep6 = charpoly_square_symbolic(sys6)
     assert rep6.equal
     assert rep6.route == "factored"
-
-
-@pytest.mark.parametrize("route", ["minor", "bariess", ""])
-def test_charpoly_square_symbolic_rejects_unknown_route(route):
-    system = generate_flux(build("n2"), rng=random.Random(37))
-    with pytest.raises(ValueError, match=f"unknown det_route {route!r}"):
-        charpoly_square_symbolic(system, det_route=route)
 
 
 def test_factor_univariate_known():

@@ -1,12 +1,19 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: no unused module-level imports and no orphaned helpers.
 
 A name imported at module level must be read somewhere in its module, be
 listed in that module's `__all__`, or be re-exported from that module by the
 package `__init__`.  `from __future__` imports are compiler directives, not
 names.
+
+A module-level private function or class (one leading underscore) must be
+referenced somewhere in the package outside its own definition: read as a
+name, imported, or reached as an attribute.  Tests do not count, so a helper
+kept alive only by its tests is flagged.
 """
 
 import ast
+import functools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +76,77 @@ def test_checker_flags_an_unused_import():
     )
     assert unused_imports(source) == [("Tuple", 3)]
     assert unused_imports(source, reexported={"Tuple"}) == []
+
+
+def private_definitions(tree: ast.Module):
+    """Module-level functions and classes named with one leading underscore."""
+    for node in tree.body:
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ):
+            yield node
+
+
+def name_counts(tree: ast.AST) -> Counter:
+    """How often each name is read, imported or used as an attribute in tree."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name] += 1
+    return counts
+
+
+def orphaned_private_definitions(sources):
+    """(module, name) of each private definition that nothing else references.
+
+    sources maps a module name to its source text.  A use inside the
+    definition itself, such as a recursive call, does not count.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = sum((name_counts(tree) for tree in trees.values()), Counter())
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in private_definitions(tree)
+        if total[node.name] == name_counts(node)[node.name]
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _package_orphans():
+    return orphaned_private_definitions({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))})
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (path.stem, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in private_definitions(ast.parse(path.read_text()))
+    ],
+)
+def test_private_definition_is_referenced(module, name):
+    assert (module, name) not in _package_orphans()
+
+
+def test_checker_flags_an_orphaned_private_definition():
+    sources = {
+        "a": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _recursive(k):\n"
+            "    return _recursive(k - 1) if k else 0\n"
+            "class _Helper:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _used()\n"
+        ),
+        "b": "from .a import _Helper\n",
+    }
+    assert orphaned_private_definitions(sources) == [("a", "_recursive")]

@@ -7,7 +7,6 @@ from hho2.linalg import (
     PolyMatrix,
     det_bareiss,
     det_minor_expansion,
-    inverse_skew,
     pfaffian,
     pfaffian_adjugate,
     poly_rank,
@@ -104,22 +103,6 @@ def test_pfaffian_adjugate_identity():
                 for k in range(n):
                     acc = acc + m.at(i, k) * adj.at(k, j)
                 assert acc == (pf if i == j else MultiPoly.zero(VARS))
-
-
-def test_inverse_skew_at_points():
-    rng = random.Random(6)
-    m = rand_skew(rng, 4, max_deg=1, terms=2)
-    inv = inverse_skew(m)
-    pf = pfaffian(m)
-    for point in ((Fraction(1), Fraction(2)), (Fraction(-3), Fraction(1, 2))):
-        if pf.eval(point) == 0:
-            continue
-        vals = [[m.at(i, j).eval(point) for j in range(4)] for i in range(4)]
-        inv_vals = [[inv[i][j].eval(point) for j in range(4)] for i in range(4)]
-        for i in range(4):
-            for j in range(4):
-                s = sum(vals[i][k] * inv_vals[k][j] for k in range(4))
-                assert s == (1 if i == j else 0)
 
 
 def test_poly_rank():

@@ -190,11 +190,12 @@ def _random_total_degree(rng, variables, degree, terms):
     return MultiPoly(variables, out)
 
 
-def test_gcd_matches_sympy_route_in_three_to_eight_variables():
+def test_gcd_matches_sympy_route_in_one_to_eight_variables():
     rng = random.Random(2024)
-    proved = planted = 0
-    for trial in range(40):
-        variables = tuple(f"u{i}" for i in range(rng.randint(3, 8)))
+    proved = 0
+    planted = set()
+    for trial in range(48):
+        variables = tuple(f"u{i}" for i in range(trial // 6 + 1))
         f = _random_total_degree(rng, variables, 3, 5)
         g = _random_total_degree(rng, variables, 3, 5)
         common = None
@@ -208,11 +209,12 @@ def test_gcd_matches_sympy_route_in_three_to_eight_variables():
         if common is None:
             proved += _coprime_on_a_line(f, g)
         elif not common.is_constant():
-            planted += 1
+            planted.add(len(variables))
             assert common.monic().divides(result)
             assert not _coprime_on_a_line(f, g)
-    # Most random pairs are coprime, and the line proof settles them.
-    assert proved >= 12 and planted >= 12
+    # Most random pairs are coprime, and the line proof settles them; every
+    # ring size, the one- and two-variable rings included, gets a planted factor.
+    assert proved >= 20 and planted == set(range(1, 9))
 
 
 def test_line_proof_skips_lines_where_the_top_part_vanishes():

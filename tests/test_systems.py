@@ -187,7 +187,6 @@ def test_flux_denominator_report():
         assert rep["ok"]
         n = system.op.n
         for comp in rep["components"]:
-            assert comp["denominator_divides_pfaffian"]
             assert comp["numerator_degree"] <= n // 2
             assert comp["degree_bound"] == n // 2
 
