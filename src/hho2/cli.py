@@ -12,6 +12,7 @@ Seeded invocations produce byte-identical output for identical arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys as _sys
@@ -470,6 +471,7 @@ def cmd_sys_diagnose(args, config: RunConfig) -> int:
 # ----- parser -------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hho2",

@@ -23,16 +23,15 @@ roots of each rational irreducible factor f of degree d as
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .linalg import PolyMatrix, det_bareiss, pfaffian, rat_inverse, rat_rank
+from .linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly, _poly_mul_coeffs
-from .systems import ConservativeSystem, _clear_denominators
+from .systems import ConservativeSystem
 
 __all__ = [
     "sample_points",
@@ -137,7 +136,7 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     num = system._numerators(point)
     kern = system._kernel()
     r, t = num.r, kern.t
-    g_den, ginv = _clear_denominators(rat_inverse(system.op.metric_at(point)))
+    g_den, ginv = clear_denominators(rat_inverse(system.op.metric_at(point)))
     rr = _matmul(r, r)
     rt = list(zip(*r))
     # inner[a][j][k] = T_jal RR_lk - T_kal RR_lj - 2 (R^T T_a R)_kj
@@ -172,7 +171,7 @@ def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Frac
     num = system._numerators(u)
     kern = system._kernel()
     nij = torsion if torsion is not None else nijenhuis(system, u)
-    n_den, rows = _clear_denominators([row for plane in nij for row in plane])
+    n_den, rows = clear_denominators([row for plane in nij for row in plane])
     niji = [rows[i * n : (i + 1) * n] for i in range(n)]
     r = num.r
     rt = list(zip(*r))
@@ -235,7 +234,7 @@ def _berkowitz(m: Sequence[Sequence[int]]) -> List[int]:
 
 def _jacobian_numerators(system: ConservativeSystem, u):
     """(M, c) with Jac(u) = M / c, M in integers and c the least such."""
-    c, m = _clear_denominators(system.jacobian_at(u))
+    c, m = clear_denominators(system.jacobian_at(u))
     return m, c
 
 
@@ -305,9 +304,9 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
         raise ZeroDivisionError("point lies on the degeneracy locus")
     kern = system._kernel()
     t, t_den = kern.t, kern.t_den
-    v_den, (v,) = _clear_denominators([system.flux_at(point)])
-    a_den, a_eff = _clear_denominators(system.a_eff)
-    g_den, g = _clear_denominators(system.op.metric_at(point))
+    v_den, (v,) = clear_denominators([system.flux_at(point)])
+    a_den, a_eff = clear_denominators(system.a_eff)
+    g_den, g = clear_denominators(system.op.metric_at(point))
     # C = a_den t_den v_den (T V + Aeff), scaled by g_den to meet G scaled by c
     c = a_den * t_den * v_den
     pencil = [[0] * n for _ in range(n)]
@@ -472,8 +471,8 @@ def factor_univariate(coeffs: Sequence[Fraction]):
         raise ValueError("cannot factor the zero polynomial")
     # Factor the integer multiple in sympy's dense representation: no sympy
     # expressions are built, so its expression cache does not grow per call.
-    lcd = math.lcm(*(c.denominator for c in coeffs))
-    _, factors = dup_factor_list([ZZ(c.numerator * (lcd // c.denominator)) for c in reversed(coeffs)], ZZ)
+    _, (ints,) = clear_denominators([coeffs])
+    _, factors = dup_factor_list([ZZ(x) for x in reversed(ints)], ZZ)
     out = [([Fraction(int(x), int(fac[0])) for x in reversed(fac)], int(mult)) for fac, mult in factors]
     out.sort(key=lambda item: (len(item[0]), [str(c) for c in item[0]]))
     return out
@@ -502,8 +501,8 @@ def _geometric_multiplicity(m: Sequence[Sequence[int]], c: int, factor: Sequence
     with L the common denominator of f, so its rank is the rank of f(J).
     """
     n, d = len(m), len(factor) - 1
-    lcd = math.lcm(*(x.denominator for x in factor))
-    coeffs = [x.numerator * (lcd // x.denominator) * c ** (d - k) for k, x in enumerate(factor)]
+    _, (ints,) = clear_denominators([factor])
+    coeffs = [x * c ** (d - k) for k, x in enumerate(ints)]
     f_m = [[coeffs[d] if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(d - 1, -1, -1):
         f_m = _matmul(f_m, m)

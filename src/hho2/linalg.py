@@ -3,8 +3,10 @@
 Polynomial matrices get fraction-free algorithms: Bareiss elimination for
 determinants and rank, a recursive first-row Pfaffian with memoisation over
 index subsets, and a skew adjugate assembled from Pfaffian minors, whose
-entries over the Pfaffian give the inverse.  Plain rational matrices (lists of
-lists of Fraction) get ordinary Gaussian elimination helpers.
+entries over the Pfaffian give the inverse; Pfaffians expand on integer
+coefficients.  Plain rational matrices (lists of lists of Fraction) are cleared
+of denominators and row-reduced in integers by fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
 
 Sign conventions are pinned by the small cases: Pf([[0,1],[-1,0]]) = +1 and
 the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.
@@ -12,13 +14,15 @@ the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .poly import MultiPoly
 
 __all__ = [
     "PolyMatrix",
+    "clear_denominators",
     "det_bareiss",
     "det_minor_expansion",
     "pfaffian",
@@ -165,11 +169,21 @@ def det_minor_expansion(matrix: PolyMatrix) -> MultiPoly:
     return minors.get(full, MultiPoly.zero(matrix.vars))
 
 
+def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """(den, M) with M = matrix * den integral and den the least such."""
+    den = math.lcm(1, *(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+
+
 def _pfaffian_minors(matrix: PolyMatrix, masks):
     """Pfaffians of the skew submatrices indexed by the given bitmasks,
-    computed by recursive first-row expansion with shared memoisation."""
-    m = matrix.entries
+    computed by recursive first-row expansion with shared memoisation on the
+    entries times their coefficients' common denominator den; a minor on 2k
+    indices is then divided by den^k."""
     vars_ = matrix.vars
+    den, coeffs = clear_denominators([list(p.terms.values()) for row in matrix.entries for p in row])
+    flat = iter(coeffs)
+    m = [[MultiPoly._raw(vars_, dict(zip(p.terms, next(flat)))) for p in row] for row in matrix.entries]
     one = MultiPoly.const(vars_, 1)
     zero = MultiPoly.zero(vars_)
     memo = {0: one}
@@ -193,7 +207,7 @@ def _pfaffian_minors(matrix: PolyMatrix, masks):
         memo[mask] = total
         return total
 
-    return [pf(mask) for mask in masks]
+    return [pf(mask) * Fraction(1, den ** (mask.bit_count() // 2)) for mask in masks]
 
 
 def pfaffian(matrix: PolyMatrix) -> MultiPoly:
@@ -271,61 +285,59 @@ def rat_mat_mul(a, b):
     ]
 
 
-def _rat_echelon(matrix):
-    """Row-reduce a copy; returns (echelon rows, pivot columns, det factor).
+def _integer_gauss_jordan(matrix):
+    """Fraction-free Gauss-Jordan elimination of the matrix cleared of its
+    denominators: (rows, pivot columns, det when square and nonsingular, last pivot).
 
-    det factor is the product of pivots with swap signs folded in, i.e. the
-    determinant when the matrix is square and full-rank.
-    """
-    m = [[Fraction(x) for x in row] for row in matrix]
+    A step maps each row but the pivot row to (p * row - f * pivot row) // prev
+    for pivots p and prev, exactly, as every entry is a minor of the input.  At
+    the end each pivot row holds the last pivot at its pivot column, so the
+    reduced row echelon form is the rows over the last pivot."""
+    den, m = clear_denominators(matrix)
     rows = len(m)
-    cols = len(m[0]) if rows else 0
     pivots = []
-    det = Fraction(1)
-    r = 0
-    for c in range(cols):
+    sign = prev = 1
+    for c in range(len(m[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            det = -det
-        det *= m[r][c]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+            sign = -sign
+        p, top = m[r][c], m[r]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == rows:
             break
-    return m, pivots, det
+    return m, pivots, Fraction(sign * prev, den**rows), prev
 
 
 def rat_det(matrix) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, det = _rat_echelon(matrix)
+    _, pivots, det, _ = _integer_gauss_jordan(matrix)
     return det if len(pivots) == n else Fraction(0)
 
 
 def rat_rank(matrix) -> int:
-    if not matrix:
-        return 0
-    _, pivots, _ = _rat_echelon(matrix)
-    return len(pivots)
+    return len(_integer_gauss_jordan(matrix)[1])
 
 
 def rat_inverse(matrix):
+    """Inverse by eliminating [matrix | I]: the right block ends as the last
+    pivot times the inverse."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(matrix)]
-    m, pivots, _ = _rat_echelon(aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    m, pivots, _, last = _integer_gauss_jordan(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in m[:n]]
+    return [[Fraction(x, last) for x in row[n:]] for row in m]
 
 
 def rat_kernel(matrix):
@@ -333,13 +345,13 @@ def rat_kernel(matrix):
     if not matrix:
         return []
     cols = len(matrix[0])
-    m, pivots, _ = _rat_echelon(matrix)
+    m, pivots, _, last = _integer_gauss_jordan(matrix)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            v[pc] = Fraction(-m[r][fc], last)
         basis.append(v)
     return basis

@@ -31,13 +31,12 @@ Fractions are formed only at the end, by one division per entry.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import PolyMatrix, pfaffian_adjugate, poly_rank, rat_kernel
+from .linalg import PolyMatrix, clear_denominators, pfaffian_adjugate, poly_rank, rat_kernel
 from .operators import Hho2
 from .poly import MultiPoly, RationalFn, index_entries, rat
 
@@ -372,8 +371,7 @@ class ConservativeSystem:
 
 def _coeff_denominator(polys: Sequence[MultiPoly]) -> int:
     """Least common denominator of all coefficients of the polynomials."""
-    dens = (c.denominator for p in polys for c in p.terms.values() if isinstance(c, Fraction))
-    return math.lcm(1, *dens)
+    return clear_denominators([list(p.terms.values()) for p in polys])[0]
 
 
 class _PointNumerators(NamedTuple):
@@ -428,7 +426,7 @@ class _PointKernel:
         ]
 
         op = system.op
-        self.t_den = math.lcm(1, *(x.denominator for x in op.table.values()))
+        self.t_den = clear_denominators([list(op.table.values())])[0]
         self.t = [
             [[int(op.t_value(i, j, k) * self.t_den) for k in range(n)] for j in range(n)]
             for i in range(n)
@@ -444,8 +442,7 @@ class _PointKernel:
 
     def evaluate(self, point: Sequence[Fraction]) -> _PointNumerators:
         n, top = self.n, self.top
-        q = math.lcm(*(x.denominator for x in point))
-        coords = [x.numerator * (q // x.denominator) for x in point]
+        q, (coords,) = clear_denominators([point])
 
         def powers(base):
             row = [1]
@@ -608,7 +605,7 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
         point = system._point(u)
         num = system._numerators(point)
         r, s, d = num.r, num.s, num.d
-        g_den, gmat = _clear_denominators(system.op.metric_at(point))
+        g_den, gmat = clear_denominators(system.op.metric_at(point))
         for q in range(n):
             for p in range(q, n):
                 total = sum(gmat[q][j] * r[j][p] + gmat[p][j] * r[j][q] for j in range(n))
@@ -629,12 +626,6 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
     report.first_order_failures = sorted(fail1)
     report.second_order_failures = sorted(fail2)
     return report
-
-
-def _clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
-    """(den, M) with M = matrix * den integral and den the least such."""
-    den = math.lcm(1, *(x.denominator for row in matrix for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
 def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None) -> CompatReport:

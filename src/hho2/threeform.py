@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .linalg import PolyMatrix, poly_rank, rat_det, rat_inverse, rat_mat_mul
+from .linalg import PolyMatrix, clear_denominators, poly_rank, rat_det, rat_inverse, rat_mat_mul
 from .poly import MultiPoly, index_entries, json_int, rat
 
 __all__ = [
@@ -233,34 +233,45 @@ class LinearMapN1:
         return cls(entries)
 
 
-def _minor3(a: LinearMapN1, rows, cols) -> Fraction:
-    m = a.entries
-    (r0, r1, r2), (c0, c1, c2) = rows, cols
-    return (
-        m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-        - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-        + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
-    )
-
-
 def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
     """Multilinear pullback: out[l,m,n] = sum omega[p,q,r] a[p][l] a[q][m] a[r][n].
 
-    Computed triple by triple via 3x3 minors of `a`, which is the collapsed
-    form of the full triple contraction over a skew family.
+    Over a skew family this is the third exterior power of `a`: out[t] sums
+    omega[s] times the 3x3 minor of `a` on rows s and columns t.  It runs in
+    integers: a = M / c, and omega = W / L per parameter monomial (one monomial
+    for a rational form).  Minors of M expand along their first row from the
+    2x2 minors of the other two rows, built once per row pair; each target is
+    divided by L * c^3 once at the end.
     """
     if a.dim != form.dim:
         raise ValueError(f"map dimension {a.dim} does not match form dimension {form.dim}")
-    sources = list(form.coeffs.items())
-    out = {}
-    for target in combinations(range(form.dim), 3):
-        total = 0
-        for src, value in sources:
-            minor = _minor3(a, src, target)
-            if minor:
-                total = total + value * minor
-        out[target] = total
-    return ThreeForm(form.dim, out, form.params)
+    d = form.dim
+    c, m = clear_denominators(a.entries)
+    const = (0,) * len(form.params)
+    values = [v.terms if isinstance(v, MultiPoly) else {const: v} for v in form.coeffs.values()]
+    big_l, numerators = clear_denominators([list(v.values()) for v in values])
+    channels: Dict[Tuple[int, ...], Dict[Tuple[int, int], list]] = {}
+    for (p, q, r), monomials, row in zip(form.coeffs, values, numerators):
+        for e, x in zip(monomials, row):
+            channels.setdefault(e, {}).setdefault((q, r), []).append((p, x))
+    pairs = list(combinations(range(d), 2))
+    at = {pair: i for i, pair in enumerate(pairs)}
+    targets = list(combinations(range(d), 3))
+    layout = [(i, j, k, at[j, k], at[i, k], at[i, j]) for i, j, k in targets]
+    out: Dict[Tuple[int, int, int], dict] = {t: {} for t in targets}
+    for e, by_pair in channels.items():
+        totals = [0] * len(targets)
+        for (q, r), sources in by_pair.items():
+            minors = [m[q][i] * m[r][j] - m[q][j] * m[r][i] for i, j in pairs]
+            v = [sum(x * m[p][col] for p, x in sources) for col in range(d)]
+            totals = [t + v[i] * minors[jk] - v[j] * minors[ik] + v[k] * minors[ij]
+                      for t, (i, j, k, jk, ik, ij) in zip(totals, layout)]
+        for t, total in zip(targets, totals):
+            if total:
+                out[t][e] = Fraction(total, big_l * c**3)
+    if form.params:
+        return ThreeForm(d, {t: MultiPoly(form.params, terms) for t, terms in out.items()}, form.params)
+    return ThreeForm(d, {t: terms.get(const, 0) for t, terms in out.items()})
 
 
 def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Value]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hho2 import cli
 from hho2.cli import main
 
 
@@ -122,6 +123,38 @@ def test_conformal_check_passes(tmp_path, capsys):
     )
     assert code == 0
     assert "all conformal identities hold" in out
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    """The parser is built once per process; rerunning different subcommands,
+    bad arguments included, gives the same exit code and output every time."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    shear = json.dumps([[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, -1, 0, 1, 0], [3, 0, 0, 0, 1]])
+    commands = [
+        ["catalog", "list"],
+        ["--output", "json", "op", "validate", op_path],
+        ["--seed", "4", "op", "conformal-check", op_path, "--sl", shear, "--points", "2"],
+        ["op", "transform", op_path, "--sl", shear],
+        ["catalog", "show", "n6-nope"],
+        ["op", "transform", op_path],
+        ["--samples", "0", "catalog", "list"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2]
+    assert "required: --sl" in first[5][2] and "--samples must be at least 1" in first[6][2]
+    for _ in range(2):
+        assert [outcome(argv) for argv in reversed(commands)] == first[::-1]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_generate_verify_diagnose_pipeline(tmp_path, capsys):
@@ -368,6 +401,19 @@ def _fixed_sl(dim):
     return json.dumps([[str(x) for x in row] for row in rows])
 
 
+def _second_sl(dim):
+    """Another fixed determinant-one map with fractional entries: the
+    transpose of `_fixed_sl`."""
+    rows = json.loads(_fixed_sl(dim))
+    return json.dumps([list(col) for col in zip(*rows)])
+
+
+# Entries whose document moved by `_fixed_sl` (a table with fractional
+# entries, so a Pfaffian with Fraction coefficients) is validated, moved again
+# and conformally checked.
+_GOLDEN_MOVED = ("n6-X", "n8-fam1")
+
+
 def _golden_digests(tmp_path, capsys):
     digests = {}
 
@@ -385,7 +431,13 @@ def _golden_digests(tmp_path, capsys):
         digest(f"{entry} validate", "op", "validate", op_path)
         form = digest(f"{entry} to-3form", "op", "to-3form", op_path)
         digest(f"{entry} from-3form", "op", "from-3form", write(tmp_path, f"{entry}.form.json", form))
-        digest(f"{entry} transform", "op", "transform", op_path, "--sl", _fixed_sl(n + 1))
+        moved = digest(f"{entry} transform", "op", "transform", op_path, "--sl", _fixed_sl(n + 1))
+        if entry in _GOLDEN_MOVED:
+            moved_path = write(tmp_path, f"{entry}.moved.json", moved)
+            digest(f"{entry} moved validate", "op", "validate", moved_path)
+            digest(f"{entry} moved transform", "op", "transform", moved_path, "--sl", _second_sl(n + 1))
+            digest(f"{entry} moved conformal-check", "--seed", "909", "--output", "json", "op", "conformal-check",
+                   moved_path, "--sl", _second_sl(n + 1), "--points", "2")
         generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
         if entry in _GOLDEN_DIAGNOSE:
             sys_path = write(tmp_path, f"{entry}.sys.json", json.dumps(json.loads(generated)["system"]))
@@ -416,6 +468,9 @@ _GOLDEN = {
     "n6-X to-3form": "7032fd721ffbac30b69f852829b0484c517df3a21ba60ee6f8b6d83cacbe9f4a",
     "n6-X from-3form": "47b0cc3b573f084e4ad420892d004a40c2056ed25fcb637ceeec75612fb72e2d",
     "n6-X transform": "40d92caaa0d89c3427463971ccd8a3040aa6f1aaa24de138645a39fd73d00340",
+    "n6-X moved validate": "591361137333bf028e424d73fa9ac4848fe75c1c9f22265f088aab5a7b6d5ac8",
+    "n6-X moved transform": "8aac4091cb36ccfbb5366fcda7a596db1419d9ab32ced5f0078d89cb534a1fd2",
+    "n6-X moved conformal-check": "7a7ff54f34651c108c77372dc1a9bfc7236bf8485b65fe8db5b64aa3fbc4d8cb",
     "n6-X generate": "5fc826e1f103abbcb393458c282565665a3f9f855e401968be997db729b2a9a2",
     "n6-X diagnose": "d3975e92d9b872870b9150dd285f956f5885ea80e4d7b013ff520fd75edb09b7",
     "n8-fam1 show": "94b58c9e2286f14ec4fb99044d34647e2e084b08d528df2b60c5efca0bc201c7",
@@ -423,6 +478,9 @@ _GOLDEN = {
     "n8-fam1 to-3form": "cc2e00c999b7ca146b6a7a3763edcd5da06f776d66bb8601e403b72f0b5c9f93",
     "n8-fam1 from-3form": "f6f2383bb0ee403482c758ec4384279b944abb102644796e2e8fb6fcf06031d3",
     "n8-fam1 transform": "f596b7d6dc4e17d919aeb0a1fab23f7522b8a992ea96a27cda6811cf9bc269d4",
+    "n8-fam1 moved validate": "16c8540c2141e7480a5292a391bd88bc3fd41dcc1f025a1df6160d37600c16de",
+    "n8-fam1 moved transform": "62317f633e2b2e8a1d54b0ae9169982ded320aa062e56e403fb8d7e572b4cb58",
+    "n8-fam1 moved conformal-check": "931d52b2d90f2601e2c27c52356a160930e8584530f64473aadfcc50ba14f326",
     "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
     "n8-fam1 diagnose": "bafe453fde1881f453ff6a55e91ab2f459ebe700e0d9bce36b451f3179c58df0",
 }

@@ -25,9 +25,9 @@ from hho2.diagnostics import (
     tensor_is_zero,
     tensor_nonzero_count,
 )
-from hho2.linalg import PolyMatrix, det_bareiss, pfaffian
+from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian
 from hho2.poly import MultiPoly
-from hho2.systems import _clear_denominators, generate_flux
+from hho2.systems import generate_flux
 
 
 N8_PARAMS = {
@@ -240,7 +240,7 @@ def test_berkowitz_charpoly_matches_bareiss(n, rational):
     for _ in range(3):
         a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6) if rational else 1) for _ in range(n)]
              for _ in range(n)]
-        c, m = _clear_denominators(a)
+        c, m = clear_denominators(a)
         assert rational or c == 1
         assert _charpoly(m, c) == _bareiss_charpoly(a)
 
@@ -304,7 +304,7 @@ def _random_blocks(rng, n):
 def _eigenstructure(a):
     """(factor, algebraic, geometric) per monic irreducible factor of the
     characteristic polynomial of the sympy matrix a, from the integer kernels."""
-    c, m = _clear_denominators([[Fraction(int(x.p), int(x.q)) for x in row] for row in a.tolist()])
+    c, m = clear_denominators([[Fraction(int(x.p), int(x.q)) for x in row] for row in a.tolist()])
     return [(f, mult, _geometric_multiplicity(m, c, f)) for f, mult in factor_univariate(_charpoly(m, c))]
 
 

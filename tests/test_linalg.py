@@ -141,3 +141,109 @@ def test_rat_kernel():
     for vec in basis:
         for row in m:
             assert sum(row[i] * vec[i] for i in range(3)) == 0
+
+
+def _reference_rref(matrix):
+    """Plain Fraction Gauss-Jordan: (reduced rows, pivot columns, det factor)."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots, det = [], Fraction(1)
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            det = -det
+        det *= m[r][c]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return m, pivots, det
+
+
+def _rational_matrices():
+    rng = random.Random(31)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def rand(rows, cols):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    cases = [[], [[Fraction(0)]], [[Fraction(3, 7)]], [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]]
+    cases += [rand(n, n) for n in (2, 3, 4, 5, 6, 7, 9) for _ in range(3)]
+    for n, k in ((3, 1), (4, 2), (6, 3), (7, 5)):
+        left, right = rand(n, k), rand(k, n)
+        cases.append([[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(n)])
+    singular = rand(5, 5)
+    singular[3] = [2 * x - y for x, y in zip(singular[0], singular[1])]
+    cases.append(singular)
+    cases.append(rand(5, 5)[:4] + [[Fraction(0)] * 5])
+    cases += [rand(2, 5), rand(5, 2), rand(3, 7), rand(4, 4)[:1]]
+    return cases
+
+
+@pytest.mark.parametrize("m", _rational_matrices(), ids=lambda m: f"{len(m)}x{len(m[0]) if m else 0}")
+def test_rat_kernels_match_fraction_gauss_jordan(m):
+    rows, cols = len(m), len(m[0]) if m else 0
+    rref, pivots, det = _reference_rref(m)
+    assert rat_rank(m) == len(pivots)
+    basis = rat_kernel(m)
+    expected = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(cols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        expected.append(v)
+    assert basis == expected
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m for v in basis)
+    if rows != cols:
+        return
+    assert rat_det(m) == (det if len(pivots) == rows else 0)
+    if len(pivots) < rows:
+        with pytest.raises(ZeroDivisionError):
+            rat_inverse(m)
+        return
+    identity = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
+    aug_rref, _, _ = _reference_rref([row + ident for row, ident in zip(m, identity)])
+    inv = rat_inverse(m)
+    assert inv == [row[rows:] for row in aug_rref]
+    assert [[sum(m[i][k] * inv[k][j] for k in range(rows)) for j in range(rows)] for i in range(rows)] == identity
+
+
+def _fraction_skew(rng, n):
+    """Skew matrix of polynomials with Fraction coefficients of mixed denominators."""
+    rows = [[MultiPoly.zero(VARS) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            exps = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(2)]
+            p = MultiPoly(VARS, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4 + i + j)) for e in exps})
+            rows[i][j], rows[j][i] = p, -p
+    return PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_pfaffian_with_fraction_coefficients(n):
+    rng = random.Random(50 + n)
+    fractional = 0
+    for _ in range(4):
+        m = _fraction_skew(rng, n)
+        pf = pfaffian(m)
+        fractional += any(isinstance(c, Fraction) for c in pf.terms.values())
+        assert pf * pf == det_bareiss(m)
+        adj, pf_adj = pfaffian_adjugate(m)
+        assert pf_adj == pf
+        zero = MultiPoly.zero(VARS)
+        for i in range(n):
+            for j in range(n):
+                acc = zero
+                for k in range(n):
+                    acc = acc + adj.at(i, k) * m.at(k, j)
+                assert acc == (pf if i == j else zero)
+    assert fractional >= 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hho2.operators import Hho2
+from hho2.poly import MultiPoly
 from hho2.threeform import (
     LinearMapN1,
     ThreeForm,
@@ -163,3 +164,50 @@ def test_congruence_system_solution_dims():
     system = congruence_system(form)
     assert system.solution_dim() == len(system.pairs) - system.rank()
     assert system.rank() >= 1
+
+
+def _contracted_pullback(form, a):
+    """out[l,m,n] = sum over all ordered (p, q, r) of omega[p,q,r] a[p][l] a[q][m] a[r][n],
+    the defining full contraction; only nonzero omega entries contribute."""
+    terms = [((p, q, r), form.value(p, q, r)) for p, q, r in itertools.permutations(range(form.dim), 3)]
+    terms = [(idx, w) for idx, w in terms if w]
+    e = a.entries
+    out = {}
+    for l, m, n in itertools.combinations(range(form.dim), 3):
+        total = 0
+        for (p, q, r), w in terms:
+            product = e[p][l] * e[q][m] * e[r][n]
+            if product:
+                total = w * product + total
+        out[(l, m, n)] = total
+    return ThreeForm(form.dim, out, form.params)
+
+
+def _rational_map(rng, dim):
+    while True:
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)] for _ in range(dim)]
+        try:
+            return LinearMapN1(rows)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("dim", range(3, 10))
+def test_pullback_matches_full_contraction(dim):
+    rng = random.Random(700 + dim)
+    params = ("s", "t")
+    for _ in range(2):
+        a = _rational_map(rng, dim)
+        triples = list(itertools.combinations(range(dim), 3))
+        picked = rng.sample(triples, min(12, len(triples)))
+        form = ThreeForm(dim, {t: Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for t in picked})
+        assert pullback(form, a) == _contracted_pullback(form, a)
+        parametric = {}
+        for t in picked[:4]:
+            exp = (rng.randint(0, 1), rng.randint(0, 2))
+            parametric[t] = MultiPoly(params, {exp: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                               (0, 0): Fraction(rng.randint(-5, 5), rng.randint(1, 3))})
+        if triples[0] not in parametric:
+            parametric[triples[0]] = Fraction(2, 3)
+        form = ThreeForm(dim, parametric, params)
+        assert pullback(form, a) == _contracted_pullback(form, a)
