@@ -107,9 +107,7 @@ def _load_system(path: str) -> ConservativeSystem:
 def _load_linear_map(path: str) -> LinearMapN1:
     data = _load_json(path)
     try:
-        if isinstance(data, dict):
-            return LinearMapN1.from_json(json.dumps(data))
-        return LinearMapN1(data)
+        return LinearMapN1.from_json(json.dumps(data))
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, pfaffian, rat_det
-from .poly import MultiPoly, index_entries, json_int
+from .linalg import PolyMatrix, pfaffian, rat_det, rat_mat_mul
+from .poly import MultiPoly, bounded_n, index_entries, json_int
 from .threeform import (
     LinearMapN1,
     Value,
@@ -186,7 +186,7 @@ class Hho2:
         data = json.loads(text)
         if not isinstance(data, dict) or "n" not in data:
             raise ValueError("malformed operator document: missing n")
-        n = json_int(data["n"], "n")
+        n = bounded_n(json_int(data["n"], "n"), "n")
         table = dict(index_entries(data.get("T", []), 3, n, "T"))
         for (i, j), value in index_entries(data.get("g0", []), 2, n, "g0"):
             table[(i, j, n)] = value
@@ -315,12 +315,8 @@ def conformal_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fracti
     g = op.metric_at(u)
     n = op.n
     scale = Fraction(1) / (A ** 3)
-    for i in range(n):
-        for j in range(n):
-            lhs = sum(J[k][i] * sum(gt[k][l] * J[l][j] for l in range(n)) for k in range(n))
-            if lhs != scale * g[i][j]:
-                return False
-    return True
+    lhs = rat_mat_mul([list(col) for col in zip(*J)], rat_mat_mul(gt, J))
+    return all(lhs[i][j] == scale * g[i][j] for i in range(n) for j in range(n))
 
 
 def conformal_determinant_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:

@@ -1,12 +1,22 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial lives in a fixed ring described by an ordered tuple of variable
-names.  Terms are stored sparsely as a dict mapping exponent tuples to nonzero
-rational coefficients.  Coefficients are Python ints where integral and
-``fractions.Fraction`` otherwise, which keeps every operation exact and the
-common all-integer case fast.  The canonical term order is degree-lexicographic
-(total degree first, then the exponent tuple compared left to right); it is
-what ``leading_term`` and all normalisations refer to.
+names.  Terms are stored sparsely as a dict from packed monomial keys to
+nonzero rational coefficients.  Coefficients are Python ints where integral
+and ``fractions.Fraction`` otherwise, which keeps every operation exact and
+the common all-integer case fast.
+
+A key packs a whole exponent vector (e_1, ..., e_m) into one int, as in
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors" (CASC 2007): 16 bits per variable, e_1 in the highest of
+these fields and e_m in the lowest, and the total degree in the top field
+above them.  Total degrees stay below 2^16, checked where terms are built and
+once per product, so fields never overflow: a monomial product is one int
+add, and the integer order of keys is the canonical degree-lexicographic term
+order (total degree first, then the exponents compared left to right) that
+``leading_term`` and all normalisations refer to.  The constant monomial is
+key 0.  The public API speaks exponent tuples; ``monomials`` decodes a
+polynomial's terms for the few readers that need them.
 
 ``poly_gcd`` takes one route in every ring: it first tries to prove a pair
 coprime exactly on a few fixed lines, an evaluation-homomorphism test as in
@@ -22,7 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -33,7 +43,9 @@ __all__ = [
     "poly_gcd",
     "rat",
     "json_int",
+    "bounded_n",
     "index_entries",
+    "MAX_N",
 ]
 
 
@@ -53,6 +65,19 @@ def json_int(value, where: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+# The largest n a document may declare: the paper classifies operators up to
+# dimension n + 1 = 9.  Every document reader checks it before it builds
+# anything whose size grows with n.
+MAX_N = 8
+
+
+def bounded_n(n: int, where: str) -> int:
+    """n from a document, refused when it is above MAX_N."""
+    if n > MAX_N:
+        raise ValueError(f"{where}: n = {n} is above the cap n <= {MAX_N} (dimension n + 1 <= {MAX_N + 1})")
+    return n
 
 
 def index_entries(items, arity: int, bound: int, where: str):
@@ -87,21 +112,101 @@ _EXACT = (int, Fraction)
 
 def _norm_coeff(c):
     """Keep exact coefficients in their leanest form (int when integral)."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return c
     raise TypeError(f"non-exact coefficient {c!r} of type {type(c).__name__}")
 
 
-def _deglex_key(exp: Tuple[int, ...]):
-    return (sum(exp), exp)
+# Bits per exponent field of a packed monomial key; every total degree stays
+# below 2^_BITS, so no field can overflow into its neighbour.
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_DEGREE_CAP = 1 << _BITS
+
+
+def _pack(exp: Sequence[int], nv: int) -> int:
+    """Packed key of an exponent tuple in a ring of nv variables."""
+    e = tuple(exp)
+    if len(e) != nv:
+        raise ValueError(f"exponent arity {len(e)} does not match {nv} variables")
+    if any(x < 0 for x in e):
+        raise ValueError(f"negative exponent in {e}")
+    key = sum(e)
+    if key >= _DEGREE_CAP:
+        raise ValueError(f"total degree of {e} is not below 2^{_BITS}")
+    for x in e:
+        key = key << _BITS | x
+    return key
+
+
+def _unpack(key: int, nv: int) -> Tuple[int, ...]:
+    """Exponent tuple of a packed key in a ring of nv variables."""
+    return tuple(key >> s & _MASK for s in range(_BITS * (nv - 1), -1, -_BITS))
+
+
+def _shift(nv: int, index: int) -> int:
+    """Bit offset of variable `index` (negative counts from the end)."""
+    return _BITS * (nv - 1 - range(nv)[index])
+
+
+def _canonical(terms: dict) -> dict:
+    """Terms without zero coefficients, integral Fractions turned into ints."""
+    return {
+        e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for e, c in terms.items()
+        if c
+    }
+
+
+def _sum_of_products(variables: Tuple[str, ...], pairs) -> "MultiPoly":
+    """The sum of a * b over the (a, b) pairs, accumulated in place in one
+    terms dict; a is a MultiPoly in `variables`, b one too or an exact scalar.
+    Cancelled terms wait in the dict with coefficient 0 until the end, so a
+    long sum copies nothing.
+
+    A monomial product is one int add; it is guarded once per pair: the two
+    top degrees must add up to less than 2^_BITS.
+    """
+    acc: dict = {}
+    top = _BITS * len(variables)
+    for a, b in pairs:
+        x = a.terms
+        if not isinstance(b, MultiPoly):
+            b = _norm_coeff(b)
+            if b:
+                for e, c in x.items():
+                    if e in acc:
+                        acc[e] += c * b
+                    else:
+                        acc[e] = c * b
+            continue
+        y = b.terms
+        if not x or not y:
+            continue
+        if (max(x) >> top) + (max(y) >> top) >= _DEGREE_CAP:
+            raise ValueError(f"product degree is not below 2^{_BITS}")
+        if len(x) > len(y):
+            x, y = y, x
+        for ea, ca in x.items():
+            for eb, cb in y.items():
+                e = ea + eb
+                if e in acc:
+                    acc[e] += ca * cb
+                else:
+                    acc[e] = ca * cb
+    return MultiPoly._raw(variables, _canonical(acc))
 
 
 class MultiPoly:
-    """Sparse exact polynomial in a fixed tuple of variables."""
+    """Sparse exact polynomial in a fixed tuple of variables.
+
+    `terms` maps packed monomial keys to nonzero coefficients (see the module
+    docstring); `monomials` yields the terms with their exponent tuples.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -110,25 +215,27 @@ class MultiPoly:
         nv = len(vs)
         clean = {}
         for exp, coeff in terms.items():
-            e = tuple(exp)
-            if len(e) != nv:
-                raise ValueError(f"exponent arity {len(e)} does not match {nv} variables")
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e}")
+            key = _pack(exp, nv)
             c = _norm_coeff(coeff if type(coeff) in _EXACT else rat(coeff))
             if c:
-                clean[e] = c
+                clean[key] = c
         self.vars = vs
         self.terms = clean
 
     @classmethod
     def _raw(cls, variables: Tuple[str, ...], terms: dict) -> "MultiPoly":
-        # Internal fast path: terms must already be canonical (no zeros,
-        # correct arity, int/Fraction coefficients).
+        # Internal fast path: terms must already be canonical (packed keys of
+        # this ring, no zeros, int/Fraction coefficients).
         obj = object.__new__(cls)
         obj.vars = variables
         obj.terms = terms
         return obj
+
+    def monomials(self) -> Iterator[Tuple[Tuple[int, ...], Scalar]]:
+        """(exponent tuple, coefficient) for each term, in storage order."""
+        nv = len(self.vars)
+        for key, c in self.terms.items():
+            yield _unpack(key, nv), c
 
     # ----- constructors -------------------------------------------------
 
@@ -142,15 +249,14 @@ class MultiPoly:
         c = _norm_coeff(value if type(value) in _EXACT else rat(value))
         if not c:
             return cls._raw(vs, {})
-        return cls._raw(vs, {(0,) * len(vs): c})
+        return cls._raw(vs, {0: c})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name_or_index) -> "MultiPoly":
         vs = tuple(variables)
         i = name_or_index if isinstance(name_or_index, int) else vs.index(name_or_index)
-        exp = [0] * len(vs)
-        exp[i] = 1
-        return cls._raw(vs, {tuple(exp): 1})
+        nv = len(vs)
+        return cls._raw(vs, {1 << _BITS * nv | 1 << _shift(nv, i): 1})
 
     # ----- scalars ------------------------------------------------------
 
@@ -170,14 +276,14 @@ class MultiPoly:
     def is_constant(self) -> bool:
         if not self.terms:
             return True
-        return len(self.terms) == 1 and not any(next(iter(self.terms)))
+        return len(self.terms) == 1 and 0 in self.terms
 
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.terms[0])
 
     # ----- ring operations ----------------------------------------------
 
@@ -193,7 +299,7 @@ class MultiPoly:
             if e in out:
                 s = out[e] + c
                 if s:
-                    out[e] = _norm_coeff(s)
+                    out[e] = s if type(s) is int else _norm_coeff(s)
                 else:
                     del out[e]
             else:
@@ -223,28 +329,7 @@ class MultiPoly:
             return MultiPoly._raw(self.vars, {e: _norm_coeff(v * c) for e, v in self.terms.items()})
         if other.vars != self.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPoly._raw(self.vars, {})
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(int.__add__, ea, eb))
-                c = ca * cb
-                if e in out:
-                    s = out[e] + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-                else:
-                    out[e] = c
-        for e, c in out.items():
-            if isinstance(c, Fraction) and c.denominator == 1:
-                out[e] = int(c)
-        return MultiPoly._raw(self.vars, out)
+        return _sum_of_products(self.vars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -277,61 +362,65 @@ class MultiPoly:
         """Total degree; zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> _BITS * len(self.vars)
 
     def degree_in(self, index: int) -> int:
         if not self.terms:
             return -1
-        return max(e[index] for e in self.terms)
+        s = _shift(len(self.vars), index)
+        return max(e >> s & _MASK for e in self.terms)
 
     def leading_term(self) -> Tuple[Tuple[int, ...], Scalar]:
         """(exponent, coefficient) of the deglex-largest term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_deglex_key)
-        return e, self.terms[e]
+        e = max(self.terms)
+        return _unpack(e, len(self.vars)), self.terms[e]
 
     def coeff_of(self, exp: Sequence[int]) -> Fraction:
-        return Fraction(self.terms.get(tuple(exp), 0))
+        try:
+            key = _pack(exp, len(self.vars))
+        except ValueError:
+            return Fraction(0)
+        return Fraction(self.terms.get(key, 0))
 
     # ----- calculus and evaluation ----------------------------------------
 
     def diff(self, index: int) -> "MultiPoly":
+        nv = len(self.vars)
+        s = _shift(nv, index)
+        # One less in the variable's field and in the degree field; distinct
+        # monomials stay distinct, so nothing collects.
+        step = 1 << _BITS * nv | 1 << s
         out = {}
         for e, c in self.terms.items():
-            k = e[index]
+            k = e >> s & _MASK
             if k:
-                e2 = e[:index] + (k - 1,) + e[index + 1:]
-                c2 = c * k
-                if e2 in out:
-                    out[e2] = out[e2] + c2
-                else:
-                    out[e2] = c2
-        return MultiPoly._raw(self.vars, {e: _norm_coeff(c) for e, c in out.items() if c})
+                out[e - step] = _norm_coeff(c * k)
+        return MultiPoly._raw(self.vars, out)
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact value at a full rational point (one value per variable)."""
         vals = [Fraction(v) if not isinstance(v, (int, Fraction)) else v for v in point]
-        if len(vals) != len(self.vars):
-            raise ValueError(f"expected {len(self.vars)} values, got {len(vals)}")
-        maxdeg = [0] * len(vals)
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x > maxdeg[i]:
-                    maxdeg[i] = x
-        powers = []
-        for i, v in enumerate(vals):
-            ps = [1]
-            for _ in range(maxdeg[i]):
-                ps.append(ps[-1] * v)
-            powers.append(ps)
+        nv = len(self.vars)
+        if len(vals) != nv:
+            raise ValueError(f"expected {nv} values, got {len(vals)}")
+        # by_field[f] is the value of the variable whose field is the f-th
+        # from the low end.  Each key is read from its highest nonzero field
+        # down, so a term costs one step per variable it contains and a
+        # constant term none.
+        by_field = vals[::-1]
+        fields = (1 << _BITS * nv) - 1
         total = 0
-        for e, c in self.terms.items():
-            term = c
-            for i, x in enumerate(e):
-                if x:
-                    term = term * powers[i][x]
-            total += term
+        for key, c in self.terms.items():
+            key &= fields
+            while key:
+                f = (key.bit_length() - 1) // _BITS
+                s = f * _BITS
+                x = key >> s
+                key -= x << s
+                c = c * (by_field[f] if x == 1 else by_field[f] ** x)
+            total += c
         return Fraction(total)
 
     def subs(self, assignment: Mapping) -> "MultiPoly":
@@ -340,38 +429,39 @@ class MultiPoly:
         The result stays in the same ring; substituted variables simply no
         longer occur.
         """
-        idx = {}
+        nv = len(self.vars)
+        top = _BITS * nv
+        at = {}
         for key, val in assignment.items():
             i = key if isinstance(key, int) else self.vars.index(key)
-            idx[i] = Fraction(val) if not isinstance(val, (int, Fraction)) else val
+            at[_shift(nv, i)] = Fraction(val) if not isinstance(val, (int, Fraction)) else val
         out: dict = {}
         for e, c in self.terms.items():
-            factor = c
-            e2 = list(e)
-            for i, v in idx.items():
-                k = e[i]
+            for s, v in at.items():
+                k = e >> s & _MASK
                 if k:
-                    factor = factor * v ** k
-                    e2[i] = 0
-            if not factor:
+                    c = c * v ** k
+                    e -= k << top | k << s
+            if not c:
                 continue
-            key = tuple(e2)
-            if key in out:
-                out[key] = out[key] + factor
+            if e in out:
+                out[e] = out[e] + c
             else:
-                out[key] = factor
-        return MultiPoly._raw(self.vars, {e: _norm_coeff(c) for e, c in out.items() if c})
+                out[e] = c
+        return MultiPoly._raw(self.vars, _canonical(out))
 
     def with_vars(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-embed into a ring whose variables contain the current ones."""
         vs = tuple(variables)
-        pos = [vs.index(v) for v in self.vars]
+        nv, nv2 = len(self.vars), len(vs)
+        moves = [(_shift(nv, i), _shift(nv2, vs.index(v))) for i, v in enumerate(self.vars)]
+        top, top2 = _BITS * nv, _BITS * nv2
         out = {}
         for e, c in self.terms.items():
-            e2 = [0] * len(vs)
-            for i, x in enumerate(e):
-                e2[pos[i]] = x
-            out[tuple(e2)] = c
+            key = e >> top << top2
+            for s, s2 in moves:
+                key |= (e >> s & _MASK) << s2
+            out[key] = c
         return MultiPoly._raw(vs, out)
 
     # ----- division and gcd support ----------------------------------------
@@ -391,25 +481,29 @@ class MultiPoly:
             return self * inv
         if self.is_zero():
             return self
-        de, dc = divisor.leading_term()
+        nv = len(self.vars)
+        de = max(divisor.terms)
+        dc = divisor.terms[de]
+        dexp = _unpack(de, nv)
         q: dict = {}
         r = dict(self.terms)
         while r:
-            re = max(r, key=_deglex_key)
+            re = max(r)
             rc = r[re]
-            qe = tuple(map(int.__sub__, re, de))
-            if any(x < 0 for x in qe):
+            # re - de is a key only when no exponent of re is below de's.
+            if any(x < y for x, y in zip(_unpack(re, nv), dexp)):
                 raise ValueError("division is not exact")
+            qe = re - de
             qc = _norm_coeff(Fraction(rc) / Fraction(dc))
             q[qe] = qc
             for e, c in divisor.terms.items():
-                key = tuple(map(int.__add__, qe, e))
+                key = qe + e
                 s = r.get(key, 0) - qc * c
                 if s:
                     r[key] = s
                 else:
                     r.pop(key, None)
-        return MultiPoly._raw(self.vars, {e: _norm_coeff(c) for e, c in q.items()})
+        return MultiPoly._raw(self.vars, q)
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -432,16 +526,16 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True)
+        nv = len(self.vars)
         parts = []
-        for e, c in items:
+        for key in sorted(self.terms, reverse=True):
             factors = []
-            for name, x in zip(self.vars, e):
+            for name, x in zip(self.vars, _unpack(key, nv)):
                 if x == 1:
                     factors.append(name)
                 elif x > 1:
                     factors.append(f"{name}^{x}")
-            f = Fraction(c)
+            f = Fraction(self.terms[key])
             coeff_str = str(f) if f.denominator != 1 else str(f.numerator)
             if factors:
                 body = "*".join(factors)
@@ -585,7 +679,7 @@ def _restrict_to_line(p: MultiPoly, a: Sequence[int], c: Sequence[int]) -> List[
             row.append(_poly_mul_coeffs(row[-1], step))
         powers.append(row)
     out = [0] * (p.degree() + 1)
-    for e, coeff in p.terms.items():
+    for e, coeff in p.monomials():
         term = [coeff]
         for i, k in enumerate(e):
             if k:
@@ -647,7 +741,7 @@ def _gcd_via_sympy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
     def lift(p: MultiPoly):
         return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.monomials()},
             *gens,
             domain="QQ",
         )

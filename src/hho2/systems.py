@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import PolyMatrix, clear_denominators, pfaffian_adjugate, poly_rank, rat_kernel
 from .operators import Hho2
-from .poly import MultiPoly, RationalFn, index_entries, rat
+from .poly import MultiPoly, RationalFn, _sum_of_products, index_entries, rat
 
 __all__ = [
     "DegenerateOperatorError",
@@ -435,7 +435,7 @@ class _PointKernel:
     @staticmethod
     def _compile(poly: MultiPoly, scale: int, index: Dict[Tuple[int, ...], int]):
         idxs, coeffs = [], []
-        for e, c in poly.terms.items():
+        for e, c in poly.monomials():
             idxs.append(index.setdefault(e, len(index)))
             coeffs.append(int(c * scale))
         return idxs, coeffs
@@ -540,49 +540,37 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
     t = [[[system.op.t_value(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
     report = CompatReport(mode="symbolic", n=n)
 
+    vs = system.vars
     for q in range(n):
         for p in range(q, n):
-            acc = MultiPoly.zero(system.vars)
-            for j in range(n):
-                gqj = g.at(q, j)
-                gpj = g.at(p, j)
-                if not gqj.is_zero():
-                    acc = acc + gqj * r[j][p]
-                if not gpj.is_zero():
-                    acc = acc + gpj * r[j][q]
-            if not acc.is_zero():
+            pairs = [(g.at(q, j), r[j][p]) for j in range(n)] + [(g.at(p, j), r[j][q]) for j in range(n)]
+            if _sum_of_products(vs, pairs):
                 report.first_order_failures.append((q + 1, p + 1))
 
-    rd = [[r[k][l] * d for l in range(n)] for k in range(n)]
+    neg_d1 = [-x for x in d1]
     s_table: List[Dict[Tuple[int, int], MultiPoly]] = []
     for k in range(n):
         table: Dict[Tuple[int, int], MultiPoly] = {}
         for p in range(n):
             for l in range(p, n):
-                r_kpl = (
-                    system._q2[k][(p, l)] * d
-                    + system._q1[k][p] * d1[l]
-                    - system._q1[k][l] * d1[p]
-                    - system.q[k] * system._d2[(p, l)]
-                )
-                table[(p, l)] = r_kpl * d - 2 * r[k][p] * d1[l]
+                r_kpl = _sum_of_products(vs, [
+                    (system._q2[k][(p, l)], d),
+                    (system._q1[k][p], d1[l]),
+                    (system._q1[k][l], neg_d1[p]),
+                    (system.q[k], -system._d2[(p, l)]),
+                ])
+                table[(p, l)] = _sum_of_products(vs, [(r_kpl, d), (r[k][p], d1[l] * -2)])
         s_table.append(table)
 
     for q in range(n):
         for p in range(n):
             for l in range(p, n):
-                acc = MultiPoly.zero(system.vars)
-                for k in range(n):
-                    gqk = g.at(q, k)
-                    if not gqk.is_zero():
-                        acc = acc + gqk * s_table[k][(p, l)]
-                    t1 = t[p][q][k]
-                    if t1:
-                        acc = acc + rd[k][l] * t1
-                    t2 = t[q][k][l]
-                    if t2:
-                        acc = acc + rd[k][p] * t2
-                if not acc.is_zero():
+                # D (T_pqk R_kl + T_qkl R_kp): the scalar sum first, then one product by D.
+                t_sum = _sum_of_products(
+                    vs, [(r[k][l], t[p][q][k]) for k in range(n)] + [(r[k][p], t[q][k][l]) for k in range(n)]
+                )
+                pairs = [(g.at(q, k), s_table[k][(p, l)]) for k in range(n)] + [(t_sum, d)]
+                if _sum_of_products(vs, pairs):
                     report.second_order_failures.append((q + 1, p + 1, l + 1))
     return report
 

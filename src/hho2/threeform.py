@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .linalg import PolyMatrix, clear_denominators, poly_rank, rat_det, rat_inverse, rat_mat_mul
-from .poly import MultiPoly, index_entries, json_int, rat
+from .poly import MultiPoly, bounded_n, index_entries, json_int, rat
 
 __all__ = [
     "ThreeForm",
@@ -148,6 +148,7 @@ class ThreeForm:
         if not isinstance(data, dict) or "dim" not in data or "coeffs" not in data:
             raise ValueError("malformed 3-form document: needs dim and coeffs")
         dim = json_int(data["dim"], "dim")
+        bounded_n(dim - 1, "dim")
         coeffs = dict(index_entries(data["coeffs"], 3, dim, "coeffs"))
         return cls(dim, coeffs)
 
@@ -203,12 +204,22 @@ class LinearMapN1:
             m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         return cls(m)
 
+    @classmethod
+    def _with_det(cls, entries: List[List[Fraction]], det: Fraction) -> "LinearMapN1":
+        # Internal fast path for a square Fraction matrix whose determinant
+        # is already known, so no elimination runs again.
+        obj = object.__new__(cls)
+        obj.entries = entries
+        obj.dim = len(entries)
+        obj.det = det
+        return obj
+
     def inverse(self) -> "LinearMapN1":
-        return LinearMapN1(rat_inverse(self.entries))
+        return LinearMapN1._with_det(rat_inverse(self.entries), 1 / self.det)
 
     def compose(self, other: "LinearMapN1") -> "LinearMapN1":
         """Matrix product self * other."""
-        return LinearMapN1(rat_mat_mul(self.entries, other.entries))
+        return LinearMapN1._with_det(rat_mat_mul(self.entries, other.entries), self.det * other.det)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMapN1):
@@ -225,12 +236,15 @@ class LinearMapN1:
 
     @classmethod
     def from_json(cls, text: str) -> "LinearMapN1":
+        """Read a document {"entries": rows, ...} or a bare list of rows."""
         data = json.loads(text)
-        try:
-            entries = data["entries"]
-        except (KeyError, TypeError):
-            raise ValueError("malformed linear map document: missing entries") from None
-        return cls(entries)
+        if isinstance(data, dict):
+            if "entries" not in data:
+                raise ValueError("malformed linear map document: missing entries")
+            data = data["entries"]
+        if isinstance(data, list):
+            bounded_n(len(data) - 1, "entries")
+        return cls(data)
 
 
 def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
@@ -248,7 +262,7 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
     d = form.dim
     c, m = clear_denominators(a.entries)
     const = (0,) * len(form.params)
-    values = [v.terms if isinstance(v, MultiPoly) else {const: v} for v in form.coeffs.values()]
+    values = [dict(v.monomials()) if isinstance(v, MultiPoly) else {const: v} for v in form.coeffs.values()]
     big_l, numerators = clear_denominators([list(v.values()) for v in values])
     channels: Dict[Tuple[int, ...], Dict[Tuple[int, int], list]] = {}
     for (p, q, r), monomials, row in zip(form.coeffs, values, numerators):

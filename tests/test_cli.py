@@ -1,11 +1,13 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from hho2 import cli
 from hho2.cli import main
+from hho2.poly import MAX_N
 
 
 def run(capsys, *argv):
@@ -302,6 +304,7 @@ def _assert_exit_2_at(capsys, where, *argv):
     assert code == 2, argv
     assert err.startswith("error: ") and f": {where}: " in err, err
     assert "Traceback" not in err
+    return err
 
 
 _NOT_INTEGERS = [True, 1.0, "6", None, [1]]
@@ -344,6 +347,41 @@ def test_linear_map_reader_names_the_bad_entry(tmp_path, capsys, bad):
         _assert_exit_2_at(capsys, "entries[2][1]", "op", "transform", good_op, "--sl", json.dumps(sl))
     for sl, where in (([[1, 0, 0], "010", [0, 0, 1]], "entries[1]"), ({"entries": 5}, "entries")):
         _assert_exit_2_at(capsys, where, "op", "transform", good_op, "--sl", json.dumps(sl))
+
+
+def _assert_over_cap(capsys, where, n, *argv):
+    assert f"n = {n} is above the cap n <= {MAX_N}" in _assert_exit_2_at(capsys, where, *argv)
+
+
+def test_readers_refuse_n_above_the_cap_before_building(tmp_path, capsys):
+    big = {"n": 5000, "T": [], "g0": []}
+    path = write(tmp_path, "big.json", json.dumps(big))
+    start = time.perf_counter()
+    _assert_over_cap(capsys, "n", 5000, "op", "validate", path)
+    assert time.perf_counter() - start < 1
+    over = {"n": MAX_N + 2, "T": [], "g0": []}
+    _assert_over_cap(capsys, "n", MAX_N + 2, "op", "validate", write(tmp_path, "over.json", json.dumps(over)))
+    system = write(tmp_path, "sys.json", json.dumps({"op": big, "A": [], "B": []}))
+    _assert_over_cap(capsys, "n", 5000, "sys", "verify", system)
+    form = write(tmp_path, "form.json", json.dumps({"dim": 5001, "coeffs": []}))
+    _assert_over_cap(capsys, "dim", 5000, "op", "from-3form", form)
+    good_op = write(tmp_path, "good.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]]}))
+    rows = [[int(i == j) for j in range(MAX_N + 2)] for i in range(MAX_N + 2)]
+    for sl in (rows, {"entries": rows}):
+        _assert_over_cap(capsys, "entries", MAX_N + 1, "op", "transform", good_op, "--sl", json.dumps(sl))
+
+
+def test_largest_n_is_accepted(tmp_path, capsys):
+    op_path = str(tmp_path / "op.json")
+    code, out, err = run(capsys, "catalog", "export", "n8-fam2-e1",
+                         "--params", "lambda1=2", "lambda2=3", "lambda3=5", "--out", op_path)
+    assert code == 0, err
+    assert json.loads(open(op_path).read())["n"] == MAX_N
+    ident = json.dumps([[int(i == j) for j in range(MAX_N + 1)] for i in range(MAX_N + 1)])
+    moved = str(tmp_path / "moved.json")
+    code, out, err = run(capsys, "op", "transform", op_path, "--sl", ident, "--out", moved)
+    assert code == 0, err
+    assert open(moved).read() == open(op_path).read()
 
 
 def test_from_3form_rejects_dimension_2(tmp_path, capsys):
