@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .operators import Hho2
 from .poly import MultiPoly
-from .threeform import ThreeForm, embed
 
 __all__ = ["CatalogEntry", "list_entries", "get_entry", "build", "N8_CLASS_COUNT"]
 
@@ -61,16 +60,6 @@ class CatalogEntry:
         elif params:
             raise ValueError(f"entry {self.id} takes no parameters")
         return op
-
-    def expected_det_poly(self) -> Optional[MultiPoly]:
-        if self.expected_det is None:
-            return None
-        names = tuple(f"u{i + 1}" for i in range(self.n))
-        return MultiPoly.parse(names, self.expected_det)
-
-    def defining_form(self) -> ThreeForm:
-        """The 3-form whose chart restriction reproduces the entry."""
-        return embed(self.build_symbolic())
 
 
 def _combined_form_op(weights: Sequence[Tuple[str, int, tuple]], params: Tuple[str, ...]):

@@ -137,6 +137,15 @@ def _parse_constants(raw: Optional[str], n: int) -> Optional[List[Fraction]]:
         raise InputError(f"--constants: {exc}") from exc
 
 
+def _sample_points(op: Hho2, count: int, rng, config: RunConfig, allow_degenerate: bool = False):
+    """`sample_points` with a sampling failure reported as bad input: every
+    point of the coefficient box lies on the degeneracy locus."""
+    try:
+        return sample_points(op, count, rng, bound=config.coefficient_range, allow_degenerate=allow_degenerate)
+    except RuntimeError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -297,7 +306,7 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
     results = []
     while checked < count and attempts < 50 * count:
         attempts += 1
-        u = sample_points(op, 1, rng, bound=config.coefficient_range, allow_degenerate=True)[0]
+        u = _sample_points(op, 1, rng, config, allow_degenerate=True)[0]
         if not r.affine_factor(u):
             continue
         ok_metric = conformal_check(op, moved, r, u)
@@ -404,7 +413,7 @@ def cmd_sys_verify(args, config: RunConfig) -> int:
     if n <= 6:
         compat = check_compat(system, mode="symbolic")
     else:
-        pts = sample_points(system.op, config.samples, rng, bound=config.coefficient_range)
+        pts = _sample_points(system.op, config.samples, rng, config)
         compat = check_compat(system, mode="points", points=pts)
     plk = pluecker_relations(system)
     den = system.flux_denominator_report()
@@ -443,7 +452,7 @@ def cmd_sys_diagnose(args, config: RunConfig) -> int:
     system = _load_system(args.file)
     count = args.points if args.points is not None else config.samples
     rng = random.Random(config.seed)
-    pts = sample_points(system.op, count, rng, bound=config.coefficient_range)
+    pts = _sample_points(system.op, count, rng, config)
     rep = run_diagnostics(system, pts, mode=config.mode, digits=config.digits)
     body = rep.to_dict()
     ok = body["haantjes_zero"] and body["nijenhuis_routes_agree"] and body["charpoly_square_ok"]
@@ -554,6 +563,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if config.samples < 1:
         parser.error("--samples must be at least 1")
+    if config.coefficient_range < 1:
+        parser.error("--coefficient-range must be at least 1")
+    if getattr(args, "points", None) is not None and args.points < 1:
+        parser.error("--points must be at least 1")
     try:
         return args.func(args, config)
     except InputError as exc:

@@ -24,7 +24,6 @@ __all__ = [
     "PolyMatrix",
     "clear_denominators",
     "det_bareiss",
-    "det_minor_expansion",
     "pfaffian",
     "pfaffian_adjugate",
     "poly_rank",
@@ -126,47 +125,6 @@ def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
-
-
-def det_minor_expansion(matrix: PolyMatrix) -> MultiPoly:
-    """Division-free determinant via dynamic programming over row subsets.
-
-    Processes columns left to right, keeping minors of all row subsets of the
-    processed prefix.  Often faster than elimination for small symbolic
-    matrices because no exact divisions are performed.
-    """
-    if not matrix.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return MultiPoly.const(matrix.vars, 1)
-    m = matrix.entries
-    minors = {0: MultiPoly.const(matrix.vars, 1)}
-    for col in range(n):
-        nxt: dict = {}
-        col_parity = col & 1
-        for mask, minor in minors.items():
-            if minor.is_zero():
-                continue
-            parity = 0
-            for r in range(n):
-                bit = 1 << r
-                if mask & bit:
-                    parity ^= 1
-                    continue
-                entry = m[r][col]
-                if entry.terms:
-                    term = minor * entry
-                    if parity ^ col_parity:
-                        term = -term
-                    key = mask | bit
-                    if key in nxt:
-                        nxt[key] = nxt[key] + term
-                    else:
-                        nxt[key] = term
-        minors = nxt
-    full = (1 << n) - 1
-    return minors.get(full, MultiPoly.zero(matrix.vars))
 
 
 def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:

@@ -5,11 +5,12 @@ constant skew matrix g0 on n dependent variables (n even): its covariant
 metric is g_ij(u) = T_ijk u^k + g0_ij, summed over the full skew range.  Both
 are stored as one skew table on the n+1 homogeneous indices (`Hho2.table`),
 T on the triples inside range(n) and g0_ij on (i, j, n), so the metric is the
-table contracted with (u, 1).  The table is three times the coefficients of
-the constant 3-form the operator corresponds to; `embed` and `chart_restrict`
-apply that factor.  The operator is nondegenerate when the Pfaffian of g is not
-the zero polynomial; degenerate operators are representable and flagged, but
-excluded from inversion-dependent work.
+table contracted with (u, 1).  Every reader of single entries goes through the
+one dense view `Hho2.tensor`, filled once by `skew_dense`.  The table is three
+times the coefficients of the constant 3-form the operator corresponds to;
+`embed` and `chart_restrict` apply that factor.  The operator is nondegenerate
+when the Pfaffian of g is not the zero polynomial; degenerate operators are
+representable and flagged, but excluded from inversion-dependent work.
 
 Projective reciprocal transformations act through an invertible matrix on the
 n+1 homogeneous coordinates of the table; the induced point map and its
@@ -32,12 +33,10 @@ from .threeform import (
     LinearMapN1,
     Value,
     chart_restrict,
-    coefficient,
     embed,
     pullback,
-    skew_key,
+    skew_dense,
     skew_table,
-    skew_value,
 )
 
 __all__ = [
@@ -62,10 +61,11 @@ class Hho2:
 
     The table maps strictly increasing triples in range(n+1) to coefficients,
     stored as in `ThreeForm.coeffs`: T on the triples inside range(n) and g0_ij
-    on the triple (i, j, n).
+    on the triple (i, j, n).  `tensor` is the same data as a dense
+    (n+1)^3 array, signs included.
     """
 
-    __slots__ = ("n", "table", "params", "_metric", "_pf")
+    __slots__ = ("n", "table", "params", "tensor", "_metric", "_pf")
 
     def __init__(self, n: int, table: Dict[Tuple[int, int, int], Value], params: Sequence[str] = ()):
         if n < 2 or n % 2 != 0:
@@ -73,37 +73,9 @@ class Hho2:
         self.n = n
         self.params = tuple(params)
         self.table = skew_table(table, n + 1, self.params)
+        self.tensor = skew_dense(self.table, n + 1)
         self._metric = None
         self._pf = None
-
-    # ----- raw-tensor constructor (checks total skewness of the input) -----
-
-    @classmethod
-    def from_raw_tensor(cls, n: int, entries, params: Sequence[str] = ()) -> "Hho2":
-        """Build from arbitrary-order entries (i, j, k, value) on the n+1
-        indices; g0_ij is given as (i, j, n, value).
-
-        Entries with repeated indices must carry value zero and permuted
-        triples must agree up to permutation sign, otherwise the tensor is not
-        totally skew and the input is rejected.
-        """
-        params = tuple(params)
-        table: Dict[Tuple[int, int, int], Value] = {}
-        for i, j, k, value in entries:
-            value = coefficient(value, params)
-            found = skew_key(i, j, k)
-            if found is None:
-                if value:
-                    raise ValueError(f"tensor entry ({i}, {j}, {k}) with repeated index must vanish")
-                continue
-            key, sign = found
-            v = value if sign > 0 else -value
-            if key in table:
-                if table[key] != v:
-                    raise ValueError(f"tensor entries around {key} are not totally skew")
-            else:
-                table[key] = v
-        return cls(n, table, params)
 
     # ----- derived data ----------------------------------------------------
 
@@ -112,8 +84,8 @@ class Hho2:
         return tuple(f"u{i + 1}" for i in range(self.n)) + self.params
 
     def t_value(self, i: int, j: int, k: int) -> Value:
-        """Table value at any triple of the n+1 indices; t_value(i, j, n) is g0_ij."""
-        return skew_value(self.table, i, j, k)
+        """Table value at any triple in range(n+1); t_value(i, j, n) is g0_ij."""
+        return self.tensor[i][j][k]
 
     def metric(self) -> PolyMatrix:
         """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: the table contracted
@@ -128,10 +100,9 @@ class Hho2:
         for i in range(n):
             for j in range(i + 1, n):
                 entry = zero
-                for k in range(n + 1):
-                    tv = self.t_value(i, j, k)
+                for tv, coord in zip(self.tensor[i][j], coords):
                     if tv:
-                        entry = entry + _lift(tv, vs) * coords[k]
+                        entry = entry + _lift(tv, vs) * coord
                 rows[i][j] = entry
                 rows[j][i] = -entry
         self._metric = PolyMatrix(rows)

@@ -377,13 +377,6 @@ class MultiPoly:
         e = max(self.terms)
         return _unpack(e, len(self.vars)), self.terms[e]
 
-    def coeff_of(self, exp: Sequence[int]) -> Fraction:
-        try:
-            key = _pack(exp, len(self.vars))
-        except ValueError:
-            return Fraction(0)
-        return Fraction(self.terms.get(key, 0))
-
     # ----- calculus and evaluation ----------------------------------------
 
     def diff(self, index: int) -> "MultiPoly":
@@ -422,33 +415,6 @@ class MultiPoly:
                 c = c * (by_field[f] if x == 1 else by_field[f] ** x)
             total += c
         return Fraction(total)
-
-    def subs(self, assignment: Mapping) -> "MultiPoly":
-        """Substitute rational values for some variables (by name or index).
-
-        The result stays in the same ring; substituted variables simply no
-        longer occur.
-        """
-        nv = len(self.vars)
-        top = _BITS * nv
-        at = {}
-        for key, val in assignment.items():
-            i = key if isinstance(key, int) else self.vars.index(key)
-            at[_shift(nv, i)] = Fraction(val) if not isinstance(val, (int, Fraction)) else val
-        out: dict = {}
-        for e, c in self.terms.items():
-            for s, v in at.items():
-                k = e >> s & _MASK
-                if k:
-                    c = c * v ** k
-                    e -= k << top | k << s
-            if not c:
-                continue
-            if e in out:
-                out[e] = out[e] + c
-            else:
-                out[e] = c
-        return MultiPoly._raw(self.vars, _canonical(out))
 
     def with_vars(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-embed into a ring whose variables contain the current ones."""

@@ -398,9 +398,9 @@ class _PointKernel:
     denominator den_q of all Q_k.  Their monomials form one table; at a point
     each monomial is evaluated once, homogenised to the table's top degree,
     so a rational point U/q needs only integers: every value carries the
-    factor q^top, which cancels from V and its derivatives.  t is the dense
-    array T * t_den for the tensor contractions, with t_den the common
-    denominator of the operator table.
+    factor q^top, which cancels from V and its derivatives.  t is the integer
+    view t_den * op.tensor on range(n) for the tensor contractions, with t_den
+    the common denominator of the operator table.
     """
 
     def __init__(self, system: ConservativeSystem):
@@ -427,10 +427,7 @@ class _PointKernel:
 
         op = system.op
         self.t_den = clear_denominators([list(op.table.values())])[0]
-        self.t = [
-            [[int(op.t_value(i, j, k) * self.t_den) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        self.t = [[[int(x * self.t_den) for x in row[:n]] for row in plane[:n]] for plane in op.tensor[:n]]
 
     @staticmethod
     def _compile(poly: MultiPoly, scale: int, index: Dict[Tuple[int, ...], int]):
@@ -537,7 +534,7 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
     system._ensure_second()
     d = system.d
     d1 = system._d1
-    t = [[[system.op.t_value(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+    t = system.op.tensor
     report = CompatReport(mode="symbolic", n=n)
 
     vs = system.vars
@@ -815,17 +812,13 @@ def euler_check(system: ConservativeSystem) -> EulerReport:
 
 @dataclass
 class CasimirReport:
+    """Rank of the metric; nonconstant Casimir densities of the bracket
+    correspond to the corank, so a nondegenerate operator has none."""
+
     n: int
     metric_rank: int
     corank: int
     nondegenerate: bool
-
-    @property
-    def casimir_count(self) -> int:
-        """Dimension of the kernel of the metric; nonconstant Casimir densities
-        of the bracket correspond to this corank, so a nondegenerate operator
-        has none."""
-        return self.corank
 
 
 def casimir_check(op: Hho2) -> CasimirReport:

@@ -3,11 +3,12 @@
 A form of dimension d is stored by its coefficients on strictly increasing
 index triples (0-based internally, 1-based in JSON); the stored value is the
 value of the totally skew coefficient family on that triple.  `skew_table`
-checks and normalises such a table, `skew_key` is the one permutation-sign map
-and `skew_value` reads a table through it.  An operator (`Hho2.table`) is a
-table of the same kind on n+1 indices: on the affine chart v^{n+1} = 1 a form
-in dimension n+1 is the pair (T, g0), with T on the triples inside range(n)
-and g0 on the triples that contain the last index.  The conversion factor 3
+checks and normalises such a table, and `skew_dense` is the one place that
+writes a stored value onto the six permutations of its triple, with their
+signs, as a dense dim^3 array.  An operator (`Hho2.table`) is a table of the
+same kind on n+1 indices: on the affine chart v^{n+1} = 1 a form in dimension
+n+1 is the pair (T, g0), with T on the triples inside range(n) and g0 on the
+triples that contain the last index.  The conversion factor 3
 comes from collapsing the full-skew summation onto increasing triples and is
 applied only by `embed` and `chart_restrict`.
 
@@ -39,33 +40,16 @@ __all__ = [
 
 Value = Union[Fraction, MultiPoly]
 
-_PERM_SIGNS = {
-    (0, 1, 2): 1,
-    (0, 2, 1): -1,
-    (1, 0, 2): -1,
-    (1, 2, 0): 1,
-    (2, 0, 1): 1,
-    (2, 1, 0): -1,
-}
-
-
-def skew_key(i: int, j: int, k: int):
-    """(increasing triple, permutation sign) of an index triple, or None when
-    an index repeats and every totally skew family vanishes there."""
-    if i == j or j == k or i == k:
-        return None
-    order = sorted(((i, 0), (j, 1), (k, 2)))
-    return tuple(x for x, _ in order), _PERM_SIGNS[tuple(pos for _, pos in order)]
-
-
-def skew_value(coeffs: Dict[Tuple[int, int, int], Value], i: int, j: int, k: int) -> Value:
-    """Value at an arbitrary triple of the skew family stored on increasing triples."""
-    found = skew_key(i, j, k)
-    if found is None:
-        return Fraction(0)
-    key, sign = found
-    base = coeffs.get(key, Fraction(0))
-    return base if sign > 0 else -base
+def skew_dense(coeffs: Dict[Tuple[int, int, int], Value], dim: int) -> List[List[List[Value]]]:
+    """Dense dim^3 array of the skew family stored on increasing triples:
+    each stored value on its six permutations with their signs, zero where
+    an index repeats or nothing is stored."""
+    zero = Fraction(0)
+    out = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), v in coeffs.items():
+        out[i][j][k] = out[j][k][i] = out[k][i][j] = v
+        out[j][i][k] = out[i][k][j] = out[k][j][i] = -v
+    return out
 
 
 def coefficient(value, params: Tuple[str, ...]) -> Value:
@@ -102,10 +86,6 @@ class ThreeForm:
         self.dim = dim
         self.params = tuple(params)
         self.coeffs = skew_table(coeffs, dim, self.params)
-
-    def value(self, i: int, j: int, k: int) -> Value:
-        """Full skew family value at an arbitrary index triple."""
-        return skew_value(self.coeffs, i, j, k)
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
@@ -326,12 +306,12 @@ def congruence_system(form: ThreeForm) -> CongruenceSystem:
     d = form.dim
     pairs = list(combinations(range(d), 2))
     variables = form.params
+    dense = skew_dense(form.coeffs, d)
     rows = []
     for lam in range(d):
         row = []
         for mu, nu in pairs:
-            v = form.value(lam, mu, nu)
-            entry = v * 2
+            entry = dense[lam][mu][nu] * 2
             if isinstance(entry, MultiPoly):
                 row.append(entry)
             else:

@@ -45,7 +45,7 @@ from hho2.systems import (
     linearity_report,
     random_flux_params,
 )
-from hho2.threeform import LinearMapN1, chart_restrict, embed, skew_value
+from hho2.threeform import LinearMapN1, chart_restrict, embed, skew_dense
 
 
 N8_PARAMS = {
@@ -162,9 +162,10 @@ def test_criterion_03_correspondence_round_trip():
             tensor = {key: v for key, v in op.table.items() if key[2] < n}
             if {key: v for key, v in table.items() if key[2] < n} != tensor:
                 ok = False
+            dense = skew_dense(table, n + 1)
             for i in range(n):
                 for j in range(n):
-                    if skew_value(table, i, j, n) != op.t_value(i, j, n):
+                    if dense[i][j][n] != op.t_value(i, j, n):
                         ok = False
             ext = op.table
             keys = set(ext) | set(form.coeffs)
@@ -395,9 +396,9 @@ def test_criterion_11_hamiltonian_density():
                 ok = False
             runs += 1
         cas = casimir_check(op)
-        if not cas.nondegenerate or cas.casimir_count != 0:
+        if not cas.nondegenerate or cas.corank != 0:
             ok = False
-    if casimir_check(build("n4-degenerate")).casimir_count != 2:
+    if casimir_check(build("n4-degenerate")).corank != 2:
         ok = False
     elapsed = time.perf_counter() - start
     announce(11, "hamiltonian density and casimirs", ok, elapsed, f"{runs} systems")

@@ -6,7 +6,7 @@ import pytest
 from hho2.catalog import N8_CLASS_COUNT, build, get_entry, list_entries
 from hho2.linalg import det_bareiss
 from hho2.poly import MultiPoly
-from hho2.threeform import chart_restrict, skew_value
+from hho2.threeform import chart_restrict, embed, skew_dense
 
 
 N8_PARAMS = {
@@ -112,7 +112,7 @@ def test_expected_determinants():
             continue
         op = entry.build()
         det = det_bareiss(op.metric())
-        want = entry.expected_det_poly().with_vars(op.vars)
+        want = MultiPoly.parse(op.vars, entry.expected_det)
         assert det == want, entry.id
         pf = op.pfaffian_poly()
         assert pf * pf == det, entry.id
@@ -164,16 +164,17 @@ def test_parameter_validation():
 
 def test_defining_form_round_trip():
     for entry in list_entries():
-        form = entry.defining_form()
-        table = chart_restrict(form)
         op = entry.build_symbolic()
+        form = embed(op)
+        table = chart_restrict(form)
         assert form.dim == op.n + 1
         got = {k: v for k, v in table.items() if k[2] < op.n}
         want = {k: v for k, v in op.table.items() if k[2] < op.n}
         assert got == want, entry.id
+        dense = skew_dense(table, op.n + 1)
         for i in range(op.n):
             for j in range(op.n):
-                assert skew_value(table, i, j, op.n) == op.t_value(i, j, op.n), (entry.id, i, j)
+                assert dense[i][j][op.n] == op.t_value(i, j, op.n), (entry.id, i, j)
 
 
 def test_degenerate_entry_flag():

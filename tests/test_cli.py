@@ -159,6 +159,69 @@ def test_one_parser_serves_every_run(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+def _parser_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def _identity(dim):
+    return json.dumps([[int(i == j) for j in range(dim)] for i in range(dim)])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sys", "diagnose", "{sys}", "--points", "0"], "--points"),
+        (["sys", "diagnose", "{sys}", "--points", "-3"], "--points"),
+        (["op", "conformal-check", "{op}", "--sl", _identity(5), "--points", "0"], "--points"),
+        (["--coefficient-range", "-1", "sys", "generate", "{op}", "--random"], "--coefficient-range"),
+        (["--coefficient-range", "-1", "sys", "diagnose", "{sys}"], "--coefficient-range"),
+        (["--coefficient-range", "0", "op", "conformal-check", "{op}", "--sl", _identity(5)], "--coefficient-range"),
+    ],
+    ids=["diagnose-points-0", "diagnose-points-neg", "conformal-points-0",
+         "generate-range-neg", "diagnose-range-neg", "conformal-range-0"],
+)
+def test_counts_and_ranges_below_one_exit_2(tmp_path, capsys, argv, message):
+    """A count below 1 would check nothing, and a range below 1 leaves no
+    sample box: both are refused before any work, like --samples 0."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)
+    code, err = _parser_exit(capsys, *(arg.format(op=op_path, sys=sys_path) for arg in argv))
+    assert code == 2
+    assert f"{message} must be at least 1" in err
+
+
+# Pf(g) = u1^3 - u1 vanishes wherever u1 is -1, 0 or 1: with
+# --coefficient-range 1 every sample point lies on the degeneracy locus.
+_LOCUS_COVERS_BOX = {
+    "n": 8,
+    "T": [[1, 3, 4, "1"], [1, 5, 6, "1"], [1, 7, 8, "1"]],
+    "g0": [[1, 2, "1"], [5, 6, "1"], [7, 8, "-1"]],
+    "params": {},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sys", "verify", "{sys}"],
+        ["sys", "diagnose", "{sys}"],
+        ["op", "conformal-check", "{op}", "--sl", _identity(9)],
+    ],
+    ids=["verify", "diagnose", "conformal-check"],
+)
+def test_sampling_failure_exits_2(tmp_path, capsys, argv):
+    op_path = write(tmp_path, "op.json", json.dumps(_LOCUS_COVERS_BOX))
+    sys_path = str(tmp_path / "sys.json")
+    assert run(capsys, "--seed", "1", "sys", "generate", op_path, "--random", "--out", sys_path)[0] == 0
+    code, out, err = run(capsys, "--coefficient-range", "1", *(arg.format(op=op_path, sys=sys_path) for arg in argv))
+    assert code == 2
+    assert "sampling failed to avoid the degeneracy locus" in err
+
+
 def test_generate_verify_diagnose_pipeline(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-open", "--out", op_path)

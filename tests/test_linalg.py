@@ -6,7 +6,6 @@ import pytest
 from hho2.linalg import (
     PolyMatrix,
     det_bareiss,
-    det_minor_expansion,
     pfaffian,
     pfaffian_adjugate,
     poly_rank,
@@ -40,6 +39,28 @@ def rand_skew(rng, n, **kw):
             rows[i][j] = p
             rows[j][i] = -p
     return PolyMatrix(rows)
+
+
+def det_minor_expansion(matrix: PolyMatrix) -> MultiPoly:
+    """Division-free determinant, the oracle for Bareiss: Laplace expansion
+    column by column, keeping the minor of every row subset of the processed
+    columns.  The sign of row r is (-1) to the number of chosen rows below it.
+    """
+    n = matrix.rows
+    minors = {0: MultiPoly.const(matrix.vars, 1)}
+    for col in range(n):
+        nxt = {}
+        for mask, minor in minors.items():
+            for r in range(n):
+                if mask >> r & 1:
+                    continue
+                term = minor * matrix.at(r, col)
+                if bin(mask >> r).count("1") % 2:
+                    term = -term
+                key = mask | 1 << r
+                nxt[key] = nxt[key] + term if key in nxt else term
+        minors = nxt
+    return minors[(1 << n) - 1]
 
 
 def test_det_routes_agree():

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from hho2.operators import (
     validate,
 )
 from hho2.poly import MultiPoly
-from hho2.threeform import LinearMapN1, chart_restrict, embed
+from hho2.threeform import LinearMapN1, chart_restrict, embed, skew_dense
 from hho2.diagnostics import sample_points
 
 
@@ -43,24 +43,6 @@ def test_pfaffian_of_simple_n4():
     assert not op.is_degenerate
 
 
-def test_from_raw_tensor_requires_full_skewness():
-    entries = [
-        (0, 1, 2, Fraction(1)),
-        (1, 0, 2, Fraction(-1)),
-        (0, 2, 1, Fraction(-1)),
-        (2, 0, 1, Fraction(1)),
-        (1, 2, 0, Fraction(1)),
-        (2, 1, 0, Fraction(-1)),
-    ]
-    op = Hho2.from_raw_tensor(4, entries)
-    assert op.t_value(0, 1, 2) == 1
-    bad = entries + [(1, 0, 2, Fraction(1))]
-    with pytest.raises(ValueError):
-        Hho2.from_raw_tensor(4, bad)
-    with pytest.raises(ValueError):
-        Hho2.from_raw_tensor(4, [(0, 0, 1, Fraction(2))])
-
-
 def _inversion_sign(seq):
     sign = 1
     for a in range(len(seq)):
@@ -80,6 +62,8 @@ def _skew_oracle(table, i, j, k):
 
 @pytest.mark.parametrize("params", [(), ("s", "t")])
 def test_sign_table_views_agree(params):
+    """t_value, skew_dense and the dense form of `embed` all match the
+    inversion-count oracle on every triple of range(n+1), g0 included."""
     rng = random.Random(41 + len(params))
 
     def draw():
@@ -89,37 +73,21 @@ def test_sign_table_views_agree(params):
         s, t = (MultiPoly.variable(params, name) for name in params)
         return s * value + t * rng.randint(-3, 3) + rng.randint(-2, 2)
 
-    def add(entries, given, tri, v):
-        for perm in permutations(range(3)):
-            idx = tuple(tri[p] for p in perm)
-            given[idx] = _inversion_sign(perm) * v
-            entries.append((*idx, given[idx]))
-
     for n in (4, 6):
         for _ in range(4):
-            entries = []
-            given = {}
-            for tri in rng.sample(list(combinations(range(n), 3)), 4):
-                add(entries, given, tri, draw())
-            entries.append((0, 0, 1, Fraction(0)))
-            # g0_ij enters as the entry (i, j, n), in every order.
-            g0 = {pair: draw() for pair in rng.sample(list(combinations(range(n), 2)), 3)}
-            for (i, j), v in g0.items():
-                add(entries, given, (i, j, n), v)
-            rng.shuffle(entries)
-            op = Hho2.from_raw_tensor(n, entries, params)
-            form = embed(op)
-            ext = op.table
-            for idx, v in given.items():
-                assert op.t_value(*idx) == v
-            for (i, j), v in g0.items():
-                assert ext[(i, j, n)] == v
-                assert op.t_value(i, j, n) == v
+            table = {tri: draw() for tri in rng.sample(list(combinations(range(n), 3)), 4)}
+            # g0_ij is the entry on the triple (i, j, n).
+            for i, j in rng.sample(list(combinations(range(n), 2)), 3):
+                table[(i, j, n)] = draw()
+            op = Hho2(n, table, params)
+            assert op.table == table
+            dense = skew_dense(table, n + 1)
+            form = skew_dense(embed(op).coeffs, n + 1)
             for i, j, k in product(range(n + 1), repeat=3):
-                want = _skew_oracle(ext, i, j, k)
-                assert 3 * form.value(i, j, k) == want
+                want = _skew_oracle(table, i, j, k)
                 assert op.t_value(i, j, k) == want
-                assert want == given.get((i, j, k), 0)
+                assert dense[i][j][k] == want
+                assert 3 * form[i][j][k] == want
 
 
 def test_constructor_rejects_inexact_values():
@@ -128,9 +96,9 @@ def test_constructor_rejects_inexact_values():
     with pytest.raises(ValueError, match="True"):
         Hho2(4, {(0, 1, 2): True})
     with pytest.raises(ValueError, match="0.25"):
-        Hho2.from_raw_tensor(2, [(1, 0, 2, -0.25)])
+        Hho2(4, {(0, 1, 4): -0.25})
     with pytest.raises(ValueError, match="0.5"):
-        Hho2.from_raw_tensor(4, [(0, 1, 2, 0.5)])
+        Hho2(4, {(0, 1, 2): 0.5}, ("s",))
 
 
 def test_t_value_signs():

@@ -92,24 +92,6 @@ def test_diff_known_values():
     assert p.diff(2).is_zero()
 
 
-def test_subs_matches_eval():
-    rng = random.Random(11)
-    for _ in range(20):
-        p = random_poly(rng)
-        point = tuple(Fraction(rng.randint(-4, 4)) for _ in VARS)
-        q = p.subs({name: value for name, value in zip(VARS, point)})
-        assert q.is_constant()
-        assert q.eval(point) == p.eval(point)
-
-
-def test_partial_subs():
-    x = MultiPoly.variable(VARS, "x")
-    y = MultiPoly.variable(VARS, "y")
-    p = x * y + x
-    q = p.subs({"y": Fraction(2)})
-    assert q == x * 3
-
-
 def test_with_vars_extends_ring():
     p = MultiPoly.parse(("x", "y"), "x^2*y - 3")
     q = p.with_vars(("x", "y", "w"))

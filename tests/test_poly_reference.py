@@ -66,14 +66,6 @@ def ref_diff(a, i):
     return ref_clean(out)
 
 
-def ref_subs(a, i, value):
-    out = {}
-    for e, c in a.items():
-        e2 = e[:i] + (0,) + e[i + 1:]
-        out[e2] = out.get(e2, 0) + c * value ** e[i]
-    return ref_clean(out)
-
-
 def ref_eval(a, point):
     total = Fraction(0)
     for e, c in a.items():
@@ -161,15 +153,12 @@ def test_ring_operations_match_reference(data):
     same(pa ** 3, ref_pow(a, 3, len(variables)))
     for i in range(len(variables)):
         same(pa.diff(i), ref_diff(a, i))
-        same(pa.subs({variables[i]: Fraction(-2, 3)}), ref_subs(a, i, Fraction(-2, 3)))
         assert pa.degree_in(i) == max((e[i] for e in a), default=-1)
     assert pa.degree() == max((sum(e) for e in a), default=-1)
     assert str(pa) == ref_str(variables, a)
     if a:
         lead = max(a, key=deglex)
         assert pa.leading_term() == (lead, a[lead])
-    for e in list(a)[:2]:
-        assert pa.coeff_of(e) == a[e]
 
 
 @given(ring_and_polys(), st.lists(st.fractions(max_denominator=5).map(lambda f: f.limit_denominator(5)),
