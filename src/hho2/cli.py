@@ -29,7 +29,7 @@ from .operators import (
     transform,
     validate,
 )
-from .poly import rat
+from .poly import MAX_POINTS, rat
 from .systems import (
     ConservativeSystem,
     DegenerateOperatorError,
@@ -561,12 +561,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         digits=args.digits,
         output=args.output,
     )
-    if config.samples < 1:
-        parser.error("--samples must be at least 1")
+    counts = [("--samples", config.samples)]
+    if getattr(args, "points", None) is not None:
+        counts.append(("--points", args.points))
+    for flag, count in counts:
+        if count < 1:
+            parser.error(f"{flag} must be at least 1")
+        if count > MAX_POINTS:
+            parser.error(f"{flag} must be at most {MAX_POINTS}")
     if config.coefficient_range < 1:
         parser.error("--coefficient-range must be at least 1")
-    if getattr(args, "points", None) is not None and args.points < 1:
-        parser.error("--points must be at least 1")
+    if config.digits < 1:
+        parser.error("--digits must be at least 1")
     try:
         return args.func(args, config)
     except InputError as exc:

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 from .linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_rank
 from .operators import Hho2
-from .poly import MultiPoly, _poly_mul_coeffs
+from .poly import MultiPoly, _poly_mul_coeffs, _sum_of_products
 from .systems import ConservativeSystem
 
 __all__ = [
@@ -366,22 +366,51 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
 def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport:
     """Symbolic identity det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) in (u, lam).
 
-    R[k][p] is the numerator of dV^k/du^p over D^2 and Dm is the cleared skew
-    pencil.  Two routes prove the same polynomial identity, and the size picks
-    one: the direct expansion for n <= 4, the factored proof above that.
+    R[k][p] is the numerator of dV^k/du^p over D^2 and Dm = C - lam D g is the
+    cleared skew pencil, with C = D (T V + Aeff) from `ConservativeSystem.c_polys`.
+    Two routes prove the same polynomial identity, and the size picks one:
+    the direct expansion for n <= 4, the factored proof above that.
 
     - direct: expand both sides and compare literally.  The left side sees
       only the quotient-rule Jacobian numerators and a fraction-free
       determinant, the right side only Pfaffians.
-    - factored: verify g (R - lam D^2 I) == D Dm entrywise, det(g) == D^2,
-      and det == Pf^2 for the generic skew matrix of this size.  Together
-      with multiplicativity of det in the polynomial ring (a domain, D != 0)
-      these give det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2, and cancelling
-      det(g) = D^2 yields the identity, with every step exact.
+    - factored: verify the lam-free identity g R == D C entrywise in Q[u],
+      det(g) == D^2, and det == Pf^2 for the generic skew matrix of this size.
+      Then g (R - lam D^2 I) = D C - lam D^2 g = D Dm, and multiplicativity of
+      det in the polynomial ring (a domain, D != 0) gives
+      det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2; cancelling det(g) = D^2 yields
+      the identity, with every step exact.
     """
     if system.op.n <= 4:
         return _charpoly_square_direct(system)
     return _charpoly_square_factored(system)
+
+
+def _charpoly_square_factored(system: ConservativeSystem) -> CharpolySquareReport:
+    """The factored proof; both degree fields are n without expanding a side.
+
+    The lam-leading coefficient of det(R - lam D^2 I) is (-D^2)^n, and that of
+    Pf(Dm) is Pf(-D g) = (-D)^(n/2) Pf(g) = (-D)^(n/2) D.  Both are nonzero
+    because construction refuses D = 0, so each side has degree n in lam.
+    """
+    n, vs = system.op.n, system.vars
+    g = system.op.metric()
+    r = system.r_polys()
+    c = system.c_polys()
+    match = all(
+        _sum_of_products(vs, [(g.at(q, j), r[j][p]) for j in range(n)]) == _sum_of_products(vs, [(system.d, c[q][p])])
+        for q in range(n)
+        for p in range(n)
+    )
+    gram = det_bareiss(g) == system.d * system.d
+    universal = _universal_skew_det_is_pfaffian_square(n)
+    return CharpolySquareReport(
+        n=n,
+        equal=match and gram and universal,
+        route="factored",
+        det_side_degree_in_lam=n,
+        pf_side_degree_in_lam=n,
+    )
 
 
 def _shifted_jacobian(system: ConservativeSystem):
@@ -402,35 +431,6 @@ def _shifted_jacobian(system: ConservativeSystem):
             row.append(entry)
         rows.append(row)
     return rvars, d_lift, rows
-
-
-def _charpoly_square_factored(system: ConservativeSystem) -> CharpolySquareReport:
-    n = system.op.n
-    rvars, d_lift, rows = _shifted_jacobian(system)
-    mt = system.mtilde()
-    g = system.op.metric()
-    g_lift = [[g.at(i, j).with_vars(rvars) for j in range(n)] for i in range(n)]
-    match = True
-    for q in range(n):
-        for p in range(n):
-            lhs = MultiPoly.zero(rvars)
-            for j in range(n):
-                if g_lift[q][j].is_zero():
-                    continue
-                lhs = lhs + g_lift[q][j] * rows[j][p]
-            if lhs != d_lift * mt.at(q, p):
-                match = False
-    gram = det_bareiss(g) == system.d * system.d
-    universal = _universal_skew_det_is_pfaffian_square(n)
-    pf = pfaffian(mt)
-    lam_degree = pf.degree_in(len(rvars) - 1) * 2
-    return CharpolySquareReport(
-        n=n,
-        equal=match and gram and universal,
-        route="factored",
-        det_side_degree_in_lam=lam_degree,
-        pf_side_degree_in_lam=lam_degree,
-    )
 
 
 def _charpoly_square_direct(system: ConservativeSystem) -> CharpolySquareReport:

@@ -46,6 +46,7 @@ __all__ = [
     "bounded_n",
     "index_entries",
     "MAX_N",
+    "MAX_POINTS",
 ]
 
 
@@ -71,6 +72,10 @@ def json_int(value, where: str) -> int:
 # dimension n + 1 = 9.  Every document reader checks it before it builds
 # anything whose size grows with n.
 MAX_N = 8
+
+# The largest sample point count `--samples` and `--points` accept: the point
+# loops keep one report per point, so the count is bounded before they start.
+MAX_POINTS = 10_000
 
 
 def bounded_n(n: int, where: str) -> int:

@@ -113,7 +113,12 @@ def random_flux_params(n: int, rng, bound: int = 5) -> FluxParams:
 
 
 class ConservativeSystem:
-    """Operator together with a generated flux vector V = g^{-1}(Au + B) + c."""
+    """Operator together with a generated flux vector V = g^{-1}(Au + B) + c.
+
+    The flux is held as numerators Q_k over the Pfaffian D.  The fractions
+    `v` in lowest terms are reduced through `poly_gcd` the first time they are
+    read; in the package only `linearity_report` reads them.
+    """
 
     def __init__(self, op: Hho2, flux: FluxParams, constants: Optional[Sequence] = None):
         if not op.is_numeric():
@@ -158,7 +163,6 @@ class ConservativeSystem:
             if self.constants[k]:
                 acc = acc + self.d * self.constants[k]
             self.q.append(acc)
-        self.v: List[RationalFn] = [RationalFn(qk, self.d) for qk in self.q]
 
         # Effective affine data absorbing the additive constants; these are
         # what the eigenvalue pencil sees alongside the actual V.
@@ -181,12 +185,21 @@ class ConservativeSystem:
         self._d2: Optional[Dict[Tuple[int, int], MultiPoly]] = None
         self._q1: Optional[List[List[MultiPoly]]] = None
         self._q2: Optional[List[Dict[Tuple[int, int], MultiPoly]]] = None
+        self._v: Optional[List[RationalFn]] = None
         self._r: Optional[List[List[MultiPoly]]] = None
+        self._c: Optional[List[List[MultiPoly]]] = None
         self._mtilde: Optional[PolyMatrix] = None
         # Diagnostics evaluate several tensors at one point before moving to
         # the next; memoize the integer numerators of the last few points.
         self._kern: Optional[_PointKernel] = None
         self._num_cache: Dict[tuple, _PointNumerators] = {}
+
+    @property
+    def v(self) -> List[RationalFn]:
+        """The flux components Q_k / D in lowest terms, reduced on first read."""
+        if self._v is None:
+            self._v = [RationalFn(qk, self.d) for qk in self.q]
+        return self._v
 
     # ----- derivative tables ------------------------------------------------
 
@@ -274,38 +287,43 @@ class ConservativeSystem:
 
     # ----- eigenvalue pencil -------------------------------------------------
 
+    def c_polys(self) -> List[List[MultiPoly]]:
+        """C[h][j] = T_hji Q_i + D Aeff_hj, the lam-free part of the pencil.
+
+        C / D = T V + Aeff, so D M(lam) = C - lam D g; C is skew.
+        """
+        if self._c is None:
+            n, vs = self.op.n, self.vars
+            t = self.op.tensor
+            c = [[MultiPoly.zero(vs) for _ in range(n)] for _ in range(n)]
+            for h in range(n):
+                for j in range(h + 1, n):
+                    pairs = [(self.q[i], t[h][j][i]) for i in range(n)] + [(self.d, self.a_eff[h][j])]
+                    entry = _sum_of_products(vs, pairs)
+                    c[h][j], c[j][h] = entry, -entry
+            self._c = c
+        return self._c
+
     def mtilde(self) -> PolyMatrix:
-        """Skew pencil D*M(lam) with M_hj = T_hji V^i + Aeff_hj - lam g_hj.
+        """Skew pencil D*M(lam) = C - lam D g with M_hj = T_hji V^i + Aeff_hj - lam g_hj.
 
         Entries are polynomials in (u1..un, lam); the Pfaffian of this matrix
         divided by D^(n/2 + 1) is the square root of the characteristic
         polynomial of the flux Jacobian.
         """
-        if self._mtilde is not None:
-            return self._mtilde
-        n = self.op.n
-        rvars = self.vars + ("lam",)
-        lam = MultiPoly.variable(rvars, "lam")
-        dlift = self.d.with_vars(rvars)
-        g = self.op.metric()
-        rows = [[MultiPoly.zero(rvars) for _ in range(n)] for _ in range(n)]
-        for h in range(n):
-            for j in range(h + 1, n):
-                entry = MultiPoly.zero(rvars)
-                for i in range(n):
-                    t = self.op.t_value(h, j, i)
-                    if t:
-                        entry = entry + self.q[i].with_vars(rvars) * t
-                if self.a_eff[h][j]:
-                    entry = entry + dlift * self.a_eff[h][j]
-                entry = entry - lam * dlift * self._metric_entry_lifted(h, j, rvars)
-                rows[h][j] = entry
-                rows[j][h] = -entry
-        self._mtilde = PolyMatrix(rows)
+        if self._mtilde is None:
+            n = self.op.n
+            rvars = self.vars + ("lam",)
+            lam_d = MultiPoly.variable(rvars, "lam") * self.d.with_vars(rvars)
+            g = self.op.metric()
+            c = self.c_polys()
+            rows = [[MultiPoly.zero(rvars) for _ in range(n)] for _ in range(n)]
+            for h in range(n):
+                for j in range(h + 1, n):
+                    entry = c[h][j].with_vars(rvars) - lam_d * g.at(h, j).with_vars(rvars)
+                    rows[h][j], rows[j][h] = entry, -entry
+            self._mtilde = PolyMatrix(rows)
         return self._mtilde
-
-    def _metric_entry_lifted(self, h: int, j: int, rvars) -> MultiPoly:
-        return self.op.metric().at(h, j).with_vars(rvars)
 
     # ----- reports ------------------------------------------------------------
 

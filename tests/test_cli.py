@@ -178,13 +178,17 @@ def _identity(dim):
         (["--coefficient-range", "-1", "sys", "generate", "{op}", "--random"], "--coefficient-range"),
         (["--coefficient-range", "-1", "sys", "diagnose", "{sys}"], "--coefficient-range"),
         (["--coefficient-range", "0", "op", "conformal-check", "{op}", "--sl", _identity(5)], "--coefficient-range"),
+        (["--digits", "0", "--mode", "float", "--samples", "1", "sys", "diagnose", "{sys}"], "--digits"),
+        (["--digits", "-5", "--mode", "float", "--samples", "1", "sys", "diagnose", "{sys}"], "--digits"),
     ],
     ids=["diagnose-points-0", "diagnose-points-neg", "conformal-points-0",
-         "generate-range-neg", "diagnose-range-neg", "conformal-range-0"],
+         "generate-range-neg", "diagnose-range-neg", "conformal-range-0",
+         "diagnose-digits-0", "diagnose-digits-neg"],
 )
 def test_counts_and_ranges_below_one_exit_2(tmp_path, capsys, argv, message):
-    """A count below 1 would check nothing, and a range below 1 leaves no
-    sample box: both are refused before any work, like --samples 0."""
+    """A count below 1 would check nothing, a range below 1 leaves no sample
+    box, and fewer than 1 digit leaves mpmath no precision: all are refused
+    before any work, like --samples 0."""
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-open", "--out", op_path)
     sys_path = str(tmp_path / "sys.json")
@@ -192,6 +196,28 @@ def test_counts_and_ranges_below_one_exit_2(tmp_path, capsys, argv, message):
     code, err = _parser_exit(capsys, *(arg.format(op=op_path, sys=sys_path) for arg in argv))
     assert code == 2
     assert f"{message} must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", str(cli.MAX_POINTS + 1), "sys", "diagnose", "{sys}"], "--samples"),
+        (["sys", "diagnose", "{sys}", "--points", str(cli.MAX_POINTS + 1)], "--points"),
+        (["op", "conformal-check", "{op}", "--sl", _identity(5), "--points", str(10 ** 9)], "--points"),
+    ],
+    ids=["diagnose-samples", "diagnose-points", "conformal-points"],
+)
+def test_counts_above_the_cap_exit_2(tmp_path, capsys, argv, message):
+    """Point counts are bounded before any point is drawn or any report
+    allocated; the cap itself is accepted."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)
+    code, err = _parser_exit(capsys, *(arg.format(op=op_path, sys=sys_path) for arg in argv))
+    assert code == 2
+    assert f"{message} must be at most {cli.MAX_POINTS}" in err
+    assert run(capsys, "--samples", str(cli.MAX_POINTS), "catalog", "list")[0] == 0
 
 
 # Pf(g) = u1^3 - u1 vanishes wherever u1 is -1, 0 or 1: with
@@ -542,6 +568,8 @@ def _golden_digests(tmp_path, capsys):
         generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
         if entry in _GOLDEN_DIAGNOSE:
             sys_path = write(tmp_path, f"{entry}.sys.json", json.dumps(json.loads(generated)["system"]))
+            # Symbolic compatibility for n <= 6, three sample points for n = 8.
+            digest(f"{entry} verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify", sys_path)
             digest(f"{entry} diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose", sys_path,
                    expect=_GOLDEN_DIAGNOSE[entry])
     return digests
@@ -563,6 +591,7 @@ _GOLDEN = {
     "n4-open from-3form": "bb003bf5db48544aed13b0f824baa18c85f7d1c70878ba4824f97da9335be7db",
     "n4-open transform": "d46e1107192866bfffd74fec240c07d94ce9b183f6615426857e1260a43a558f",
     "n4-open generate": "a76d611681b44d97b6596ca5334adb399f7767b0ff3381a4024b702791baaf7b",
+    "n4-open verify": "ceef3b8d42c3e09ba3bc42aad95cea8190ce8b93f1be2bcf3aef72cf55ad5092",
     "n4-open diagnose": "351b2720d65ad95c9b65aecf5a9fcee29320993b1b80aa809964612a44039148",
     "n6-X show": "bb45916ba028ba1769e0a1d02dc6abcb766050e118f2593d449f3d7329c09c0c",
     "n6-X validate": "b10a6f39bb174d9116e4b9980c67e8e6988d042eb3144a7c13bcdec656797c6e",
@@ -573,6 +602,7 @@ _GOLDEN = {
     "n6-X moved transform": "8aac4091cb36ccfbb5366fcda7a596db1419d9ab32ced5f0078d89cb534a1fd2",
     "n6-X moved conformal-check": "7a7ff54f34651c108c77372dc1a9bfc7236bf8485b65fe8db5b64aa3fbc4d8cb",
     "n6-X generate": "5fc826e1f103abbcb393458c282565665a3f9f855e401968be997db729b2a9a2",
+    "n6-X verify": "f1ff5f052a4c60384952880c55c18d5e9c2c84995492feb9a0967cbe37ad18c1",
     "n6-X diagnose": "d3975e92d9b872870b9150dd285f956f5885ea80e4d7b013ff520fd75edb09b7",
     "n8-fam1 show": "94b58c9e2286f14ec4fb99044d34647e2e084b08d528df2b60c5efca0bc201c7",
     "n8-fam1 validate": "328197922eddc56ff48a3033f586ab60c8372773f57d1267efd342d73a6a414f",
@@ -583,6 +613,7 @@ _GOLDEN = {
     "n8-fam1 moved transform": "62317f633e2b2e8a1d54b0ae9169982ded320aa062e56e403fb8d7e572b4cb58",
     "n8-fam1 moved conformal-check": "931d52b2d90f2601e2c27c52356a160930e8584530f64473aadfcc50ba14f326",
     "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
+    "n8-fam1 verify": "c1d0c8b2cb455e114d63a0f47c3fcb2c77f9d5029532f17eff664ae3a59c7e41",
     "n8-fam1 diagnose": "bafe453fde1881f453ff6a55e91ab2f459ebe700e0d9bce36b451f3179c58df0",
 }
 

@@ -173,6 +173,26 @@ def test_charpoly_square_symbolic_routes():
     assert rep6.route == "factored"
 
 
+@pytest.mark.parametrize("name", ["n6-X", "n6-IX", "n6-VIII", "n6-VII", "n6-VI"])
+def test_charpoly_square_symbolic_n6_report(name):
+    """The n=6 report at the flux seed of criterion 08: both sides of
+    det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) have degree n in lam."""
+    system = generate_flux(build(name), rng=random.Random(908))
+    rep = charpoly_square_symbolic(system)
+    assert (rep.n, rep.equal, rep.route) == (6, True, "factored")
+    assert (rep.det_side_degree_in_lam, rep.pf_side_degree_in_lam) == (6, 6)
+
+
+@pytest.mark.parametrize("name", ["n4-open", "n6-VIII"])
+def test_charpoly_square_factored_rejects_a_perturbed_flux(name):
+    """Adding u1 to V^2 keeps det(g) = D^2 and the generic det = Pf^2 true,
+    so only the entrywise comparison of the pencil with g R can fail."""
+    system = generate_flux(build(name), rng=random.Random(908))
+    u1 = MultiPoly.variable(system.vars, 0)
+    system.q[1] = system.q[1] + u1 * system.d
+    assert _charpoly_square_factored(system).equal is False
+
+
 def test_factor_univariate_known():
     # (x - 1)^2 (x + 2)
     coeffs = [Fraction(c) for c in (2, -3, 0, 1)]

@@ -319,8 +319,13 @@ def test_n8_system_build_needs_no_sympy_gcd(monkeypatch):
     monkeypatch.setattr(poly, "_gcd_via_sympy", counted("sympy", poly._gcd_via_sympy))
     op = build("n8-fam1", {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7})
     system = generate_flux(op, rng=random.Random(909))
+    # The flux fractions are reduced on first read, one gcd per component.
+    assert calls == {"poly_gcd": 0, "sympy": 0}
+    v = system.v
     assert calls == {"poly_gcd": 8, "sympy": 0}
-    assert all(v.den == system.d.monic() for v in system.v)
+    assert system.v is v
+    assert calls == {"poly_gcd": 8, "sympy": 0}
+    assert all(vk.den == system.d.monic() for vk in v)
 
 
 def test_point_kernel_tensor_is_the_scaled_dense_view():
