@@ -29,7 +29,7 @@ from .operators import (
     transform,
     validate,
 )
-from .poly import MAX_POINTS, rat
+from .poly import MAX_DIGITS, MAX_POINTS, rat
 from .systems import (
     ConservativeSystem,
     DegenerateOperatorError,
@@ -374,6 +374,8 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
                 flux = FluxParams.make(a_data, b_data)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise InputError(f"bad flux data: {exc}") from exc
+            if flux.n != op.n:
+                raise InputError(f"bad flux data: A and B are for n={flux.n}, the operator has n={op.n}")
             system = ConservativeSystem(op, flux, constants)
         else:
             raise InputError("either --random or both --A and --B are required")
@@ -491,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integer bound for random coefficients and sample coordinates (default 10)",
     )
     parser.add_argument("--mode", choices=("exact", "float"), default="exact", help="eigenstructure arithmetic (default exact)")
-    parser.add_argument("--digits", type=int, default=50, help="working precision for --mode float (default 50)")
+    parser.add_argument("--digits", type=int, default=50, help=f"working precision for --mode float (default 50, at most {MAX_DIGITS})")
     parser.add_argument("--output", choices=("text", "json"), default="text", help="report format (default text)")
 
     sub = parser.add_subparsers(dest="group", required=True)
@@ -573,6 +575,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--coefficient-range must be at least 1")
     if config.digits < 1:
         parser.error("--digits must be at least 1")
+    if config.digits > MAX_DIGITS:
+        parser.error(f"--digits must be at most {MAX_DIGITS}")
     try:
         return args.func(args, config)
     except InputError as exc:

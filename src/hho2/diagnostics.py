@@ -364,34 +364,26 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
 
 
 def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport:
-    """Symbolic identity det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) in (u, lam).
+    """Certificate for det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) in Q[u, lam].
 
     R[k][p] is the numerator of dV^k/du^p over D^2 and Dm = C - lam D g is the
     cleared skew pencil, with C = D (T V + Aeff) from `ConservativeSystem.c_polys`.
-    Two routes prove the same polynomial identity, and the size picks one:
-    the direct expansion for n <= 4, the factored proof above that.
+    Three lam-free facts are checked: g R == D C entrywise in Q[u],
+    det(g) == D^2 by Bareiss, and det == Pf^2 for the generic skew matrix of
+    this size.  Then g (R - lam D^2 I) = D C - lam D^2 g = D Dm, and
+    multiplicativity of det in the polynomial ring (a domain, D != 0) gives
+    det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2; cancelling det(g) = D^2 yields
+    the identity, with every step exact.
 
-    - direct: expand both sides and compare literally.  The left side sees
-      only the quotient-rule Jacobian numerators and a fraction-free
-      determinant, the right side only Pfaffians.
-    - factored: verify the lam-free identity g R == D C entrywise in Q[u],
-      det(g) == D^2, and det == Pf^2 for the generic skew matrix of this size.
-      Then g (R - lam D^2 I) = D C - lam D^2 g = D Dm, and multiplicativity of
-      det in the polynomial ring (a domain, D != 0) gives
-      det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2; cancelling det(g) = D^2 yields
-      the identity, with every step exact.
-    """
-    if system.op.n <= 4:
-        return _charpoly_square_direct(system)
-    return _charpoly_square_factored(system)
+    `equal` is a certificate, not a disproof.  g R = D C is the u-derivative
+    of g V = Aeff u + Beff cleared by D^2, so it holds for every flux the
+    constructor builds; it fails only for numerators `q` edited after
+    construction, and such a flux can still satisfy the expanded identity.
 
-
-def _charpoly_square_factored(system: ConservativeSystem) -> CharpolySquareReport:
-    """The factored proof; both degree fields are n without expanding a side.
-
-    The lam-leading coefficient of det(R - lam D^2 I) is (-D^2)^n, and that of
-    Pf(Dm) is Pf(-D g) = (-D)^(n/2) Pf(g) = (-D)^(n/2) D.  Both are nonzero
-    because construction refuses D = 0, so each side has degree n in lam.
+    Both degree fields are n without expanding a side: the lam-leading
+    coefficient of det(R - lam D^2 I) is (-D^2)^n, and that of Pf(Dm) is
+    Pf(-D g) = (-D)^(n/2) Pf(g) = (-D)^(n/2) D.  Both are nonzero because
+    construction refuses D = 0.
     """
     n, vs = system.op.n, system.vars
     g = system.op.metric()
@@ -410,44 +402,6 @@ def _charpoly_square_factored(system: ConservativeSystem) -> CharpolySquareRepor
         route="factored",
         det_side_degree_in_lam=n,
         pf_side_degree_in_lam=n,
-    )
-
-
-def _shifted_jacobian(system: ConservativeSystem):
-    """The ring (u, lam), D lifted to it, and the rows of R - lam D^2 I."""
-    n = system.op.n
-    rvars = system.vars + ("lam",)
-    lam = MultiPoly.variable(rvars, "lam")
-    r = system.r_polys()
-    d_lift = system.d.with_vars(rvars)
-    lam_d2 = lam * d_lift * d_lift
-    rows = []
-    for k in range(n):
-        row = []
-        for p in range(n):
-            entry = r[k][p].with_vars(rvars)
-            if k == p:
-                entry = entry - lam_d2
-            row.append(entry)
-        rows.append(row)
-    return rvars, d_lift, rows
-
-
-def _charpoly_square_direct(system: ConservativeSystem) -> CharpolySquareReport:
-    n = system.op.n
-    rvars, d_lift, rows = _shifted_jacobian(system)
-    lam_index = len(rvars) - 1
-    det_side = det_bareiss(PolyMatrix(rows))
-    pf = pfaffian(system.mtilde())
-    pf_side = pf * pf
-    if n > 2:
-        pf_side = pf_side * d_lift ** (n - 2)
-    return CharpolySquareReport(
-        n=n,
-        equal=det_side == pf_side,
-        route="bareiss",
-        det_side_degree_in_lam=det_side.degree_in(lam_index),
-        pf_side_degree_in_lam=pf_side.degree_in(lam_index),
     )
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "index_entries",
     "MAX_N",
     "MAX_POINTS",
+    "MAX_DIGITS",
 ]
 
 
@@ -76,6 +77,11 @@ MAX_N = 8
 # The largest sample point count `--samples` and `--points` accept: the point
 # loops keep one report per point, so the count is bounded before they start.
 MAX_POINTS = 10_000
+
+# The largest working precision `--digits` accepts for the float
+# eigenstructure: one n=8 point takes over a second at 1000 digits; above 4300
+# digits Python refuses the integer-to-string conversion of the result.
+MAX_DIGITS = 1000
 
 
 def bounded_n(n: int, where: str) -> int:

@@ -142,9 +142,7 @@ class ConservativeSystem:
         vs = op.vars
         self.vars = vs
         self.d = op.pfaffian_poly()
-        cadj, pf = pfaffian_adjugate(op.metric())
-        if pf != self.d:
-            raise AssertionError("inconsistent Pfaffian between metric routes")
+        cadj, _ = pfaffian_adjugate(op.metric())
         gens = [MultiPoly.variable(vs, i) for i in range(n)]
         self.w = []
         for j in range(n):
@@ -164,22 +162,15 @@ class ConservativeSystem:
                 acc = acc + self.d * self.constants[k]
             self.q.append(acc)
 
-        # Effective affine data absorbing the additive constants; these are
-        # what the eigenvalue pencil sees alongside the actual V.
-        a_eff = [[Fraction(flux.a[h][j]) for j in range(n)] for h in range(n)]
-        b_eff = [Fraction(flux.b[j]) for j in range(n)]
-        if any(self.constants):
-            for h in range(n):
-                for j in range(n):
-                    shift = Fraction(0)
-                    for i in range(n):
-                        ci = self.constants[i]
-                        if ci:
-                            shift += op.t_value(h, i, j) * ci
-                    a_eff[h][j] += shift
-                b_eff[h] += sum((op.t_value(h, k, n) * self.constants[k] for k in range(n)), Fraction(0))
-        self.a_eff = tuple(tuple(row) for row in a_eff)
-        self.b_eff = tuple(b_eff)
+        # Effective affine data absorbing the additive constants c, so that
+        # g V = Aeff u + Beff; these are what the eigenvalue pencil sees
+        # alongside the actual V.  The constants add g(u) c: the table
+        # contracted with c in its middle index, whose column n shifts B.
+        t, c = op.tensor, self.constants
+        shift = [[sum((t[h][i][j] * c[i] for i in range(n) if c[i]), Fraction(0)) for j in range(n + 1)]
+                 for h in range(n)]
+        self.a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
+        self.b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
 
         self._d1: Optional[List[MultiPoly]] = None
         self._d2: Optional[Dict[Tuple[int, int], MultiPoly]] = None
@@ -717,29 +708,21 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
         (1/2) T_jkl (u^l V^k - u^k V^l) + g0_jk V^k = Aeff_jl u^l + Beff_j
 
     cleared by D (so V^k is replaced by Q_k and the right side gains a factor
-    D).  The effective parameters absorb the optional additive constants; with
+    D).  By the skewness of T the left side is g_jk V^k with the metric
+    g = T u + g0, so row j is tested as g_jk Q_k = D (Aeff_jl u^l + Beff_j).
+    The effective parameters absorb the optional additive constants; with
     constants zero they are the raw (A, B).
     """
     n = system.op.n
     vs = system.vars
-    gens = [MultiPoly.variable(vs, i) for i in range(n)]
-    half = Fraction(1, 2)
+    g = system.op.metric()
+    du = [system.d * MultiPoly.variable(vs, l) for l in range(n)]
     row_ok = []
     for j in range(n):
-        acc = MultiPoly.zero(vs)
-        for k in range(n):
-            for l in range(n):
-                t = system.op.t_value(j, k, l)
-                if t:
-                    acc = acc + (gens[l] * system.q[k] - gens[k] * system.q[l]) * (t * half)
-            g0jk = system.op.t_value(j, k, n)
-            if g0jk:
-                acc = acc + system.q[k] * g0jk
-        rhs = MultiPoly.const(vs, system.b_eff[j])
-        for l in range(n):
-            if system.a_eff[j][l]:
-                rhs = rhs + gens[l] * system.a_eff[j][l]
-        row_ok.append(acc == rhs * system.d)
+        pairs = [(g.at(j, k), system.q[k]) for k in range(n)]
+        pairs += [(du[l], -system.a_eff[j][l]) for l in range(n)]
+        pairs.append((system.d, -system.b_eff[j]))
+        row_ok.append(_sum_of_products(vs, pairs).is_zero())
     return PlueckerReport(n=n, row_ok=row_ok)
 
 

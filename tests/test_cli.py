@@ -220,6 +220,20 @@ def test_counts_above_the_cap_exit_2(tmp_path, capsys, argv, message):
     assert run(capsys, "--samples", str(cli.MAX_POINTS), "catalog", "list")[0] == 0
 
 
+def test_digits_above_the_cap_exit_2(tmp_path, capsys):
+    """The float precision is bounded before any point is evaluated; the cap
+    itself is accepted."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n2", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)
+    float_diagnose = ["--mode", "float", "--samples", "1", "sys", "diagnose", sys_path]
+    code, err = _parser_exit(capsys, "--digits", str(cli.MAX_DIGITS + 1), *float_diagnose)
+    assert code == 2
+    assert f"--digits must be at most {cli.MAX_DIGITS}" in err
+    assert run(capsys, "--digits", str(cli.MAX_DIGITS), *float_diagnose)[0] == 0
+
+
 # Pf(g) = u1^3 - u1 vanishes wherever u1 is -1, 0 or 1: with
 # --coefficient-range 1 every sample point lies on the degeneracy locus.
 _LOCUS_COVERS_BOX = {
@@ -294,6 +308,16 @@ def test_generate_explicit_flux_and_constants(tmp_path, capsys):
     assert doc["constants"] == ["1", "2"]
     code, out, err = run(capsys, "sys", "verify", sys_path)
     assert code == 0
+
+
+def test_generate_flux_of_the_wrong_size_exits_2(tmp_path, capsys):
+    """A and B that fit each other but not the operator are bad input."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n2", "--out", op_path)
+    code, out, err = run(capsys, "sys", "generate", op_path,
+                         "--A", "[[0,1,0],[-1,0,0],[0,0,0]]", "--B", "[1,2,3]")
+    assert code == 2
+    assert err == "error: bad flux data: A and B are for n=3, the operator has n=2\n"
 
 
 @pytest.mark.parametrize("constants, message", [(None, "constants must list n values"),

@@ -7,8 +7,6 @@ import sympy
 from hho2.catalog import build
 from hho2.diagnostics import (
     _charpoly,
-    _charpoly_square_direct,
-    _charpoly_square_factored,
     _geometric_multiplicity,
     _pencil_pfaffian,
     charpoly_at,
@@ -158,19 +156,33 @@ def test_charpoly_is_square_at_points():
             assert prod == full
 
 
-def test_charpoly_square_symbolic_routes():
-    rng = random.Random(36)
-    sys4 = generate_flux(build("n4-open"), rng=rng)
-    direct = _charpoly_square_direct(sys4)
-    factored = _charpoly_square_factored(sys4)
-    assert direct.equal and factored.equal
-    assert direct.route == "bareiss"
-    assert factored.route == "factored"
-    assert charpoly_square_symbolic(sys4) == direct
-    sys6 = generate_flux(build("n6-VIII"), rng=rng)
-    rep6 = charpoly_square_symbolic(sys6)
-    assert rep6.equal
-    assert rep6.route == "factored"
+def _expanded_charpoly_square(system):
+    """Oracle: expand det(R - lam D^2 I) and Pf(mtilde)^2 D^(n-2) in (u, lam).
+
+    Returns whether the two sides are equal and their degrees in lam.  The
+    left side sees only the quotient-rule Jacobian numerators and a
+    fraction-free determinant, the right side only the pencil Pfaffian.
+    """
+    n = system.op.n
+    rvars = system.vars + ("lam",)
+    d = system.d.with_vars(rvars)
+    lam_d2 = MultiPoly.variable(rvars, "lam") * d * d
+    r = system.r_polys()
+    rows = [[r[k][p].with_vars(rvars) - (lam_d2 if k == p else 0) for p in range(n)] for k in range(n)]
+    det_side = det_bareiss(PolyMatrix(rows))
+    pf = pfaffian(system.mtilde())
+    pf_side = pf * pf * d ** (n - 2)
+    return det_side == pf_side, det_side.degree_in(n), pf_side.degree_in(n)
+
+
+@pytest.mark.parametrize("name", ["n2", "n4-open"])
+@pytest.mark.parametrize("seed", [36, 908])
+def test_charpoly_square_symbolic_agrees_with_the_expanded_identity(name, seed):
+    system = generate_flux(build(name), rng=random.Random(seed))
+    rep = charpoly_square_symbolic(system)
+    equal, det_degree, pf_degree = _expanded_charpoly_square(system)
+    assert (rep.equal, rep.route) == (True, "factored") and equal
+    assert (rep.det_side_degree_in_lam, rep.pf_side_degree_in_lam) == (det_degree, pf_degree)
 
 
 @pytest.mark.parametrize("name", ["n6-X", "n6-IX", "n6-VIII", "n6-VII", "n6-VI"])
@@ -183,14 +195,18 @@ def test_charpoly_square_symbolic_n6_report(name):
     assert (rep.det_side_degree_in_lam, rep.pf_side_degree_in_lam) == (6, 6)
 
 
-@pytest.mark.parametrize("name", ["n4-open", "n6-VIII"])
+@pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII"])
 def test_charpoly_square_factored_rejects_a_perturbed_flux(name):
     """Adding u1 to V^2 keeps det(g) = D^2 and the generic det = Pf^2 true,
-    so only the entrywise comparison of the pencil with g R can fail."""
+    so only the entrywise comparison of the pencil with g R can fail.  At n=2
+    the expanded identity still holds for the edited flux: `equal` is a
+    certificate, not a disproof."""
     system = generate_flux(build(name), rng=random.Random(908))
     u1 = MultiPoly.variable(system.vars, 0)
     system.q[1] = system.q[1] + u1 * system.d
-    assert _charpoly_square_factored(system).equal is False
+    assert charpoly_square_symbolic(system).equal is False
+    if name == "n2":
+        assert _expanded_charpoly_square(system)[0] is True
 
 
 def test_factor_univariate_known():

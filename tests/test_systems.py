@@ -206,6 +206,45 @@ def test_pluecker_relations_hold():
         assert rep.passed
 
 
+def _pluecker_rows_from_the_table(system):
+    """Oracle in the paper's form, from the table entries T and g0:
+
+        (1/2) T_jkl (u^l Q_k - u^k Q_l) + g0_jk Q_k == D (Aeff_jl u^l + Beff_j)
+    """
+    op, n, vs = system.op, system.op.n, system.vars
+    gens = [MultiPoly.variable(vs, i) for i in range(n)]
+    rows = []
+    for j in range(n):
+        lhs = MultiPoly.zero(vs)
+        for k in range(n):
+            for l in range(n):
+                t = op.t_value(j, k, l)
+                if t:
+                    lhs = lhs + (gens[l] * system.q[k] - gens[k] * system.q[l]) * (t * Fraction(1, 2))
+            lhs = lhs + system.q[k] * op.t_value(j, k, n)
+        rhs = MultiPoly.const(vs, system.b_eff[j])
+        for l in range(n):
+            rhs = rhs + gens[l] * system.a_eff[j][l]
+        rows.append(lhs == rhs * system.d)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII"])
+@pytest.mark.parametrize("case", ["clean", "fractional-constants", "perturbed-q"])
+def test_pluecker_relations_match_the_table_form(name, case):
+    """The metric form g_jk Q_k of `pluecker_relations` agrees row by row with
+    the T/g0 form, also where the relations fail."""
+    rng = random.Random(24)
+    n = build(name).n
+    constants = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] if case == "fractional-constants" else None
+    system = generate_flux(build(name), constants=constants, rng=rng)
+    if case == "perturbed-q":
+        system.q[1] = system.q[1] + MultiPoly.variable(system.vars, 0) * system.d
+    rows = pluecker_relations(system).row_ok
+    assert rows == _pluecker_rows_from_the_table(system)
+    assert all(rows) == (case != "perturbed-q")
+
+
 def test_congruence_lines_span():
     rng = random.Random(22)
     system = generate_flux(build("n4-open"), rng=rng)
