@@ -98,8 +98,6 @@ def _load_operator(path: str) -> Hho2:
 def _load_system(path: str) -> ConservativeSystem:
     try:
         return ConservativeSystem.from_json(_read_text(path))
-    except DegenerateOperatorError as exc:
-        raise InputError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_rank
+from .linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly, _poly_mul_coeffs, _sum_of_products
 from .systems import ConservativeSystem
@@ -85,11 +85,6 @@ def sample_points(
 # ----- torsion tensors ------------------------------------------------------
 
 
-def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     """Nijenhuis torsion of the flux Jacobian at u, from first principles:
 
@@ -102,22 +97,20 @@ def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     """
     n = system.op.n
     num = system._numerators(u)
-    kern = system._kernel()
     r, s = num.r, num.s
-    num_scale = kern.den_d ** 2
-    den = kern.den_q ** 2 * num.d ** 5
+    den = num.d ** 5
     out = []
     for i in range(n):
         ri = r[i]
         # a[k][j] = S_ikp R_pj
-        a = _matmul(s[i], r)
+        a = rat_mat_mul(s[i], r)
         plane = []
         for j in range(n):
             row = []
             for k in range(n):
                 total = a[k][j] - a[j][k]
                 total -= sum(ri[p] * (s[p][k][j] - s[p][j][k]) for p in range(n))
-                row.append(Fraction(num_scale * total, den))
+                row.append(Fraction(total, den))
             plane.append(row)
         out.append(plane)
     return out
@@ -128,32 +121,31 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
 
     N^i_jk = g^{ia} (T_jal V^l_p V^p_k - T_kal V^l_p V^p_j - 2 T_alp V^l_k V^p_j).
 
-    Contracted in integers from the Jacobian numerators R, the dense tensor
-    array and g^{-1} cleared of its denominators, divided once at the end.
+    Contracted in integers from the point record: the Jacobian numerators R,
+    the integer tensor t = t_den T and the integer metric G = t_den q g, whose
+    inverse is cleared of its denominators.  g^{-1} = t_den q G^{-1}, so t_den
+    cancels and the numerator gains the factor q; one division per entry.
     """
     n = system.op.n
-    point = system._point(u)
-    num = system._numerators(point)
-    kern = system._kernel()
-    r, t = num.r, kern.t
-    g_den, ginv = clear_denominators(rat_inverse(system.op.metric_at(point)))
-    rr = _matmul(r, r)
+    num = system._numerators(u)
+    r, t = num.r, system._kernel().t
+    g_den, ginv = clear_denominators(rat_inverse(num.g))
+    rr = rat_mat_mul(r, r)
     rt = list(zip(*r))
     # inner[a][j][k] = T_jal RR_lk - T_kal RR_lj - 2 (R^T T_a R)_kj
     inner = []
     for a in range(n):
-        x = _matmul([t[j][a] for j in range(n)], rr)
-        y = _matmul(rt, _matmul(t[a], r))
+        x = rat_mat_mul([t[j][a] for j in range(n)], rr)
+        y = rat_mat_mul(rt, rat_mat_mul(t[a], r))
         inner.append([[x[j][k] - x[k][j] - 2 * y[k][j] for k in range(n)] for j in range(n)])
-    num_scale = kern.den_d ** 2
-    den = kern.den_q ** 2 * num.d ** 4 * kern.t_den * g_den
+    den = num.d ** 4 * g_den
     out = []
     for i in range(n):
         gi = ginv[i]
         plane = []
         for j in range(n):
             sums = [sum(gi[a] * inner[a][j][k] for a in range(n)) for k in range(n)]
-            plane.append([Fraction(num_scale * x, den) for x in sums])
+            plane.append([Fraction(num.q * x, den) for x in sums])
         out.append(plane)
     return out
 
@@ -169,23 +161,21 @@ def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Frac
     """
     n = system.op.n
     num = system._numerators(u)
-    kern = system._kernel()
     nij = torsion if torsion is not None else nijenhuis(system, u)
     n_den, rows = clear_denominators([row for plane in nij for row in plane])
     niji = [rows[i * n : (i + 1) * n] for i in range(n)]
     r = num.r
     rt = list(zip(*r))
-    rr = _matmul(r, r)
+    rr = rat_mat_mul(r, r)
     # w[p] = -(N^p R + R^T N^p), so that the middle two terms are R_ip w[p]_jk
     w = []
     for plane in niji:
-        left, right = _matmul(plane, r), _matmul(rt, plane)
+        left, right = rat_mat_mul(plane, r), rat_mat_mul(rt, plane)
         w.append([[-x - y for x, y in zip(lrow, rrow)] for lrow, rrow in zip(left, right)])
-    num_scale = kern.den_d ** 2
-    den = kern.den_q ** 2 * num.d ** 4 * n_den
+    den = num.d ** 4 * n_den
     out = []
     for i in range(n):
-        first = _matmul(rt, _matmul(niji[i], r))
+        first = rat_mat_mul(rt, rat_mat_mul(niji[i], r))
         ri, rri = r[i], rr[i]
         plane = []
         for j in range(n):
@@ -194,7 +184,7 @@ def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Frac
                 total = first[j][k]
                 for p in range(n):
                     total += ri[p] * w[p][j][k] + rri[p] * niji[p][j][k]
-                row.append(Fraction(num_scale * total, den))
+                row.append(Fraction(total, den))
             plane.append(row)
         out.append(plane)
     return out
@@ -294,29 +284,24 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
 
     s = Pf(T V + Aeff - lam g) / Pf(g), degree n/2, leading term (-1)^{n/2}.
 
-    The pencil is cleared of its denominators, T V + Aeff = C / c and
-    g = G / g_den, and its Pfaffian taken in integers.
+    Read from the point record in integers.  With T = t / t_den,
+    V = qv / d, Aeff = A / a_den and g = G / (t_den q), the pencil times
+    m = t_den a_den q d is a_den q (t qv) + t_den q d A - lam a_den d G, so
+    s = Pf(that) d_scale / (m^(n/2) d), as Pf(g) = d / d_scale.
     """
     n = system.op.n
-    point = system._point(u)
-    d = system.pfaffian_at(point)
-    if d == 0:
-        raise ZeroDivisionError("point lies on the degeneracy locus")
+    num = system._numerators(u)
     kern = system._kernel()
-    t, t_den = kern.t, kern.t_den
-    v_den, (v,) = clear_denominators([system.flux_at(point)])
-    a_den, a_eff = clear_denominators(system.a_eff)
-    g_den, g = clear_denominators(system.op.metric_at(point))
-    # C = a_den t_den v_den (T V + Aeff), scaled by g_den to meet G scaled by c
-    c = a_den * t_den * v_den
+    t, a, d = kern.t, kern.a, num.d
+    flux_scale, affine_scale = kern.a_den * num.q, kern.t_den * num.q * d
     pencil = [[0] * n for _ in range(n)]
     for h in range(n):
         for j in range(h + 1, n):
-            entry = g_den * (a_eff[h][j] * t_den * v_den + a_den * sum(map(mul, t[h][j], v)))
+            entry = flux_scale * sum(map(mul, t[h][j], num.qv)) + affine_scale * a[h][j]
             pencil[h][j], pencil[j][h] = entry, -entry
-    scaled_g = [[c * x for x in row] for row in g]
-    scale = (c * g_den) ** (n // 2)
-    return [Fraction(x, scale) / d for x in _pencil_pfaffian(pencil, scaled_g)]
+    g = [[kern.a_den * d * x for x in row] for row in num.g]
+    den = (kern.t_den * kern.a_den * num.q * d) ** (n // 2) * d
+    return [Fraction(x * num.d_scale, den) for x in _pencil_pfaffian(pencil, g)]
 
 
 def charpoly_square_at(system: ConservativeSystem, u) -> dict:
@@ -459,7 +444,7 @@ def _geometric_multiplicity(m: Sequence[Sequence[int]], c: int, factor: Sequence
     coeffs = [x * c ** (d - k) for k, x in enumerate(ints)]
     f_m = [[coeffs[d] if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(d - 1, -1, -1):
-        f_m = _matmul(f_m, m)
+        f_m = rat_mat_mul(f_m, m)
         for i in range(n):
             f_m[i][i] += coeffs[k]
     nullity = n - rat_rank(f_m)

@@ -1,12 +1,13 @@
 """Exact linear algebra over polynomial rings and over the rationals.
 
-Polynomial matrices get fraction-free algorithms: Bareiss elimination for
-determinants and rank, a recursive first-row Pfaffian with memoisation over
-index subsets, and a skew adjugate assembled from Pfaffian minors, whose
-entries over the Pfaffian give the inverse; Pfaffians expand on integer
-coefficients.  Plain rational matrices (lists of lists of Fraction) are cleared
-of denominators and row-reduced in integers by fraction-free Gauss-Jordan
-elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
+Polynomial matrices get fraction-free algorithms: one Bareiss elimination
+for determinants and rank, a rank first bounded below at a fixed rational
+point, a recursive first-row Pfaffian with memoisation over index subsets, and
+a skew adjugate assembled from Pfaffian minors, whose entries over the
+Pfaffian give the inverse; Pfaffians expand on integer coefficients.  Plain
+rational matrices (lists of lists of Fraction) are cleared of denominators and
+row-reduced in integers by fraction-free Gauss-Jordan elimination (Bareiss,
+Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
 
 Sign conventions are pinned by the small cases: Pf([[0,1],[-1,0]]) = +1 and
 the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .poly import MultiPoly
@@ -96,35 +98,41 @@ class PolyMatrix:
         return "[" + ",\n ".join("[" + ", ".join(str(p) for p in row) + "]" for row in self.entries) + "]"
 
 
-def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _bareiss(matrix: PolyMatrix) -> Tuple[int, MultiPoly]:
+    """(rank, signed last pivot) by fraction-free Bareiss elimination.
 
-    Intermediate entries are leading minors of the input, so every division
-    below is exact in the polynomial ring.
+    Intermediate entries are minors of the input, so every division below is
+    exact in the polynomial ring.  For a square matrix of full rank the signed
+    last pivot is the determinant.
     """
+    m = [row[:] for row in matrix.entries]
+    rows, cols = matrix.rows, matrix.cols
+    rank, sign = 0, 1
+    prev = MultiPoly.const(matrix.vars, 1)
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivot = next((i for i in range(rank, rows) if not m[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        p = m[rank][col]
+        for i in range(rank + 1, rows):
+            for j in range(col + 1, cols):
+                m[i][j] = (p * m[i][j] - m[i][col] * m[rank][j]).exact_div(prev)
+        prev = p
+        rank += 1
+    return rank, prev if sign > 0 else -prev
+
+
+def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
+    """Exact determinant by fraction-free Bareiss elimination."""
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return MultiPoly.const(matrix.vars, 1)
-    m = [row[:] for row in matrix.entries]
-    sign = 1
-    prev = MultiPoly.const(matrix.vars, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return MultiPoly.zero(matrix.vars)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MultiPoly.zero(matrix.vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    rank, pivot = _bareiss(matrix)
+    return pivot if rank == matrix.rows else MultiPoly.zero(matrix.vars)
 
 
 def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
@@ -209,38 +217,26 @@ def pfaffian_adjugate(matrix: PolyMatrix):
 
 
 def poly_rank(matrix: PolyMatrix) -> int:
-    """Rank over the fraction field of the polynomial ring (exact)."""
-    m = [row[:] for row in matrix.entries]
-    rows, cols = matrix.rows, matrix.cols
-    rank = 0
-    prev = MultiPoly.const(matrix.vars, 1)
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, rows):
-            for j in range(col + 1, cols):
-                num = p * m[i][j] - m[i][col] * m[rank][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][col] = MultiPoly.zero(matrix.vars)
-        prev = p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the fraction field of the polynomial ring (exact).
+
+    A specialisation never raises the rank, so full rank at the fixed point
+    x_i = (2i + 3) / (i + 2) proves full rank; only a matrix singular there is
+    eliminated.
+    """
+    point = [Fraction(2 * i + 3, i + 2) for i in range(len(matrix.vars))]
+    full = min(matrix.rows, matrix.cols)
+    if rat_rank(matrix.eval_at(point)) == full:
+        return full
+    return _bareiss(matrix)[0]
 
 
 # ----- rational (constant) matrices ------------------------------------------
 
 
 def rat_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    """Matrix product of lists of ints or Fractions."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _integer_gauss_jordan(matrix):

@@ -18,14 +18,13 @@ over D^3.  The derivatives here are genuine quotient-rule derivatives of the
 flux components; the checks do not assume any structural identity that would
 make them vacuous.
 
-Pointwise evaluation works in integers.  D, the Q_k and their first and
-second partials are scaled to integer coefficients and share one monomial
-table; at a point each monomial is evaluated once, and the integer numerators
-R_kp (over D^2) and S_kpl (over D^3) are formed from the values.  A rational
-point is first multiplied by the common denominator q of its coordinates;
-the monomials are homogenised to one degree, so the powers of q cancel from
-V and its derivatives and D(u) divides by the one power of q left.  Exact
-Fractions are formed only at the end, by one division per entry.
+Pointwise evaluation works in integers, through one record per point.  D,
+the Q_k and their first and second partials are scaled by one common
+denominator and share one monomial table; each monomial is evaluated once at
+a point U/q, homogenised to one degree, so the powers of q cancel from V and
+its derivatives and D(u) divides by the one power of q left.  The record holds
+the integer numerators R_kp (over D^2) and S_kpl (over D^3) and the integer
+metric; every pointwise check reads it and divides once per entry at the end.
 """
 
 from __future__ import annotations
@@ -85,6 +84,10 @@ class FluxParams:
 
     @staticmethod
     def make(a, b) -> "FluxParams":
+        # A string or a mapping of n keys has length n too; neither is a vector.
+        lists = (list, tuple)
+        if not (isinstance(a, lists) and isinstance(b, lists) and all(isinstance(row, lists) for row in a)):
+            raise ValueError("A must be a list of row lists and B a list")
         n = len(b)
         mat = [[rat(x) for x in row] for row in a]
         if len(mat) != n or any(len(row) != n for row in mat):
@@ -240,8 +243,8 @@ class ConservativeSystem:
             self._kern = _PointKernel(self)
         return self._kern
 
-    def _numerators(self, u, regular: bool = True) -> _PointNumerators:
-        """Integer numerators at u, memoized; regular=True rejects D(u) = 0."""
+    def _numerators(self, u) -> _PointNumerators:
+        """The integer record of u, memoized; refuses a point with D(u) = 0."""
         point = self._point(u)
         num = self._num_cache.get(point)
         if num is None:
@@ -249,32 +252,24 @@ class ConservativeSystem:
             if len(self._num_cache) >= 16:
                 self._num_cache.pop(next(iter(self._num_cache)))
             self._num_cache[point] = num
-        if regular and not num.d:
+        if not num.d:
             raise ZeroDivisionError("point lies on the degeneracy locus")
         return num
 
-    def pfaffian_at(self, u) -> Fraction:
-        num = self._numerators(u, regular=False)
-        return Fraction(num.d, num.d_scale)
-
     def flux_at(self, u) -> List[Fraction]:
         num = self._numerators(u)
-        kern = self._kernel()
-        den = kern.den_q * num.d
-        return [Fraction(kern.den_d * x, den) for x in num.qv]
+        return [Fraction(x, num.d) for x in num.qv]
 
     def jacobian_at(self, u) -> List[List[Fraction]]:
         num = self._numerators(u)
-        kern = self._kernel()
-        den = kern.den_q * num.d ** 2
-        return [[Fraction(kern.den_d * x, den) for x in row] for row in num.r]
+        den = num.d ** 2
+        return [[Fraction(x, den) for x in row] for row in num.r]
 
     def hessian_at(self, u) -> List[List[List[Fraction]]]:
         """hess[k][p][l] = d^2 V^k / du^p du^l, exact at the point."""
         num = self._numerators(u)
-        kern = self._kernel()
-        den = kern.den_q * num.d ** 3
-        return [[[Fraction(kern.den_d * x, den) for x in row] for row in plane] for plane in num.s]
+        den = num.d ** 3
+        return [[[Fraction(x, den) for x in row] for row in plane] for plane in num.s]
 
     # ----- eigenvalue pencil -------------------------------------------------
 
@@ -363,13 +358,13 @@ class ConservativeSystem:
             raise ValueError("malformed system document: missing op")
         op = Hho2.from_json(json.dumps(data["op"]))
         n = op.n
-        if "B" not in data or len(data["B"]) != n:
+        if not isinstance(data.get("B"), list) or len(data["B"]) != n:
             raise ValueError("malformed system document: B must list n values")
         a = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), value in index_entries(data.get("A", []), 2, n, "A"):
             a[i][j] = rat(value)
             a[j][i] = -a[i][j]
-        if "constants" in data and data["constants"] is None:
+        if "constants" in data and not isinstance(data["constants"], list):
             raise ValueError("malformed system document: constants must list n values")
         # FluxParams.make and the constructor parse B and the constants.
         return cls(op, FluxParams.make(a, data["B"]), data.get("constants"))
@@ -378,38 +373,36 @@ class ConservativeSystem:
         return f"ConservativeSystem(n={self.op.n})"
 
 
-def _coeff_denominator(polys: Sequence[MultiPoly]) -> int:
-    """Least common denominator of all coefficients of the polynomials."""
-    return clear_denominators([list(p.terms.values()) for p in polys])[0]
-
-
 class _PointNumerators(NamedTuple):
-    """Integer numerators of the flux data at one point.
+    """The integer record of the flux data and the metric at a point u = U / q.
 
-    With c = den_d / den_q from the kernel:  V^k = c qv[k] / d,
-    dV^k/du^p = c r[k][p] / d^2,  d^2 V^k/du^p du^l = c s[k][p][l] / d^3,
-    and D(u) = d / d_scale.  r and s are R_kp and S_kpl of the module
-    docstring, evaluated at the point.
+    V^k = qv[k] / d,  dV^k/du^p = r[k][p] / d^2,
+    d^2 V^k/du^p du^l = s[k][p][l] / d^3,  D(u) = d / d_scale,
+    and the metric is G / (t_den q) with G the field g and t_den from the
+    kernel.  r and s are R_kp and S_kpl of the module docstring, evaluated at
+    the point.
     """
 
     d: int
     d_scale: int
+    q: int
     qv: List[int]
     r: List[List[int]]
     s: List[List[List[int]]]
+    g: List[List[int]]
 
 
 class _PointKernel:
-    """Integer evaluation of D, Q_k and their first and second partials.
+    """Integer evaluation of D, the Q_k, their partials and the metric.
 
-    D and its partials are scaled to integer coefficients by the common
-    denominator den_d of D, the Q_k and their partials by the common
-    denominator den_q of all Q_k.  Their monomials form one table; at a point
-    each monomial is evaluated once, homogenised to the table's top degree,
-    so a rational point U/q needs only integers: every value carries the
-    factor q^top, which cancels from V and its derivatives.  t is the integer
-    view t_den * op.tensor on range(n) for the tensor contractions, with t_den
-    the common denominator of the operator table.
+    One common denominator `scale`, the lcm of the coefficient denominators of
+    D and of every Q_k (those of the partials divide it), clears them all.
+    Each monomial of the one table is evaluated once, homogenised to the top
+    degree, so a point U/q needs only integers.  t = t_den * op.tensor on
+    range(n) x range(n) x range(n + 1), t_den the table's common denominator
+    and column n holding g0, gives the metric numerator
+    G_ij = sum_k t_ijk U_k + t_ijn q; a product of a row of t with an n-vector
+    reads range(n) only.  a = a_den * Aeff is cleared once per system.
     """
 
     def __init__(self, system: ConservativeSystem):
@@ -421,14 +414,11 @@ class _PointKernel:
         def family(f, f1, f2):
             return [f, *f1, *(f2[key] for key in self.pairs)]
 
-        self.den_d = _coeff_denominator([system.d])
-        self.den_q = _coeff_denominator(system.q)
+        self.scale = clear_denominators([list(p.terms.values()) for p in (system.d, *system.q)])[0]
         index: Dict[Tuple[int, ...], int] = {}
-        d_family = family(system.d, system._d1, system._d2)
-        self.polys = [self._compile(f, self.den_d, index) for f in d_family]
-        for k in range(n):
-            fam = family(system.q[k], system._q1[k], system._q2[k])
-            self.polys += [self._compile(f, self.den_q, index) for f in fam]
+        families = [family(system.d, system._d1, system._d2)]
+        families += [family(system.q[k], system._q1[k], system._q2[k]) for k in range(n)]
+        self.polys = [self._compile(f, self.scale, index) for fam in families for f in fam]
         self.top = max((sum(e) for e in index), default=0)
         self.monomials = [
             (self.top - sum(e), [(v, x) for v, x in enumerate(e) if x]) for e in index
@@ -436,7 +426,8 @@ class _PointKernel:
 
         op = system.op
         self.t_den = clear_denominators([list(op.table.values())])[0]
-        self.t = [[[int(x * self.t_den) for x in row[:n]] for row in plane[:n]] for plane in op.tensor[:n]]
+        self.t = [[[int(x * self.t_den) for x in row] for row in plane[:n]] for plane in op.tensor[:n]]
+        self.a_den, self.a = clear_denominators(system.a_eff)
 
     @staticmethod
     def _compile(poly: MultiPoly, scale: int, index: Dict[Tuple[int, ...], int]):
@@ -485,7 +476,13 @@ class _PointKernel:
                 sk[l][p] = value
             qv.append(qk)
             r.append(rk)
-        return _PointNumerators(d, self.den_d * q ** top, qv, r, s)
+        hom = coords + [q]
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                entry = sum(map(operator.mul, self.t[i][j], hom))
+                g[i][j], g[j][i] = entry, -entry
+        return _PointNumerators(d, self.scale * q ** top, q, qv, r, s, g)
 
 
 def generate_flux(
@@ -584,36 +581,34 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
 def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
     """Both identity families at each point, contracted in integers.
 
-    With g = G / g_den, T = t / t_den and c = den_d / den_q of the kernel,
-    the first family times D^2 g_den / c is the sum over j of
-    G_qj R_jp + G_pj R_jq, and the second times D^3 g_den t_den / c is the
-    sum over k of t_den G_qk S_kpl + g_den D (t_pqk R_kl + t_qkl R_kp).
+    The point record gives dV/du = r / d^2, d^2V/du^2 = s / d^3 and
+    g = G / (t_den q), and T = t / t_den.  The first family times
+    t_den q d^2 is the sum over j of G_qj r_jp + G_pj r_jq, and the second
+    times t_den q d^3 is the sum over k of G_qk s_kpl
+    + q d (t_pqk r_kl + t_qkl r_kp): t_den cancels from both.
     """
     n = system.op.n
-    kern = system._kernel()
-    t, t_den = kern.t, kern.t_den
+    t = system._kernel().t
     report = CompatReport(mode="points", n=n, points_checked=0)
     fail1 = set()
     fail2 = set()
     for u in points:
-        point = system._point(u)
-        num = system._numerators(point)
-        r, s, d = num.r, num.s, num.d
-        g_den, gmat = clear_denominators(system.op.metric_at(point))
+        num = system._numerators(u)
+        r, s, gmat = num.r, num.s, num.g
         for q in range(n):
             for p in range(q, n):
                 total = sum(gmat[q][j] * r[j][p] + gmat[p][j] * r[j][q] for j in range(n))
                 if total:
                     fail1.add((q + 1, p + 1))
-        gd = g_den * d
+        qd = num.q * num.d
         for q in range(n):
-            gq = [t_den * x for x in gmat[q]]
+            gq = gmat[q]
             for p in range(n):
                 tpq = t[p][q]
                 for l in range(p, n):
                     total = 0
                     for k in range(n):
-                        total += gq[k] * s[k][p][l] + gd * (tpq[k] * r[k][l] + t[q][k][l] * r[k][p])
+                        total += gq[k] * s[k][p][l] + qd * (tpq[k] * r[k][l] + t[q][k][l] * r[k][p])
                     if total:
                         fail2.add((q + 1, p + 1, l + 1))
         report.points_checked += 1

@@ -337,6 +337,38 @@ def test_system_with_bad_constants_exits_2(tmp_path, capsys, constants, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("B", "12"), ("constants", "34"), ("B", {"1": 0, "2": 0}),
+                                        ("constants", {"3": 0, "4": 0})])
+def test_system_flux_vectors_must_be_lists(tmp_path, capsys, key, value):
+    # A string or an object of n keys has length n too; neither is a list.
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n2", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    assert run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)[0] == 0
+    doc = json.loads(open(sys_path).read())
+    doc[key] = value
+    code, out, err = run(capsys, "sys", "verify", write(tmp_path, "bad.json", json.dumps(doc)))
+    assert code == 2
+    assert err.startswith("error:") and f"{key} must list n values" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a, b", [
+    ('["00","00"]', "[1,2]"),
+    ('{"01": 0, "10": 0}', "[1,2]"),
+    ("[[0,1],[-1,0]]", '{"1": 0, "2": 0}'),
+    ("[[0,1],[-1,0]]", '"12"'),
+])
+def test_generate_flux_data_must_be_lists(tmp_path, capsys, a, b):
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n2", "--out", op_path)
+    b_arg = b if b.startswith(("[", "{")) else write(tmp_path, "b.json", b)
+    code, out, err = run(capsys, "sys", "generate", op_path, "--A", a, "--B", b_arg)
+    assert code == 2
+    assert err == "error: bad flux data: A must be a list of row lists and B a list\n"
+    assert "Traceback" not in err
+
+
 def test_generate_degenerate_operator_exits_2(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-degenerate", "--out", op_path)
@@ -589,6 +621,18 @@ def _golden_digests(tmp_path, capsys):
             digest(f"{entry} moved transform", "op", "transform", moved_path, "--sl", _second_sl(n + 1))
             digest(f"{entry} moved conformal-check", "--seed", "909", "--output", "json", "op", "conformal-check",
                    moved_path, "--sl", _second_sl(n + 1), "--points", "2")
+            # A system on a table with fractional entries: the pointwise
+            # record carries a metric denominator t_den > 1.
+            moved_sys = digest(f"{entry} moved generate", "--seed", "909", "--output", "json", "sys", "generate",
+                               moved_path, "--random")
+            moved_sys_path = write(tmp_path, f"{entry}.moved.sys.json", json.dumps(json.loads(moved_sys)["system"]))
+            digest(f"{entry} moved diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose",
+                   moved_sys_path, expect=1)
+            if n == 8:
+                # Point checks and the Casimir rank of a dense linear metric;
+                # the symbolic proof at n = 6 takes seconds on a moved table.
+                digest(f"{entry} moved verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify",
+                       moved_sys_path)
         generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
         if entry in _GOLDEN_DIAGNOSE:
             sys_path = write(tmp_path, f"{entry}.sys.json", json.dumps(json.loads(generated)["system"]))
@@ -625,6 +669,8 @@ _GOLDEN = {
     "n6-X moved validate": "591361137333bf028e424d73fa9ac4848fe75c1c9f22265f088aab5a7b6d5ac8",
     "n6-X moved transform": "8aac4091cb36ccfbb5366fcda7a596db1419d9ab32ced5f0078d89cb534a1fd2",
     "n6-X moved conformal-check": "7a7ff54f34651c108c77372dc1a9bfc7236bf8485b65fe8db5b64aa3fbc4d8cb",
+    "n6-X moved generate": "a202488c047738ff07492bcdee28b8999974c4762465081d695e69ca9da367a9",
+    "n6-X moved diagnose": "bb52c7bbf23dc9e373db74dc602b4444344cebf6dea730ae164c8bb4dc0dbe9b",
     "n6-X generate": "5fc826e1f103abbcb393458c282565665a3f9f855e401968be997db729b2a9a2",
     "n6-X verify": "f1ff5f052a4c60384952880c55c18d5e9c2c84995492feb9a0967cbe37ad18c1",
     "n6-X diagnose": "d3975e92d9b872870b9150dd285f956f5885ea80e4d7b013ff520fd75edb09b7",
@@ -636,6 +682,9 @@ _GOLDEN = {
     "n8-fam1 moved validate": "16c8540c2141e7480a5292a391bd88bc3fd41dcc1f025a1df6160d37600c16de",
     "n8-fam1 moved transform": "62317f633e2b2e8a1d54b0ae9169982ded320aa062e56e403fb8d7e572b4cb58",
     "n8-fam1 moved conformal-check": "931d52b2d90f2601e2c27c52356a160930e8584530f64473aadfcc50ba14f326",
+    "n8-fam1 moved generate": "1382ebbd2208dde7b8248766e7ca6419081dec8a98aec7823267ad046ae33998",
+    "n8-fam1 moved diagnose": "6cb2da43a86bc57dd20e47505edd6ccf8e234b0fddbc5341bf5a77372b9b2008",
+    "n8-fam1 moved verify": "c1d0c8b2cb455e114d63a0f47c3fcb2c77f9d5029532f17eff664ae3a59c7e41",
     "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
     "n8-fam1 verify": "c1d0c8b2cb455e114d63a0f47c3fcb2c77f9d5029532f17eff664ae3a59c7e41",
     "n8-fam1 diagnose": "bafe453fde1881f453ff6a55e91ab2f459ebe700e0d9bce36b451f3179c58df0",

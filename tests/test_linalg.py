@@ -135,6 +135,31 @@ def test_poly_rank():
     assert poly_rank(m2) == 2
 
 
+def test_poly_rank_falls_back_to_elimination(monkeypatch):
+    """A matrix singular at the fixed point (x, y) = (3/2, 5/3) of
+    `poly_rank` but of full rank over Q(x, y) gets its exact rank by
+    elimination; one of full rank there needs no elimination."""
+    calls = []
+    exact_div = MultiPoly.exact_div
+    monkeypatch.setattr(MultiPoly, "exact_div", lambda self, divisor: calls.append(1) or exact_div(self, divisor))
+    x, y = MultiPoly.variable(VARS, "x"), MultiPoly.variable(VARS, "y")
+    one = MultiPoly.const(VARS, 1)
+    # The first column vanishes at the point.
+    singular_there = PolyMatrix([[x * 2 - one * 3, y, x], [y * 3 - one * 5, x, y], [(x * 2 - one * 3) * y, one, x + y]])
+    assert rat_det(singular_there.eval_at((Fraction(3, 2), Fraction(5, 3)))) == 0
+    assert not det_bareiss(singular_there).is_zero()
+    calls.clear()
+    assert poly_rank(singular_there) == 3
+    assert calls
+    calls.clear()
+    assert poly_rank(PolyMatrix([[x, y], [one, x]])) == 2
+    assert calls == []
+    # A rank-deficient matrix: the third row is x times the first plus the second.
+    rows = [[x, y, one], [y, one, x]]
+    rows.append([a * x + b for a, b in zip(*rows)])
+    assert poly_rank(PolyMatrix(rows)) == 2
+
+
 def test_rat_inverse_and_rank():
     rng = random.Random(12)
     for _ in range(10):

@@ -23,7 +23,8 @@ from hho2.systems import (
     pluecker_relations,
     random_flux_params,
 )
-from hho2.diagnostics import sample_points
+from hho2.diagnostics import nijenhuis, nijenhuis_closed_form, sample_points, sqrt_charpoly_at
+from hho2.linalg import PolyMatrix, pfaffian
 from hho2.threeform import LinearMapN1
 
 
@@ -115,14 +116,10 @@ def test_flux_evaluation_routes_agree():
         assert system.flux_at(u) == direct
 
 
-def test_jacobian_and_hessian_match_quotient_rule():
-    # Inputs: a catalog system at integer points and at rational points p/q,
-    # and a system whose T, g0, A, B and constants are not integers, so that
-    # D is not constant and D and the Q_k have Fraction coefficients.
-    rng = random.Random(16)
+def _fractional_system(rng):
+    """A system whose T, g0, A, B and constants are not integers, so that D
+    is not constant and D and the Q_k have Fraction coefficients."""
     n = 4
-    catalog = generate_flux(build("n4-open"), rng=rng)
-    catalog_points = sample_points(catalog.op, 3, rng)
     op = Hho2(n, {(0, 1, 2): 1, (1, 2, 3): Fraction(3, 2), (0, 3, 4): 1, (1, 2, 4): Fraction(-1, 3)})
     a = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -131,18 +128,36 @@ def test_jacobian_and_hessian_match_quotient_rule():
             a[j][i] = -a[i][j]
     b = [Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in range(n)]
     consts = [Fraction(rng.randint(-3, 3), rng.randint(2, 4)) for _ in range(n)]
-    fractional = ConservativeSystem(op, FluxParams.make(a, b), consts)
-    assert not fractional.d.is_constant()
-    assert any(isinstance(c, Fraction) for qk in fractional.q for c in qk.terms.values())
-    for system, points in ((catalog, catalog_points), (fractional, sample_points(op, 3, rng))):
-        while len(points) < 6:
-            u = tuple(Fraction(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(n))
-            if any(x.denominator != 1 for x in u) and system.d.eval(u):
-                points.append(u)
+    system = ConservativeSystem(op, FluxParams.make(a, b), consts)
+    assert not system.d.is_constant()
+    assert any(isinstance(c, Fraction) for qk in system.q for c in qk.terms.values())
+    return system
+
+
+def _add_fractional_points(system, points, rng, count=6):
+    """Extend points to count with points p/q off the locus, some q > 1."""
+    while len(points) < count:
+        u = tuple(Fraction(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(system.op.n))
+        if any(x.denominator != 1 for x in u) and system.d.eval(u):
+            points.append(u)
+    return points
+
+
+def test_jacobian_and_hessian_match_quotient_rule():
+    # Inputs: a catalog system at integer points and at rational points p/q,
+    # and the fractional-table system.
+    rng = random.Random(16)
+    n = 4
+    catalog = generate_flux(build("n4-open"), rng=rng)
+    catalog_points = sample_points(catalog.op, 3, rng)
+    fractional = _fractional_system(rng)
+    for system, points in ((catalog, catalog_points), (fractional, sample_points(fractional.op, 3, rng))):
+        _add_fractional_points(system, points, rng)
         jac_fns = [[system.v[k].diff(p) for p in range(n)] for k in range(n)]
         hess_fns = [[[jac_fns[k][p].diff(l) for l in range(n)] for p in range(n)] for k in range(n)]
         for u in points:
-            assert system.pfaffian_at(u) == system.d.eval(u)
+            num = system._numerators(u)
+            assert Fraction(num.d, num.d_scale) == system.d.eval(u)
             assert system.flux_at(u) == [vk.eval(u) for vk in system.v]
             jac = system.jacobian_at(u)
             hess = system.hessian_at(u)
@@ -151,6 +166,47 @@ def test_jacobian_and_hessian_match_quotient_rule():
                     assert jac[k][p] == jac_fns[k][p].eval(u)
                     for l in range(n):
                         assert hess[k][p][l] == hess_fns[k][p][l].eval(u)
+
+
+def _sqrt_charpoly_oracle(system, u):
+    """Ascending coefficients of Pf(T V + Aeff - lam g) / D(u), in Fractions
+    from the reduced flux and the symbolic metric, through `linalg.pfaffian`
+    over the ring ("lam",)."""
+    n, t = system.op.n, system.op.tensor
+    v = [vk.eval(u) for vk in system.v]
+    g = system.op.metric_at(u)
+    lam = MultiPoly.variable(("lam",), 0)
+    rows = [
+        [lam * -g[h][j] + (sum(t[h][j][i] * v[i] for i in range(n)) + system.a_eff[h][j]) for j in range(n)]
+        for h in range(n)
+    ]
+    pf = pfaffian(PolyMatrix(rows))
+    coeffs = [Fraction(0)] * (n // 2 + 1)
+    for (power,), c in pf.monomials():
+        coeffs[power] = c
+    return [c / system.d.eval(u) for c in coeffs]
+
+
+def test_pointwise_readers_on_fractional_data():
+    """The pointwise compatibility check, both Nijenhuis routes and the
+    Pfaffian square root, on the fractional-table system at points p/q."""
+    rng = random.Random(30)
+    system = _fractional_system(rng)
+    points = _add_fractional_points(system, [], rng)
+    rep = check_compat(system, mode="points", points=points)
+    assert rep.passed and rep.points_checked == len(points)
+    for u in points:
+        assert nijenhuis(system, u) == nijenhuis_closed_form(system, u)
+        assert sqrt_charpoly_at(system, u) == _sqrt_charpoly_oracle(system, u)
+    # Q_1 perturbed by a fractional polynomial before any table is built: the
+    # points find exactly the identities the proof rejects.
+    broken = _fractional_system(random.Random(30))
+    broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "1/3*u1*u2 - 5/7*u4")
+    proof = check_compat(broken, mode="symbolic")
+    rep = check_compat(broken, mode="points", points=points)
+    assert not proof.passed
+    assert rep.first_order_failures == proof.first_order_failures
+    assert rep.second_order_failures == proof.second_order_failures
 
 
 def test_additive_constants_absorb_into_effective_parameters():
@@ -367,10 +423,9 @@ def test_n8_system_build_needs_no_sympy_gcd(monkeypatch):
     assert all(vk.den == system.d.monic() for vk in v)
 
 
-def test_point_kernel_tensor_is_the_scaled_dense_view():
-    """The pointwise kernel's integer tensor is t_den times `op.tensor` on
-    range(n), for a table with fractional entries: n6-X moved by a unit lower
-    triangular map with fractional entries."""
+def _moved_n6x():
+    """n6-X moved by a unit lower triangular map with fractional entries, so
+    that its table has fractional entries."""
     q = Fraction
     sl = LinearMapN1([
         [1, 0, 0, 0, 0, 0, 0],
@@ -381,8 +436,26 @@ def test_point_kernel_tensor_is_the_scaled_dense_view():
         [0, 0, q(3, 4), 0, 0, 1, 0],
         [q(1, 3), 0, 0, 0, q(-1, 2), 0, 1],
     ])
-    op = transform(build("n6-X"), ProjReciprocal(sl))
+    return transform(build("n6-X"), ProjReciprocal(sl))
+
+
+def test_point_kernel_tensor_is_the_scaled_dense_view():
+    """The pointwise kernel's integer tensor is t_den times `op.tensor` on
+    range(n) x range(n) x range(n + 1), column n holding g0, for a table with
+    fractional entries."""
+    op = _moved_n6x()
     kern = generate_flux(op, rng=random.Random(909))._kernel()
     assert kern.t_den > 1
     n = op.n
-    assert kern.t == [[[kern.t_den * op.tensor[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    assert kern.t == [[[kern.t_den * op.tensor[i][j][k] for k in range(n + 1)] for j in range(n)] for i in range(n)]
+
+
+def test_casimir_rank_of_a_moved_metric_needs_no_elimination(monkeypatch):
+    """Full rank at the fixed rational point proves full rank: the dense
+    linear metric of a moved operator is not eliminated over Q[u]."""
+    calls = []
+    exact_div = MultiPoly.exact_div
+    monkeypatch.setattr(MultiPoly, "exact_div", lambda self, divisor: calls.append(1) or exact_div(self, divisor))
+    rep = casimir_check(_moved_n6x())
+    assert rep.metric_rank == 6 and rep.corank == 0 and rep.nondegenerate
+    assert calls == []
