@@ -18,6 +18,15 @@ over D^3.  The derivatives here are genuine quotient-rule derivatives of the
 flux components; the checks do not assume any structural identity that would
 make them vacuous.
 
+The symbolic proof reads both families off one product F_qp = sum_k g_qk R_kp:
+the first is F_qp + F_pq.  As dg_qk/du^l = T_qkl (g = T u + g0),
+sum_k g_qk S_kpl = D (dF_qp/du^l - T_qkl R_kp) - 2 D_l F_qp; the T_qkl R_kp
+terms cancel, so the second is D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp.  With
+D and the Q_k scaled by the lcm `scale` of their coefficient denominators and
+the table by its own, t_den, every coefficient is an integer and every
+identity gains the factor t_den scale^3.  The pointwise check evaluates S: an
+independent route to the same identities.
+
 Pointwise evaluation works in integers, through one record per point.  D,
 the Q_k and their first and second partials are scaled by one common
 denominator and share one monomial table; each monomial is evaluated once at
@@ -230,6 +239,16 @@ class ConservativeSystem:
             ]
         return self._r
 
+    def _integer_scales(self) -> Tuple[int, int, List[List[List[int]]]]:
+        """(scale, t_den, t): scale clears D and the Q_k as they are now, t_den
+        the table, and t = t_den * op.tensor on range(n) x range(n) x
+        range(n + 1), column n holding g0.  The kernel and the proof read it."""
+        n, op = self.op.n, self.op
+        scale = clear_denominators([list(p.terms.values()) for p in (self.d, *self.q)])[0]
+        t_den = clear_denominators([list(op.table.values())])[0]
+        t = [[[int(x * t_den) for x in row] for row in plane[:n]] for plane in op.tensor[:n]]
+        return scale, t_den, t
+
     # ----- pointwise exact evaluation ----------------------------------------
 
     def _point(self, u) -> Tuple[Fraction, ...]:
@@ -395,12 +414,10 @@ class _PointNumerators(NamedTuple):
 class _PointKernel:
     """Integer evaluation of D, the Q_k, their partials and the metric.
 
-    One common denominator `scale`, the lcm of the coefficient denominators of
-    D and of every Q_k (those of the partials divide it), clears them all.
+    One common denominator `scale` clears D, the Q_k and their partials, and
+    t = t_den * op.tensor, both from `ConservativeSystem._integer_scales`.
     Each monomial of the one table is evaluated once, homogenised to the top
-    degree, so a point U/q needs only integers.  t = t_den * op.tensor on
-    range(n) x range(n) x range(n + 1), t_den the table's common denominator
-    and column n holding g0, gives the metric numerator
+    degree, so a point U/q needs only integers.  t gives the metric numerator
     G_ij = sum_k t_ijk U_k + t_ijn q; a product of a row of t with an n-vector
     reads range(n) only.  a = a_den * Aeff is cleared once per system.
     """
@@ -414,7 +431,7 @@ class _PointKernel:
         def family(f, f1, f2):
             return [f, *f1, *(f2[key] for key in self.pairs)]
 
-        self.scale = clear_denominators([list(p.terms.values()) for p in (system.d, *system.q)])[0]
+        self.scale, self.t_den, self.t = system._integer_scales()
         index: Dict[Tuple[int, ...], int] = {}
         families = [family(system.d, system._d1, system._d2)]
         families += [family(system.q[k], system._q1[k], system._q2[k]) for k in range(n)]
@@ -423,10 +440,6 @@ class _PointKernel:
         self.monomials = [
             (self.top - sum(e), [(v, x) for v, x in enumerate(e) if x]) for e in index
         ]
-
-        op = system.op
-        self.t_den = clear_denominators([list(op.table.values())])[0]
-        self.t = [[[int(x * self.t_den) for x in row] for row in plane[:n]] for plane in op.tensor[:n]]
         self.a_den, self.a = clear_denominators(system.a_eff)
 
     @staticmethod
@@ -534,46 +547,30 @@ class CompatReport:
 
 
 def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
-    n = system.op.n
-    g = system.op.metric()
-    r = system.r_polys()
-    system._ensure_second()
-    d = system.d
-    d1 = system._d1
-    t = system.op.tensor
+    """Both identity families in Z[u], through the one product F = g R of
+    the module docstring, on D, the Q_k and the metric cleared to integers."""
+    n, vs = system.op.n, system.vars
+    scale, t_den, t = system._integer_scales()
+    metric = system.op.metric()
+    g = [[metric.at(q, j) * t_den for j in range(n)] for q in range(n)]
+    d = system.d * scale
+    d1 = [d.diff(p) for p in range(n)]
+    r = [[_sum_of_products(vs, [(qk.diff(p), d), (qk, -d1[p])]) for p in range(n)]
+         for qk in (x * scale for x in system.q)]
+    f = [[_sum_of_products(vs, [(g[q][k], r[k][p]) for k in range(n)]) for p in range(n)] for q in range(n)]
     report = CompatReport(mode="symbolic", n=n)
 
-    vs = system.vars
     for q in range(n):
         for p in range(q, n):
-            pairs = [(g.at(q, j), r[j][p]) for j in range(n)] + [(g.at(p, j), r[j][q]) for j in range(n)]
-            if _sum_of_products(vs, pairs):
+            if f[q][p] + f[p][q]:
                 report.first_order_failures.append((q + 1, p + 1))
-
-    neg_d1 = [-x for x in d1]
-    s_table: List[Dict[Tuple[int, int], MultiPoly]] = []
-    for k in range(n):
-        table: Dict[Tuple[int, int], MultiPoly] = {}
-        for p in range(n):
-            for l in range(p, n):
-                r_kpl = _sum_of_products(vs, [
-                    (system._q2[k][(p, l)], d),
-                    (system._q1[k][p], d1[l]),
-                    (system._q1[k][l], neg_d1[p]),
-                    (system.q[k], -system._d2[(p, l)]),
-                ])
-                table[(p, l)] = _sum_of_products(vs, [(r_kpl, d), (r[k][p], d1[l] * -2)])
-        s_table.append(table)
 
     for q in range(n):
         for p in range(n):
+            fqp, tpq = f[q][p], t[p][q]
             for l in range(p, n):
-                # D (T_pqk R_kl + T_qkl R_kp): the scalar sum first, then one product by D.
-                t_sum = _sum_of_products(
-                    vs, [(r[k][l], t[p][q][k]) for k in range(n)] + [(r[k][p], t[q][k][l]) for k in range(n)]
-                )
-                pairs = [(g.at(q, k), s_table[k][(p, l)]) for k in range(n)] + [(t_sum, d)]
-                if _sum_of_products(vs, pairs):
+                inner = _sum_of_products(vs, [(fqp.diff(l), 1)] + [(r[k][l], tpq[k]) for k in range(n)])
+                if _sum_of_products(vs, [(inner, d), (fqp, d1[l] * -2)]):
                     report.second_order_failures.append((q + 1, p + 1, l + 1))
     return report
 
@@ -620,9 +617,10 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
 def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None) -> CompatReport:
     """Verify the compatibility identities for a generated system.
 
-    mode "symbolic" proves them as polynomial identities (practical up to
-    n = 6); mode "points" checks them exactly at the given sample points,
-    which is the intended route for n = 8.
+    mode "symbolic" proves them as polynomial identities (about 5.5, 2.5 and
+    1.8 s on n8-fam1, n8-fam2-e1 and n8-fam2-e2 at small parameters); mode
+    "points" checks them exactly at the given sample points, the route
+    `sys verify` takes for n = 8.
     """
     if mode == "symbolic":
         return _check_compat_symbolic(system)

@@ -630,7 +630,7 @@ def _golden_digests(tmp_path, capsys):
                    moved_sys_path, expect=1)
             if n == 8:
                 # Point checks and the Casimir rank of a dense linear metric;
-                # the symbolic proof at n = 6 takes seconds on a moved table.
+                # test_systems covers the symbolic proof on a moved n = 6 table.
                 digest(f"{entry} moved verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify",
                        moved_sys_path)
         generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")

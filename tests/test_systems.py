@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hho2 import poly
+from hho2 import poly, systems
 from hho2.catalog import build
 from hho2.operators import Hho2, ProjReciprocal, transform
 from hho2.poly import MultiPoly, RationalFn
@@ -459,3 +459,89 @@ def test_casimir_rank_of_a_moved_metric_needs_no_elimination(monkeypatch):
     rep = casimir_check(_moved_n6x())
     assert rep.metric_rank == 6 and rep.corank == 0 and rep.nondegenerate
     assert calls == []
+
+
+def _compat_failures_oracle(system):
+    """Both identity families as the systems module docstring states them,
+    with the S table of second derivatives, in the flux's own coefficients:
+    (first-order failures, second-order failures)."""
+    n, vs = system.op.n, system.vars
+    g, t = system.op.metric(), system.op.tensor
+    d, q = system.d, system.q
+    d1 = [d.diff(p) for p in range(n)]
+    r = [[q[k].diff(p) * d - q[k] * d1[p] for p in range(n)] for k in range(n)]
+    first = [
+        (a + 1, b + 1)
+        for a in range(n)
+        for b in range(a, n)
+        if poly._sum_of_products(vs, [pair for j in range(n) for pair in ((g.at(a, j), r[j][b]), (g.at(b, j), r[j][a]))])
+    ]
+    s = [[[r[k][p].diff(l) * d - r[k][p] * d1[l] * 2 for l in range(n)] for p in range(n)] for k in range(n)]
+    second = []
+    for a in range(n):
+        for p in range(n):
+            for l in range(p, n):
+                pairs = [(g.at(a, k), s[k][p][l]) for k in range(n)]
+                pairs += [(d * r[k][l], t[p][a][k]) for k in range(n)] + [(d * r[k][p], t[a][k][l]) for k in range(n)]
+                if poly._sum_of_products(vs, pairs):
+                    second.append((a + 1, p + 1, l + 1))
+    return first, second
+
+
+def _moved_n4_open():
+    """n4-open moved by a unit lower triangular map with fractional entries."""
+    q = Fraction
+    sl = LinearMapN1([
+        [1, 0, 0, 0, 0],
+        [q(1, 2), 1, 0, 0, 0],
+        [0, q(-2, 3), 1, 0, 0],
+        [0, 0, q(3, 4), 1, 0],
+        [q(1, 3), 0, 0, q(-1, 2), 1],
+    ])
+    return transform(build("n4-open"), ProjReciprocal(sl))
+
+
+@pytest.mark.parametrize(
+    "name, seed", [(name, seed) for name in ("n2", "n4-open", "n6-IX", "n6-VIII") for seed in (3, 909)]
+    + [("n4-open-moved", 909)],
+)
+@pytest.mark.parametrize("case", ["clean", "integer-quadratic-q1", "fractional-quadratic-qlast"])
+def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
+    """The proof through F = g R rejects exactly the identities that the
+    stated S-table families reject, clean and with a perturbed numerator."""
+    op = _moved_n4_open() if name == "n4-open-moved" else build(name)
+    system = generate_flux(op, rng=random.Random(seed))
+    n = system.op.n
+    if case == "integer-quadratic-q1":
+        system.q[0] = system.q[0] + MultiPoly.parse(system.vars, f"u1*u{n} - 3*u2 + 2")
+    elif case == "fractional-quadratic-qlast":
+        system.q[-1] = system.q[-1] + MultiPoly.parse(system.vars, f"1/3*u1*u2 - 5/7*u{n}*u{n}")
+    first, second = _compat_failures_oracle(system)
+    rep = check_compat(system, mode="symbolic")
+    assert rep.first_order_failures == first
+    assert rep.second_order_failures == second
+    assert rep.passed == (case == "clean")
+
+
+def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
+    """On the fractional table of a moved n6-X the proof multiplies integer
+    polynomials only, and still rejects a perturbed flux."""
+    seen = []
+    sum_of_products = systems._sum_of_products
+
+    def recorded(variables, pairs):
+        pairs = list(pairs)
+        for a, b in pairs:
+            seen.extend(a.terms.values())
+            seen.extend(b.terms.values() if isinstance(b, MultiPoly) else [b])
+        return sum_of_products(variables, pairs)
+
+    op = _moved_n6x()
+    system = generate_flux(op, rng=random.Random(909))
+    broken = generate_flux(op, rng=random.Random(909))
+    broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "u1*u2 - 3*u5")
+    assert any(type(c) is Fraction for p in (system.d, *system.q) for c in p.terms.values())
+    monkeypatch.setattr(systems, "_sum_of_products", recorded)
+    assert check_compat(system, mode="symbolic").passed
+    assert seen and all(type(c) is int for c in seen)
+    assert not check_compat(broken, mode="symbolic").passed
