@@ -332,7 +332,11 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
 
     Verified once per size over the ring with one fresh variable per upper
     entry; every concrete skew matrix is a specialization, so the identity
-    transfers by substitution.
+    transfers by substitution.  The determinant is a Laplace expansion
+    memoised over column subsets: minors[mask] is the minor on the first
+    popcount(mask) rows and the columns in mask, expanded along its last row.
+    Division-free, it stays cheap at n = 8, where a fraction-free elimination
+    over 28 variables takes tens of seconds.
     """
     names = tuple(f"x{i+1}_{j+1}" for i in range(n) for j in range(i + 1, n))
     rows = [[MultiPoly.zero(names) for _ in range(n)] for _ in range(n)]
@@ -343,9 +347,17 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
             rows[i][j] = x
             rows[j][i] = -x
             pos += 1
-    mat = PolyMatrix(rows)
-    pf = pfaffian(mat)
-    return det_bareiss(mat) == pf * pf
+    minors = [MultiPoly.const(names, 1)]
+    for mask in range(1, 1 << n):
+        row = rows[bin(mask).count("1") - 1]
+        sign, pairs = 1, []
+        for j in reversed(range(n)):
+            if mask >> j & 1:
+                pairs.append((row[j] * sign, minors[mask ^ 1 << j]))
+                sign = -sign
+        minors.append(_sum_of_products(names, pairs))
+    pf = pfaffian(PolyMatrix(rows))
+    return minors[-1] == pf * pf
 
 
 def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport:
@@ -355,15 +367,20 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     cleared skew pencil, with C = D (T V + Aeff) from `ConservativeSystem.c_polys`.
     Three lam-free facts are checked: g R == D C entrywise in Q[u],
     det(g) == D^2 by Bareiss, and det == Pf^2 for the generic skew matrix of
-    this size.  Then g (R - lam D^2 I) = D C - lam D^2 g = D Dm, and
-    multiplicativity of det in the polynomial ring (a domain, D != 0) gives
-    det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2; cancelling det(g) = D^2 yields
-    the identity, with every step exact.
+    this size, by a Laplace expansion.  Then g (R - lam D^2 I) = D C -
+    lam D^2 g = D Dm, and multiplicativity of det in the polynomial ring (a
+    domain, D != 0) gives det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2;
+    cancelling det(g) = D^2 yields the identity, with every step exact.
 
-    `equal` is a certificate, not a disproof.  g R = D C is the u-derivative
-    of g V = Aeff u + Beff cleared by D^2, so it holds for every flux the
-    constructor builds; it fails only for numerators `q` edited after
-    construction, and such a flux can still satisfy the expanded identity.
+    g R - D C = D dP/du - P dD/du for the residual P of
+    `ConservativeSystem._pluecker_residuals` (the lemma of the `systems`
+    docstring), so P = 0 proves the first fact; g R and D C are formed only
+    when P != 0.
+
+    `equal` is a certificate, not a disproof.  P = 0 holds for every flux
+    the constructor builds; g R = D C fails only for numerators `q` edited
+    after construction, and such a flux can still satisfy the expanded
+    identity.
 
     Both degree fields are n without expanding a side: the lam-leading
     coefficient of det(R - lam D^2 I) is (-D^2)^n, and that of Pf(Dm) is
@@ -372,13 +389,15 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     """
     n, vs = system.op.n, system.vars
     g = system.op.metric()
-    r = system.r_polys()
-    c = system.c_polys()
-    match = all(
-        _sum_of_products(vs, [(g.at(q, j), r[j][p]) for j in range(n)]) == _sum_of_products(vs, [(system.d, c[q][p])])
-        for q in range(n)
-        for p in range(n)
-    )
+    match = not any(system._pluecker_residuals())
+    if not match:
+        r, c = system.r_polys(), system.c_polys()
+        match = all(
+            _sum_of_products(vs, [(g.at(q, j), r[j][p]) for j in range(n)])
+            == _sum_of_products(vs, [(system.d, c[q][p])])
+            for q in range(n)
+            for p in range(n)
+        )
     gram = det_bareiss(g) == system.d * system.d
     universal = _universal_skew_det_is_pfaffian_square(n)
     return CharpolySquareReport(

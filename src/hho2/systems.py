@@ -18,14 +18,31 @@ over D^3.  The derivatives here are genuine quotient-rule derivatives of the
 flux components; the checks do not assume any structural identity that would
 make them vacuous.
 
-The symbolic proof reads both families off one product F_qp = sum_k g_qk R_kp:
-the first is F_qp + F_pq.  As dg_qk/du^l = T_qkl (g = T u + g0),
+Both families read off one product F_qp = sum_k g_qk R_kp: the first is
+F_qp + F_pq.  As dg_qk/du^l = T_qkl (g = T u + g0),
 sum_k g_qk S_kpl = D (dF_qp/du^l - T_qkl R_kp) - 2 D_l F_qp; the T_qkl R_kp
-terms cancel, so the second is D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp.  With
-D and the Q_k scaled by the lcm `scale` of their coefficient denominators and
-the table by its own, t_den, every coefficient is an integer and every
-identity gains the factor t_den scale^3.  The pointwise check evaluates S: an
-independent route to the same identities.
+terms cancel, so the second is D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp.
+
+The symbolic proof first reads the residual of the line-congruence relation
+g V = Aeff u + Beff cleared by D, P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q.
+Aeff_qp = A_qp + T_qkp c_k is skew because T is totally skew.  Let
+C_qp = T_qpk Q_k + D Aeff_qp be the skew lam-free part of the eigenvalue
+pencil and E_qp = D dP_q/du^p - D_p P_q.  For any numerators Q,
+
+  F_qp - D C_qp = E_qp,
+
+since dP_q/du^p = T_qkp Q_k + g_qk Q_{k,p} - D_p (Aeff u + Beff)_q - D Aeff_qp
+and T_qkp = -T_qpk.  With C skew, the first family is E_qp + E_pq; with
+dC_qp/du^l = T_qpk Q_{k,l} + D_l Aeff_qp, the second is
+D dE_qp/du^l - 2 D_l E_qp.  So P = 0 proves both families, and g R = D C.
+Every flux the constructor builds has P = 0, and the proof ends there in
+n polynomial products per row.  A flux whose numerators were edited
+afterwards may still be compatible with P != 0 (adding c_k D to every Q_k
+keeps dV), so then the families are read off F, and the failure lists stay
+exact.  With D and the Q_k scaled by the lcm `scale` of their coefficient
+denominators, the table by its own, t_den, and Aeff, Beff by theirs, every
+coefficient is an integer.  The pointwise check evaluates S: an independent
+route to the same identities.
 
 Pointwise evaluation works in integers, through one record per point.  D,
 the Q_k and their first and second partials are scaled by one common
@@ -243,11 +260,31 @@ class ConservativeSystem:
         """(scale, t_den, t): scale clears D and the Q_k as they are now, t_den
         the table, and t = t_den * op.tensor on range(n) x range(n) x
         range(n + 1), column n holding g0.  The kernel and the proof read it."""
-        n, op = self.op.n, self.op
+        n = self.op.n
         scale = clear_denominators([list(p.terms.values()) for p in (self.d, *self.q)])[0]
-        t_den = clear_denominators([list(op.table.values())])[0]
-        t = [[[int(x * t_den) for x in row] for row in plane[:n]] for plane in op.tensor[:n]]
-        return scale, t_den, t
+        # Every table value sits in this block with its sign, so its lcm is the table's.
+        t_den, rows = clear_denominators([row for plane in self.op.tensor[:n] for row in plane[:n]])
+        return scale, t_den, [rows[i * n : (i + 1) * n] for i in range(n)]
+
+    def _pluecker_residuals(self) -> List[MultiPoly]:
+        """The residuals P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q in Z[u],
+        each times a_den t_den scale: D and the Q_k as they are now carry
+        scale, as in `_integer_scales`, the metric a_den t_den, and Aeff, Beff
+        their common denominator a_den times t_den."""
+        n, vs = self.op.n, self.vars
+        scale, t_den, _ = self._integer_scales()
+        a_den, rows = clear_denominators([*self.a_eff, self.b_eff])
+        metric = self.op.metric()
+        q = [x * scale for x in self.q]
+        d = self.d * scale
+        du = [d * MultiPoly.variable(vs, l) for l in range(n)]
+        out = []
+        for h in range(n):
+            pairs = [(metric.at(h, k) * (a_den * t_den), q[k]) for k in range(n)]
+            pairs += [(du[l], -t_den * rows[h][l]) for l in range(n)]
+            pairs.append((d, -t_den * rows[n][h]))
+            out.append(_sum_of_products(vs, pairs))
+        return out
 
     # ----- pointwise exact evaluation ----------------------------------------
 
@@ -547,9 +584,14 @@ class CompatReport:
 
 
 def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
-    """Both identity families in Z[u], through the one product F = g R of
-    the module docstring, on D, the Q_k and the metric cleared to integers."""
+    """Both identity families in Z[u].  P = 0 proves both (the lemma of the
+    module docstring); otherwise they are read off the one product F = g R,
+    on D, the Q_k and the metric cleared to integers, so that the failure
+    lists are exact."""
     n, vs = system.op.n, system.vars
+    report = CompatReport(mode="symbolic", n=n)
+    if not any(system._pluecker_residuals()):
+        return report
     scale, t_den, t = system._integer_scales()
     metric = system.op.metric()
     g = [[metric.at(q, j) * t_den for j in range(n)] for q in range(n)]
@@ -558,7 +600,6 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
     r = [[_sum_of_products(vs, [(qk.diff(p), d), (qk, -d1[p])]) for p in range(n)]
          for qk in (x * scale for x in system.q)]
     f = [[_sum_of_products(vs, [(g[q][k], r[k][p]) for k in range(n)]) for p in range(n)] for q in range(n)]
-    report = CompatReport(mode="symbolic", n=n)
 
     for q in range(n):
         for p in range(q, n):
@@ -617,10 +658,10 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
 def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None) -> CompatReport:
     """Verify the compatibility identities for a generated system.
 
-    mode "symbolic" proves them as polynomial identities (about 5.5, 2.5 and
-    1.8 s on n8-fam1, n8-fam2-e1 and n8-fam2-e2 at small parameters); mode
-    "points" checks them exactly at the given sample points, the route
-    `sys verify` takes for n = 8.
+    mode "symbolic" proves them as polynomial identities, from P = 0 when it
+    holds (about 0.01-0.02 s on the three n = 8 catalog systems, flux seed
+    909); mode "points" checks them exactly at the given sample points, the
+    route `sys verify` takes for n = 8.
     """
     if mode == "symbolic":
         return _check_compat_symbolic(system)
@@ -702,21 +743,12 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
 
     cleared by D (so V^k is replaced by Q_k and the right side gains a factor
     D).  By the skewness of T the left side is g_jk V^k with the metric
-    g = T u + g0, so row j is tested as g_jk Q_k = D (Aeff_jl u^l + Beff_j).
+    g = T u + g0, so row j is tested as g_jk Q_k = D (Aeff_jl u^l + Beff_j),
+    the residual P_j of `ConservativeSystem._pluecker_residuals` being zero.
     The effective parameters absorb the optional additive constants; with
     constants zero they are the raw (A, B).
     """
-    n = system.op.n
-    vs = system.vars
-    g = system.op.metric()
-    du = [system.d * MultiPoly.variable(vs, l) for l in range(n)]
-    row_ok = []
-    for j in range(n):
-        pairs = [(g.at(j, k), system.q[k]) for k in range(n)]
-        pairs += [(du[l], -system.a_eff[j][l]) for l in range(n)]
-        pairs.append((system.d, -system.b_eff[j]))
-        row_ok.append(_sum_of_products(vs, pairs).is_zero())
-    return PlueckerReport(n=n, row_ok=row_ok)
+    return PlueckerReport(n=system.op.n, row_ok=[not p for p in system._pluecker_residuals()])
 
 
 def congruence_lines(system: ConservativeSystem, u) -> Tuple[List[Fraction], List[Fraction]]:

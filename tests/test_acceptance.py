@@ -269,12 +269,15 @@ def test_criterion_06_compatibility():
         if not rep.passed or rep.points_checked != 20:
             ok = False
         point_runs += 1
+        if not check_compat(system, mode="symbolic").passed:
+            ok = False
+        symbolic_runs += 1
     elapsed = time.perf_counter() - start
     announce(
         6, "compatibility identities", ok, elapsed,
         f"{symbolic_runs} symbolic systems, {point_runs} pointwise systems",
     )
-    assert ok and symbolic_runs == 35
+    assert ok and symbolic_runs == 38
     assert elapsed < 180
 
 
@@ -306,7 +309,7 @@ def test_criterion_08_characteristic_polynomial_square():
     start = time.perf_counter()
     ok = True
     runs = 0
-    for entry_id in NONDEGENERATE_SMALL:
+    for entry_id in NONDEGENERATE_SMALL + N8_IDS:
         system = seeded_system(entry_id, 908)
         rep = charpoly_square_symbolic(system)
         if not rep.equal:
@@ -314,7 +317,7 @@ def test_criterion_08_characteristic_polynomial_square():
         runs += 1
     elapsed = time.perf_counter() - start
     announce(8, "characteristic polynomial is a perfect square", ok, elapsed, f"{runs} systems")
-    assert ok and runs == 7
+    assert ok and runs == 10
     assert elapsed < 120
 
 

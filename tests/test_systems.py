@@ -24,7 +24,7 @@ from hho2.systems import (
     random_flux_params,
 )
 from hho2.diagnostics import nijenhuis, nijenhuis_closed_form, sample_points, sqrt_charpoly_at
-from hho2.linalg import PolyMatrix, pfaffian
+from hho2.linalg import PolyMatrix, clear_denominators, pfaffian, pfaffian_adjugate
 from hho2.threeform import LinearMapN1
 
 
@@ -501,26 +501,80 @@ def _moved_n4_open():
     return transform(build("n4-open"), ProjReciprocal(sl))
 
 
+_EDITS = ["clean", "integer-quadratic-q1", "fractional-quadratic-qlast", "v-plus-c", "b-shift"]
+# Edits that give the flux of another system of the same operator: V + c, and
+# B + kappa, whose numerators gain padj(g) kappa.  Both stay compatible, but
+# the residual P reads the unedited Aeff and Beff, so it is nonzero.
+_COMPATIBLE_EDITS = ("clean", "v-plus-c", "b-shift")
+
+
+def _edit_flux(system, case):
+    """The system with its numerators Q_k edited after construction."""
+    n, vs, q = system.op.n, system.vars, system.q
+    if case == "integer-quadratic-q1":
+        q[0] = q[0] + MultiPoly.parse(vs, f"u1*u{n} - 3*u2 + 2")
+    elif case == "fractional-quadratic-qlast":
+        q[-1] = q[-1] + MultiPoly.parse(vs, f"1/3*u1*u2 - 5/7*u{n}*u{n}")
+    elif case == "v-plus-c":
+        for k in range(n):
+            q[k] = q[k] + system.d * Fraction(2 * k - 3, 2)
+    elif case == "b-shift":
+        cadj, _ = pfaffian_adjugate(system.op.metric())
+        for k in range(n):
+            q[k] = q[k] + sum((cadj.at(k, j) * Fraction(j + 1, 3) for j in range(n)), MultiPoly.zero(vs))
+    return system
+
+
 @pytest.mark.parametrize(
     "name, seed", [(name, seed) for name in ("n2", "n4-open", "n6-IX", "n6-VIII") for seed in (3, 909)]
     + [("n4-open-moved", 909)],
 )
-@pytest.mark.parametrize("case", ["clean", "integer-quadratic-q1", "fractional-quadratic-qlast"])
+@pytest.mark.parametrize("case", _EDITS)
 def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
-    """The proof through F = g R rejects exactly the identities that the
-    stated S-table families reject, clean and with a perturbed numerator."""
+    """The proof rejects exactly the identities that the stated S-table
+    families reject, clean and with edited numerators; the compatible edits
+    fail P = 0, so they take the route through F = g R."""
     op = _moved_n4_open() if name == "n4-open-moved" else build(name)
-    system = generate_flux(op, rng=random.Random(seed))
-    n = system.op.n
-    if case == "integer-quadratic-q1":
-        system.q[0] = system.q[0] + MultiPoly.parse(system.vars, f"u1*u{n} - 3*u2 + 2")
-    elif case == "fractional-quadratic-qlast":
-        system.q[-1] = system.q[-1] + MultiPoly.parse(system.vars, f"1/3*u1*u2 - 5/7*u{n}*u{n}")
+    system = _edit_flux(generate_flux(op, rng=random.Random(seed)), case)
     first, second = _compat_failures_oracle(system)
     rep = check_compat(system, mode="symbolic")
     assert rep.first_order_failures == first
     assert rep.second_order_failures == second
-    assert rep.passed == (case == "clean")
+    assert rep.passed == (case in _COMPATIBLE_EDITS)
+    assert pluecker_relations(system).passed == (case == "clean")
+
+
+@pytest.mark.parametrize("name", ["n4-open", "n6-VIII", "n6-X"])
+@pytest.mark.parametrize("case", _EDITS)
+def test_pluecker_residual_lemma(name, case):
+    """For any numerators Q, F - D C = E with E_qp = D dP_q/du^p - D_p P_q,
+    and the second family D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp equals
+    D dE_qp/du^l - 2 D_l E_qp; P is read from its definition, and the
+    helper's integer residuals are P times one positive integer."""
+    system = _edit_flux(generate_flux(build(name), rng=random.Random(909)), case)
+    n, vs, d = system.op.n, system.vars, system.d
+    g, t = system.op.metric(), system.op.tensor
+    u = [MultiPoly.variable(vs, l) for l in range(n)]
+    p = [
+        poly._sum_of_products(vs, [(g.at(a, k), system.q[k]) for k in range(n)])
+        - d * poly._sum_of_products(vs, [(u[l], system.a_eff[a][l]) for l in range(n)])
+        - d * system.b_eff[a]
+        for a in range(n)
+    ]
+    scale, t_den, _ = system._integer_scales()
+    a_den, _ = clear_denominators([*system.a_eff, system.b_eff])
+    assert system._pluecker_residuals() == [x * (a_den * t_den * scale) for x in p]
+    assert any(p) == (case != "clean")
+    d1 = [d.diff(l) for l in range(n)]
+    r, c = system.r_polys(), system.c_polys()
+    f = [[poly._sum_of_products(vs, [(g.at(a, k), r[k][b]) for k in range(n)]) for b in range(n)] for a in range(n)]
+    e = [[d * p[a].diff(b) - d1[b] * p[a] for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            assert f[a][b] - d * c[a][b] == e[a][b]
+            for l in range(b, n):
+                inner = f[a][b].diff(l) + poly._sum_of_products(vs, [(r[k][l], t[b][a][k]) for k in range(n)])
+                assert d * inner - d1[l] * f[a][b] * 2 == d * e[a][b].diff(l) - d1[l] * e[a][b] * 2
 
 
 def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
