@@ -28,9 +28,9 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_mat_mul, rat_rank
+from .linalg import PolyMatrix, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
-from .poly import MultiPoly, _poly_mul_coeffs, _sum_of_products
+from .poly import MultiPoly, _poly_mul_coeffs
 from .systems import ConservativeSystem
 
 __all__ = [
@@ -332,11 +332,8 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
 
     Verified once per size over the ring with one fresh variable per upper
     entry; every concrete skew matrix is a specialization, so the identity
-    transfers by substitution.  The determinant is a Laplace expansion
-    memoised over column subsets: minors[mask] is the minor on the first
-    popcount(mask) rows and the columns in mask, expanded along its last row.
-    Division-free, it stays cheap at n = 8, where a fraction-free elimination
-    over 28 variables takes tens of seconds.
+    transfers by substitution.  The determinant is `det_laplace`: Bareiss
+    over 28 variables takes tens of seconds at n = 8.
     """
     names = tuple(f"x{i+1}_{j+1}" for i in range(n) for j in range(i + 1, n))
     rows = [[MultiPoly.zero(names) for _ in range(n)] for _ in range(n)]
@@ -347,17 +344,9 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
             rows[i][j] = x
             rows[j][i] = -x
             pos += 1
-    minors = [MultiPoly.const(names, 1)]
-    for mask in range(1, 1 << n):
-        row = rows[bin(mask).count("1") - 1]
-        sign, pairs = 1, []
-        for j in reversed(range(n)):
-            if mask >> j & 1:
-                pairs.append((row[j] * sign, minors[mask ^ 1 << j]))
-                sign = -sign
-        minors.append(_sum_of_products(names, pairs))
-    pf = pfaffian(PolyMatrix(rows))
-    return minors[-1] == pf * pf
+    mat = PolyMatrix(rows)
+    pf = pfaffian(mat)
+    return det_laplace(mat) == pf * pf
 
 
 def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport:
@@ -372,14 +361,14 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     domain, D != 0) gives det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2;
     cancelling det(g) = D^2 yields the identity, with every step exact.
 
-    g R - D C = D dP/du - P dD/du for the residual P of
-    `ConservativeSystem._pluecker_residuals` (the lemma of the `systems`
-    docstring), so P = 0 proves the first fact; g R and D C are formed only
-    when P != 0.
+    g R - D C is E_qp = D dP_q/du^p - D_p P_q for the residual P of the
+    line-congruence relation (the lemma of the `systems` docstring), so the
+    first fact is E = 0, read from `ConservativeSystem._residual_jacobian`;
+    g R and D C are never formed.
 
-    `equal` is a certificate, not a disproof.  P = 0 holds for every flux
-    the constructor builds; g R = D C fails only for numerators `q` edited
-    after construction, and such a flux can still satisfy the expanded
+    `equal` is a certificate, not a disproof.  P = 0, hence E = 0, holds for
+    every flux the constructor builds; g R = D C fails only for numerators `q`
+    edited after construction, and such a flux can still satisfy the expanded
     identity.
 
     Both degree fields are n without expanding a side: the lam-leading
@@ -387,17 +376,9 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     Pf(-D g) = (-D)^(n/2) Pf(g) = (-D)^(n/2) D.  Both are nonzero because
     construction refuses D = 0.
     """
-    n, vs = system.op.n, system.vars
+    n = system.op.n
     g = system.op.metric()
-    match = not any(system._pluecker_residuals())
-    if not match:
-        r, c = system.r_polys(), system.c_polys()
-        match = all(
-            _sum_of_products(vs, [(g.at(q, j), r[j][p]) for j in range(n)])
-            == _sum_of_products(vs, [(system.d, c[q][p])])
-            for q in range(n)
-            for p in range(n)
-        )
+    match = not any(eqp for row in system._residual_jacobian()[1] for eqp in row)
     gram = det_bareiss(g) == system.d * system.d
     universal = _universal_skew_det_is_pfaffian_square(n)
     return CharpolySquareReport(

@@ -23,26 +23,26 @@ F_qp + F_pq.  As dg_qk/du^l = T_qkl (g = T u + g0),
 sum_k g_qk S_kpl = D (dF_qp/du^l - T_qkl R_kp) - 2 D_l F_qp; the T_qkl R_kp
 terms cancel, so the second is D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp.
 
-The symbolic proof first reads the residual of the line-congruence relation
-g V = Aeff u + Beff cleared by D, P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q.
-Aeff_qp = A_qp + T_qkp c_k is skew because T is totally skew.  Let
-C_qp = T_qpk Q_k + D Aeff_qp be the skew lam-free part of the eigenvalue
-pencil and E_qp = D dP_q/du^p - D_p P_q.  For any numerators Q,
+The symbolic proof does not form F.  It reads the residual of the
+line-congruence relation g V = Aeff u + Beff cleared by D,
+P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q.  Aeff_qp = A_qp + T_qkp c_k is
+skew because T is totally skew.  Let C_qp = T_qpk Q_k + D Aeff_qp be the skew
+lam-free part of the eigenvalue pencil and E_qp = D dP_q/du^p - D_p P_q.  For
+any numerators Q,
 
   F_qp - D C_qp = E_qp,
 
 since dP_q/du^p = T_qkp Q_k + g_qk Q_{k,p} - D_p (Aeff u + Beff)_q - D Aeff_qp
 and T_qkp = -T_qpk.  With C skew, the first family is E_qp + E_pq; with
 dC_qp/du^l = T_qpk Q_{k,l} + D_l Aeff_qp, the second is
-D dE_qp/du^l - 2 D_l E_qp.  So P = 0 proves both families, and g R = D C.
-Every flux the constructor builds has P = 0, and the proof ends there in
-n polynomial products per row.  A flux whose numerators were edited
-afterwards may still be compatible with P != 0 (adding c_k D to every Q_k
-keeps dV), so then the families are read off F, and the failure lists stay
-exact.  With D and the Q_k scaled by the lcm `scale` of their coefficient
-denominators, the table by its own, t_den, and Aeff, Beff by theirs, every
-coefficient is an integer.  The pointwise check evaluates S: an independent
-route to the same identities.
+D dE_qp/du^l - 2 D_l E_qp.  Both are exact for any numerators, so the failure
+lists are too, and g R = D C exactly when E = 0.  Every flux the constructor
+builds has P = 0, hence E = 0: the proof costs the n rows of P.  A flux whose
+numerators were edited afterwards may have P != 0 and still be compatible
+(adding c_k D to every Q_k keeps dV).  With D and the Q_k scaled by the lcm
+`scale` of their coefficient denominators, the table by its own, t_den, and
+Aeff, Beff by theirs, every coefficient is an integer.  The pointwise check
+evaluates S: an independent route to the same identities.
 
 Pointwise evaluation works in integers, through one record per point.  D,
 the Q_k and their first and second partials are scaled by one common
@@ -206,7 +206,6 @@ class ConservativeSystem:
         self._q1: Optional[List[List[MultiPoly]]] = None
         self._q2: Optional[List[Dict[Tuple[int, int], MultiPoly]]] = None
         self._v: Optional[List[RationalFn]] = None
-        self._r: Optional[List[List[MultiPoly]]] = None
         self._c: Optional[List[List[MultiPoly]]] = None
         self._mtilde: Optional[PolyMatrix] = None
         # Diagnostics evaluate several tensors at one point before moving to
@@ -245,32 +244,21 @@ class ConservativeSystem:
                         table[(p, l)] = self._q1[k][p].diff(l)
                 self._q2.append(table)
 
-    def r_polys(self) -> List[List[MultiPoly]]:
-        """R[k][p] = Q_{k,p} D - Q_k D_p (numerator of dV^k/du^p over D^2)."""
-        if self._r is None:
-            self._ensure_first()
-            n = self.op.n
-            self._r = [
-                [self._q1[k][p] * self.d - self.q[k] * self._d1[p] for p in range(n)]
-                for k in range(n)
-            ]
-        return self._r
-
     def _integer_scales(self) -> Tuple[int, int, List[List[List[int]]]]:
         """(scale, t_den, t): scale clears D and the Q_k as they are now, t_den
         the table, and t = t_den * op.tensor on range(n) x range(n) x
-        range(n + 1), column n holding g0.  The kernel and the proof read it."""
+        range(n + 1), column n holding g0.  The kernel and the residuals read it."""
         n = self.op.n
         scale = clear_denominators([list(p.terms.values()) for p in (self.d, *self.q)])[0]
         # Every table value sits in this block with its sign, so its lcm is the table's.
         t_den, rows = clear_denominators([row for plane in self.op.tensor[:n] for row in plane[:n]])
         return scale, t_den, [rows[i * n : (i + 1) * n] for i in range(n)]
 
-    def _pluecker_residuals(self) -> List[MultiPoly]:
-        """The residuals P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q in Z[u],
-        each times a_den t_den scale: D and the Q_k as they are now carry
-        scale, as in `_integer_scales`, the metric a_den t_den, and Aeff, Beff
-        their common denominator a_den times t_den."""
+    def _pluecker_residuals(self) -> Tuple[MultiPoly, List[MultiPoly]]:
+        """(d, P): d = scale D and the residuals P_q = sum_k g_qk Q_k -
+        D (Aeff u + Beff)_q in Z[u], each times a_den t_den scale.  D and the
+        Q_k as they are now carry scale, as in `_integer_scales`, the metric
+        a_den t_den, and Aeff, Beff their common denominator a_den times t_den."""
         n, vs = self.op.n, self.vars
         scale, t_den, _ = self._integer_scales()
         a_den, rows = clear_denominators([*self.a_eff, self.b_eff])
@@ -284,7 +272,16 @@ class ConservativeSystem:
             pairs += [(du[l], -t_den * rows[h][l]) for l in range(n)]
             pairs.append((d, -t_den * rows[n][h]))
             out.append(_sum_of_products(vs, pairs))
-        return out
+        return d, out
+
+    def _residual_jacobian(self) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
+        """(d, E): E_qp = d dP_q/du^p - d_p P_q on the (d, P) of
+        `_pluecker_residuals`, in Z[u].  E is F - D C of the module docstring
+        times one positive integer, and zero wherever P is."""
+        n, vs = self.op.n, self.vars
+        d, res = self._pluecker_residuals()
+        d1 = [d.diff(p) for p in range(n)]
+        return d, [[_sum_of_products(vs, [(d, pq.diff(p)), (pq, -d1[p])]) for p in range(n)] for pq in res]
 
     # ----- pointwise exact evaluation ----------------------------------------
 
@@ -584,34 +581,24 @@ class CompatReport:
 
 
 def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
-    """Both identity families in Z[u].  P = 0 proves both (the lemma of the
-    module docstring); otherwise they are read off the one product F = g R,
-    on D, the Q_k and the metric cleared to integers, so that the failure
-    lists are exact."""
+    """Both identity families in Z[u], read off E = F - D C of the module
+    docstring: the first is E_qp + E_pq, the second D dE_qp/du^l - 2 D_l E_qp.
+    Both forms are exact for any numerators, so the failure lists are."""
     n, vs = system.op.n, system.vars
+    d, e = system._residual_jacobian()
+    d1 = [d.diff(l) for l in range(n)]
     report = CompatReport(mode="symbolic", n=n)
-    if not any(system._pluecker_residuals()):
-        return report
-    scale, t_den, t = system._integer_scales()
-    metric = system.op.metric()
-    g = [[metric.at(q, j) * t_den for j in range(n)] for q in range(n)]
-    d = system.d * scale
-    d1 = [d.diff(p) for p in range(n)]
-    r = [[_sum_of_products(vs, [(qk.diff(p), d), (qk, -d1[p])]) for p in range(n)]
-         for qk in (x * scale for x in system.q)]
-    f = [[_sum_of_products(vs, [(g[q][k], r[k][p]) for k in range(n)]) for p in range(n)] for q in range(n)]
 
     for q in range(n):
         for p in range(q, n):
-            if f[q][p] + f[p][q]:
+            if e[q][p] + e[p][q]:
                 report.first_order_failures.append((q + 1, p + 1))
 
     for q in range(n):
         for p in range(n):
-            fqp, tpq = f[q][p], t[p][q]
+            eqp = e[q][p]
             for l in range(p, n):
-                inner = _sum_of_products(vs, [(fqp.diff(l), 1)] + [(r[k][l], tpq[k]) for k in range(n)])
-                if _sum_of_products(vs, [(inner, d), (fqp, d1[l] * -2)]):
+                if eqp and _sum_of_products(vs, [(d, eqp.diff(l)), (eqp, d1[l] * -2)]):
                     report.second_order_failures.append((q + 1, p + 1, l + 1))
     return report
 
@@ -658,9 +645,9 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
 def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None) -> CompatReport:
     """Verify the compatibility identities for a generated system.
 
-    mode "symbolic" proves them as polynomial identities, from P = 0 when it
-    holds (about 0.01-0.02 s on the three n = 8 catalog systems, flux seed
-    909); mode "points" checks them exactly at the given sample points, the
+    mode "symbolic" proves them as polynomial identities, from the residual
+    P (about 0.01-0.02 s on the three n = 8 catalog systems, flux seed 909);
+    mode "points" checks them exactly at the given sample points, the
     route `sys verify` takes for n = 8.
     """
     if mode == "symbolic":
@@ -748,7 +735,7 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
     The effective parameters absorb the optional additive constants; with
     constants zero they are the raw (A, B).
     """
-    return PlueckerReport(n=system.op.n, row_ok=[not p for p in system._pluecker_residuals()])
+    return PlueckerReport(n=system.op.n, row_ok=[not p for p in system._pluecker_residuals()[1]])
 
 
 def congruence_lines(system: ConservativeSystem, u) -> Tuple[List[Fraction], List[Fraction]]:

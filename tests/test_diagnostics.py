@@ -23,9 +23,10 @@ from hho2.diagnostics import (
     tensor_is_zero,
     tensor_nonzero_count,
 )
-from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, pfaffian_adjugate
+from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian
 from hho2.poly import MultiPoly
 from hho2.systems import generate_flux
+from test_systems import _EDITS, _edit_flux, _jacobian_numerators
 
 
 N8_PARAMS = {
@@ -167,7 +168,7 @@ def _expanded_charpoly_square(system):
     rvars = system.vars + ("lam",)
     d = system.d.with_vars(rvars)
     lam_d2 = MultiPoly.variable(rvars, "lam") * d * d
-    r = system.r_polys()
+    r = _jacobian_numerators(system)
     rows = [[r[k][p].with_vars(rvars) - (lam_d2 if k == p else 0) for p in range(n)] for k in range(n)]
     det_side = det_bareiss(PolyMatrix(rows))
     pf = pfaffian(system.mtilde())
@@ -209,36 +210,14 @@ def test_charpoly_square_factored_rejects_a_perturbed_flux(name):
         assert _expanded_charpoly_square(system)[0] is True
 
 
-def _edit_flux(system, case):
-    """The system with its numerators Q_k edited after construction.  B + kappa
-    adds padj(g) kappa: P = D kappa is nonzero, yet g R = D C still holds."""
-    n, vs, q = system.op.n, system.vars, system.q
-    if case == "u1-in-v2":
-        q[1] = q[1] + MultiPoly.variable(vs, 0) * system.d
-    elif case == "integer-quadratic-q1":
-        q[0] = q[0] + MultiPoly.parse(vs, f"u1*u{n} - 3*u2 + 2")
-    elif case == "fractional-quadratic-qlast":
-        q[-1] = q[-1] + MultiPoly.parse(vs, f"1/3*u1*u2 - 5/7*u{n}*u{n}")
-    elif case == "v-plus-c":
-        for k in range(n):
-            q[k] = q[k] + system.d * Fraction(2 * k - 3, 2)
-    elif case == "b-shift":
-        cadj, _ = pfaffian_adjugate(system.op.metric())
-        for k in range(n):
-            q[k] = q[k] + sum((cadj.at(k, j) * Fraction(j + 1, 3) for j in range(n)), MultiPoly.zero(vs))
-    return system
-
-
 @pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII", "n6-X"])
-@pytest.mark.parametrize(
-    "case", ["clean", "u1-in-v2", "integer-quadratic-q1", "fractional-quadratic-qlast", "v-plus-c", "b-shift"]
-)
+@pytest.mark.parametrize("case", _EDITS)
 def test_charpoly_square_symbolic_matches_the_direct_comparison(name, case):
-    """`equal` reads P = 0 first and compares g R with D C only when P != 0;
-    on every edited flux it equals the entrywise comparison itself."""
+    """`equal` reads g R = D C off the residual P; on every edited flux it
+    equals the entrywise comparison itself."""
     system = _edit_flux(generate_flux(build(name), rng=random.Random(908)), case)
     n, vs, d = system.op.n, system.vars, system.d
-    g, r, c = system.op.metric(), system.r_polys(), system.c_polys()
+    g, r, c = system.op.metric(), _jacobian_numerators(system), system.c_polys()
     direct = all(
         sum((g.at(a, j) * r[j][b] for j in range(n)), MultiPoly.zero(vs)) == d * c[a][b]
         for a in range(n)

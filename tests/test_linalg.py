@@ -6,6 +6,7 @@ import pytest
 from hho2.linalg import (
     PolyMatrix,
     det_bareiss,
+    det_laplace,
     pfaffian,
     pfaffian_adjugate,
     poly_rank,
@@ -42,9 +43,10 @@ def rand_skew(rng, n, **kw):
 
 
 def det_minor_expansion(matrix: PolyMatrix) -> MultiPoly:
-    """Division-free determinant, the oracle for Bareiss: Laplace expansion
-    column by column, keeping the minor of every row subset of the processed
-    columns.  The sign of row r is (-1) to the number of chosen rows below it.
+    """Division-free determinant, the oracle for Bareiss and `det_laplace`:
+    Laplace expansion column by column, keeping the minor of every row subset
+    of the processed columns.  The sign of row r is (-1) to the number of
+    chosen rows below it.
     """
     n = matrix.rows
     minors = {0: MultiPoly.const(matrix.vars, 1)}
@@ -68,7 +70,9 @@ def test_det_routes_agree():
     for n in (1, 2, 3, 4):
         for _ in range(6):
             m = rand_matrix(rng, n, max_deg=1, terms=2)
-            assert det_bareiss(m) == det_minor_expansion(m)
+            assert det_bareiss(m) == det_minor_expansion(m) == det_laplace(m)
+    with pytest.raises(ValueError):
+        det_laplace(PolyMatrix([[MultiPoly.const(VARS, 1)] * 2]))
 
 
 def test_det_multiplicative_on_numeric_matrices():

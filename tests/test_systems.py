@@ -461,15 +461,22 @@ def test_casimir_rank_of_a_moved_metric_needs_no_elimination(monkeypatch):
     assert calls == []
 
 
+def _jacobian_numerators(system):
+    """R[k][p] = Q_{k,p} D - Q_k D_p, the numerator of dV^k/du^p over D^2,
+    from the numerators as they are now."""
+    n, d, q = system.op.n, system.d, system.q
+    return [[q[k].diff(p) * d - q[k] * d.diff(p) for p in range(n)] for k in range(n)]
+
+
 def _compat_failures_oracle(system):
     """Both identity families as the systems module docstring states them,
     with the S table of second derivatives, in the flux's own coefficients:
     (first-order failures, second-order failures)."""
     n, vs = system.op.n, system.vars
     g, t = system.op.metric(), system.op.tensor
-    d, q = system.d, system.q
+    d = system.d
     d1 = [d.diff(p) for p in range(n)]
-    r = [[q[k].diff(p) * d - q[k] * d1[p] for p in range(n)] for k in range(n)]
+    r = _jacobian_numerators(system)
     first = [
         (a + 1, b + 1)
         for a in range(n)
@@ -501,7 +508,7 @@ def _moved_n4_open():
     return transform(build("n4-open"), ProjReciprocal(sl))
 
 
-_EDITS = ["clean", "integer-quadratic-q1", "fractional-quadratic-qlast", "v-plus-c", "b-shift"]
+_EDITS = ["clean", "u1-in-v2", "integer-quadratic-q1", "fractional-quadratic-qlast", "v-plus-c", "b-shift"]
 # Edits that give the flux of another system of the same operator: V + c, and
 # B + kappa, whose numerators gain padj(g) kappa.  Both stay compatible, but
 # the residual P reads the unedited Aeff and Beff, so it is nonzero.
@@ -509,9 +516,12 @@ _COMPATIBLE_EDITS = ("clean", "v-plus-c", "b-shift")
 
 
 def _edit_flux(system, case):
-    """The system with its numerators Q_k edited after construction."""
+    """The system with its numerators Q_k edited after construction, by one
+    of `_EDITS`."""
     n, vs, q = system.op.n, system.vars, system.q
-    if case == "integer-quadratic-q1":
+    if case == "u1-in-v2":
+        q[1] = q[1] + MultiPoly.variable(vs, 0) * system.d
+    elif case == "integer-quadratic-q1":
         q[0] = q[0] + MultiPoly.parse(vs, f"u1*u{n} - 3*u2 + 2")
     elif case == "fractional-quadratic-qlast":
         q[-1] = q[-1] + MultiPoly.parse(vs, f"1/3*u1*u2 - 5/7*u{n}*u{n}")
@@ -533,7 +543,7 @@ def _edit_flux(system, case):
 def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
     """The proof rejects exactly the identities that the stated S-table
     families reject, clean and with edited numerators; the compatible edits
-    fail P = 0, so they take the route through F = g R."""
+    pass with P != 0."""
     op = _moved_n4_open() if name == "n4-open-moved" else build(name)
     system = _edit_flux(generate_flux(op, rng=random.Random(seed)), case)
     first, second = _compat_failures_oracle(system)
@@ -550,7 +560,7 @@ def test_pluecker_residual_lemma(name, case):
     """For any numerators Q, F - D C = E with E_qp = D dP_q/du^p - D_p P_q,
     and the second family D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp equals
     D dE_qp/du^l - 2 D_l E_qp; P is read from its definition, and the
-    helper's integer residuals are P times one positive integer."""
+    helpers' integer P and E are P and E times positive integers."""
     system = _edit_flux(generate_flux(build(name), rng=random.Random(909)), case)
     n, vs, d = system.op.n, system.vars, system.d
     g, t = system.op.metric(), system.op.tensor
@@ -563,12 +573,14 @@ def test_pluecker_residual_lemma(name, case):
     ]
     scale, t_den, _ = system._integer_scales()
     a_den, _ = clear_denominators([*system.a_eff, system.b_eff])
-    assert system._pluecker_residuals() == [x * (a_den * t_den * scale) for x in p]
+    assert system._pluecker_residuals() == (d * scale, [x * (a_den * t_den * scale) for x in p])
     assert any(p) == (case != "clean")
     d1 = [d.diff(l) for l in range(n)]
-    r, c = system.r_polys(), system.c_polys()
+    r, c = _jacobian_numerators(system), system.c_polys()
     f = [[poly._sum_of_products(vs, [(g.at(a, k), r[k][b]) for k in range(n)]) for b in range(n)] for a in range(n)]
     e = [[d * p[a].diff(b) - d1[b] * p[a] for b in range(n)] for a in range(n)]
+    e_scale = a_den * t_den * scale * scale
+    assert system._residual_jacobian() == (d * scale, [[x * e_scale for x in row] for row in e])
     for a in range(n):
         for b in range(n):
             assert f[a][b] - d * c[a][b] == e[a][b]
