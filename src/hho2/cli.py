@@ -118,7 +118,7 @@ def _parse_param_list(items: Optional[List[str]]) -> dict:
             raise InputError(f"parameter {item!r} is not of the form name=value")
         try:
             values[name] = rat(raw)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InputError(f"parameter {item!r}: {exc}") from exc
     return values
 
@@ -131,7 +131,7 @@ def _parse_constants(raw: Optional[str], n: int) -> Optional[List[Fraction]]:
         raise InputError(f"--constants expects {n} comma-separated values")
     try:
         return [rat(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"--constants: {exc}") from exc
 
 
@@ -370,7 +370,7 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
             b_data = _load_json(args.B)
             try:
                 flux = FluxParams.make(a_data, b_data)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise InputError(f"bad flux data: {exc}") from exc
             if flux.n != op.n:
                 raise InputError(f"bad flux data: A and B are for n={flux.n}, the operator has n={op.n}")

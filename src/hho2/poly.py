@@ -30,6 +30,7 @@ mutate their arguments, so polynomials can be shared freely between threads.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Mapping, Sequence, Tuple, Union
@@ -39,7 +40,7 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "Scalar",
     "MultiPoly",
-    "RationalFn",
+    "lowest_terms",
     "poly_gcd",
     "rat",
     "json_int",
@@ -51,15 +52,23 @@ __all__ = [
 ]
 
 
+# The rational strings `rat` accepts, the form `str(Fraction)` writes.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?", re.ASCII)
+
+
 def rat(value) -> Fraction:
     """Parse an exact rational: an int, a Fraction or a 'p/q' string.
 
     Floats and bools are refused, so no binary approximation or JSON `true`
-    silently becomes a Fraction.
+    silently becomes a Fraction.  A string must be [+-]digits[/digits] with a
+    nonzero denominator, so no exponent such as '1e4300' expands to 4301 digits.
     """
-    if isinstance(value, (float, bool)):
+    if isinstance(value, (float, bool)) or (isinstance(value, str) and not _RATIONAL.fullmatch(value)):
         raise ValueError(f"{value!r} is not an exact rational; give an integer or a 'p/q' string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 def json_int(value, where: str) -> int:
@@ -751,156 +760,22 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _gcd_via_sympy(f, g)
 
 
-class RationalFn:
-    """Reduced fraction of two MultiPoly in the same ring.
-
-    Invariants: the denominator is nonzero, gcd(num, den) is a unit, and the
-    denominator's deglex leading coefficient equals +1.
+def lowest_terms(num: MultiPoly, den: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+    """The fraction num / den as a pair in lowest terms: gcd(num, den) = 1 and
+    the denominator's deglex leading coefficient is +1.  A zero numerator
+    gets denominator 1, and a constant denominator is divided out with no gcd.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly = None, reduce: bool = True):
-        if den is None:
-            den = MultiPoly.const(num.vars, 1)
-        if num.vars != den.vars:
-            raise ValueError("variable mismatch in rational function")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = MultiPoly.const(num.vars, 1)
-        elif reduce:
-            if den.is_constant():
-                num = num * (Fraction(1) / Fraction(den.constant_value()))
-                den = MultiPoly.const(num.vars, 1)
-            else:
-                g = poly_gcd(num, den)
-                if not (g.is_constant() and g.constant_value() == 1):
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                _, lc = den.leading_term()
-                if lc != 1:
-                    inv = Fraction(1) / Fraction(lc)
-                    num = num * inv
-                    den = den * inv
-        self.num = num
-        self.den = den
-
-    # ----- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RationalFn":
-        return cls(p, MultiPoly.const(p.vars, 1), reduce=False)
-
-    @classmethod
-    def const(cls, variables, value) -> "RationalFn":
-        return cls.from_poly(MultiPoly.const(variables, value))
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_poly(self) -> bool:
-        return self.den.is_constant()
-
-    def as_poly(self) -> MultiPoly:
-        if not self.is_poly():
-            raise ValueError(f"not polynomial: {self}")
-        return self.num * (Fraction(1) / Fraction(self.den.constant_value()))
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    # ----- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other) -> "RationalFn":
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFn.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFn.const(self.vars, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return RationalFn(self.num + o.num, self.den)
-        return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFn(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def diff(self, index: int) -> "RationalFn":
-        return RationalFn(
-            self.num.diff(index) * self.den - self.num * self.den.diff(index),
-            self.den * self.den,
-        )
-
-    def eval(self, point) -> Fraction:
-        d = self.den.eval(point)
-        if not d:
-            raise ZeroDivisionError(f"pole at {tuple(map(str, point))}")
-        return self.num.eval(point) / d
-
-    def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        num = str(self.num)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        den = str(self.den)
-        if len(self.den.terms) > 1:
-            den = f"({den})"
-        return f"{num} / {den}"
-
-    def __repr__(self):
-        return f"RationalFn({self})"
+    if num.vars != den.vars:
+        raise ValueError("variable mismatch in fraction")
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    one = MultiPoly.const(num.vars, 1)
+    if num.is_zero():
+        return num, one
+    if den.is_constant():
+        return num * (Fraction(1) / Fraction(den.constant_value())), one
+    g = poly_gcd(num, den)
+    if not g.is_constant():
+        num, den = num.exact_div(g), den.exact_div(g)
+    inv = Fraction(1) / Fraction(den.leading_term()[1])
+    return num * inv, den * inv

@@ -59,11 +59,12 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import PolyMatrix, clear_denominators, pfaffian_adjugate, poly_rank, rat_kernel
 from .operators import Hho2
-from .poly import MultiPoly, RationalFn, _sum_of_products, index_entries, rat
+from .poly import MultiPoly, _sum_of_products, index_entries, lowest_terms, rat
 
 __all__ = [
     "DegenerateOperatorError",
@@ -144,9 +145,10 @@ def random_flux_params(n: int, rng, bound: int = 5) -> FluxParams:
 class ConservativeSystem:
     """Operator together with a generated flux vector V = g^{-1}(Au + B) + c.
 
-    The flux is held as numerators Q_k over the Pfaffian D.  The fractions
-    `v` in lowest terms are reduced through `poly_gcd` the first time they are
-    read; in the package only `linearity_report` reads them.
+    The flux is held as numerators Q_k over the Pfaffian D.  `v` holds the
+    components in lowest terms as (numerator, denominator) pairs, reduced by
+    `lowest_terms` (one `poly_gcd` each) the first time it is read; in the
+    package only `linearity_report` reads it.
     """
 
     def __init__(self, op: Hho2, flux: FluxParams, constants: Optional[Sequence] = None):
@@ -205,7 +207,7 @@ class ConservativeSystem:
         self._d2: Optional[Dict[Tuple[int, int], MultiPoly]] = None
         self._q1: Optional[List[List[MultiPoly]]] = None
         self._q2: Optional[List[Dict[Tuple[int, int], MultiPoly]]] = None
-        self._v: Optional[List[RationalFn]] = None
+        self._v: Optional[List[Tuple[MultiPoly, MultiPoly]]] = None
         self._c: Optional[List[List[MultiPoly]]] = None
         self._mtilde: Optional[PolyMatrix] = None
         # Diagnostics evaluate several tensors at one point before moving to
@@ -214,10 +216,11 @@ class ConservativeSystem:
         self._num_cache: Dict[tuple, _PointNumerators] = {}
 
     @property
-    def v(self) -> List[RationalFn]:
-        """The flux components Q_k / D in lowest terms, reduced on first read."""
+    def v(self) -> List[Tuple[MultiPoly, MultiPoly]]:
+        """The flux components Q_k / D as (num, den) pairs in lowest terms,
+        reduced on first read."""
         if self._v is None:
-            self._v = [RationalFn(qk, self.d) for qk in self.q]
+            self._v = [lowest_terms(qk, self.d) for qk in self.q]
         return self._v
 
     # ----- derivative tables ------------------------------------------------
@@ -275,13 +278,11 @@ class ConservativeSystem:
         return d, out
 
     def _residual_jacobian(self) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
-        """(d, E): E_qp = d dP_q/du^p - d_p P_q on the (d, P) of
-        `_pluecker_residuals`, in Z[u].  E is F - D C of the module docstring
-        times one positive integer, and zero wherever P is."""
-        n, vs = self.op.n, self.vars
+        """(d, E) on the (d, P) of `_pluecker_residuals`, in Z[u].  E is
+        F - D C of the module docstring times one positive integer, and zero
+        wherever P is."""
         d, res = self._pluecker_residuals()
-        d1 = [d.diff(p) for p in range(n)]
-        return d, [[_sum_of_products(vs, [(d, pq.diff(p)), (pq, -d1[p])]) for p in range(n)] for pq in res]
+        return d, _residual_table(self.vars, d, res)
 
     # ----- pointwise exact evaluation ----------------------------------------
 
@@ -580,14 +581,20 @@ class CompatReport:
         )
 
 
-def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
-    """Both identity families in Z[u], read off E = F - D C of the module
-    docstring: the first is E_qp + E_pq, the second D dE_qp/du^l - 2 D_l E_qp.
-    Both forms are exact for any numerators, so the failure lists are."""
-    n, vs = system.op.n, system.vars
-    d, e = system._residual_jacobian()
+def _residual_table(vs: Tuple[str, ...], d: MultiPoly, res: Sequence[MultiPoly]) -> List[List[MultiPoly]]:
+    """E_qp = d dP_q/du^p - d_p P_q for the residuals P = res over d."""
+    d1 = [d.diff(p) for p in range(len(res))]
+    return [[_sum_of_products(vs, [(d, pq.diff(p)), (pq, -d1[p])]) for p in range(len(res))] for pq in res]
+
+
+def _compat_families(mode: str, vs: Tuple[str, ...], d: MultiPoly, e: List[List[MultiPoly]]) -> CompatReport:
+    """Both identity families read off E = F - D C of the module docstring:
+    the first is E_qp + E_pq, the second D dE_qp/du^l - 2 D_l E_qp.  Both
+    forms are exact for any numerators over any nonzero D, so the failure
+    lists are."""
+    n = len(e)
     d1 = [d.diff(l) for l in range(n)]
-    report = CompatReport(mode="symbolic", n=n)
+    report = CompatReport(mode=mode, n=n)
 
     for q in range(n):
         for p in range(q, n):
@@ -601,6 +608,11 @@ def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
                 if eqp and _sum_of_products(vs, [(d, eqp.diff(l)), (eqp, d1[l] * -2)]):
                     report.second_order_failures.append((q + 1, p + 1, l + 1))
     return report
+
+
+def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
+    """Both identity families of the system's flux in Z[u], from its residual P."""
+    return _compat_families("symbolic", system.vars, *system._residual_jacobian())
 
 
 def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
@@ -659,55 +671,32 @@ def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None
     raise ValueError(f"unknown mode {mode!r}; use 'symbolic' or 'points'")
 
 
-def check_compat_rational(op: Hho2, v: Sequence[RationalFn]) -> CompatReport:
-    """Compatibility identities for an arbitrary flux vector given as rational
-    functions of u.  Works directly with quotient-rule derivatives; used to
-    cross-check the cleared-denominator route and to test foreign vectors.
+def check_compat_rational(op: Hho2, fractions: Sequence[Tuple[MultiPoly, MultiPoly]]) -> CompatReport:
+    """Compatibility identities for any flux vector V^k = N_k / M_k given as
+    (numerator, denominator) pairs of polynomials in u, such as `system.v`.
+
+    The pairs are cleared to one denominator D, the product of the distinct
+    M_k, so that Q_k = N_k D / M_k; no gcd is taken.  Both families are then
+    read off the residual P_q = sum_k g_qk Q_k by the reader of the symbolic
+    proof, with Aeff = Beff = 0 and C_qp = T_qpk Q_k.  F - D C = E needs only
+    C skew, so it holds for any nonzero D, not only the Pfaffian, and the
+    failure lists are exact.  Tests use it to check foreign vectors.
     """
-    n = op.n
-    if len(v) != n:
+    n, vs = op.n, op.vars
+    if len(fractions) != n:
         raise ValueError("flux vector must have n components")
-    vs = op.vars
-    v = [RationalFn(x.num.with_vars(vs), x.den.with_vars(vs)) for x in v]
+    pairs = [(num.with_vars(vs), den.with_vars(vs)) for num, den in fractions]
+    if any(den.is_zero() for _, den in pairs):
+        raise ZeroDivisionError("zero denominator")
+    dens: List[MultiPoly] = []
+    for _, den in pairs:
+        if den not in dens:
+            dens.append(den)
+    d = reduce(operator.mul, dens)
+    q = [reduce(operator.mul, [x for x in dens if x != den], num) for num, den in pairs]
     g = op.metric()
-    report = CompatReport(mode="rational", n=n)
-    jac = [[v[k].diff(p) for p in range(n)] for k in range(n)]
-    hess = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for p in range(n):
-            for l in range(p, n):
-                hess[k][p][l] = jac[k][p].diff(l)
-                hess[k][l][p] = hess[k][p][l]
-    zero = RationalFn.const(vs, 0)
-    for q in range(n):
-        for p in range(q, n):
-            acc = zero
-            for j in range(n):
-                gqj = g.at(q, j)
-                gpj = g.at(p, j)
-                if not gqj.is_zero():
-                    acc = acc + jac[j][p] * gqj
-                if not gpj.is_zero():
-                    acc = acc + jac[j][q] * gpj
-            if not acc.is_zero():
-                report.first_order_failures.append((q + 1, p + 1))
-    for q in range(n):
-        for p in range(n):
-            for l in range(p, n):
-                acc = zero
-                for k in range(n):
-                    gqk = g.at(q, k)
-                    if not gqk.is_zero():
-                        acc = acc + hess[k][p][l] * gqk
-                    t1 = op.t_value(p, q, k)
-                    if t1:
-                        acc = acc + jac[k][l] * t1
-                    t2 = op.t_value(q, k, l)
-                    if t2:
-                        acc = acc + jac[k][p] * t2
-                if not acc.is_zero():
-                    report.second_order_failures.append((q + 1, p + 1, l + 1))
-    return report
+    res = [_sum_of_products(vs, [(g.at(h, k), q[k]) for k in range(n)]) for h in range(n)]
+    return _compat_families("rational", vs, d, _residual_table(vs, d, res))
 
 
 # ----- linear line congruence ---------------------------------------------------
@@ -865,7 +854,7 @@ def linearity_report(system: ConservativeSystem, points=None) -> LinearityReport
     repeated roots at a point are counted as skipped.
     """
     n = system.op.n
-    is_linear = all(vk.is_poly() and vk.as_poly().degree() <= 1 for vk in system.v)
+    is_linear = all(den.is_constant() and num.degree() <= 1 for num, den in system.v)
     checked_points = 0
     checked = 0
     skipped = 0

@@ -149,7 +149,7 @@ class LinearMapN1:
             for c, x in enumerate(row):
                 try:
                     parsed.append(rat(x))
-                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                except (ValueError, TypeError) as exc:
                     raise ValueError(f"entries[{r}][{c}]: {exc}") from None
             self.entries.append(parsed)
         self.dim = len(self.entries)

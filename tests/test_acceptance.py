@@ -293,10 +293,10 @@ def test_criterion_07_flux_structure():
         n = system.op.n
         pf = system.op.pfaffian_poly()
         for k in range(n):
-            den = system.v[k].den
+            num, den = system.v[k]
             if not den.divides(pf):
                 ok = False
-            if system.v[k].num.degree() > n // 2:
+            if num.degree() > n // 2:
                 ok = False
         systems += 1
     elapsed = time.perf_counter() - start

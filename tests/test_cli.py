@@ -444,6 +444,49 @@ def test_inexact_values_exit_2(tmp_path, capsys, bad):
     assert_rejected("op", "transform", good_op, "--sl", json.dumps({"entries": rows}))
 
 
+def _bad_rational_argv(case, bad, tmp_path):
+    """argv of one command that reads `bad` as a rational, per input kind."""
+    good_op = write(tmp_path, "good.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]]}))
+    if case == "op-g0":
+        return "op", "validate", write(tmp_path, "op.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, bad]]}))
+    if case == "op-T":
+        doc = {"n": 4, "T": [[1, 2, 3, bad]], "g0": [[1, 4, "1"], [2, 3, "1"]]}
+        return "op", "validate", write(tmp_path, "op.json", json.dumps(doc))
+    if case == "sys-A":
+        return "sys", "verify", write(tmp_path, "sys.json", _system_doc(bad, "0"))
+    if case == "sys-B":
+        return "sys", "verify", write(tmp_path, "sys.json", _system_doc("1", bad))
+    if case == "sys-constants":
+        doc = json.loads(_system_doc("1", "0"))
+        doc["constants"] = [bad, "0"]
+        return "sys", "verify", write(tmp_path, "sys.json", json.dumps(doc))
+    if case == "3form":
+        return "op", "from-3form", write(tmp_path, "form.json", json.dumps({"dim": 3, "coeffs": [[1, 2, 3, bad]]}))
+    if case == "linear-map":
+        return "op", "transform", good_op, "--sl", json.dumps([[1, bad, 0], [0, 1, 0], [0, 0, 1]])
+    if case == "--params":
+        return ("catalog", "export", "n8-fam1", "--params", f"lambda1={bad}", "lambda2=3", "lambda3=5",
+                "lambda4=7")
+    if case == "--constants":
+        return "sys", "generate", good_op, "--random", "--constants", f"{bad},0"
+    if case == "--A":
+        return "sys", "generate", good_op, "--A", json.dumps([["0", bad], ["-1", "0"]]), "--B", '["0", "0"]'
+    assert case == "--B"
+    return "sys", "generate", good_op, "--A", '[["0", "1"], ["-1", "0"]]', "--B", json.dumps([bad, "0"])
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1e4300"])
+@pytest.mark.parametrize("case", ["op-g0", "op-T", "sys-A", "sys-B", "sys-constants", "3form", "linear-map",
+                                  "--params", "--constants", "--A", "--B"])
+def test_bad_rational_strings_exit_2(tmp_path, capsys, case, bad):
+    # A zero denominator used to raise ZeroDivisionError, and "1e4300" was
+    # read as a 4301-digit integer that no report could print.
+    code, out, err = run(capsys, *_bad_rational_argv(case, bad, tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and repr(bad) in err, err
+    assert "Traceback" not in err
+
+
 def _assert_exit_2_at(capsys, where, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 2, argv
