@@ -252,12 +252,13 @@ def cmd_catalog_export(args, config: RunConfig) -> int:
 def cmd_op_validate(args, config: RunConfig) -> int:
     op = _load_operator(args.file)
     rep = validate(op)
+    pfaffian = str(rep.pfaffian)
     report = {
         "command": "op validate",
         "n": rep.n,
         "tensor_skew": rep.t_total_skew,
         "g0_skew": rep.g0_skew,
-        "pfaffian": str(rep.pfaffian),
+        "pfaffian": pfaffian,
         "degenerate": rep.degenerate,
         "problems": rep.problems,
         "ok": rep.ok,
@@ -266,7 +267,7 @@ def cmd_op_validate(args, config: RunConfig) -> int:
         f"n = {rep.n}",
         f"tensor skew: {rep.t_total_skew}",
         f"g0 skew: {rep.g0_skew}",
-        f"Pfaffian: {rep.pfaffian}",
+        f"Pfaffian: {pfaffian}",
         f"degenerate: {rep.degenerate}",
     ]
     if rep.problems:

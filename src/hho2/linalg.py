@@ -5,7 +5,8 @@ for determinants and rank, a rank first bounded below at a fixed rational
 point, a Laplace expansion memoised over column subsets as an independent
 determinant, a recursive first-row Pfaffian with memoisation over index
 subsets, and a skew adjugate assembled from Pfaffian minors, whose entries
-over the Pfaffian give the inverse; Pfaffians expand on integer coefficients.
+over the Pfaffian give the inverse; Pfaffians expand on integer coefficients,
+each minor summed in one pass.
 Plain rational matrices (lists of lists of Fraction) are cleared of
 denominators and row-reduced in integers by fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
@@ -168,34 +169,27 @@ def _pfaffian_minors(matrix: PolyMatrix, masks):
     """Pfaffians of the skew submatrices indexed by the given bitmasks,
     computed by recursive first-row expansion with shared memoisation on the
     entries times their coefficients' common denominator den; a minor on 2k
-    indices is then divided by den^k."""
+    indices is then divided by den^k.  Each minor is one `_sum_of_products`
+    over its (signed entry, sub-minor) pairs; the entry with sign -1 is read
+    from the transposed position, as the matrix is skew."""
     vars_ = matrix.vars
     den, coeffs = clear_denominators([list(p.terms.values()) for row in matrix.entries for p in row])
     flat = iter(coeffs)
     m = [[MultiPoly._raw(vars_, dict(zip(p.terms, next(flat)))) for p in row] for row in matrix.entries]
-    one = MultiPoly.const(vars_, 1)
-    zero = MultiPoly.zero(vars_)
-    memo = {0: one}
+    memo = {0: MultiPoly.const(vars_, 1)}
 
     def pf(mask: int) -> MultiPoly:
         got = memo.get(mask)
-        if got is not None:
-            return got
-        idx = [i for i in range(matrix.rows) if mask & (1 << i)]
-        first = idx[0]
-        total = zero
-        sign = 1
-        for j in idx[1:]:
-            entry = m[first][j]
-            if entry.terms:
-                sub = pf(mask & ~(1 << first) & ~(1 << j))
-                if sub.terms:
-                    term = entry * sub
-                    total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[mask] = total
-        return total
+        if got is None:
+            idx = [i for i in range(matrix.rows) if mask >> i & 1]
+            first, rest = idx[0], mask & ~(1 << idx[0])
+            pairs = [(m[first][j] if pos % 2 == 0 else m[j][first], pf(rest & ~(1 << j)))
+                     for pos, j in enumerate(idx[1:]) if m[first][j].terms]
+            got = memo[mask] = _sum_of_products(vars_, pairs)
+        return got
 
+    if den == 1:
+        return [pf(mask) for mask in masks]
     return [pf(mask) * Fraction(1, den ** (mask.bit_count() // 2)) for mask in masks]
 
 

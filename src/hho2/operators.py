@@ -14,7 +14,8 @@ representable and flagged, but excluded from inversion-dependent work.
 
 Projective reciprocal transformations act through an invertible matrix on the
 n+1 homogeneous coordinates of the table; the induced point map and its
-Jacobian live on the affine chart.  `transform` embeds the operator as a
+Jacobian live on the affine chart, and the conformal checks evaluate them at a
+point in one integer record.  `transform` embeds the operator as a
 3-form, pulls it back along the inverse matrix and restricts it to the chart
 again, which makes `conformal_check` the literal conformal identity
 J^T gt(ut) J = A(u)^{-3} g(u).
@@ -25,9 +26,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, pfaffian, rat_det, rat_mat_mul
+from .linalg import PolyMatrix, clear_denominators, pfaffian, rat_det, rat_mat_mul
 from .poly import MultiPoly, bounded_n, index_entries, json_int
 from .threeform import (
     LinearMapN1,
@@ -65,7 +67,7 @@ class Hho2:
     (n+1)^3 array, signs included.
     """
 
-    __slots__ = ("n", "table", "params", "tensor", "_metric", "_pf")
+    __slots__ = ("n", "table", "params", "tensor", "_metric", "_pf", "_integer")
 
     def __init__(self, n: int, table: Dict[Tuple[int, int, int], Value], params: Sequence[str] = ()):
         if n < 2 or n % 2 != 0:
@@ -76,6 +78,7 @@ class Hho2:
         self.tensor = skew_dense(self.table, n + 1)
         self._metric = None
         self._pf = None
+        self._integer = None
 
     # ----- derived data ----------------------------------------------------
 
@@ -120,10 +123,16 @@ class Hho2:
     def is_numeric(self) -> bool:
         return not self.params
 
-    def metric_at(self, point) -> List[List[Fraction]]:
-        if len(point) != len(self.vars):
-            raise ValueError(f"point must supply {len(self.vars)} values (u then params)")
-        return self.metric().eval_at(point)
+    def _metric_numerator(self, x: Sequence[int]) -> Tuple[int, List[List[int]]]:
+        """(L, G) with g(u) = G / (L s) at the integer vector x = s (u, 1): G is
+        x contracted with the integer table L * tensor, cached per operator."""
+        if self._integer is None:
+            if not self.is_numeric():
+                raise ValueError("conformal check needs a numeric operator")
+            self._integer = clear_denominators([row for plane in self.tensor[:self.n] for row in plane[:self.n]])
+        big_l, w = self._integer
+        n = self.n
+        return big_l, [[sum(map(mul, w[i * n + j], x)) for j in range(n)] for i in range(n)]
 
     def __eq__(self, other):
         if not isinstance(other, Hho2):
@@ -232,30 +241,6 @@ class ProjReciprocal:
         row = self.a.entries[self.n]
         return sum((row[j] * Fraction(u[j]) for j in range(self.n)), row[self.n])
 
-    def chart(self, u: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        A = self.affine_factor(u)
-        if not A:
-            raise ZeroDivisionError(f"chart pole: affine factor vanishes at {tuple(map(str, u))}")
-        out = []
-        for i in range(self.n):
-            row = self.a.entries[i]
-            num = sum((row[j] * Fraction(u[j]) for j in range(self.n)), row[self.n])
-            out.append(num / A)
-        return tuple(out)
-
-    def jacobian(self, u: Sequence[Fraction]) -> List[List[Fraction]]:
-        A = self.affine_factor(u)
-        if not A:
-            raise ZeroDivisionError(f"chart pole: affine factor vanishes at {tuple(map(str, u))}")
-        bottom = self.a.entries[self.n]
-        A2 = A * A
-        out = []
-        for i in range(self.n):
-            row = self.a.entries[i]
-            num_i = sum((row[j] * Fraction(u[j]) for j in range(self.n)), row[self.n])
-            out.append([(A * row[l] - num_i * bottom[l]) / A2 for l in range(self.n)])
-        return out
-
 
 def transform(op: Hho2, r: ProjReciprocal) -> Hho2:
     """Pull the extended tensor back along the inverse matrix.
@@ -269,35 +254,50 @@ def transform(op: Hho2, r: ProjReciprocal) -> Hho2:
     return Hho2(op.n, chart_restrict(pullback(embed(op), r.a.inverse())), op.params)
 
 
+def _conformal_point(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]):
+    """The integer record of both conformal identities at u.
+
+    With x = (u, 1) = X/s, a = M/c, y = M X = c s (N, A), and the two metric
+    tables W/L of `op` and Wt/Lt of `moved`: g(u) = G/(L s) with G = W X,
+    gt(ut) = Gt/(Lt y_n) with Gt = Wt y, J = s K / y_n^2 with
+    K_il = y_n M_il - y_i M_nl, and A = y_n/(c s).  Returns (G, Gt, K, y_n,
+    L, c^3 Lt); the identities then hold in integers with s cancelled.
+    """
+    n = op.n
+    if len(u) != n:
+        raise ValueError(f"point must supply {n} values")
+    _, (x,) = clear_denominators([[*u, 1]])
+    c, m = clear_denominators(r.a.entries)
+    y = [sum(map(mul, row, x)) for row in m]
+    big_l, g = op._metric_numerator(x)
+    lt, gt = moved._metric_numerator(y)
+    yn, bottom = y[n], m[n]
+    if not yn:
+        raise ZeroDivisionError("affine factor vanishes at the sample point")
+    k = [[yn * m[i][l] - y[i] * bottom[l] for l in range(n)] for i in range(n)]
+    return g, gt, k, yn, big_l, c**3 * lt
+
+
 def conformal_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
     """Exact pointwise conformal identity J^T gt(ut) J == A^{-3} g(u), with gt
     the metric of `moved` (normally transform(op, r), computed once per map).
 
-    Holds for determinant-one maps; raises at poles of the chart.
+    Read off the integer record of `_conformal_point` with every denominator
+    cleared: L K^T Gt K == c^3 Lt y_n^2 G entrywise.  Holds for every
+    invertible map (a -> lambda a scales both sides by lambda^-3); raises
+    ZeroDivisionError at poles of the chart and ValueError for a parametric
+    operator.
     """
-    if not op.is_numeric():
-        raise ValueError("conformal check needs a numeric operator")
-    A = r.affine_factor(u)
-    if not A:
-        raise ZeroDivisionError("affine factor vanishes at the sample point")
-    ut = r.chart(u)
-    J = r.jacobian(u)
-    gt = moved.metric_at(ut)
-    g = op.metric_at(u)
-    n = op.n
-    scale = Fraction(1) / (A ** 3)
-    lhs = rat_mat_mul([list(col) for col in zip(*J)], rat_mat_mul(gt, J))
-    return all(lhs[i][j] == scale * g[i][j] for i in range(n) for j in range(n))
+    g, gt, k, yn, big_l, scale = _conformal_point(op, moved, r, u)
+    lhs = rat_mat_mul([list(col) for col in zip(*k)], rat_mat_mul(gt, k))
+    rhs = scale * yn * yn
+    return all(big_l * a == rhs * b for row, g_row in zip(lhs, g) for a, b in zip(row, g_row))
 
 
 def conformal_determinant_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
     """Determinant consequence of the conformal identity, with gt the metric
-    of `moved`: det(gt(ut)) * det(J)^2 == A^{-3n} det(g(u))."""
-    A = r.affine_factor(u)
-    ut = r.chart(u)
-    J = r.jacobian(u)
-    gt = moved.metric_at(ut)
-    g = op.metric_at(u)
-    lhs = rat_det(gt) * rat_det(J) ** 2
-    rhs = rat_det(g) / A ** (3 * op.n)
-    return lhs == rhs
+    of `moved`: det(gt(ut)) * det(J)^2 == A^{-3n} det(g(u)), read off the
+    same integer record as L^n det Gt (det K)^2 == (c^3 Lt)^n y_n^(2n) det G."""
+    g, gt, k, yn, big_l, scale = _conformal_point(op, moved, r, u)
+    n = op.n
+    return big_l**n * rat_det(gt) * rat_det(k) ** 2 == scale**n * yn ** (2 * n) * rat_det(g)

@@ -169,7 +169,8 @@ class LinearMapN1:
 
     @classmethod
     def random_sl(cls, dim: int, rng, shears: int = None, bound: int = 3) -> "LinearMapN1":
-        """Product of random elementary shears; determinant one by construction."""
+        """Product of random elementary shears.  Its determinant is one by
+        construction, so no elimination runs."""
         m = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
         count = shears if shears is not None else 2 * dim + 2
         for _ in range(count):
@@ -182,7 +183,7 @@ class LinearMapN1:
                 continue
             # left-multiply by E_{ij}(c): row i += c * row j
             m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        return cls(m)
+        return cls._with_det(m, Fraction(1))
 
     @classmethod
     def _with_det(cls, entries: List[List[Fraction]], det: Fraction) -> "LinearMapN1":
@@ -198,8 +199,12 @@ class LinearMapN1:
         return LinearMapN1._with_det(rat_inverse(self.entries), 1 / self.det)
 
     def compose(self, other: "LinearMapN1") -> "LinearMapN1":
-        """Matrix product self * other."""
-        return LinearMapN1._with_det(rat_mat_mul(self.entries, other.entries), self.det * other.det)
+        """Matrix product self * other: the product of the two integer
+        numerators, divided once by the product of their denominators."""
+        c, m = clear_denominators(self.entries)
+        d, k = clear_denominators(other.entries)
+        entries = [[Fraction(x, c * d) for x in row] for row in rat_mat_mul(m, k)]
+        return LinearMapN1._with_det(entries, self.det * other.det)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMapN1):

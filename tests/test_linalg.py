@@ -18,6 +18,7 @@ from hho2.linalg import (
 from hho2.poly import MultiPoly
 
 VARS = ("x", "y")
+VARS8 = tuple(f"u{k}" for k in range(1, 9))
 
 
 def rand_poly(rng, max_deg=2, terms=3, bound=5):
@@ -278,18 +279,39 @@ def _fraction_skew(rng, n):
     return PolyMatrix(rows)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+def _dense_fraction_skew(rng, n, variables):
+    """Skew matrix with every entry above the diagonal nonzero: a constant
+    plus a multiple of one of `variables`, both Fractions.  (Entries affine in
+    all 8 variables make `det_laplace` take about 30 s at n = 8.)"""
+    zero = MultiPoly.zero(variables)
+    rows = [[zero for _ in range(n)] for _ in range(n)]
+    nv = len(variables)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = rng.randrange(nv)
+            exps = [(0,) * nv, tuple(int(k == v) for k in range(nv))]
+            p = MultiPoly(variables, {e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3)) for e in exps})
+            rows[i][j], rows[j][i] = p, -p
+    return PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_pfaffian_with_fraction_coefficients(n):
+    """Pf^2 = det and adj * m = Pf * I; at n = 8 every entry is nonzero, the
+    entries span 8 variables and `det_laplace` is the Pf^2 oracle."""
     rng = random.Random(50 + n)
     fractional = 0
-    for _ in range(4):
-        m = _fraction_skew(rng, n)
+    for _ in range(4 if n < 8 else 2):
+        if n < 8:
+            m, det = _fraction_skew(rng, n), det_bareiss
+        else:
+            m, det = _dense_fraction_skew(rng, n, VARS8), det_laplace
         pf = pfaffian(m)
         fractional += any(isinstance(c, Fraction) for c in pf.terms.values())
-        assert pf * pf == det_bareiss(m)
+        assert pf * pf == det(m)
         adj, pf_adj = pfaffian_adjugate(m)
         assert pf_adj == pf
-        zero = MultiPoly.zero(VARS)
+        zero = MultiPoly.zero(m.vars)
         for i in range(n):
             for j in range(n):
                 acc = zero
@@ -297,3 +319,12 @@ def test_pfaffian_with_fraction_coefficients(n):
                     acc = acc + adj.at(i, k) * m.at(k, j)
                 assert acc == (pf if i == j else zero)
     assert fractional >= 2
+
+
+def test_pfaffian_with_zero_first_row_is_zero():
+    m = _dense_fraction_skew(random.Random(58), 8, VARS8)
+    zero = MultiPoly.zero(VARS8)
+    rows = [[zero if 0 in (i, j) else m.at(i, j) for j in range(8)] for i in range(8)]
+    assert pfaffian(PolyMatrix(rows)).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        pfaffian_adjugate(PolyMatrix(rows))

@@ -5,7 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
-from hho2.catalog import build, list_entries
+from hho2.catalog import build, get_entry, list_entries
+from hho2.linalg import clear_denominators, rat_det, rat_mat_mul
 from hho2.operators import (
     Hho2,
     ProjReciprocal,
@@ -234,12 +235,135 @@ def test_instantiate_and_is_numeric():
 
 
 def test_metric_at_matches_symbolic_eval():
+    """The integer metric of the conformal record, over its denominator, is
+    the symbolic metric at u."""
     rng = random.Random(5)
-    op = build("n6-VIII")
-    g = op.metric()
-    for _ in range(5):
-        u = tuple(Fraction(rng.randint(-6, 6)) for _ in range(6))
-        vals = op.metric_at(u)
-        for i in range(6):
-            for j in range(6):
-                assert vals[i][j] == g.at(i, j).eval(u)
+    for name in ("n6-VIII", "n4-open"):
+        op = build(name)
+        if name == "n4-open":
+            op = transform(op, ProjReciprocal(_fractional_sl(5)))
+        g = op.metric()
+        for _ in range(5):
+            u = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(op.n))
+            s = clear_denominators([u])[0]
+            big_l, vals = op._metric_numerator([int(x * s) for x in u] + [s])
+            assert [[Fraction(v, big_l * s) for v in row] for row in vals] == g.eval_at(u)
+        assert name == "n6-VIII" or big_l > 1
+
+
+# ----- Fraction oracle of the conformal identities ----------------------------
+
+
+def _chart_oracle(a, u):
+    """(ut, A) of the point map ut^i = (a_ij u^j + a_in) / A in Fractions."""
+    n = len(u)
+    e = a.entries
+    big_a = sum((e[n][j] * u[j] for j in range(n)), e[n][n])
+    if not big_a:
+        raise ZeroDivisionError("chart pole")
+    return [sum((e[i][j] * u[j] for j in range(n)), e[i][n]) / big_a for i in range(n)], big_a
+
+
+def _jacobian_oracle(a, u):
+    """J_il = (A a_il - N_i a_nl) / A^2 with N_i = A ut^i, in Fractions."""
+    n = len(u)
+    e = a.entries
+    ut, big_a = _chart_oracle(a, u)
+    return [[(big_a * e[i][l] - big_a * ut[i] * e[n][l]) / big_a**2 for l in range(n)] for i in range(n)]
+
+
+def _conformal_oracle(op, moved, a, u):
+    """(metric identity, determinant identity) at u as the identities are
+    written: J^T gt(ut) J == A^-3 g(u) and det gt * det(J)^2 == A^-3n det g,
+    with both metrics evaluated symbolically."""
+    n = op.n
+    ut, big_a = _chart_oracle(a, u)
+    jac = _jacobian_oracle(a, u)
+    gt = moved.metric().eval_at(ut)
+    g = op.metric().eval_at(u)
+    lhs = rat_mat_mul([list(col) for col in zip(*jac)], rat_mat_mul(gt, jac))
+    metric_ok = all(lhs[i][j] == g[i][j] / big_a**3 for i in range(n) for j in range(n))
+    det_ok = rat_det(gt) * rat_det(jac) ** 2 == rat_det(g) / big_a ** (3 * n)
+    return metric_ok, det_ok
+
+
+def _fractional_sl(dim):
+    """Unit lower-triangular map with fractional entries: determinant one,
+    with a common denominator above 1."""
+    rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for i in range(1, dim):
+        rows[i][i - 1] = Fraction((-1) ** i, i + 1)
+    rows[dim - 1][0] += Fraction(1, 3)
+    return LinearMapN1(rows)
+
+
+def _points(rng, n, count):
+    """Rational points whose coordinates have denominators 2 and 3."""
+    return [tuple(Fraction(rng.randint(-9, 9), rng.choice((2, 3))) for _ in range(n)) for _ in range(count)]
+
+
+N8_FAM1 = {"lambda1": Fraction(2), "lambda2": Fraction(3), "lambda3": Fraction(5), "lambda4": Fraction(7)}
+
+
+def test_conformal_record_matches_fraction_oracle():
+    """Both integer checks give the oracle's verdict at points with
+    denominators 2 and 3: on maps with fractional entries (c > 1, moved
+    table denominator Lt > 1), on n8-fam1, on a determinant-two map, on a
+    doubled source operator where both identities fail, and on the wrong
+    source operator of `test_conformal_identity_has_teeth`.
+
+    The identities hold for the determinant-two map too: a -> lambda a
+    scales both sides by lambda^-3, and n+1 is odd, so every invertible real
+    map is a real multiple of a determinant-one map."""
+    rng = random.Random(79)
+    op4 = build("n4-open")
+    wrong = Hho2(4, {**op4.table, (0, 1, 2): Fraction(1)})
+    doubled = Hho2(4, {key: 2 * v for key, v in op4.table.items()})
+    det2 = LinearMapN1([[*row[:4], 2 * row[4]] for row in _fractional_sl(5).entries])
+    assert det2.det == 2
+    n8 = build("n8-fam1", N8_FAM1)
+    cases = [
+        (op4, op4, _fractional_sl(5), True),
+        (build("n6-X"), build("n6-X"), _fractional_sl(7), True),
+        (n8, n8, _fractional_sl(9), True),
+        (op4, op4, LinearMapN1.random_sl(5, rng), True),
+        (op4, op4, det2, True),
+        (doubled, op4, _fractional_sl(5), False),
+        (wrong, op4, _fractional_sl(5), None),
+    ]
+    for op, _, a, _ in cases[:3]:
+        assert clear_denominators(a.entries)[0] > 1
+        assert transform(op, ProjReciprocal(a))._metric_numerator([1] * (op.n + 1))[0] > 1
+    wrong_verdicts = []
+    for op, source, a, expected in cases:
+        r = ProjReciprocal(a)
+        moved = transform(source, r)
+        for u in _points(rng, op.n, 3):
+            if not r.affine_factor(u):
+                continue
+            want = _conformal_oracle(op, moved, a, u)
+            got = (conformal_check(op, moved, r, u), conformal_determinant_check(op, moved, r, u))
+            assert got == want
+            if expected is None:
+                wrong_verdicts.append(got[0])
+            else:
+                assert got == (expected, expected)
+    assert False in wrong_verdicts
+
+
+def test_conformal_checks_raise_at_poles_and_on_parameters():
+    a = _fractional_sl(5)
+    r = ProjReciprocal(a)
+    op = build("n4-open")
+    moved = transform(op, r)
+    pole = (Fraction(-6), Fraction(1), Fraction(2), Fraction(5))
+    assert r.affine_factor(pole) == 0
+    for check in (conformal_check, conformal_determinant_check):
+        with pytest.raises(ZeroDivisionError):
+            check(op, moved, r, pole)
+    sym = get_entry("n8-fam1").build_symbolic()
+    r9 = ProjReciprocal(_fractional_sl(9))
+    moved_sym = transform(sym, r9)
+    for check in (conformal_check, conformal_determinant_check):
+        with pytest.raises(ValueError):
+            check(sym, moved_sym, r9, tuple(Fraction(k + 1) for k in range(8)))

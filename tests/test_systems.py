@@ -241,7 +241,7 @@ def _sqrt_charpoly_oracle(system, u):
     over the ring ("lam",)."""
     n, t = system.op.n, system.op.tensor
     v = [num.eval(u) / den.eval(u) for num, den in system.v]
-    g = system.op.metric_at(u)
+    g = system.op.metric().eval_at(u)
     lam = MultiPoly.variable(("lam",), 0)
     rows = [
         [lam * -g[h][j] + (sum(t[h][j][i] * v[i] for i in range(n)) + system.a_eff[h][j]) for j in range(n)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hho2.linalg import rat_det, rat_mat_mul
 from hho2.operators import Hho2
 from hho2.poly import MultiPoly
 from hho2.threeform import (
@@ -90,9 +91,21 @@ def test_random_sl_is_unimodular():
     for dim in (3, 5, 7, 9):
         for _ in range(5):
             a = LinearMapN1.random_sl(dim, rng)
-            assert a.is_sl
+            assert rat_det(a.entries) == 1
             inv = a.inverse()
             assert a.compose(inv) == LinearMapN1.identity(dim)
+
+
+def test_compose_matches_fraction_product():
+    rng = random.Random(11)
+    for dim in (3, 5, 9):
+        a = LinearMapN1.random_sl(dim, rng)
+        b = LinearMapN1([[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) + (i == j) * dim for j in range(dim)]
+                         for i in range(dim)])
+        for x, y in ((a, b), (b, a)):
+            both = x.compose(y)
+            assert both.entries == rat_mat_mul(x.entries, y.entries)
+            assert both.det == rat_det(both.entries) == x.det * y.det
 
 
 def test_linear_map_requires_invertible():
