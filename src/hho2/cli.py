@@ -76,38 +76,17 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(source: str):
-    """Parse a JSON document given as a file path or as an inline literal."""
-    stripped = source.lstrip()
-    text = source if stripped[:1] in "[{" else _read_text(source)
+def _load(source: str, reader, inline: bool = False):
+    """`reader` applied to the document at the path `source`, or to `source`
+    itself where `inline` allows a JSON literal; a malformed document is an
+    InputError naming the source."""
+    text = source if inline and source.lstrip()[:1] in "[{" else _read_text(source)
     try:
-        return json.loads(text)
+        return reader(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-
-
-def _load_operator(path: str) -> Hho2:
-    try:
-        return Hho2.from_json(_read_text(path))
-    except InputError:
-        raise
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_system(path: str) -> ConservativeSystem:
-    try:
-        return ConservativeSystem.from_json(_read_text(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_linear_map(path: str) -> LinearMapN1:
-    data = _load_json(path)
-    try:
-        return LinearMapN1.from_json(json.dumps(data))
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{source}: {exc}") from exc
 
 
 def _parse_param_list(items: Optional[List[str]]) -> dict:
@@ -250,7 +229,7 @@ def cmd_catalog_export(args, config: RunConfig) -> int:
 
 
 def cmd_op_validate(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
+    op = _load(args.file, Hho2.from_json)
     rep = validate(op)
     pfaffian = str(rep.pfaffian)
     report = {
@@ -278,8 +257,8 @@ def cmd_op_validate(args, config: RunConfig) -> int:
 
 
 def cmd_op_transform(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
-    a = _load_linear_map(args.sl)
+    op = _load(args.file, Hho2.from_json)
+    a = _load(args.sl, LinearMapN1.from_json, inline=True)
     if a.dim != op.n + 1:
         raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
     try:
@@ -291,8 +270,8 @@ def cmd_op_transform(args, config: RunConfig) -> int:
 
 
 def cmd_op_conformal_check(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
-    a = _load_linear_map(args.sl)
+    op = _load(args.file, Hho2.from_json)
+    a = _load(args.sl, LinearMapN1.from_json, inline=True)
     if a.dim != op.n + 1:
         raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
     r = ProjReciprocal(a)
@@ -335,18 +314,18 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
 
 
 def cmd_op_to_3form(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
+    op = _load(args.file, Hho2.from_json)
     form = embed(op)
     _write_payload(form.to_json(), args.out)
     return 0
 
 
 def cmd_op_from_3form(args, config: RunConfig) -> int:
-    try:
-        form = ThreeForm.from_json(_read_text(args.file))
-        op = Hho2(form.dim - 1, chart_restrict(form), form.params)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{args.file}: {exc}") from exc
+    def read(text: str) -> Hho2:
+        form = ThreeForm.from_json(text)
+        return Hho2(form.dim - 1, chart_restrict(form), form.params)
+
+    op = _load(args.file, read)
     _write_payload(op.to_json(), args.out)
     return 0
 
@@ -355,7 +334,7 @@ def cmd_op_from_3form(args, config: RunConfig) -> int:
 
 
 def cmd_sys_generate(args, config: RunConfig) -> int:
-    op = _load_operator(args.op)
+    op = _load(args.op, Hho2.from_json)
     if not op.is_numeric():
         raise InputError("operator has free parameters; export it with --params first")
     constants = _parse_constants(args.constants, op.n)
@@ -367,8 +346,8 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
         elif args.A or args.B:
             if not (args.A and args.B):
                 raise InputError("--A and --B must be given together")
-            a_data = _load_json(args.A)
-            b_data = _load_json(args.B)
+            a_data = _load(args.A, json.loads, inline=True)
+            b_data = _load(args.B, json.loads, inline=True)
             try:
                 flux = FluxParams.make(a_data, b_data)
             except (ValueError, TypeError) as exc:
@@ -408,14 +387,9 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
 
 
 def cmd_sys_verify(args, config: RunConfig) -> int:
-    system = _load_system(args.file)
+    system = _load(args.file, ConservativeSystem.from_json)
     n = system.op.n
-    rng = random.Random(config.seed)
-    if n <= 6:
-        compat = check_compat(system, mode="symbolic")
-    else:
-        pts = _sample_points(system.op, config.samples, rng, config)
-        compat = check_compat(system, mode="points", points=pts)
+    compat = check_compat(system)
     plk = pluecker_relations(system)
     den = system.flux_denominator_report()
     eul = euler_check(system)
@@ -450,7 +424,7 @@ def cmd_sys_verify(args, config: RunConfig) -> int:
 
 
 def cmd_sys_diagnose(args, config: RunConfig) -> int:
-    system = _load_system(args.file)
+    system = _load(args.file, ConservativeSystem.from_json)
     count = args.points if args.points is not None else config.samples
     rng = random.Random(config.seed)
     pts = _sample_points(system.op, count, rng, config)

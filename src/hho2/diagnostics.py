@@ -128,7 +128,7 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     """
     n = system.op.n
     num = system._numerators(u)
-    r, t = num.r, system._kernel().t
+    r, t = num.r, system.op._integer_table()[1]
     g_den, ginv = clear_denominators(rat_inverse(num.g))
     rr = rat_mat_mul(r, r)
     rt = list(zip(*r))
@@ -291,16 +291,17 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     """
     n = system.op.n
     num = system._numerators(u)
-    kern = system._kernel()
-    t, a, d = kern.t, kern.a, num.d
-    flux_scale, affine_scale = kern.a_den * num.q, kern.t_den * num.q * d
+    t_den, t = system.op._integer_table()
+    a_den, a = system._affine
+    d = num.d
+    flux_scale, affine_scale = a_den * num.q, t_den * num.q * d
     pencil = [[0] * n for _ in range(n)]
     for h in range(n):
         for j in range(h + 1, n):
             entry = flux_scale * sum(map(mul, t[h][j], num.qv)) + affine_scale * a[h][j]
             pencil[h][j], pencil[j][h] = entry, -entry
-    g = [[kern.a_den * d * x for x in row] for row in num.g]
-    den = (kern.t_den * kern.a_den * num.q * d) ** (n // 2) * d
+    g = [[a_den * d * x for x in row] for row in num.g]
+    den = (t_den * a_den * num.q * d) ** (n // 2) * d
     return [Fraction(x * num.d_scale, den) for x in _pencil_pfaffian(pencil, g)]
 
 

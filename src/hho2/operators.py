@@ -123,16 +123,25 @@ class Hho2:
     def is_numeric(self) -> bool:
         return not self.params
 
-    def _metric_numerator(self, x: Sequence[int]) -> Tuple[int, List[List[int]]]:
-        """(L, G) with g(u) = G / (L s) at the integer vector x = s (u, 1): G is
-        x contracted with the integer table L * tensor, cached per operator."""
+    def _integer_table(self) -> Tuple[int, List[List[List[int]]]]:
+        """(L, t): L the lcm of the table's denominators and t = L * tensor on
+        range(n) x range(n) x range(n + 1), column n holding g0; cached per
+        operator.  Every integer route of the operator and its systems reads
+        it; a product of a row of t with an n-vector reads range(n) only."""
         if self._integer is None:
             if not self.is_numeric():
-                raise ValueError("conformal check needs a numeric operator")
-            self._integer = clear_denominators([row for plane in self.tensor[:self.n] for row in plane[:self.n]])
-        big_l, w = self._integer
-        n = self.n
-        return big_l, [[sum(map(mul, w[i * n + j], x)) for j in range(n)] for i in range(n)]
+                raise ValueError("integer table needs a numeric operator")
+            n = self.n
+            # Every table value sits in this block with its sign, so its lcm is the table's.
+            big_l, rows = clear_denominators([row for plane in self.tensor[:n] for row in plane[:n]])
+            self._integer = big_l, [rows[i * n : (i + 1) * n] for i in range(n)]
+        return self._integer
+
+    def _metric_numerator(self, x: Sequence[int]) -> Tuple[int, List[List[int]]]:
+        """(L, G) with g(u) = G / (L s) at the integer vector x = s (u, 1): G is
+        x contracted with the integer table t of `_integer_table`."""
+        big_l, t = self._integer_table()
+        return big_l, [[sum(map(mul, tj, x)) for tj in ti] for ti in t]
 
     def __eq__(self, other):
         if not isinstance(other, Hho2):

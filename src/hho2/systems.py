@@ -175,20 +175,20 @@ class ConservativeSystem:
         self.d = op.pfaffian_poly()
         cadj, _ = pfaffian_adjugate(op.metric())
         gens = [MultiPoly.variable(vs, i) for i in range(n)]
-        self.w = []
+        w = []
         for j in range(n):
             expr = MultiPoly.const(vs, flux.b[j])
             for l in range(n):
                 if flux.a[j][l]:
                     expr = expr + gens[l] * flux.a[j][l]
-            self.w.append(expr)
+            w.append(expr)
         self.q: List[MultiPoly] = []
         for k in range(n):
             acc = MultiPoly.zero(vs)
             for j in range(n):
                 cj = cadj.at(k, j)
-                if not cj.is_zero() and not self.w[j].is_zero():
-                    acc = acc + cj * self.w[j]
+                if not cj.is_zero() and not w[j].is_zero():
+                    acc = acc + cj * w[j]
             if self.constants[k]:
                 acc = acc + self.d * self.constants[k]
             self.q.append(acc)
@@ -202,11 +202,9 @@ class ConservativeSystem:
                  for h in range(n)]
         self.a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
         self.b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
+        # (a_den, rows): rows h < n are a_den Aeff, row n is a_den Beff.
+        self._affine: Tuple[int, List[List[int]]] = clear_denominators([*self.a_eff, self.b_eff])
 
-        self._d1: Optional[List[MultiPoly]] = None
-        self._d2: Optional[Dict[Tuple[int, int], MultiPoly]] = None
-        self._q1: Optional[List[List[MultiPoly]]] = None
-        self._q2: Optional[List[Dict[Tuple[int, int], MultiPoly]]] = None
         self._v: Optional[List[Tuple[MultiPoly, MultiPoly]]] = None
         self._c: Optional[List[List[MultiPoly]]] = None
         self._mtilde: Optional[PolyMatrix] = None
@@ -223,48 +221,23 @@ class ConservativeSystem:
             self._v = [lowest_terms(qk, self.d) for qk in self.q]
         return self._v
 
-    # ----- derivative tables ------------------------------------------------
+    # ----- integer forms ------------------------------------------------------
 
-    def _ensure_first(self):
-        if self._d1 is None:
-            n = self.op.n
-            self._d1 = [self.d.diff(p) for p in range(n)]
-            self._q1 = [[self.q[k].diff(p) for p in range(n)] for k in range(n)]
-
-    def _ensure_second(self):
-        self._ensure_first()
-        if self._d2 is None:
-            n = self.op.n
-            self._d2 = {}
-            for p in range(n):
-                for l in range(p, n):
-                    self._d2[(p, l)] = self._d1[p].diff(l)
-            self._q2 = []
-            for k in range(n):
-                table: Dict[Tuple[int, int], MultiPoly] = {}
-                for p in range(n):
-                    for l in range(p, n):
-                        table[(p, l)] = self._q1[k][p].diff(l)
-                self._q2.append(table)
-
-    def _integer_scales(self) -> Tuple[int, int, List[List[List[int]]]]:
-        """(scale, t_den, t): scale clears D and the Q_k as they are now, t_den
-        the table, and t = t_den * op.tensor on range(n) x range(n) x
-        range(n + 1), column n holding g0.  The kernel and the residuals read it."""
-        n = self.op.n
-        scale = clear_denominators([list(p.terms.values()) for p in (self.d, *self.q)])[0]
-        # Every table value sits in this block with its sign, so its lcm is the table's.
-        t_den, rows = clear_denominators([row for plane in self.op.tensor[:n] for row in plane[:n]])
-        return scale, t_den, [rows[i * n : (i + 1) * n] for i in range(n)]
+    def _integer_scales(self) -> int:
+        """The lcm `scale` of the coefficient denominators of D and the Q_k as
+        they are now; the table's integer form is `op._integer_table()` and
+        the affine data's is `_affine`, both fixed at construction."""
+        return clear_denominators([list(p.terms.values()) for p in (self.d, *self.q)])[0]
 
     def _pluecker_residuals(self) -> Tuple[MultiPoly, List[MultiPoly]]:
         """(d, P): d = scale D and the residuals P_q = sum_k g_qk Q_k -
         D (Aeff u + Beff)_q in Z[u], each times a_den t_den scale.  D and the
         Q_k as they are now carry scale, as in `_integer_scales`, the metric
-        a_den t_den, and Aeff, Beff their common denominator a_den times t_den."""
+        a_den t_den, and Aeff, Beff their common denominator a_den (`_affine`)
+        times t_den (`op._integer_table`)."""
         n, vs = self.op.n, self.vars
-        scale, t_den, _ = self._integer_scales()
-        a_den, rows = clear_denominators([*self.a_eff, self.b_eff])
+        scale, t_den = self._integer_scales(), self.op._integer_table()[0]
+        a_den, rows = self._affine
         metric = self.op.metric()
         q = [x * scale for x in self.q]
         d = self.d * scale
@@ -432,9 +405,9 @@ class _PointNumerators(NamedTuple):
 
     V^k = qv[k] / d,  dV^k/du^p = r[k][p] / d^2,
     d^2 V^k/du^p du^l = s[k][p][l] / d^3,  D(u) = d / d_scale,
-    and the metric is G / (t_den q) with G the field g and t_den from the
-    kernel.  r and s are R_kp and S_kpl of the module docstring, evaluated at
-    the point.
+    and the metric is G / (t_den q) with G the field g and t_den from
+    `op._integer_table`.  r and s are R_kp and S_kpl of the module docstring,
+    evaluated at the point.
     """
 
     d: int
@@ -447,35 +420,31 @@ class _PointNumerators(NamedTuple):
 
 
 class _PointKernel:
-    """Integer evaluation of D, the Q_k, their partials and the metric.
+    """Integer evaluation of D, the Q_k and their partials.
 
-    One common denominator `scale` clears D, the Q_k and their partials, and
-    t = t_den * op.tensor, both from `ConservativeSystem._integer_scales`.
-    Each monomial of the one table is evaluated once, homogenised to the top
-    degree, so a point U/q needs only integers.  t gives the metric numerator
-    G_ij = sum_k t_ijk U_k + t_ijn q; a product of a row of t with an n-vector
-    reads range(n) only.  a = a_den * Aeff is cleared once per system.
+    One common denominator `scale` (`ConservativeSystem._integer_scales`)
+    clears D, the Q_k and their partials, which are built here and kept only
+    compiled.  Each monomial of the one table is evaluated once, homogenised
+    to the top degree, so a point U/q needs only integers.  The metric
+    numerator G is `op._metric_numerator` at (U, q).
     """
 
     def __init__(self, system: ConservativeSystem):
-        system._ensure_second()
         n = system.op.n
         self.n = n
+        self.op = system.op
         self.pairs = [(p, l) for p in range(n) for l in range(p, n)]
-
-        def family(f, f1, f2):
-            return [f, *f1, *(f2[key] for key in self.pairs)]
-
-        self.scale, self.t_den, self.t = system._integer_scales()
+        self.scale = system._integer_scales()
         index: Dict[Tuple[int, ...], int] = {}
-        families = [family(system.d, system._d1, system._d2)]
-        families += [family(system.q[k], system._q1[k], system._q2[k]) for k in range(n)]
-        self.polys = [self._compile(f, self.scale, index) for fam in families for f in fam]
+        self.polys = []
+        for f in (system.d, *system.q):
+            f1 = [f.diff(p) for p in range(n)]
+            family = [f, *f1, *(f1[p].diff(l) for p, l in self.pairs)]
+            self.polys += [self._compile(x, self.scale, index) for x in family]
         self.top = max((sum(e) for e in index), default=0)
         self.monomials = [
             (self.top - sum(e), [(v, x) for v, x in enumerate(e) if x]) for e in index
         ]
-        self.a_den, self.a = clear_denominators(system.a_eff)
 
     @staticmethod
     def _compile(poly: MultiPoly, scale: int, index: Dict[Tuple[int, ...], int]):
@@ -524,12 +493,7 @@ class _PointKernel:
                 sk[l][p] = value
             qv.append(qk)
             r.append(rk)
-        hom = coords + [q]
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                entry = sum(map(operator.mul, self.t[i][j], hom))
-                g[i][j], g[j][i] = entry, -entry
+        g = self.op._metric_numerator(coords + [q])[1]
         return _PointNumerators(d, self.scale * q ** top, q, qv, r, s, g)
 
 
@@ -625,7 +589,7 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
     + q d (t_pqk r_kl + t_qkl r_kp): t_den cancels from both.
     """
     n = system.op.n
-    t = system._kernel().t
+    t = system.op._integer_table()[1]
     report = CompatReport(mode="points", n=n, points_checked=0)
     fail1 = set()
     fail2 = set()
@@ -658,9 +622,10 @@ def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None
     """Verify the compatibility identities for a generated system.
 
     mode "symbolic" proves them as polynomial identities, from the residual
-    P (about 0.01-0.02 s on the three n = 8 catalog systems, flux seed 909);
-    mode "points" checks them exactly at the given sample points, the
-    route `sys verify` takes for n = 8.
+    P, at every n; `sys verify` takes it (5-9 ms on the three n = 8 catalog
+    systems, flux seed 909).  mode "points" checks them exactly at the given
+    sample points, evaluating the second-derivative numerators: an
+    independent route to the same failure lists.
     """
     if mode == "symbolic":
         return _check_compat_symbolic(system)

@@ -247,11 +247,10 @@ _LOCUS_COVERS_BOX = {
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sys", "verify", "{sys}"],
         ["sys", "diagnose", "{sys}"],
         ["op", "conformal-check", "{op}", "--sl", _identity(9)],
     ],
-    ids=["verify", "diagnose", "conformal-check"],
+    ids=["diagnose", "conformal-check"],
 )
 def test_sampling_failure_exits_2(tmp_path, capsys, argv):
     op_path = write(tmp_path, "op.json", json.dumps(_LOCUS_COVERS_BOX))
@@ -260,6 +259,21 @@ def test_sampling_failure_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, "--coefficient-range", "1", *(arg.format(op=op_path, sys=sys_path) for arg in argv))
     assert code == 2
     assert "sampling failed to avoid the degeneracy locus" in err
+
+
+def test_verify_draws_no_points(tmp_path, capsys):
+    """`sys verify` proves compatibility in Z[u] at every n, so a system whose
+    whole coefficient box lies on the degeneracy locus still verifies."""
+    op_path = write(tmp_path, "op.json", json.dumps(_LOCUS_COVERS_BOX))
+    sys_path = str(tmp_path / "sys.json")
+    assert run(capsys, "--seed", "1", "sys", "generate", op_path, "--random", "--out", sys_path)[0] == 0
+    code, out, err = run(capsys, "--coefficient-range", "1", "--output", "json", "sys", "verify", sys_path)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["compatibility"] == {
+        "mode": "symbolic", "first_order_ok": True, "second_order_ok": True, "points_checked": None,
+    }
+    assert doc["ok"] is True
 
 
 def test_generate_verify_diagnose_pipeline(tmp_path, capsys):
@@ -672,14 +686,14 @@ def _golden_digests(tmp_path, capsys):
             digest(f"{entry} moved diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose",
                    moved_sys_path, expect=1)
             if n == 8:
-                # Point checks and the Casimir rank of a dense linear metric;
-                # test_systems covers the symbolic proof on a moved n = 6 table.
+                # The compatibility proof and the Casimir rank of a dense
+                # linear metric on a moved n = 8 table.
                 digest(f"{entry} moved verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify",
                        moved_sys_path)
         generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
         if entry in _GOLDEN_DIAGNOSE:
             sys_path = write(tmp_path, f"{entry}.sys.json", json.dumps(json.loads(generated)["system"]))
-            # Symbolic compatibility for n <= 6, three sample points for n = 8.
+            # Symbolic compatibility at every n; --samples does not reach verify.
             digest(f"{entry} verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify", sys_path)
             digest(f"{entry} diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose", sys_path,
                    expect=_GOLDEN_DIAGNOSE[entry])
@@ -727,9 +741,9 @@ _GOLDEN = {
     "n8-fam1 moved conformal-check": "931d52b2d90f2601e2c27c52356a160930e8584530f64473aadfcc50ba14f326",
     "n8-fam1 moved generate": "1382ebbd2208dde7b8248766e7ca6419081dec8a98aec7823267ad046ae33998",
     "n8-fam1 moved diagnose": "6cb2da43a86bc57dd20e47505edd6ccf8e234b0fddbc5341bf5a77372b9b2008",
-    "n8-fam1 moved verify": "c1d0c8b2cb455e114d63a0f47c3fcb2c77f9d5029532f17eff664ae3a59c7e41",
+    "n8-fam1 moved verify": "b05d91a62dcd6ad81a28af5a471cac4ccef5a1082f5be103ce844723fe83b396",
     "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
-    "n8-fam1 verify": "c1d0c8b2cb455e114d63a0f47c3fcb2c77f9d5029532f17eff664ae3a59c7e41",
+    "n8-fam1 verify": "b05d91a62dcd6ad81a28af5a471cac4ccef5a1082f5be103ce844723fe83b396",
     "n8-fam1 diagnose": "bafe453fde1881f453ff6a55e91ab2f459ebe700e0d9bce36b451f3179c58df0",
 }
 

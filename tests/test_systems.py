@@ -507,14 +507,22 @@ def _moved_n6x():
 
 
 def test_point_kernel_tensor_is_the_scaled_dense_view():
-    """The pointwise kernel's integer tensor is t_den times `op.tensor` on
+    """The operator's one integer table is t_den times `op.tensor` on
     range(n) x range(n) x range(n + 1), column n holding g0, for a table with
-    fractional entries."""
+    fractional entries; the point record's metric is that table contracted
+    with (U, q)."""
     op = _moved_n6x()
-    kern = generate_flux(op, rng=random.Random(909))._kernel()
-    assert kern.t_den > 1
+    system = generate_flux(op, rng=random.Random(909))
+    t_den, t = op._integer_table()
+    assert t_den > 1 and op._integer_table()[1] is t
     n = op.n
-    assert kern.t == [[[kern.t_den * op.tensor[i][j][k] for k in range(n + 1)] for j in range(n)] for i in range(n)]
+    assert t == [[[t_den * op.tensor[i][j][k] for k in range(n + 1)] for j in range(n)] for i in range(n)]
+    u = [Fraction(1, 3), Fraction(-2, 5), 1, Fraction(3, 2), 0, 2]
+    num = system._numerators(u)
+    g = op.metric()
+    assert [[Fraction(x, t_den * num.q) for x in row] for row in num.g] == [
+        [g.at(i, j).eval(u) for j in range(n)] for i in range(n)
+    ]
 
 
 def test_casimir_rank_of_a_moved_metric_needs_no_elimination(monkeypatch):
@@ -623,6 +631,28 @@ def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
     assert pluecker_relations(system).passed == (case == "clean")
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [("n8-fam2-e2", {"lambda1": 2, "lambda2": 3, "lambda3": 5}),
+     ("n8-fam1", {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7})],
+    ids=["n8-fam2-e2", "n8-fam1"],
+)
+@pytest.mark.parametrize("case", _EDITS)
+def test_n8_compat_proof_matches_the_pointwise_route(name, params, case):
+    """At n = 8 the proof that `sys verify` runs rejects exactly the
+    identities that the independent pointwise route rejects at sampled
+    points, clean and with edited numerators."""
+    op = build(name, params)
+    system = _edit_flux(generate_flux(op, rng=random.Random(909)), case)
+    points = sample_points(op, 3, random.Random(5))
+    proof = check_compat(system, mode="symbolic")
+    rep = check_compat(system, mode="points", points=points)
+    assert rep.points_checked == len(points)
+    assert rep.first_order_failures == proof.first_order_failures
+    assert rep.second_order_failures == proof.second_order_failures
+    assert proof.passed == (case in _COMPATIBLE_EDITS)
+
+
 @pytest.mark.parametrize("name", ["n4-open", "n6-VIII", "n6-X"])
 @pytest.mark.parametrize("case", _EDITS)
 def test_pluecker_residual_lemma(name, case):
@@ -640,7 +670,7 @@ def test_pluecker_residual_lemma(name, case):
         - d * system.b_eff[a]
         for a in range(n)
     ]
-    scale, t_den, _ = system._integer_scales()
+    scale, t_den = system._integer_scales(), system.op._integer_table()[0]
     a_den, _ = clear_denominators([*system.a_eff, system.b_eff])
     assert system._pluecker_residuals() == (d * scale, [x * (a_den * t_den * scale) for x in p])
     assert any(p) == (case != "clean")
