@@ -89,6 +89,22 @@ def _load(source: str, reader, inline: bool = False):
         raise InputError(f"{source}: {exc}") from exc
 
 
+def _load_operator(path: str) -> Hho2:
+    return _load(path, Hho2.from_json)
+
+
+def _load_system(path: str) -> ConservativeSystem:
+    return _load(path, ConservativeSystem.from_json)
+
+
+def _load_linear_map(source: str) -> LinearMapN1:
+    return _load(source, LinearMapN1.from_json, inline=True)
+
+
+def _load_json(source: str):
+    return _load(source, json.loads, inline=True)
+
+
 def _parse_param_list(items: Optional[List[str]]) -> dict:
     values = {}
     for item in items or []:
@@ -229,7 +245,7 @@ def cmd_catalog_export(args, config: RunConfig) -> int:
 
 
 def cmd_op_validate(args, config: RunConfig) -> int:
-    op = _load(args.file, Hho2.from_json)
+    op = _load_operator(args.file)
     rep = validate(op)
     pfaffian = str(rep.pfaffian)
     report = {
@@ -257,8 +273,8 @@ def cmd_op_validate(args, config: RunConfig) -> int:
 
 
 def cmd_op_transform(args, config: RunConfig) -> int:
-    op = _load(args.file, Hho2.from_json)
-    a = _load(args.sl, LinearMapN1.from_json, inline=True)
+    op = _load_operator(args.file)
+    a = _load_linear_map(args.sl)
     if a.dim != op.n + 1:
         raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
     try:
@@ -270,8 +286,8 @@ def cmd_op_transform(args, config: RunConfig) -> int:
 
 
 def cmd_op_conformal_check(args, config: RunConfig) -> int:
-    op = _load(args.file, Hho2.from_json)
-    a = _load(args.sl, LinearMapN1.from_json, inline=True)
+    op = _load_operator(args.file)
+    a = _load_linear_map(args.sl)
     if a.dim != op.n + 1:
         raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
     r = ProjReciprocal(a)
@@ -314,7 +330,7 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
 
 
 def cmd_op_to_3form(args, config: RunConfig) -> int:
-    op = _load(args.file, Hho2.from_json)
+    op = _load_operator(args.file)
     form = embed(op)
     _write_payload(form.to_json(), args.out)
     return 0
@@ -334,7 +350,7 @@ def cmd_op_from_3form(args, config: RunConfig) -> int:
 
 
 def cmd_sys_generate(args, config: RunConfig) -> int:
-    op = _load(args.op, Hho2.from_json)
+    op = _load_operator(args.op)
     if not op.is_numeric():
         raise InputError("operator has free parameters; export it with --params first")
     constants = _parse_constants(args.constants, op.n)
@@ -346,8 +362,8 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
         elif args.A or args.B:
             if not (args.A and args.B):
                 raise InputError("--A and --B must be given together")
-            a_data = _load(args.A, json.loads, inline=True)
-            b_data = _load(args.B, json.loads, inline=True)
+            a_data = _load_json(args.A)
+            b_data = _load_json(args.B)
             try:
                 flux = FluxParams.make(a_data, b_data)
             except (ValueError, TypeError) as exc:
@@ -387,7 +403,7 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
 
 
 def cmd_sys_verify(args, config: RunConfig) -> int:
-    system = _load(args.file, ConservativeSystem.from_json)
+    system = _load_system(args.file)
     n = system.op.n
     compat = check_compat(system)
     plk = pluecker_relations(system)
@@ -424,7 +440,7 @@ def cmd_sys_verify(args, config: RunConfig) -> int:
 
 
 def cmd_sys_diagnose(args, config: RunConfig) -> int:
-    system = _load(args.file, ConservativeSystem.from_json)
+    system = _load_system(args.file)
     count = args.points if args.points is not None else config.samples
     rng = random.Random(config.seed)
     pts = _sample_points(system.op, count, rng, config)
