@@ -23,6 +23,7 @@ roots of each rational irreducible factor f of degree d as
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence
 
 from .linalg import PolyMatrix, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
-from .poly import MultiPoly, _poly_mul_coeffs
+from .poly import MultiPoly, _poly_mul_coeffs, _trim
 from .systems import ConservativeSystem
 
 __all__ = [
@@ -90,10 +91,10 @@ def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
 
     N^i_jk = V^p_j V^i_{kp} - V^p_k V^i_{jp} - V^i_p (V^p_{kj} - V^p_{jk}).
 
-    Second partials commute, so the last bracket vanishes pointwise; it is
-    kept in the formula for fidelity and costs nothing.  The contraction runs
-    over the integer numerators R (over D^2) and S (over D^3) and divides
-    once at the end.
+    Second partials commute, so the last bracket is zero: the point record
+    stores S_kpl once for both orders of p and l, and the bracket is not
+    evaluated.  The contraction runs over the integer numerators R (over D^2)
+    and S (over D^3) and divides once at the end.
     """
     n = system.op.n
     num = system._numerators(u)
@@ -101,18 +102,9 @@ def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     den = num.d ** 5
     out = []
     for i in range(n):
-        ri = r[i]
         # a[k][j] = S_ikp R_pj
         a = rat_mat_mul(s[i], r)
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                total = a[k][j] - a[j][k]
-                total -= sum(ri[p] * (s[p][k][j] - s[p][j][k]) for p in range(n))
-                row.append(Fraction(total, den))
-            plane.append(row)
-        out.append(plane)
+        out.append([[Fraction(a[k][j] - a[j][k], den) for k in range(n)] for j in range(n)])
     return out
 
 
@@ -395,27 +387,193 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
 
 
 def factor_univariate(coeffs: Sequence[Fraction]):
-    """Monic irreducible factors over the rationals with multiplicities.
+    """Monic irreducible factors over the rationals with multiplicities, for
+    a nonzero polynomial of degree at most 4 (the Pfaffian root s(lam) has
+    degree n/2 <= 4); anything else raises ValueError.
 
     Input is an ascending coefficient list; output is a list of
-    (ascending coefficients of a monic irreducible factor, multiplicity).
-    The rational content is dropped.
-    """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
+    (ascending coefficients of a monic irreducible factor, multiplicity),
+    ordered by degree and then by the coefficients' strings.  The rational
+    content is dropped.
 
+    Every step is exact.  The primitive integer multiple is split into
+    square-free parts by Musser's gcd scheme.  A part h of degree k with
+    leading coefficient lead becomes g(y) = lead^(k-1) h(y / lead), monic in
+    ZZ[y]; its rational roots are lead times those of h, hence integers, and
+    `_integer_roots` finds them.  Once they are divided out, a quadratic or
+    cubic left over has no rational root and is irreducible, and a quartic
+    is irreducible unless `_quadratic_split` splits it by the resolvent
+    cubic test of Kappe and Warren (Amer. Math. Monthly 96 (1989) 133-137).
+    """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    # Factor the integer multiple in sympy's dense representation: no sympy
-    # expressions are built, so its expression cache does not grow per call.
+    if len(coeffs) > 5:
+        raise ValueError(f"degree {len(coeffs) - 1} is above 4")
+    if len(coeffs) == 1:
+        return []
     _, (ints,) = clear_denominators([coeffs])
-    _, factors = dup_factor_list([ZZ(x) for x in reversed(ints)], ZZ)
-    out = [([Fraction(int(x), int(fac[0])) for x in reversed(fac)], int(mult)) for fac, mult in factors]
+    out = []
+    for part, mult in _square_free_parts(_primitive(ints)):
+        out += [(fc, mult) for fc in _irreducible_factors(part)]
     out.sort(key=lambda item: (len(item[0]), [str(c) for c in item[0]]))
     return out
+
+
+# Integer polynomials below are ascending coefficient lists with a nonzero
+# leading coefficient; [1] is the constant one.
+
+
+def _horner(f: Sequence[int], x: int) -> int:
+    value = 0
+    for c in reversed(f):
+        value = value * x + c
+    return value
+
+
+def _derivative(f: Sequence[int]) -> List[int]:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _primitive(f: Sequence[int]) -> List[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
+def _quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a / b for a primitive b dividing a in Q[x]; integral by Gauss's lemma."""
+    a, db = list(a), len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = a[k + db] // b[-1]
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+    return q
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Primitive gcd of two nonzero integer polynomials, by Euclid on
+    primitive pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _square_free_parts(f: Sequence[int]) -> List[tuple]:
+    """(part, multiplicity) for a primitive f of positive degree: f is the
+    product of the part^multiplicity, the parts square-free and coprime."""
+    a = _gcd(f, _derivative(f))
+    b = _quotient(f, a)
+    out, mult = [], 1
+    while len(b) > 1:
+        g = _gcd(a, b)
+        part = _quotient(b, g)
+        if len(part) > 1:
+            out.append((part, mult))
+        a, b = _quotient(a, g), g
+        mult += 1
+    return out
+
+
+def _primes():
+    p = 2
+    while True:
+        if all(p % k for k in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _integer_roots(g: Sequence[int]) -> List[int]:
+    """The integer roots of a square-free monic integer polynomial g.
+
+    The first prime l whose roots of g mod l are all simple is used; only
+    the finitely many primes dividing disc(g) != 0 fail that.  An integer
+    root y reduces to one of them, and y mod m is its unique Hensel lift for
+    every power m of l (Newton's step, with the inverse of g' lifted along).
+    Once m > 2 B, with B the Cauchy bound on |y|, y is the lift's
+    representative in (-m/2, m/2], and is kept after one exact evaluation.
+    No root mod l means no integer root.
+    """
+    dg = _derivative(g)
+    for ell in _primes():
+        g_ell, dg_ell = [c % ell for c in g], [c % ell for c in dg]
+        residues = [x for x in range(ell) if not _horner(g_ell, x) % ell]
+        if all(_horner(dg_ell, x) % ell for x in residues):
+            break
+    bound = 1 + max(map(abs, g[:-1]), default=0)
+    roots = []
+    for y in residues:
+        m, inv = ell, pow(_horner(dg, y), -1, ell)
+        while m <= 2 * bound:
+            m *= m
+            y = (y - _horner(g, y) * inv) % m
+            inv = inv * (2 - _horner(dg, y) * inv) % m
+        if y > m // 2:
+            y -= m
+        if not _horner(g, y):
+            roots.append(y)
+    return roots
+
+
+def _quadratic_split(w: Sequence[int]) -> Optional[List[List[int]]]:
+    """Monic integer quadratics (y^2 + p y + q)(y^2 + s y + t) = w for a
+    square-free monic integer quartic w = y^4 + a y^3 + b y^2 + c y + d with
+    no rational root, or None when w is irreducible.
+
+    The resolvent cubic's roots are the three sums alpha_i alpha_j +
+    alpha_k alpha_l of products of the roots of w, and q + t is one of them,
+    r; q, t are the roots of z^2 - r z + d and p, s those of
+    z^2 - a z + (b - r).  A factor pair over Q is over Z (Gauss), so r is an
+    integer and both discriminants are squares of integers of the parity of
+    r and a; either pairing of (q, t) with (p, s) then matches all but the
+    y coefficient, which decides.  The resolvent's discriminant is disc(w),
+    so it is square-free.
+    """
+    d, c, b, a, _ = w
+    resolvent = [4 * b * d - a * a * d - c * c, a * c - 4 * d, -b, 1]
+    for r in _integer_roots(resolvent):
+        qt, ps = r * r - 4 * d, a * a - 4 * (b - r)
+        e, f = math.isqrt(max(qt, 0)), math.isqrt(max(ps, 0))
+        if e * e != qt or f * f != ps or (r + e) % 2 or (a + f) % 2:
+            continue
+        p, s = (a + f) // 2, (a - f) // 2
+        for q, t in (((r + e) // 2, (r - e) // 2), ((r - e) // 2, (r + e) // 2)):
+            if p * t + q * s == c:
+                return [[q, p, 1], [t, s, 1]]
+    return None
+
+
+def _irreducible_factors(h: Sequence[int]) -> List[List[Fraction]]:
+    """Monic irreducible factors over Q (ascending Fractions) of a
+    square-free primitive integer polynomial h of degree 1 to 4."""
+    lead, k = h[-1], len(h) - 1
+    # g(y) = lead^(k-1) h(y / lead), monic in y = lead x
+    g = [c * lead ** (k - 1 - j) for j, c in enumerate(h[:-1])] + [1]
+    roots = _integer_roots(g)
+    factors = [[-y, 1] for y in roots]
+    for y in roots:
+        g = _quotient(g, [-y, 1])
+    if len(g) == 5:
+        factors += _quadratic_split(g) or [g]
+    elif len(g) > 1:
+        factors.append(g)
+    # back in x: f(lead x) / lead^m is monic for f(y) monic of degree m
+    return [[Fraction(c, lead ** (len(f) - 1 - j)) for j, c in enumerate(f)] for f in factors]
 
 
 def _rational_roots(coeffs: Sequence[Fraction]):

@@ -148,7 +148,9 @@ class ConservativeSystem:
     The flux is held as numerators Q_k over the Pfaffian D.  `v` holds the
     components in lowest terms as (numerator, denominator) pairs, reduced by
     `lowest_terms` (one `poly_gcd` each) the first time it is read; in the
-    package only `linearity_report` reads it.
+    package only `linearity_report` reads it.  The forms read from `q` (`v`,
+    `c_polys`, the residual P, the point kernel) are built once, so `q` may
+    be edited only before the first read.
     """
 
     def __init__(self, op: Hho2, flux: FluxParams, constants: Optional[Sequence] = None):
@@ -208,6 +210,7 @@ class ConservativeSystem:
         self._v: Optional[List[Tuple[MultiPoly, MultiPoly]]] = None
         self._c: Optional[List[List[MultiPoly]]] = None
         self._mtilde: Optional[PolyMatrix] = None
+        self._residuals: Optional[Tuple[MultiPoly, List[MultiPoly]]] = None
         # Diagnostics evaluate several tensors at one point before moving to
         # the next; memoize the integer numerators of the last few points.
         self._kern: Optional[_PointKernel] = None
@@ -232,23 +235,26 @@ class ConservativeSystem:
     def _pluecker_residuals(self) -> Tuple[MultiPoly, List[MultiPoly]]:
         """(d, P): d = scale D and the residuals P_q = sum_k g_qk Q_k -
         D (Aeff u + Beff)_q in Z[u], each times a_den t_den scale.  D and the
-        Q_k as they are now carry scale, as in `_integer_scales`, the metric
-        a_den t_den, and Aeff, Beff their common denominator a_den (`_affine`)
-        times t_den (`op._integer_table`)."""
-        n, vs = self.op.n, self.vars
-        scale, t_den = self._integer_scales(), self.op._integer_table()[0]
-        a_den, rows = self._affine
-        metric = self.op.metric()
-        q = [x * scale for x in self.q]
-        d = self.d * scale
-        du = [d * MultiPoly.variable(vs, l) for l in range(n)]
-        out = []
-        for h in range(n):
-            pairs = [(metric.at(h, k) * (a_den * t_den), q[k]) for k in range(n)]
-            pairs += [(du[l], -t_den * rows[h][l]) for l in range(n)]
-            pairs.append((d, -t_den * rows[n][h]))
-            out.append(_sum_of_products(vs, pairs))
-        return d, out
+        Q_k as they are at the first call carry scale, as in
+        `_integer_scales`, the metric a_den t_den, and Aeff, Beff their common
+        denominator a_den (`_affine`) times t_den (`op._integer_table`).
+        Built once: `q` is edited only before the first read."""
+        if self._residuals is None:
+            n, vs = self.op.n, self.vars
+            scale, t_den = self._integer_scales(), self.op._integer_table()[0]
+            a_den, rows = self._affine
+            metric = self.op.metric()
+            q = [x * scale for x in self.q]
+            d = self.d * scale
+            du = [d * MultiPoly.variable(vs, l) for l in range(n)]
+            out = []
+            for h in range(n):
+                pairs = [(metric.at(h, k) * (a_den * t_den), q[k]) for k in range(n)]
+                pairs += [(du[l], -t_den * rows[h][l]) for l in range(n)]
+                pairs.append((d, -t_den * rows[n][h]))
+                out.append(_sum_of_products(vs, pairs))
+            self._residuals = d, out
+        return self._residuals
 
     def _residual_jacobian(self) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
         """(d, E) on the (d, P) of `_pluecker_residuals`, in Z[u].  E is

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import hho2
 from hho2 import cli
 from hho2.cli import main
 from hho2.poly import MAX_N
@@ -289,6 +293,35 @@ def test_generate_verify_diagnose_pipeline(tmp_path, capsys):
     assert code == 0
     code, out, err = run(capsys, "--samples", "4", "sys", "diagnose", sys_path)
     assert code == 0
+
+
+# Runs in a fresh interpreter: exact `sys diagnose` on n4-open and n8-fam1
+# (exit 1 there: its Haantjes tensor is nonzero, README "Known red"), then
+# `diag_check` at one n6-X point, and fails if any of it imported sympy.
+_NO_SYMPY_SCRIPT = """
+import random, sys
+from hho2 import ConservativeSystem, cli
+from hho2.diagnostics import diag_check, sample_points
+folder = sys.argv[1]
+assert cli.main(["--samples", "2", "sys", "diagnose", folder + "/n4-open.sys.json"]) == 0
+assert cli.main(["--samples", "2", "sys", "diagnose", folder + "/n8-fam1.sys.json"]) == 1
+system = ConservativeSystem.from_json(open(folder + "/n6-X.sys.json").read())
+assert diag_check(system, sample_points(system.op, 1, random.Random(5))[0]).certified
+assert "sympy" not in sys.modules, "the exact diagnose path imported sympy"
+"""
+
+
+def test_exact_diagnose_never_imports_sympy(tmp_path, capsys):
+    n8 = ["--params", "lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7"]
+    for entry, params in (("n4-open", []), ("n8-fam1", n8), ("n6-X", [])):
+        op_path, sys_path = str(tmp_path / f"{entry}.json"), str(tmp_path / f"{entry}.sys.json")
+        assert run(capsys, "catalog", "export", entry, *params, "--out", op_path)[0] == 0
+        assert run(capsys, "--seed", "909", "sys", "generate", op_path, "--random", "--out", sys_path)[0] == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hho2.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT, str(tmp_path)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_diagnose_reports_nonzero_torsion(tmp_path, capsys):

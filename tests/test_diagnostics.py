@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from hho2.catalog import build
 from hho2.diagnostics import (
@@ -24,7 +26,7 @@ from hho2.diagnostics import (
     tensor_nonzero_count,
 )
 from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian
-from hho2.poly import MultiPoly
+from hho2.poly import MultiPoly, _poly_mul_coeffs
 from hho2.systems import generate_flux
 from test_systems import _EDITS, _edit_flux, _jacobian_numerators
 
@@ -236,25 +238,92 @@ def test_factor_univariate_known():
     assert ((Fraction(2), Fraction(1)), 1) in as_set
 
 
+def _sympy_factor_list(coeffs):
+    """Oracle: sympy's factorization over ZZ of the primitive integer
+    multiple, each factor made monic, in the order of `factor_univariate`.
+    Unlike `factor_univariate` it takes any degree."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    _, (ints,) = clear_denominators([coeffs])
+    _, factors = dup_factor_list([ZZ(x) for x in reversed(ints)], ZZ)
+    out = [([Fraction(int(x), int(fac[0])) for x in reversed(fac)], int(mult)) for fac, mult in factors]
+    out.sort(key=lambda item: (len(item[0]), [str(c) for c in item[0]]))
+    return out
+
+
+def _random_factor(rng, degree):
+    """A random polynomial of the given degree with rational coefficients and
+    leading coefficient; now and then a biquadratic y^4 + b y^2 + d, whose
+    Galois group is at most the dihedral group of order 8."""
+    bound = rng.choice([1, 3, 10, 1000, 10**12])
+    if degree == 4 and rng.random() < 0.25:
+        return [Fraction(rng.randint(-bound, bound)), 0, Fraction(rng.randint(-bound, bound)), 0, Fraction(1)]
+    coeffs = [Fraction(rng.randint(-bound, bound), rng.randint(1, 5)) for _ in range(degree)]
+    return coeffs + [Fraction(rng.choice([1, 2, -3, 7]))]
+
+
+# Degrees of the random factors; a factor can come out reducible, so the
+# patterns seen are those of the oracle's answers.
+_FACTOR_SHAPES = [(), (1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 2), (1, 1, 1, 1)]
+
+
 def test_factor_univariate_matches_sympy_poly():
-    # Reference: sympy's Poly.factor_list over QQ, each factor made monic.
+    """1,200 seeded polynomials of degree <= 4 with rational content,
+    non-monic factors and repeated factors against sympy."""
     rng = random.Random(37)
-    x = sympy.Symbol("x")
-    for _ in range(60):
-        product = sympy.Integer(rng.choice([1, -3, 5]))
-        for _ in range(rng.randint(0, 4)):
-            factor = sum(sympy.Rational(rng.randint(-6, 6), rng.randint(1, 4)) * x ** k
-                         for k in range(rng.randint(0, 3)))
-            product *= (factor + x ** rng.randint(1, 3)) ** rng.randint(1, 2)
-        poly = sympy.Poly(sympy.expand(product), x, domain="QQ")
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        expected = []
-        for fac, mult in poly.factor_list()[1]:
-            fc = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-            expected.append(([c / fc[-1] for c in fc], mult))
-        expected.sort(key=lambda item: (len(item[0]), [str(c) for c in item[0]]))
+    patterns, repeated = set(), 0
+    for _ in range(1200):
+        shape = rng.choice(_FACTOR_SHAPES)
+        coeffs = [Fraction(rng.choice([1, -3, 5, Fraction(2, 7)]))]
+        factors = [_random_factor(rng, degree) for degree in shape]
+        if len(shape) > 1 and shape[0] == shape[1] and rng.random() < 0.4:
+            factors[1] = factors[0]
+        for factor in factors:
+            coeffs = _poly_mul_coeffs(coeffs, factor)
+        expected = _sympy_factor_list(coeffs)
         assert factor_univariate(coeffs + [Fraction(0)]) == expected
-    with pytest.raises(ValueError):
+        patterns.add(tuple(sorted(len(fc) - 1 for fc, mult in expected for _ in range(mult))))
+        repeated += any(mult > 1 for _, mult in expected)
+    assert {(1, 1, 1, 1), (1, 1, 2), (2, 2), (1, 3), (4,)} <= patterns
+    assert repeated >= 50
+
+
+def _fractions(*coeffs):
+    return [Fraction(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    # x^4 + 1 and x^4 - 10 x^2 + 1: Galois group V4, reducible mod every prime
+    ((1, 0, 0, 0, 1), [(_fractions(1, 0, 0, 0, 1), 1)]),
+    ((1, 0, -10, 0, 1), [(_fractions(1, 0, -10, 0, 1), 1)]),
+    ((6, 0, -5, 0, 1), [(_fractions(-2, 0, 1), 1), (_fractions(-3, 0, 1), 1)]),
+    ((1, 0, 2, 0, 1), [(_fractions(1, 0, 1), 2)]),
+    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2): no rational root, splits
+    ((4, 0, 0, 0, 1), [(_fractions(2, -2, 1), 1), (_fractions(2, 2, 1), 1)]),
+    ((Fraction(-3, 2), Fraction(-3, 2), 3), [(_fractions(-1, 1), 1), (_fractions(Fraction(1, 2), 1), 1)]),
+    ((0, 0, 0, 0, -5), [(_fractions(0, 1), 4)]),
+    ((7,), []),
+], ids=["x4+1", "x4-10x2+1", "(x2-2)(x2-3)", "(x2+1)^2", "x4+4", "non-monic-roots", "x^4", "constant"])
+def test_factor_univariate_fixed_cases(coeffs, expected):
+    assert factor_univariate(coeffs) == expected
+    assert _sympy_factor_list(coeffs) == expected
+
+
+def test_factor_univariate_on_a_diagnose_n8_root():
+    """s(lam) at one point of the diagnose-n8 benchmark's n8-fam1 system
+    (flux seed 909): an irreducible quartic with coefficients of ~70 bits."""
+    system = generate_flux(build("n8-fam1", N8_PARAMS), rng=random.Random(909))
+    root = sqrt_charpoly_at(system, sample_points(system.op, 1, random.Random(1))[0])
+    factors = factor_univariate(root)
+    assert factors == _sympy_factor_list(root)
+    assert [(len(fc) - 1, mult) for fc, mult in factors] == [(4, 1)]
+
+
+def test_factor_univariate_rejects_degree_5_and_zero():
+    with pytest.raises(ValueError, match="above 4"):
+        factor_univariate([1, 0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="zero polynomial"):
         factor_univariate([Fraction(0), Fraction(0)])
 
 
@@ -361,7 +430,7 @@ def _eigenstructure(a):
     """(factor, algebraic, geometric) per monic irreducible factor of the
     characteristic polynomial of the sympy matrix a, from the integer kernels."""
     c, m = clear_denominators([[Fraction(int(x.p), int(x.q)) for x in row] for row in a.tolist()])
-    return [(f, mult, _geometric_multiplicity(m, c, f)) for f, mult in factor_univariate(_charpoly(m, c))]
+    return [(f, mult, _geometric_multiplicity(m, c, f)) for f, mult in _sympy_factor_list(_charpoly(m, c))]
 
 
 def _assert_matches_eigenvects(a, structure):
