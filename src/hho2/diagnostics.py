@@ -13,6 +13,12 @@ non-certifying.  The two headline facts being tested:
 Determinant-side quantities are always computed independently of the
 Pfaffian-side quantities so that the equalities are genuine cross-checks.
 
+The three torsion tensors (direct and closed-form Nijenhuis, Haantjes) are
+skew in their lower indices by the form of each formula, for any flux, so the
+two Nijenhuis routes stay independent.  Each is contracted in integers on the
+pairs j < k only, divided once per pair and mirrored.  Haantjes goes through
+A^p = N^p V, which makes its four terms three products over the pair planes.
+
 The exact eigenstructure runs in integers on the Jacobian cleared of its
 denominators, Jac(u) = M / c: the characteristic polynomial by the
 division-free Berkowitz algorithm, and the geometric multiplicity of the
@@ -26,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import List, Optional, Sequence
 
@@ -86,6 +93,19 @@ def sample_points(
 # ----- torsion tensors ------------------------------------------------------
 
 
+def _skew_tensor(rows, den: int) -> List[List[List[Fraction]]]:
+    """t[i][j][k] = rows[i][m] / den for the m-th pair j < k of
+    combinations(range(n), 2), t[i][k][j] = -t[i][j][k], zero diagonal."""
+    n = len(rows)
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for plane, row in zip(out, rows):
+        for (j, k), x in zip(combinations(range(n), 2), row):
+            if x:
+                plane[j][k] = entry = Fraction(x, den)
+                plane[k][j] = -entry
+    return out
+
+
 def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     """Nijenhuis torsion of the flux Jacobian at u, from first principles:
 
@@ -94,18 +114,18 @@ def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     Second partials commute, so the last bracket is zero: the point record
     stores S_kpl once for both orders of p and l, and the bracket is not
     evaluated.  The contraction runs over the integer numerators R (over D^2)
-    and S (over D^3) and divides once at the end.
+    and S (over D^3) on the pairs j < k, one division each.  Swapping j and k
+    negates the formula for any flux, so the rest is mirrored.
     """
     n = system.op.n
     num = system._numerators(u)
     r, s = num.r, num.s
-    den = num.d ** 5
-    out = []
+    rows = []
     for i in range(n):
         # a[k][j] = S_ikp R_pj
         a = rat_mat_mul(s[i], r)
-        out.append([[Fraction(a[k][j] - a[j][k], den) for k in range(n)] for j in range(n)])
-    return out
+        rows.append([a[k][j] - a[j][k] for j, k in combinations(range(n), 2)])
+    return _skew_tensor(rows, num.d ** 5)
 
 
 def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
@@ -116,7 +136,10 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     Contracted in integers from the point record: the Jacobian numerators R,
     the integer tensor t = t_den T and the integer metric G = t_den q g, whose
     inverse is cleared of its denominators.  g^{-1} = t_den q G^{-1}, so t_den
-    cancels and the numerator gains the factor q; one division per entry.
+    cancels and the numerator gains the factor q.  The bracket is formed on
+    the pairs j < k and contracted with g^{-1} in one product; one division
+    per pair.  Swapping j and k negates the bracket for any flux (V^T T_a V is
+    skew as T is), so the rest is mirrored.
     """
     n = system.op.n
     num = system._numerators(u)
@@ -124,22 +147,14 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     g_den, ginv = clear_denominators(rat_inverse(num.g))
     rr = rat_mat_mul(r, r)
     rt = list(zip(*r))
-    # inner[a][j][k] = T_jal RR_lk - T_kal RR_lj - 2 (R^T T_a R)_kj
+    # inner[a][m] = T_jal RR_lk - T_kal RR_lj - 2 (R^T T_a R)_kj for the m-th pair (j, k)
     inner = []
     for a in range(n):
         x = rat_mat_mul([t[j][a] for j in range(n)], rr)
-        y = rat_mat_mul(rt, rat_mat_mul(t[a], r))
-        inner.append([[x[j][k] - x[k][j] - 2 * y[k][j] for k in range(n)] for j in range(n)])
-    den = num.d ** 4 * g_den
-    out = []
-    for i in range(n):
-        gi = ginv[i]
-        plane = []
-        for j in range(n):
-            sums = [sum(gi[a] * inner[a][j][k] for a in range(n)) for k in range(n)]
-            plane.append([Fraction(num.q * x, den) for x in sums])
-        out.append(plane)
-    return out
+        y = list(zip(*rat_mat_mul(t[a], r)))
+        inner.append([x[j][k] - x[k][j] - 2 * sum(map(mul, rt[k], y[j])) for j, k in combinations(range(n), 2)])
+    rows = rat_mat_mul([[num.q * x for x in row] for row in ginv], inner)
+    return _skew_tensor(rows, num.d ** 4 * g_den)
 
 
 def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Fraction]]]:
@@ -148,38 +163,29 @@ def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Frac
     H^i_jk = N^i_pr V^p_j V^r_k - N^p_jr V^i_p V^r_k
              - N^p_rk V^i_p V^r_j + N^p_jk V^i_r V^r_p.
 
-    The contraction runs over integers: the Jacobian numerators R and the
-    torsion cleared of its common denominator, divided once at the end.
+    With A^p = N^p V and N skew in its lower indices, as both Nijenhuis
+    routes give it, H^i_jk = V^p_j A^i_pk - V^i_p (A^p_jk - A^p_kj)
+    + (V V)^i_p N^p_jk.  Each term is negated by swapping j and k, so the
+    pairs j < k are contracted, in integers over R and the torsion cleared of
+    its common denominator, one division each, and the rest is mirrored.
     """
     n = system.op.n
     num = system._numerators(u)
     nij = torsion if torsion is not None else nijenhuis(system, u)
+    pairs = list(combinations(range(n), 2))
     n_den, rows = clear_denominators([row for plane in nij for row in plane])
     niji = [rows[i * n : (i + 1) * n] for i in range(n)]
     r = num.r
     rt = list(zip(*r))
-    rr = rat_mat_mul(r, r)
-    # w[p] = -(N^p R + R^T N^p), so that the middle two terms are R_ip w[p]_jk
-    w = []
-    for plane in niji:
-        left, right = rat_mat_mul(plane, r), rat_mat_mul(rt, plane)
-        w.append([[-x - y for x, y in zip(lrow, rrow)] for lrow, rrow in zip(left, right)])
-    den = num.d ** 4 * n_den
-    out = []
-    for i in range(n):
-        first = rat_mat_mul(rt, rat_mat_mul(niji[i], r))
-        ri, rri = r[i], rr[i]
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                total = first[j][k]
-                for p in range(n):
-                    total += ri[p] * w[p][j][k] + rri[p] * niji[p][j][k]
-                row.append(Fraction(total, den))
-            plane.append(row)
-        out.append(plane)
-    return out
+    # a[p][k][j] = A^p_jk
+    a = [list(zip(*rat_mat_mul(plane, r))) for plane in niji]
+    # the last two terms: [R | R R] times the pair rows of A^p_kj - A^p_jk and N^p_jk
+    stacked = [[y[j][k] - y[k][j] for j, k in pairs] for y in a] + [[plane[j][k] for j, k in pairs] for plane in niji]
+    out = rat_mat_mul([ri + rri for ri, rri in zip(r, rat_mat_mul(r, r))], stacked)
+    for row, ai in zip(out, a):
+        for m, (j, k) in enumerate(pairs):
+            row[m] += sum(map(mul, rt[j], ai[k]))
+    return _skew_tensor(out, num.d ** 4 * n_den)
 
 
 def tensor_is_zero(t) -> bool:
@@ -793,7 +799,12 @@ def run_diagnostics(
     mode: str = "exact",
     digits: int = 50,
 ) -> DiagnosticsReport:
-    """Full pointwise battery: torsion tensors, square identity, eigenstructure."""
+    """Full pointwise battery: torsion tensors, square identity, eigenstructure.
+
+    An empty point list would certify nothing, so it raises ValueError.
+    """
+    if not points:
+        raise ValueError("run_diagnostics needs a nonempty list of sample points")
     haantjes_zero = True
     nz_points = 0
     routes_agree = True

@@ -25,9 +25,11 @@ from hho2.diagnostics import (
     tensor_is_zero,
     tensor_nonzero_count,
 )
-from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian
+from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_mat_mul
+from hho2.operators import ProjReciprocal, transform
 from hho2.poly import MultiPoly, _poly_mul_coeffs
 from hho2.systems import generate_flux
+from hho2.threeform import LinearMapN1
 from test_systems import _EDITS, _edit_flux, _jacobian_numerators
 
 
@@ -66,6 +68,170 @@ def test_nijenhuis_routes_agree():
             direct = nijenhuis(system, u)
             closed = nijenhuis_closed_form(system, u)
             assert direct == closed
+
+
+def _nijenhuis_oracle(system, u):
+    """The full-index contraction of `nijenhuis` over every (j, k)."""
+    n = system.op.n
+    num = system._numerators(u)
+    r, s = num.r, num.s
+    den = num.d ** 5
+    out = []
+    for i in range(n):
+        a = rat_mat_mul(s[i], r)
+        out.append([[Fraction(a[k][j] - a[j][k], den) for k in range(n)] for j in range(n)])
+    return out
+
+
+def _nijenhuis_closed_form_oracle(system, u):
+    """The full-index contraction of `nijenhuis_closed_form`, with one sum
+    over the metric index per entry."""
+    n = system.op.n
+    num = system._numerators(u)
+    r, t = num.r, system.op._integer_table()[1]
+    g_den, ginv = clear_denominators(rat_inverse(num.g))
+    rr = rat_mat_mul(r, r)
+    rt = list(zip(*r))
+    inner = []
+    for a in range(n):
+        x = rat_mat_mul([t[j][a] for j in range(n)], rr)
+        y = rat_mat_mul(rt, rat_mat_mul(t[a], r))
+        inner.append([[x[j][k] - x[k][j] - 2 * y[k][j] for k in range(n)] for j in range(n)])
+    den = num.d ** 4 * g_den
+    out = []
+    for i in range(n):
+        gi = ginv[i]
+        plane = []
+        for j in range(n):
+            sums = [sum(gi[a] * inner[a][j][k] for a in range(n)) for k in range(n)]
+            plane.append([Fraction(num.q * x, den) for x in sums])
+        out.append(plane)
+    return out
+
+
+def _haantjes_oracle(system, u, torsion):
+    """The full-index contraction of `haantjes`, all four terms at every
+    (j, k), with no use of the torsion's skewness."""
+    n = system.op.n
+    num = system._numerators(u)
+    n_den, rows = clear_denominators([row for plane in torsion for row in plane])
+    niji = [rows[i * n : (i + 1) * n] for i in range(n)]
+    r = num.r
+    rt = list(zip(*r))
+    rr = rat_mat_mul(r, r)
+    w = []
+    for plane in niji:
+        left, right = rat_mat_mul(plane, r), rat_mat_mul(rt, plane)
+        w.append([[-x - y for x, y in zip(lrow, rrow)] for lrow, rrow in zip(left, right)])
+    den = num.d ** 4 * n_den
+    out = []
+    for i in range(n):
+        first = rat_mat_mul(rt, rat_mat_mul(niji[i], r))
+        ri, rri = r[i], rr[i]
+        plane = []
+        for j in range(n):
+            row = []
+            for k in range(n):
+                total = first[j][k]
+                for p in range(n):
+                    total += ri[p] * w[p][j][k] + rri[p] * niji[p][j][k]
+                row.append(Fraction(total, den))
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
+# The determinant-one maps with fractional entries that the CI smoke test
+# applies at each n: the moved table has t_den > 1.
+_CI_SL = {
+    4: [[1, 0, 0, 0, 0], ["1/2", 1, 0, 0, 0], [0, "-2/3", 1, 0, 0], [0, 0, "3/4", 1, 0], ["1/3", 0, 0, "-1/2", 1]],
+    6: [
+        [1, 0, 0, 0, 0, 0, 0],
+        ["1/2", 1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0],
+        [0, "-2/3", 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0],
+        [0, 0, "3/4", 0, 0, 1, 0],
+        ["1/3", 0, 0, 0, "-1/2", 0, 1],
+    ],
+    8: [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        ["1/2", 1, 0, 0, 0, 0, 0, 0, 0],
+        [0, "-2/3", 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, "3/4", 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, "-4/5", 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, "5/6", 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, "-6/7", 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, "7/8", 1, 0],
+        ["1/3", 0, 0, 0, "-1/2", 0, 0, "-8/9", 1],
+    ],
+}
+
+
+def _torsion_system(name, moved, edit=False):
+    op = build(name, N8_PARAMS if name.startswith("n8") else None)
+    if moved:
+        sl = LinearMapN1([[Fraction(x) for x in row] for row in _CI_SL[op.n]])
+        op = transform(op, ProjReciprocal(sl))
+    system = generate_flux(op, rng=random.Random(909))
+    return _edit_flux(system, "integer-quadratic-q1") if edit else system
+
+
+def _torsion_points(system):
+    """One integer sample point and one rational point off the locus."""
+    rng = random.Random(37)
+    point = sample_points(system.op, 1, rng)[0]
+    while True:
+        v = tuple(Fraction(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(system.op.n))
+        if system.d.eval(v):
+            return [point, v]
+
+
+def _assert_skew(tensor):
+    n = len(tensor)
+    for plane in tensor:
+        for j in range(n):
+            assert not plane[j][j]
+            for k in range(j + 1, n):
+                assert plane[j][k] == -plane[k][j]
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["catalogued", "moved"])
+@pytest.mark.parametrize("name", ["n4-open", "n6-X", "n6-VIII", "n8-fam1"])
+def test_torsion_pair_contraction_matches_the_full_index_bodies(name, moved):
+    """The pair-contracted tensors equal the full-index contractions entrywise,
+    and each is skew in its lower indices.  Moved by a CI map, the table and
+    the cleared inverse metric both carry a denominator above 1."""
+    system = _torsion_system(name, moved)
+    for u in _torsion_points(system):
+        if moved:
+            assert system.op._integer_table()[0] > 1
+            assert clear_denominators(rat_inverse(system._numerators(u).g))[0] > 1
+        direct, closed = nijenhuis(system, u), nijenhuis_closed_form(system, u)
+        h = haantjes(system, u, torsion=direct)
+        assert direct == _nijenhuis_oracle(system, u)
+        assert closed == _nijenhuis_closed_form_oracle(system, u)
+        assert h == _haantjes_oracle(system, u, direct)
+        assert haantjes(system, u) == h
+        for tensor in (direct, closed, h):
+            _assert_skew(tensor)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["catalogued", "moved"])
+@pytest.mark.parametrize("name", ["n4-open", "n6-X", "n6-VIII", "n8-fam1"])
+def test_torsion_pair_contraction_on_an_edited_flux(name, moved):
+    """With Q_0 edited before the first read the flux is no longer the one the
+    operator supports, and its torsion is generic: the direct Nijenhuis and
+    the Haantjes tensors still equal the full-index bodies and stay skew."""
+    system = _torsion_system(name, moved, edit=True)
+    for u in _torsion_points(system):
+        direct = nijenhuis(system, u)
+        h = haantjes(system, u, torsion=direct)
+        assert not tensor_is_zero(direct)
+        assert direct == _nijenhuis_oracle(system, u)
+        assert h == _haantjes_oracle(system, u, direct)
+        _assert_skew(direct)
+        _assert_skew(h)
 
 
 def test_nijenhuis_generically_nonzero():
@@ -527,3 +693,9 @@ def test_run_diagnostics_flags_nonzero_torsion():
     assert rep.nijenhuis_routes_agree
     assert rep.charpoly_square_ok
     assert rep.all_diagonalizable
+
+
+def test_run_diagnostics_refuses_an_empty_point_list():
+    system = generate_flux(build("n4-open"), rng=random.Random(42))
+    with pytest.raises(ValueError, match="nonempty"):
+        run_diagnostics(system, [])

@@ -19,6 +19,7 @@ from hho2.systems import (
     euler_check,
     family_parameter_count,
     generate_flux,
+    hamiltonian_density,
     linearity_report,
     pluecker_relations,
     random_flux_params,
@@ -387,6 +388,58 @@ def test_euler_variational_identity():
         rep = euler_check(system)
         assert rep.passed
         assert all(r.is_zero() for r in rep.residuals)
+
+
+def _total_x_derivative(f: MultiPoly, n: int) -> MultiPoly:
+    """D_x f for f in the jet ring: replaces b -> b_x -> b_xx chains."""
+    ring = f.vars
+    out = MultiPoly.zero(ring)
+    for i in range(n):
+        out = out + f.diff(i) * MultiPoly.variable(ring, n + i)
+        out = out + f.diff(n + i) * MultiPoly.variable(ring, 2 * n + i)
+    return out
+
+
+def _euler_residuals_oracle(system):
+    """delta h / delta b^k - (-A_ks b^s_x - B_k) for each k, by differentiating
+    the density in the jet ring: the route `euler_check` replaced."""
+    n = system.op.n
+    h = hamiltonian_density(system)
+    ring = h.vars
+    bx = [MultiPoly.variable(ring, n + i) for i in range(n)]
+    residuals = []
+    for k in range(n):
+        vari = h.diff(k) - _total_x_derivative(h.diff(n + k), n)
+        target = MultiPoly.const(ring, -system.flux.b[k])
+        for s in range(n):
+            if system.flux.a[k][s]:
+                target = target - bx[s] * system.flux.a[k][s]
+        residuals.append(vari - target)
+    return residuals
+
+
+@pytest.mark.parametrize("name", ["n2", "n4-open", "n6-X"])
+def test_euler_closed_form_matches_the_jet_ring_route(name):
+    system = generate_flux(build(name), rng=random.Random(909))
+    rep = euler_check(system)
+    oracle = _euler_residuals_oracle(system)
+    assert rep.residuals == oracle and all(r.is_zero() for r in oracle)
+    assert rep.passed and rep.component_ok == [True] * system.op.n
+
+
+def test_euler_closed_form_matches_the_jet_ring_route_for_a_non_skew_a():
+    """FluxParams built directly skips the skewness check of `make`: the
+    residual (A_kl + A_lk) b^l_x / 2 is nonzero, diagonal included."""
+    q = Fraction
+    a = [[q(3), q(1, 2), 0, q(-2)], [q(-1, 2), 0, q(4), 0], [q(1), q(-4), q(-5, 3), q(1)], [q(2), q(7), q(-1), 0]]
+    flux = FluxParams(tuple(map(tuple, a)), (q(1), q(-2, 3), q(0), q(5)))
+    system = ConservativeSystem(build("n4-open"), flux)
+    rep = euler_check(system)
+    assert rep.residuals == _euler_residuals_oracle(system)
+    assert rep.component_ok == [False, False, False, False]
+    ring = rep.residuals[0].vars
+    assert rep.residuals[0] == MultiPoly.variable(ring, 4) * 3 + MultiPoly.variable(ring, 6) * q(1, 2)
+    assert not rep.passed
 
 
 def test_euler_constants_do_not_enter():
