@@ -18,10 +18,13 @@ order (total degree first, then the exponents compared left to right) that
 key 0.  The public API speaks exponent tuples; ``monomials`` decodes a
 polynomial's terms for the few readers that need them.
 
-``poly_gcd`` takes one route in every ring: it first tries to prove a pair
-coprime exactly on a few fixed lines, an evaluation-homomorphism test as in
-Geddes, Czapor & Labahn, *Algorithms for Computer Algebra* (1992), ch. 7;
-only the pairs it cannot settle go to sympy's multivariate gcd.
+``poly_gcd`` takes one route in every ring.  A monomial argument c·x^e, a
+nonzero constant included, gives at once the monomial whose exponent in each
+variable is the least over e and every term of the other argument.  Any
+other pair is first sought to be proven coprime exactly on a few fixed lines,
+an evaluation-homomorphism test as in Geddes, Czapor & Labahn, *Algorithms
+for Computer Algebra* (1992), ch. 7; only the pairs neither rule settles go
+to sympy's multivariate gcd.
 
 Values are immutable in practice: operations return new objects and never
 mutate their arguments, so polynomials can be shared freely between threads.
@@ -741,13 +744,32 @@ def _gcd_via_sympy(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.vars, terms).monic()
 
 
+def _monomial_gcd(mono: MultiPoly, other: MultiPoly) -> MultiPoly:
+    """gcd(c·x^e, other) for a one-term `mono` and a nonzero `other`.
+
+    The divisors of x^e are the monomials x^a with a <= e, and x^a divides
+    `other` exactly when every term of `other` has exponents >= a.  So the
+    gcd is x^m, m the least exponent of each variable over e and those terms.
+    """
+    nv = len(mono.vars)
+    (key,) = mono.terms
+    low = _unpack(key, nv)
+    for e in other.terms:
+        if not any(low):
+            break
+        low = tuple(map(min, low, _unpack(e, nv)))
+    return MultiPoly._raw(mono.vars, {_pack(low, nv): 1})
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """GCD in Q[vars], normalised monic (deglex leading coefficient +1).
 
-    One route for every ring: a zero or constant argument settles the gcd at
-    once; otherwise the pair is first sought to be proven coprime exactly by
-    restricting both to a few fixed lines (`_coprime_on_a_line`), and sympy's
-    multivariate gcd is reached only when no line proves it.
+    One route for every ring: a zero argument settles the gcd at once, and
+    so does a one-term argument, a nonzero constant included
+    (`_monomial_gcd`: the least exponent of each variable over both);
+    otherwise the pair is first sought to be proven coprime exactly by
+    restricting both to a few fixed lines (`_coprime_on_a_line`), and
+    sympy's multivariate gcd is reached only when no line proves it.
     """
     if f.vars != g.vars:
         raise ValueError("variable mismatch in gcd")
@@ -755,7 +777,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    if f.is_constant() or g.is_constant() or _coprime_on_a_line(f, g):
+    if len(g.terms) == 1:
+        f, g = g, f
+    if len(f.terms) == 1:
+        return _monomial_gcd(f, g)
+    if _coprime_on_a_line(f, g):
         return MultiPoly.const(f.vars, 1)
     return _gcd_via_sympy(f, g)
 

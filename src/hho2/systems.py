@@ -147,8 +147,9 @@ class ConservativeSystem:
 
     The flux is held as numerators Q_k over the Pfaffian D.  `v` holds the
     components in lowest terms as (numerator, denominator) pairs, reduced by
-    `lowest_terms` (one `poly_gcd` each) the first time it is read; in the
-    package only `linearity_report` reads it.  The forms read from `q` (`v`,
+    `lowest_terms` (one `poly_gcd` each) the first time it is read; it is
+    library API, and no command reads it (`linearity_report` reduces the
+    components itself, one at a time).  The forms read from `q` (`v`,
     `c_polys`, the residual P, the point kernel) are built once, so `q` may
     be edited only before the first read.
     """
@@ -805,14 +806,20 @@ def linearity_report(system: ConservativeSystem, points=None) -> LinearityReport
     """Detect linear systems and spot-check linear degeneracy at points.
 
     Linearity is exact: V is linear iff each component is a polynomial of
-    degree at most one.  Linear degeneracy is verified at the supplied sample
+    degree at most one.  The components Q_k / D are brought to lowest terms
+    one at a time, in order, and the test stops at the first that is not
+    affine, so a nonlinear flux usually takes one `poly_gcd`; `system.v` is
+    not built.  Linear degeneracy is verified at the supplied sample
     points for every simple rational eigenvalue: the gradient of the
     eigenvalue (by implicit differentiation of the Pfaffian pencil) must be
     orthogonal to every eigenvector of that eigenvalue.  Non-rational or
     repeated roots at a point are counted as skipped.
     """
     n = system.op.n
-    is_linear = all(den.is_constant() and num.degree() <= 1 for num, den in system.v)
+    is_linear = all(
+        den.is_constant() and num.degree() <= 1
+        for num, den in (lowest_terms(qk, system.d) for qk in system.q)
+    )
     checked_points = 0
     checked = 0
     skipped = 0

@@ -324,6 +324,35 @@ def test_exact_diagnose_never_imports_sympy(tmp_path, capsys):
     assert result.returncode == 0, result.stderr
 
 
+# Runs in a fresh interpreter: `sys generate --random` and `sys verify` on
+# every nondegenerate catalog entry, the n = 8 families at lambda = 2, 3, 5, 7,
+# and fails if any of it imported sympy.  n6-VIII has the Pfaffian u1*u4, and
+# some of its flux components share a factor with it.
+_GENERATE_VERIFY_NO_SYMPY_SCRIPT = """
+import sys
+from hho2 import catalog, cli
+folder = sys.argv[1]
+for entry in catalog.list_entries():
+    if entry.degenerate:
+        continue
+    values = [f"{name}={value}" for name, value in zip(entry.params, (2, 3, 5, 7))]
+    op, system = f"{folder}/{entry.id}.json", f"{folder}/{entry.id}.sys.json"
+    assert cli.main(["catalog", "export", entry.id, *(["--params", *values] if values else []), "--out", op]) == 0
+    for seed in ("3", "909"):
+        assert cli.main(["--seed", seed, "sys", "generate", op, "--random", "--out", system]) == 0
+        assert cli.main(["sys", "verify", system]) == 0
+assert "sympy" not in sys.modules, "sys generate or sys verify imported sympy"
+"""
+
+
+def test_generate_and_verify_never_import_sympy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hho2.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _GENERATE_VERIFY_NO_SYMPY_SCRIPT, str(tmp_path)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_diagnose_reports_nonzero_torsion(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n6-X", "--out", op_path)

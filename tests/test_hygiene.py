@@ -9,6 +9,9 @@ A module-level private function or class (one leading underscore) must be
 referenced somewhere in the package outside its own definition: read as a
 name, imported, or reached as an attribute.  Tests do not count, so a helper
 kept alive only by its tests is flagged.
+
+sympy and mpmath are imported only inside the one function that needs each,
+never at module level, so no other path loads them.
 """
 
 import ast
@@ -150,3 +153,75 @@ def test_checker_flags_an_orphaned_private_definition():
         "b": "from .a import _Helper\n",
     }
     assert orphaned_private_definitions(sources) == [("a", "_recursive")]
+
+
+# Each optional heavy dependency and the (module, function) it may be
+# imported in; a module-level import is never allowed.
+LAZY_IMPORTS = {
+    "sympy": {("poly", "_gcd_via_sympy")},
+    "mpmath": {("diagnostics", "_float_diag")},
+}
+
+
+def lazy_imports(sources):
+    """(module, enclosing function or None, line, package) for each import
+    statement of a `LAZY_IMPORTS` package; the function is the dotted name of
+    the innermost enclosing definition, None at module level."""
+    out = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                roots = [child.module.split(".")[0]]
+            else:
+                roots = []
+            out.extend((module, scope, child.lineno, root) for root in roots if root in LAZY_IMPORTS)
+            visit(module, child, scope)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), None)
+    return out
+
+
+def misplaced(sites):
+    """The sites of `lazy_imports` outside the functions `LAZY_IMPORTS` allows."""
+    return [site for site in sites if site[:2] not in LAZY_IMPORTS[site[3]]]
+
+
+def test_heavy_dependencies_are_imported_only_where_needed():
+    sites = lazy_imports({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert misplaced(sites) == []
+    # Every allowed place still imports its package, so the table is not stale.
+    assert {package: {site[:2] for site in sites if site[3] == package} for package in LAZY_IMPORTS} == LAZY_IMPORTS
+
+
+def test_checker_flags_a_module_level_heavy_import():
+    sources = {
+        "poly": (
+            "import os, sympy.polys\n"
+            "def _gcd_via_sympy(f, g):\n"
+            "    import sympy\n"
+            "    return sympy\n"
+        ),
+        "diagnostics": (
+            "try:\n"
+            "    from mpmath import mp\n"
+            "except ImportError:\n"
+            "    mp = None\n"
+            "def _float_diag():\n"
+            "    import mpmath\n"
+            "class Report:\n"
+            "    def floats(self):\n"
+            "        from mpmath import matrix\n"
+        ),
+    }
+    assert misplaced(lazy_imports(sources)) == [
+        ("poly", None, 1, "sympy"),
+        ("diagnostics", None, 2, "mpmath"),
+        ("diagnostics", "Report.floats", 9, "mpmath"),
+    ]

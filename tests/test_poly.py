@@ -217,6 +217,113 @@ def test_line_proof_skips_lines_where_the_top_part_vanishes():
     assert poly_gcd(f, g) == h.monic()
 
 
+def _monomial_rule_only(monkeypatch):
+    """Make poly_gcd refuse the line proof and sympy; return the sympy route."""
+    from hho2 import poly
+
+    def refused(f, g):
+        raise AssertionError("a monomial pair left the monomial rule")
+
+    oracle = poly._gcd_via_sympy
+    monkeypatch.setattr(poly, "_coprime_on_a_line", refused)
+    monkeypatch.setattr(poly, "_gcd_via_sympy", refused)
+    return oracle
+
+
+def _random_monomial(rng, variables, top=3):
+    coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    return MultiPoly(variables, {tuple(rng.randint(0, top) for _ in variables): coeff})
+
+
+def test_monomial_gcd_matches_sympy_route_in_one_to_eight_variables(monkeypatch):
+    oracle = _monomial_rule_only(monkeypatch)
+    rng = random.Random(22)
+    nontrivial = set()
+    for trial in range(96):
+        variables = tuple(f"u{i}" for i in range(trial // 12 + 1))
+        mono = _random_monomial(rng, variables)
+        if trial % 3 == 0:
+            other = _random_monomial(rng, variables)
+        else:
+            other = _random_total_degree(rng, variables, 3, 5)
+            if trial % 3 == 2:
+                other = other * _random_monomial(rng, variables, top=2)
+        if other.is_zero():
+            continue
+        expected = oracle(mono, other)
+        assert poly_gcd(mono, other) == expected
+        assert poly_gcd(other, mono) == expected
+        if not expected.is_constant():
+            nontrivial.add(len(variables))
+    assert nontrivial == set(range(1, 9))
+
+
+def test_monomial_gcd_fixed_cases(monkeypatch):
+    oracle = _monomial_rule_only(monkeypatch)
+    vs = ("x", "y", "z")
+
+    def p(text):
+        return MultiPoly.parse(vs, text)
+
+    cases = [
+        # a coefficient other than +-1 on either side
+        (p("-7/3*x^2*y"), p("x^3*y^2 + 5*x*y*z"), p("x*y")),
+        (p("6*x^2*y^3"), p("4/5*x*y^5*z"), p("x*y^3")),
+        # a constant term in the other argument leaves gcd 1
+        (p("x^3*y"), p("x^2 + y + 1"), p("1")),
+        (p("2*z"), p("x*y"), p("1")),
+        (p("x^4"), p("x^2*y - 3*x^3"), p("x^2")),
+    ]
+    for mono, other, expected in cases:
+        assert oracle(mono, other) == expected
+        assert poly_gcd(mono, other) == expected
+        assert poly_gcd(other, mono) == expected
+
+
+def _n6_viii_systems():
+    from hho2.catalog import build
+    from hho2.systems import generate_flux
+
+    op = build("n6-VIII")
+    for seed in (1, 3, 909):
+        yield generate_flux(op, rng=random.Random(seed))
+        yield generate_flux(op, rng=random.Random(seed), constants=[1, -2, 0, 3, 1, 5])
+
+
+def test_monomial_gcd_on_the_n6_viii_flux(monkeypatch):
+    # D = Pf g = u1*u4: the pairs (Q_k, D) that used to fall through the
+    # line proof into sympy.
+    oracle = _monomial_rule_only(monkeypatch)
+    nontrivial = 0
+    for system in _n6_viii_systems():
+        assert system.d == MultiPoly.parse(system.vars, "u1*u4")
+        for qk in system.q:
+            expected = oracle(qk, system.d)
+            assert poly_gcd(qk, system.d) == expected
+            assert poly_gcd(system.d, qk) == expected
+            nontrivial += not expected.is_constant()
+    assert nontrivial > 0
+
+
+def test_lowest_terms_on_the_n6_viii_flux_is_unchanged(monkeypatch):
+    from hho2 import poly
+
+    def line_or_sympy(f, g):
+        # The gcd route without the monomial rule.
+        if f.is_constant() or g.is_constant() or _coprime_on_a_line(f, g):
+            return MultiPoly.const(f.vars, 1)
+        return _gcd_via_sympy(f, g)
+
+    systems = list(_n6_viii_systems())
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "poly_gcd", line_or_sympy)
+        expected = [[lowest_terms(qk, s.d) for qk in s.q] for s in systems]
+    _monomial_rule_only(monkeypatch)
+    got = [[lowest_terms(qk, s.d) for qk in s.q] for s in systems]
+    assert got == expected
+    assert any(den != s.d for pairs, s in zip(got, systems) for _, den in pairs)
+
+
 def test_index_entries_accept_only_integer_indices():
     assert list(index_entries([[1, 3, "2"]], 2, 4, "A")) == [((0, 2), "2")]
     assert json_int(6, "n") == 6

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hho2 import poly, systems
-from hho2.catalog import build
+from hho2.catalog import build, list_entries
 from hho2.operators import Hho2, ProjReciprocal, transform
 from hho2.poly import MultiPoly
 from hho2.systems import (
@@ -467,6 +467,51 @@ def test_linearity_detection():
     assert not linearity_report(nonlin).is_linear
     flat = generate_flux(build("n2"), rng=rng)
     assert linearity_report(flat).is_linear
+
+
+def _nondegenerate_catalog():
+    """(entry id, operator) for every nondegenerate entry; the n = 8 families
+    at lambda = 2, 3, 5, 7."""
+    values = (2, 3, 5, 7)
+    for entry in list_entries():
+        if not entry.degenerate:
+            yield entry.id, entry.build(dict(zip(entry.params, values)))
+
+
+def test_linearity_short_circuit_agrees_with_every_component():
+    seen = set()
+    for name, op in _nondegenerate_catalog():
+        thirds = [Fraction(k - 2, 3) for k in range(op.n)]
+        for seed, constants in ((3, None), (909, None), (3, thirds), (27, thirds)):
+            system = generate_flux(op, rng=random.Random(seed), constants=constants)
+            got = linearity_report(system).is_linear
+            assert got == all(den.is_constant() and num.degree() <= 1 for num, den in system.v), (name, seed)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["n6-VIII", "n6-X"])
+def test_linearity_stops_at_the_first_non_affine_component(monkeypatch, name):
+    # Components other than `bad` are edited to V^k = u_k + k, affine over the
+    # nonconstant Pfaffian, so each takes one gcd; V^bad = u_bad^2 is not.
+    calls = []
+    gcd = poly.poly_gcd
+
+    def counted(f, g):
+        calls.append(f)
+        return gcd(f, g)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    op = build(name)
+    n = op.n
+    for bad in [None, *range(n)]:
+        system = generate_flux(op, rng=random.Random(5))
+        d, gens = system.d, [MultiPoly.variable(system.vars, k) for k in range(n)]
+        for k in range(n):
+            system.q[k] = d * gens[k] * gens[k] if k == bad else d * (gens[k] + k)
+        calls.clear()
+        assert linearity_report(system).is_linear is (bad is None)
+        assert calls == system.q[: n if bad is None else bad + 1]
 
 
 def test_linear_degeneracy_spot_check():
