@@ -16,11 +16,9 @@ from .linalg import (
     pfaffian_adjugate,
 )
 from .threeform import (
-    CongruenceSystem,
     LinearMapN1,
     ThreeForm,
     chart_restrict,
-    congruence_system,
     embed,
     pullback,
 )
@@ -41,7 +39,6 @@ from .systems import (
     casimir_check,
     check_compat,
     check_compat_rational,
-    congruence_lines,
     euler_check,
     family_parameter_count,
     generate_flux,
@@ -79,11 +76,9 @@ __all__ = [
     "det_bareiss",
     "pfaffian",
     "pfaffian_adjugate",
-    "CongruenceSystem",
     "LinearMapN1",
     "ThreeForm",
     "chart_restrict",
-    "congruence_system",
     "embed",
     "pullback",
     "Hho2",
@@ -100,7 +95,6 @@ __all__ = [
     "casimir_check",
     "check_compat",
     "check_compat_rational",
-    "congruence_lines",
     "euler_check",
     "family_parameter_count",
     "generate_flux",

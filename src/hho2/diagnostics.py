@@ -352,7 +352,8 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     """Certificate for det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) in Q[u, lam].
 
     R[k][p] is the numerator of dV^k/du^p over D^2 and Dm = C - lam D g is the
-    cleared skew pencil, with C = D (T V + Aeff) from `ConservativeSystem.c_polys`.
+    cleared skew pencil, with C = D (T V + Aeff) the lam-free part defined in
+    the `systems` module docstring.
     Three lam-free facts are checked: g R == D C entrywise in Q[u],
     det(g) == D^2 by Bareiss, and det == Pf^2 for the generic skew matrix of
     this size, by a Laplace expansion.  Then g (R - lam D^2 I) = D C -
@@ -580,15 +581,6 @@ def _irreducible_factors(h: Sequence[int]) -> List[List[Fraction]]:
         factors.append(g)
     # back in x: f(lead x) / lead^m is monic for f(y) monic of degree m
     return [[Fraction(c, lead ** (len(f) - 1 - j)) for j, c in enumerate(f)] for f in factors]
-
-
-def _rational_roots(coeffs: Sequence[Fraction]):
-    """(root, multiplicity) pairs for the rational roots of the polynomial."""
-    roots = []
-    for fc, mult in factor_univariate(coeffs):
-        if len(fc) == 2:
-            roots.append((-fc[0], mult))
-    return roots
 
 
 # ----- diagonalizability -------------------------------------------------------

@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import PolyMatrix, clear_denominators, pfaffian_adjugate, poly_rank, rat_kernel
+from .linalg import clear_denominators, pfaffian_adjugate, poly_rank
 from .operators import Hho2
 from .poly import MultiPoly, _sum_of_products, index_entries, lowest_terms, rat
 
@@ -77,7 +77,6 @@ __all__ = [
     "check_compat_rational",
     "PlueckerReport",
     "pluecker_relations",
-    "congruence_lines",
     "hamiltonian_density",
     "EulerReport",
     "euler_check",
@@ -149,9 +148,9 @@ class ConservativeSystem:
     components in lowest terms as (numerator, denominator) pairs, reduced by
     `lowest_terms` (one `poly_gcd` each) the first time it is read; it is
     library API, and no command reads it (`linearity_report` reduces the
-    components itself, one at a time).  The forms read from `q` (`v`,
-    `c_polys`, the residual P, the point kernel) are built once, so `q` may
-    be edited only before the first read.
+    components itself, one at a time).  The forms read from `q` (`v`, the
+    residual P, the point kernel) are built once, so `q` may be edited only
+    before the first read.
     """
 
     def __init__(self, op: Hho2, flux: FluxParams, constants: Optional[Sequence] = None):
@@ -209,8 +208,6 @@ class ConservativeSystem:
         self._affine: Tuple[int, List[List[int]]] = clear_denominators([*self.a_eff, self.b_eff])
 
         self._v: Optional[List[Tuple[MultiPoly, MultiPoly]]] = None
-        self._c: Optional[List[List[MultiPoly]]] = None
-        self._mtilde: Optional[PolyMatrix] = None
         self._residuals: Optional[Tuple[MultiPoly, List[MultiPoly]]] = None
         # Diagnostics evaluate several tensors at one point before moving to
         # the next; memoize the integer numerators of the last few points.
@@ -304,46 +301,6 @@ class ConservativeSystem:
         num = self._numerators(u)
         den = num.d ** 3
         return [[[Fraction(x, den) for x in row] for row in plane] for plane in num.s]
-
-    # ----- eigenvalue pencil -------------------------------------------------
-
-    def c_polys(self) -> List[List[MultiPoly]]:
-        """C[h][j] = T_hji Q_i + D Aeff_hj, the lam-free part of the pencil.
-
-        C / D = T V + Aeff, so D M(lam) = C - lam D g; C is skew.
-        """
-        if self._c is None:
-            n, vs = self.op.n, self.vars
-            t = self.op.tensor
-            c = [[MultiPoly.zero(vs) for _ in range(n)] for _ in range(n)]
-            for h in range(n):
-                for j in range(h + 1, n):
-                    pairs = [(self.q[i], t[h][j][i]) for i in range(n)] + [(self.d, self.a_eff[h][j])]
-                    entry = _sum_of_products(vs, pairs)
-                    c[h][j], c[j][h] = entry, -entry
-            self._c = c
-        return self._c
-
-    def mtilde(self) -> PolyMatrix:
-        """Skew pencil D*M(lam) = C - lam D g with M_hj = T_hji V^i + Aeff_hj - lam g_hj.
-
-        Entries are polynomials in (u1..un, lam); the Pfaffian of this matrix
-        divided by D^(n/2 + 1) is the square root of the characteristic
-        polynomial of the flux Jacobian.
-        """
-        if self._mtilde is None:
-            n = self.op.n
-            rvars = self.vars + ("lam",)
-            lam_d = MultiPoly.variable(rvars, "lam") * self.d.with_vars(rvars)
-            g = self.op.metric()
-            c = self.c_polys()
-            rows = [[MultiPoly.zero(rvars) for _ in range(n)] for _ in range(n)]
-            for h in range(n):
-                for j in range(h + 1, n):
-                    entry = c[h][j].with_vars(rvars) - lam_d * g.at(h, j).with_vars(rvars)
-                    rows[h][j], rows[j][h] = entry, -entry
-            self._mtilde = PolyMatrix(rows)
-        return self._mtilde
 
     # ----- reports ------------------------------------------------------------
 
@@ -699,15 +656,6 @@ def pluecker_relations(system: ConservativeSystem) -> PlueckerReport:
     return PlueckerReport(n=system.op.n, row_ok=[not p for p in system._pluecker_residuals()[1]])
 
 
-def congruence_lines(system: ConservativeSystem, u) -> Tuple[List[Fraction], List[Fraction]]:
-    """Spanning vectors of the solution plane of the line congruence at u."""
-    point = system._point(u)
-    vvals = system.flux_at(point)
-    first = list(point) + [Fraction(1), Fraction(0)]
-    second = list(vvals) + [Fraction(0), Fraction(1)]
-    return first, second
-
-
 # ----- Hamiltonian structure ------------------------------------------------------
 
 
@@ -789,89 +737,25 @@ def casimir_check(op: Hho2) -> CasimirReport:
     )
 
 
-# ----- linearity and linear degeneracy ----------------------------------------------
+# ----- linearity --------------------------------------------------------------------
 
 
 @dataclass
 class LinearityReport:
     n: int
     is_linear: bool
-    checked_points: int
-    checked_eigenvalues: int
-    skipped_eigenvalues: int
-    gradients_orthogonal: bool
 
 
-def linearity_report(system: ConservativeSystem, points=None) -> LinearityReport:
-    """Detect linear systems and spot-check linear degeneracy at points.
+def linearity_report(system: ConservativeSystem) -> LinearityReport:
+    """Decide exactly whether the flux V is linear.
 
-    Linearity is exact: V is linear iff each component is a polynomial of
-    degree at most one.  The components Q_k / D are brought to lowest terms
-    one at a time, in order, and the test stops at the first that is not
-    affine, so a nonlinear flux usually takes one `poly_gcd`; `system.v` is
-    not built.  Linear degeneracy is verified at the supplied sample
-    points for every simple rational eigenvalue: the gradient of the
-    eigenvalue (by implicit differentiation of the Pfaffian pencil) must be
-    orthogonal to every eigenvector of that eigenvalue.  Non-rational or
-    repeated roots at a point are counted as skipped.
+    V is linear iff each component is a polynomial of degree at most one.
+    The components Q_k / D are brought to lowest terms one at a time, in
+    order, and the test stops at the first that is not affine, so a nonlinear
+    flux usually takes one `poly_gcd`; `system.v` is not built.
     """
-    n = system.op.n
     is_linear = all(
         den.is_constant() and num.degree() <= 1
         for num, den in (lowest_terms(qk, system.d) for qk in system.q)
     )
-    checked_points = 0
-    checked = 0
-    skipped = 0
-    all_orth = True
-    if points:
-        from .diagnostics import sqrt_charpoly_at, _rational_roots
-
-        mt = system.mtilde()
-        rvars = mt.at(0, 1).vars if n >= 2 else system.vars + ("lam",)
-        lam_index = len(rvars) - 1
-        pf_pencil = None
-        for u in points:
-            point = system._point(u)
-            jac = system.jacobian_at(point)
-            s_coeffs = sqrt_charpoly_at(system, point)
-            roots = _rational_roots(s_coeffs)
-            simple = [root for root, mult in roots if mult == 1]
-            skipped += sum(1 for _, mult in roots if mult > 1)
-            if not simple:
-                checked_points += 1
-                continue
-            if pf_pencil is None:
-                from .linalg import pfaffian
-
-                pf_pencil = pfaffian(mt)
-                pf_grad = [pf_pencil.diff(m) for m in range(n)]
-                pf_dlam = pf_pencil.diff(lam_index)
-            for root in simple:
-                full = point + (root,)
-                denom = pf_dlam.eval(full)
-                if denom == 0:
-                    skipped += 1
-                    continue
-                grad = [-(pf_grad[m].eval(full)) / denom for m in range(n)]
-                mat = [
-                    [jac[i][j] - (root if i == j else 0) for j in range(n)] for i in range(n)
-                ]
-                kernel = rat_kernel(mat)
-                if not kernel:
-                    skipped += 1
-                    continue
-                for vecs in kernel:
-                    pairing = sum(grad[m] * vecs[m] for m in range(n))
-                    if pairing != 0:
-                        all_orth = False
-                checked += 1
-            checked_points += 1
-    return LinearityReport(
-        n=n,
-        is_linear=is_linear,
-        checked_points=checked_points,
-        checked_eigenvalues=checked,
-        skipped_eigenvalues=skipped,
-        gradients_orthogonal=all_orth,
-    )
+    return LinearityReport(n=system.op.n, is_linear=is_linear)

@@ -20,12 +20,11 @@ acting on forms are always rational.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .linalg import PolyMatrix, clear_denominators, poly_rank, rat_det, rat_inverse, rat_mat_mul
+from .linalg import clear_denominators, rat_det, rat_inverse, rat_mat_mul
 from .poly import MultiPoly, bounded_n, index_entries, json_int, rat
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "pullback",
     "chart_restrict",
     "embed",
-    "congruence_system",
-    "CongruenceSystem",
 ]
 
 Value = Union[Fraction, MultiPoly]
@@ -286,40 +283,3 @@ def embed(op) -> ThreeForm:
     """Inverse of chart_restrict: the form omega = table/3 of an operator."""
     third = Fraction(1, 3)
     return ThreeForm(op.n + 1, {key: value * third for key, value in op.table.items()}, op.params)
-
-
-@dataclass
-class CongruenceSystem:
-    """Linear conditions cutting out the line congruence of a form.
-
-    Row `lam` imposes sum over pairs of 2*omega[lam,mu,nu] * p[mu,nu] = 0 on
-    Pluecker coordinates p (the factor 2 is the full-skew summation collapsed
-    onto increasing pairs).
-    """
-
-    matrix: PolyMatrix
-    pairs: List[Tuple[int, int]]
-
-    def rank(self) -> int:
-        return poly_rank(self.matrix)
-
-    def solution_dim(self) -> int:
-        return len(self.pairs) - self.rank()
-
-
-def congruence_system(form: ThreeForm) -> CongruenceSystem:
-    d = form.dim
-    pairs = list(combinations(range(d), 2))
-    variables = form.params
-    dense = skew_dense(form.coeffs, d)
-    rows = []
-    for lam in range(d):
-        row = []
-        for mu, nu in pairs:
-            entry = dense[lam][mu][nu] * 2
-            if isinstance(entry, MultiPoly):
-                row.append(entry)
-            else:
-                row.append(MultiPoly.const(variables, entry))
-        rows.append(row)
-    return CongruenceSystem(PolyMatrix(rows), pairs)

@@ -30,7 +30,7 @@ from hho2.operators import ProjReciprocal, transform
 from hho2.poly import MultiPoly, _poly_mul_coeffs
 from hho2.systems import generate_flux
 from hho2.threeform import LinearMapN1
-from test_systems import _EDITS, _edit_flux, _jacobian_numerators
+from test_systems import _EDITS, _edit_flux, _eigenvalue_pencil, _jacobian_numerators
 
 
 N8_PARAMS = {
@@ -326,7 +326,7 @@ def test_charpoly_is_square_at_points():
 
 
 def _expanded_charpoly_square(system):
-    """Oracle: expand det(R - lam D^2 I) and Pf(mtilde)^2 D^(n-2) in (u, lam).
+    """Oracle: expand det(R - lam D^2 I) and Pf(Dm)^2 D^(n-2) in (u, lam).
 
     Returns whether the two sides are equal and their degrees in lam.  The
     left side sees only the quotient-rule Jacobian numerators and a
@@ -339,7 +339,7 @@ def _expanded_charpoly_square(system):
     r = _jacobian_numerators(system)
     rows = [[r[k][p].with_vars(rvars) - (lam_d2 if k == p else 0) for p in range(n)] for k in range(n)]
     det_side = det_bareiss(PolyMatrix(rows))
-    pf = pfaffian(system.mtilde())
+    pf = pfaffian(_eigenvalue_pencil(system)[1])
     pf_side = pf * pf * d ** (n - 2)
     return det_side == pf_side, det_side.degree_in(n), pf_side.degree_in(n)
 
@@ -385,7 +385,7 @@ def test_charpoly_square_symbolic_matches_the_direct_comparison(name, case):
     equals the entrywise comparison itself."""
     system = _edit_flux(generate_flux(build(name), rng=random.Random(908)), case)
     n, vs, d = system.op.n, system.vars, system.d
-    g, r, c = system.op.metric(), _jacobian_numerators(system), system.c_polys()
+    g, r, c = system.op.metric(), _jacobian_numerators(system), _eigenvalue_pencil(system)[0]
     direct = all(
         sum((g.at(a, j) * r[j][b] for j in range(n)), MultiPoly.zero(vs)) == d * c[a][b]
         for a in range(n)

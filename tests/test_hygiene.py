@@ -12,6 +12,10 @@ kept alive only by its tests is flagged.
 
 sympy and mpmath are imported only inside the one function that needs each,
 never at module level, so no other path loads them.
+
+A module imports its hho2 siblings at module level only, never inside a
+function or class, so the order in which the modules depend on each other
+is read off their headers.
 """
 
 import ast
@@ -224,4 +228,53 @@ def test_checker_flags_a_module_level_heavy_import():
         ("poly", None, 1, "sympy"),
         ("diagnostics", None, 2, "mpmath"),
         ("diagnostics", "Report.floats", 9, "mpmath"),
+    ]
+
+
+def _names_hho2(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return bool(node.level) or node.module.split(".")[0] == "hho2"
+    return isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "hho2" for alias in node.names)
+
+
+def nested_sibling_imports(sources):
+    """(module, top-level definition, line) for each import of an hho2 module
+    inside a function or class body."""
+    return [
+        (module, top.name, node.lineno)
+        for module, text in sources.items()
+        for top in ast.parse(text).body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if _names_hho2(node)
+    ]
+
+
+def test_sibling_modules_are_imported_at_module_level():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert nested_sibling_imports(sources) == []
+
+
+def test_checker_flags_a_nested_sibling_import():
+    sources = {
+        "systems": (
+            "from .linalg import pfaffian\n"
+            "import hho2.poly\n"
+            "def report(points):\n"
+            "    import json\n"
+            "    from sympy import Poly\n"
+            "    if points:\n"
+            "        from .diagnostics import sqrt_charpoly_at\n"
+            "class System:\n"
+            "    def kernel(self):\n"
+            "        from . import linalg\n"
+            "        from hho2.poly import rat\n"
+            "        import hho2.linalg as la\n"
+        ),
+    }
+    assert nested_sibling_imports(sources) == [
+        ("systems", "report", 7),
+        ("systems", "System", 10),
+        ("systems", "System", 11),
+        ("systems", "System", 12),
     ]

@@ -11,7 +11,6 @@ from hho2.threeform import (
     LinearMapN1,
     ThreeForm,
     chart_restrict,
-    congruence_system,
     embed,
     pullback,
     skew_dense,
@@ -161,22 +160,6 @@ def test_form_algebra():
     for i, j, k in itertools.product(range(5), repeat=3):
         assert ds[i][j][k] == da[i][j][k] + db[i][j][k]
         assert doubled[i][j][k] == 2 * da[i][j][k]
-
-
-def test_congruence_system_solution_dims():
-    # A full-rank example: the nondegenerate n=6 open-orbit form has a
-    # congruence of lines cut out by rank dim-2 conditions.
-    coeffs = {
-        (0, 1, 2): Fraction(1, 3),
-        (3, 4, 5): Fraction(1, 3),
-        (0, 3, 6): Fraction(1, 3),
-        (1, 4, 6): Fraction(1, 3),
-        (2, 5, 6): Fraction(1, 3),
-    }
-    form = ThreeForm(7, coeffs)
-    system = congruence_system(form)
-    assert system.solution_dim() == len(system.pairs) - system.rank()
-    assert system.rank() >= 1
 
 
 def _contracted_pullback(form, a):
