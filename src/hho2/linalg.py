@@ -109,9 +109,9 @@ def _bareiss(matrix: PolyMatrix) -> Tuple[int, MultiPoly]:
     last pivot is the determinant.
     """
     m = [row[:] for row in matrix.entries]
-    rows, cols = matrix.rows, matrix.cols
+    rows, cols, vars_ = matrix.rows, matrix.cols, matrix.vars
     rank, sign = 0, 1
-    prev = MultiPoly.const(matrix.vars, 1)
+    prev = MultiPoly.const(vars_, 1)
     for col in range(cols):
         if rank == rows:
             break
@@ -121,10 +121,11 @@ def _bareiss(matrix: PolyMatrix) -> Tuple[int, MultiPoly]:
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
             sign = -sign
-        p = m[rank][col]
+        p, top = m[rank][col], m[rank]
         for i in range(rank + 1, rows):
+            row, f = m[i], -m[i][col]
             for j in range(col + 1, cols):
-                m[i][j] = (p * m[i][j] - m[i][col] * m[rank][j]).exact_div(prev)
+                row[j] = _sum_of_products(vars_, [(p, row[j]), (f, top[j])]).exact_div(prev)
         prev = p
         rank += 1
     return rank, prev if sign > 0 else -prev

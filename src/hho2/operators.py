@@ -30,7 +30,7 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, clear_denominators, pfaffian, rat_det, rat_mat_mul
-from .poly import MultiPoly, bounded_n, index_entries, json_int
+from .poly import MultiPoly, _sum_of_products, bounded_n, index_entries, json_int
 from .threeform import (
     LinearMapN1,
     Value,
@@ -51,10 +51,12 @@ __all__ = [
 ]
 
 
-def _lift(value: Value, variables: Tuple[str, ...]) -> MultiPoly:
+def _lift(value: Value, variables: Tuple[str, ...]) -> Value:
+    """A table value as a factor in `variables`: a parametric value re-based,
+    a rational as it is."""
     if isinstance(value, MultiPoly):
         return value.with_vars(variables)
-    return MultiPoly.const(variables, value)
+    return value
 
 
 class Hho2:
@@ -92,7 +94,7 @@ class Hho2:
 
     def metric(self) -> PolyMatrix:
         """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: the table contracted
-        with (u^1, ..., u^n, 1)."""
+        with (u^1, ..., u^n, 1), each entry summed in one pass."""
         if self._metric is not None:
             return self._metric
         vs = self.vars
@@ -102,10 +104,8 @@ class Hho2:
         coords = [MultiPoly.variable(vs, k) for k in range(n)] + [MultiPoly.const(vs, 1)]
         for i in range(n):
             for j in range(i + 1, n):
-                entry = zero
-                for tv, coord in zip(self.tensor[i][j], coords):
-                    if tv:
-                        entry = entry + _lift(tv, vs) * coord
+                pairs = [(coord, _lift(tv, vs)) for tv, coord in zip(self.tensor[i][j], coords) if tv]
+                entry = _sum_of_products(vs, pairs)
                 rows[i][j] = entry
                 rows[j][i] = -entry
         self._metric = PolyMatrix(rows)
@@ -172,7 +172,11 @@ class Hho2:
 
     @classmethod
     def from_json(cls, text: str) -> "Hho2":
-        data = json.loads(text)
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data) -> "Hho2":
+        """The operator of a parsed operator document, as `from_json` reads it."""
         if not isinstance(data, dict) or "n" not in data:
             raise ValueError("malformed operator document: missing n")
         n = bounded_n(json_int(data["n"], "n"), "n")

@@ -62,11 +62,13 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?", re.ASCII)
 def rat(value) -> Fraction:
     """Parse an exact rational: an int, a Fraction or a 'p/q' string.
 
-    Floats and bools are refused, so no binary approximation or JSON `true`
-    silently becomes a Fraction.  A string must be [+-]digits[/digits] with a
-    nonzero denominator, so no exponent such as '1e4300' expands to 4301 digits.
+    Every other type is refused, floats and bools included, so no binary
+    approximation, JSON `true`, list or null silently becomes a Fraction.  A
+    string must be [+-]digits[/digits] with a nonzero denominator, so no
+    exponent such as '1e4300' expands to 4301 digits.
     """
-    if isinstance(value, (float, bool)) or (isinstance(value, str) and not _RATIONAL.fullmatch(value)):
+    if (isinstance(value, bool) or not isinstance(value, (int, Fraction, str))
+            or (isinstance(value, str) and not _RATIONAL.fullmatch(value))):
         raise ValueError(f"{value!r} is not an exact rational; give an integer or a 'p/q' string")
     try:
         return Fraction(value)
@@ -183,6 +185,16 @@ def _canonical(terms: dict) -> dict:
         for e, c in terms.items()
         if c
     }
+
+
+def _linear(variables: Tuple[str, ...], coeffs: Sequence) -> "MultiPoly":
+    """sum_l coeffs[l] u^l + coeffs[n] over the first n variables, n + 1 =
+    len(coeffs), built as raw terms from exact coefficients."""
+    nv, n = len(variables), len(coeffs) - 1
+    one, top = 1 << _BITS * nv, _BITS * (nv - 1)
+    terms = {one | 1 << top - _BITS * l: c for l, c in enumerate(coeffs[:n])}
+    terms[0] = coeffs[n]
+    return MultiPoly._raw(variables, _canonical(terms))
 
 
 def _sum_of_products(variables: Tuple[str, ...], pairs) -> "MultiPoly":

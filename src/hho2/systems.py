@@ -64,7 +64,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import clear_denominators, pfaffian_adjugate, poly_rank
 from .operators import Hho2
-from .poly import MultiPoly, _sum_of_products, index_entries, lowest_terms, rat
+from .poly import MultiPoly, _linear, _sum_of_products, index_entries, lowest_terms, rat
 
 __all__ = [
     "DegenerateOperatorError",
@@ -176,34 +176,23 @@ class ConservativeSystem:
         self.vars = vs
         self.d = op.pfaffian_poly()
         cadj, _ = pfaffian_adjugate(op.metric())
-        gens = [MultiPoly.variable(vs, i) for i in range(n)]
-        w = []
-        for j in range(n):
-            expr = MultiPoly.const(vs, flux.b[j])
-            for l in range(n):
-                if flux.a[j][l]:
-                    expr = expr + gens[l] * flux.a[j][l]
-            w.append(expr)
-        self.q: List[MultiPoly] = []
-        for k in range(n):
-            acc = MultiPoly.zero(vs)
-            for j in range(n):
-                cj = cadj.at(k, j)
-                if not cj.is_zero() and not w[j].is_zero():
-                    acc = acc + cj * w[j]
-            if self.constants[k]:
-                acc = acc + self.d * self.constants[k]
-            self.q.append(acc)
+        w = [_linear(vs, (*flux.a[j], flux.b[j])) for j in range(n)]
+        self.q: List[MultiPoly] = [
+            _sum_of_products(vs, [*zip(cadj.entries[k], w), (self.d, self.constants[k])]) for k in range(n)
+        ]
 
         # Effective affine data absorbing the additive constants c, so that
         # g V = Aeff u + Beff; these are what the eigenvalue pencil sees
         # alongside the actual V.  The constants add g(u) c: the table
         # contracted with c in its middle index, whose column n shifts B.
         t, c = op.tensor, self.constants
-        shift = [[sum((t[h][i][j] * c[i] for i in range(n) if c[i]), Fraction(0)) for j in range(n + 1)]
-                 for h in range(n)]
-        self.a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
-        self.b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
+        if any(c):
+            shift = [[sum((t[h][i][j] * c[i] for i in range(n) if c[i]), Fraction(0)) for j in range(n + 1)]
+                     for h in range(n)]
+            self.a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
+            self.b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
+        else:
+            self.a_eff, self.b_eff = flux.a, flux.b
         # (a_den, rows): rows h < n are a_den Aeff, row n is a_den Beff.
         self._affine: Tuple[int, List[List[int]]] = clear_denominators([*self.a_eff, self.b_eff])
 
@@ -234,22 +223,21 @@ class ConservativeSystem:
         """(d, P): d = scale D and the residuals P_q = sum_k g_qk Q_k -
         D (Aeff u + Beff)_q in Z[u], each times a_den t_den scale.  D and the
         Q_k as they are at the first call carry scale, as in
-        `_integer_scales`, the metric a_den t_den, and Aeff, Beff their common
-        denominator a_den (`_affine`) times t_den (`op._integer_table`).
+        `_integer_scales`, and the Q_k also a_den; the metric rows are read
+        from `op._integer_table`, so carry t_den, and Aeff, Beff their common
+        denominator a_den (`_affine`) times t_den.
         Built once: `q` is edited only before the first read."""
         if self._residuals is None:
             n, vs = self.op.n, self.vars
-            scale, t_den = self._integer_scales(), self.op._integer_table()[0]
+            scale = self._integer_scales()
+            t_den, t = self.op._integer_table()
             a_den, rows = self._affine
-            metric = self.op.metric()
-            q = [x * scale for x in self.q]
+            q = [x * (scale * a_den) for x in self.q]
             d = self.d * scale
-            du = [d * MultiPoly.variable(vs, l) for l in range(n)]
             out = []
             for h in range(n):
-                pairs = [(metric.at(h, k) * (a_den * t_den), q[k]) for k in range(n)]
-                pairs += [(du[l], -t_den * rows[h][l]) for l in range(n)]
-                pairs.append((d, -t_den * rows[n][h]))
+                pairs = [(_linear(vs, t[h][k]), q[k]) for k in range(n)]
+                pairs.append((d, _linear(vs, [-t_den * x for x in (*rows[h], rows[n][h])])))
                 out.append(_sum_of_products(vs, pairs))
             self._residuals = d, out
         return self._residuals
@@ -345,9 +333,11 @@ class ConservativeSystem:
     @classmethod
     def from_json(cls, text: str) -> "ConservativeSystem":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed system document: expected an object, got {type(data).__name__}")
         if "op" not in data:
             raise ValueError("malformed system document: missing op")
-        op = Hho2.from_json(json.dumps(data["op"]))
+        op = Hho2.from_data(data["op"])
         n = op.n
         if not isinstance(data.get("B"), list) or len(data["B"]) != n:
             raise ValueError("malformed system document: B must list n values")
@@ -357,8 +347,9 @@ class ConservativeSystem:
             a[j][i] = -a[i][j]
         if "constants" in data and not isinstance(data["constants"], list):
             raise ValueError("malformed system document: constants must list n values")
-        # FluxParams.make and the constructor parse B and the constants.
-        return cls(op, FluxParams.make(a, data["B"]), data.get("constants"))
+        # A is skew by construction; the constructor parses the constants.
+        flux = FluxParams(tuple(map(tuple, a)), tuple(rat(x) for x in data["B"]))
+        return cls(op, flux, data.get("constants"))
 
     def __repr__(self):
         return f"ConservativeSystem(n={self.op.n})"

@@ -41,8 +41,7 @@ def skew_dense(coeffs: Dict[Tuple[int, int, int], Value], dim: int) -> List[List
     """Dense dim^3 array of the skew family stored on increasing triples:
     each stored value on its six permutations with their signs, zero where
     an index repeats or nothing is stored."""
-    zero = Fraction(0)
-    out = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    out = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), v in coeffs.items():
         out[i][j][k] = out[j][k][i] = out[k][i][j] = v
         out[j][i][k] = out[i][k][j] = out[k][j][i] = -v

@@ -26,11 +26,10 @@ from hho2.diagnostics import (
     tensor_nonzero_count,
 )
 from hho2.linalg import PolyMatrix, clear_denominators, det_bareiss, pfaffian, rat_inverse, rat_mat_mul
-from hho2.operators import ProjReciprocal, transform
 from hho2.poly import MultiPoly, _poly_mul_coeffs
 from hho2.systems import generate_flux
-from hho2.threeform import LinearMapN1
-from test_systems import _EDITS, _edit_flux, _eigenvalue_pencil, _jacobian_numerators
+from test_operators import simple_n4
+from test_systems import _EDITS, _ci_moved, _edit_flux, _eigenvalue_pencil, _jacobian_numerators
 
 
 N8_PARAMS = {
@@ -141,38 +140,10 @@ def _haantjes_oracle(system, u, torsion):
     return out
 
 
-# The determinant-one maps with fractional entries that the CI smoke test
-# applies at each n: the moved table has t_den > 1.
-_CI_SL = {
-    4: [[1, 0, 0, 0, 0], ["1/2", 1, 0, 0, 0], [0, "-2/3", 1, 0, 0], [0, 0, "3/4", 1, 0], ["1/3", 0, 0, "-1/2", 1]],
-    6: [
-        [1, 0, 0, 0, 0, 0, 0],
-        ["1/2", 1, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0],
-        [0, "-2/3", 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0],
-        [0, 0, "3/4", 0, 0, 1, 0],
-        ["1/3", 0, 0, 0, "-1/2", 0, 1],
-    ],
-    8: [
-        [1, 0, 0, 0, 0, 0, 0, 0, 0],
-        ["1/2", 1, 0, 0, 0, 0, 0, 0, 0],
-        [0, "-2/3", 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, "3/4", 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, "-4/5", 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, "5/6", 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, "-6/7", 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, "7/8", 1, 0],
-        ["1/3", 0, 0, 0, "-1/2", 0, 0, "-8/9", 1],
-    ],
-}
-
-
 def _torsion_system(name, moved, edit=False):
     op = build(name, N8_PARAMS if name.startswith("n8") else None)
     if moved:
-        sl = LinearMapN1([[Fraction(x) for x in row] for row in _CI_SL[op.n]])
-        op = transform(op, ProjReciprocal(sl))
+        op = _ci_moved(op)
     system = generate_flux(op, rng=random.Random(909))
     return _edit_flux(system, "integer-quadratic-q1") if edit else system
 
@@ -330,7 +301,9 @@ def _expanded_charpoly_square(system):
 
     Returns whether the two sides are equal and their degrees in lam.  The
     left side sees only the quotient-rule Jacobian numerators and a
-    fraction-free determinant, the right side only the pencil Pfaffian.
+    fraction-free determinant, the right side only the pencil Pfaffian.  The
+    matrix is cleared of its denominators L before the elimination, and the
+    determinant divided by L^n.
     """
     n = system.op.n
     rvars = system.vars + ("lam",)
@@ -338,16 +311,28 @@ def _expanded_charpoly_square(system):
     lam_d2 = MultiPoly.variable(rvars, "lam") * d * d
     r = _jacobian_numerators(system)
     rows = [[r[k][p].with_vars(rvars) - (lam_d2 if k == p else 0) for p in range(n)] for k in range(n)]
-    det_side = det_bareiss(PolyMatrix(rows))
+    den = clear_denominators([list(x.terms.values()) for row in rows for x in row])[0]
+    det_side = det_bareiss(PolyMatrix([[x * den for x in row] for row in rows])) * Fraction(1, den**n)
     pf = pfaffian(_eigenvalue_pencil(system)[1])
     pf_side = pf * pf * d ** (n - 2)
     return det_side == pf_side, det_side.degree_in(n), pf_side.degree_in(n)
 
 
-@pytest.mark.parametrize("name", ["n2", "n4-open"])
+# n = 4 operators whose Pfaffian D is not constant, so that the lam D g term
+# of the pencil carries a polynomial factor: D = u1 for simple-n4, and D
+# affine in u for n4-open moved by the CI map.
+_NONCONSTANT_D = {"simple-n4": simple_n4, "n4-open-moved": lambda: _ci_moved(build("n4-open"))}
+
+
+def _operator(name):
+    return _NONCONSTANT_D[name]() if name in _NONCONSTANT_D else build(name)
+
+
+@pytest.mark.parametrize("name", ["n2", "n4-open", *_NONCONSTANT_D])
 @pytest.mark.parametrize("seed", [36, 908])
 def test_charpoly_square_symbolic_agrees_with_the_expanded_identity(name, seed):
-    system = generate_flux(build(name), rng=random.Random(seed))
+    system = generate_flux(_operator(name), rng=random.Random(seed))
+    assert system.d.is_constant() == (name not in _NONCONSTANT_D)
     rep = charpoly_square_symbolic(system)
     equal, det_degree, pf_degree = _expanded_charpoly_square(system)
     assert (rep.equal, rep.route) == (True, "factored") and equal
@@ -364,18 +349,22 @@ def test_charpoly_square_symbolic_n6_report(name):
     assert (rep.det_side_degree_in_lam, rep.pf_side_degree_in_lam) == (6, 6)
 
 
-@pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII"])
+@pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII", *_NONCONSTANT_D])
 def test_charpoly_square_factored_rejects_a_perturbed_flux(name):
     """Adding u1 to V^2 keeps det(g) = D^2 and the generic det = Pf^2 true,
     so only the entrywise comparison of the pencil with g R can fail.  At n=2
     the expanded identity still holds for the edited flux: `equal` is a
-    certificate, not a disproof."""
-    system = generate_flux(build(name), rng=random.Random(908))
+    certificate, not a disproof.  With D not constant the expanded identity
+    fails too."""
+    system = generate_flux(_operator(name), rng=random.Random(908))
     u1 = MultiPoly.variable(system.vars, 0)
     system.q[1] = system.q[1] + u1 * system.d
     assert charpoly_square_symbolic(system).equal is False
     if name == "n2":
         assert _expanded_charpoly_square(system)[0] is True
+    if name in _NONCONSTANT_D:
+        assert not system.d.is_constant()
+        assert _expanded_charpoly_square(system)[0] is False
 
 
 @pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII", "n6-X"])

@@ -161,19 +161,24 @@ def test_flux_evaluation_routes_agree():
         assert system.flux_at(u) == direct
 
 
-def _fractional_system(rng):
-    """A system whose T, g0, A, B and constants are not integers, so that D
-    is not constant and D and the Q_k have Fraction coefficients."""
-    n = 4
-    op = Hho2(n, {(0, 1, 2): 1, (1, 2, 3): Fraction(3, 2), (0, 3, 4): 1, (1, 2, 4): Fraction(-1, 3)})
+def _fractional_flux(n, rng):
+    """Skew A and B with fractional entries."""
     a = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             a[i][j] = Fraction(rng.randint(-5, 5), rng.randint(2, 5))
             a[j][i] = -a[i][j]
-    b = [Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in range(n)]
+    return FluxParams.make(a, [Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in range(n)])
+
+
+def _fractional_system(rng):
+    """A system whose T, g0, A, B and constants are not integers, so that D
+    is not constant and D and the Q_k have Fraction coefficients."""
+    n = 4
+    op = Hho2(n, {(0, 1, 2): 1, (1, 2, 3): Fraction(3, 2), (0, 3, 4): 1, (1, 2, 4): Fraction(-1, 3)})
+    flux = _fractional_flux(n, rng)
     consts = [Fraction(rng.randint(-3, 3), rng.randint(2, 4)) for _ in range(n)]
-    system = ConservativeSystem(op, FluxParams.make(a, b), consts)
+    system = ConservativeSystem(op, flux, consts)
     assert not system.d.is_constant()
     assert any(isinstance(c, Fraction) for qk in system.q for c in qk.terms.values())
     return system
@@ -566,20 +571,36 @@ def test_n8_system_build_needs_no_sympy_gcd(monkeypatch):
     assert all(den == system.d.monic() for _, den in v)
 
 
-def _moved_n6x():
-    """n6-X moved by a unit lower triangular map with fractional entries, so
-    that its table has fractional entries."""
-    q = Fraction
-    sl = LinearMapN1([
+# The determinant-one maps with fractional entries that the CI smoke test
+# applies at each n: the moved table has t_den > 1.
+_CI_SL = {
+    4: [[1, 0, 0, 0, 0], ["1/2", 1, 0, 0, 0], [0, "-2/3", 1, 0, 0], [0, 0, "3/4", 1, 0], ["1/3", 0, 0, "-1/2", 1]],
+    6: [
         [1, 0, 0, 0, 0, 0, 0],
-        [q(1, 2), 1, 0, 0, 0, 0, 0],
+        ["1/2", 1, 0, 0, 0, 0, 0],
         [0, 0, 1, 0, 0, 0, 0],
-        [0, q(-2, 3), 0, 1, 0, 0, 0],
+        [0, "-2/3", 0, 1, 0, 0, 0],
         [0, 0, 0, 0, 1, 0, 0],
-        [0, 0, q(3, 4), 0, 0, 1, 0],
-        [q(1, 3), 0, 0, 0, q(-1, 2), 0, 1],
-    ])
-    return transform(build("n6-X"), ProjReciprocal(sl))
+        [0, 0, "3/4", 0, 0, 1, 0],
+        ["1/3", 0, 0, 0, "-1/2", 0, 1],
+    ],
+    8: [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        ["1/2", 1, 0, 0, 0, 0, 0, 0, 0],
+        [0, "-2/3", 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, "3/4", 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, "-4/5", 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, "5/6", 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, "-6/7", 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, "7/8", 1, 0],
+        ["1/3", 0, 0, 0, "-1/2", 0, 0, "-8/9", 1],
+    ],
+}
+
+
+def _ci_moved(op):
+    """op moved by the CI map of its size."""
+    return transform(op, ProjReciprocal(LinearMapN1([[Fraction(x) for x in row] for row in _CI_SL[op.n]])))
 
 
 def test_point_kernel_tensor_is_the_scaled_dense_view():
@@ -587,7 +608,7 @@ def test_point_kernel_tensor_is_the_scaled_dense_view():
     range(n) x range(n) x range(n + 1), column n holding g0, for a table with
     fractional entries; the point record's metric is that table contracted
     with (U, q)."""
-    op = _moved_n6x()
+    op = _ci_moved(build("n6-X"))
     system = generate_flux(op, rng=random.Random(909))
     t_den, t = op._integer_table()
     assert t_den > 1 and op._integer_table()[1] is t
@@ -607,7 +628,7 @@ def test_casimir_rank_of_a_moved_metric_needs_no_elimination(monkeypatch):
     calls = []
     exact_div = MultiPoly.exact_div
     monkeypatch.setattr(MultiPoly, "exact_div", lambda self, divisor: calls.append(1) or exact_div(self, divisor))
-    rep = casimir_check(_moved_n6x())
+    rep = casimir_check(_ci_moved(build("n6-X")))
     assert rep.metric_rank == 6 and rep.corank == 0 and rep.nondegenerate
     assert calls == []
 
@@ -664,19 +685,6 @@ def _compat_failures_oracle(system):
     return first, second
 
 
-def _moved_n4_open():
-    """n4-open moved by a unit lower triangular map with fractional entries."""
-    q = Fraction
-    sl = LinearMapN1([
-        [1, 0, 0, 0, 0],
-        [q(1, 2), 1, 0, 0, 0],
-        [0, q(-2, 3), 1, 0, 0],
-        [0, 0, q(3, 4), 1, 0],
-        [q(1, 3), 0, 0, q(-1, 2), 1],
-    ])
-    return transform(build("n4-open"), ProjReciprocal(sl))
-
-
 _EDITS = ["clean", "u1-in-v2", "integer-quadratic-q1", "fractional-quadratic-qlast", "v-plus-c", "b-shift"]
 # Edits that give the flux of another system of the same operator: V + c, and
 # B + kappa, whose numerators gain padj(g) kappa.  Both stay compatible, but
@@ -713,7 +721,7 @@ def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
     """The proof rejects exactly the identities that the stated S-table
     families reject, clean and with edited numerators; the compatible edits
     pass with P != 0."""
-    op = _moved_n4_open() if name == "n4-open-moved" else build(name)
+    op = _ci_moved(build("n4-open")) if name == "n4-open-moved" else build(name)
     system = _edit_flux(generate_flux(op, rng=random.Random(seed)), case)
     first, second = _compat_failures_oracle(system)
     rep = check_compat(system, mode="symbolic")
@@ -795,7 +803,7 @@ def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
             seen.extend(b.terms.values() if isinstance(b, MultiPoly) else [b])
         return sum_of_products(variables, pairs)
 
-    op = _moved_n6x()
+    op = _ci_moved(build("n6-X"))
     system = generate_flux(op, rng=random.Random(909))
     broken = generate_flux(op, rng=random.Random(909))
     broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "u1*u2 - 3*u5")
@@ -804,3 +812,110 @@ def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
     assert check_compat(system, mode="symbolic").passed
     assert seen and all(type(c) is int for c in seen)
     assert not check_compat(broken, mode="symbolic").passed
+
+
+# ----- the chained sums that construction replaced, kept as oracles ------------
+
+
+def _chained_metric(op):
+    """g_ij = T_ijk u^k + g0_ij, one term added at a time, each table value
+    lifted to a constant polynomial first."""
+    vs, n = op.vars, op.n
+    zero = MultiPoly.zero(vs)
+    rows = [[zero for _ in range(n)] for _ in range(n)]
+    coords = [MultiPoly.variable(vs, k) for k in range(n)] + [MultiPoly.const(vs, 1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entry = zero
+            for tv, coord in zip(op.tensor[i][j], coords):
+                if tv:
+                    lifted = tv.with_vars(vs) if isinstance(tv, MultiPoly) else MultiPoly.const(vs, tv)
+                    entry = entry + lifted * coord
+            rows[i][j], rows[j][i] = entry, -entry
+    return PolyMatrix(rows)
+
+
+def _chained_construction(op, flux, constants):
+    """(w, Q, Aeff, Beff) summed one term at a time from the adjugate of the
+    metric: w_j = A_j u + B_j, Q_k = sum_j P_kj w_j + c_k D and the affine
+    data shifted by the table contracted with c, constants zero or not."""
+    n, vs = op.n, op.vars
+    d = op.pfaffian_poly()
+    cadj, _ = pfaffian_adjugate(op.metric())
+    w = []
+    for j in range(n):
+        expr = MultiPoly.const(vs, flux.b[j])
+        for l in range(n):
+            if flux.a[j][l]:
+                expr = expr + MultiPoly.variable(vs, l) * flux.a[j][l]
+        w.append(expr)
+    q = []
+    for k in range(n):
+        acc = MultiPoly.zero(vs)
+        for j in range(n):
+            if not cadj.at(k, j).is_zero() and not w[j].is_zero():
+                acc = acc + cadj.at(k, j) * w[j]
+        if constants[k]:
+            acc = acc + d * constants[k]
+        q.append(acc)
+    t = op.tensor
+    shift = [[sum((t[h][i][j] * constants[i] for i in range(n) if constants[i]), Fraction(0)) for j in range(n + 1)]
+             for h in range(n)]
+    a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
+    b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
+    return w, q, a_eff, b_eff
+
+
+def _chained_residuals(system):
+    """(d, P) as `_pluecker_residuals` defines them, with every metric entry
+    scaled by a_den t_den and the D (Aeff u + Beff) term summed over
+    D u^l."""
+    n, vs = system.op.n, system.vars
+    scale, t_den = system._integer_scales(), system.op._integer_table()[0]
+    a_den, rows = clear_denominators([*system.a_eff, system.b_eff])
+    metric = system.op.metric()
+    q = [x * scale for x in system.q]
+    d = system.d * scale
+    du = [d * MultiPoly.variable(vs, l) for l in range(n)]
+    out = []
+    for h in range(n):
+        pairs = [(metric.at(h, k) * (a_den * t_den), q[k]) for k in range(n)]
+        pairs += [(du[l], -t_den * rows[h][l]) for l in range(n)]
+        pairs.append((d, -t_den * rows[n][h]))
+        out.append(poly._sum_of_products(vs, pairs))
+    return d, out
+
+
+def _oracle_cases():
+    """Every nondegenerate catalog entry as catalogued and moved by the CI map
+    of its size.  n2 is not moved: an SL(3) map fixes the only 3-form on
+    three coordinates, so its table stays integral."""
+    for name, op in _nondegenerate_catalog():
+        yield name, op
+        if op.n > 2:
+            yield f"{name}-moved", _ci_moved(op)
+
+
+_ORACLE_CASES = dict(_oracle_cases())
+
+
+@pytest.mark.parametrize("constants", ["none", "fractional"])
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_one_pass_construction_matches_the_chained_sums(name, constants):
+    """The metric, w, Q, Aeff, Beff and the residual P, each summed in one
+    accumulator, equal the chained sums term for term, on integral and
+    fractional tables, with no constants and with fractional ones."""
+    op = _ORACLE_CASES[name]
+    n, vs = op.n, op.vars
+    if name.endswith("-moved"):
+        assert op._integer_table()[0] > 1
+    flux = _fractional_flux(n, random.Random(909))
+    consts = [Fraction((-1) ** k * (k + 1), k + 2) if k % 3 != 1 else Fraction(0) for k in range(n)]
+    consts = consts if constants == "fractional" else [Fraction(0)] * n
+    system = ConservativeSystem(op, flux, consts)
+    assert op.metric() == _chained_metric(op)
+    w, q, a_eff, b_eff = _chained_construction(op, flux, consts)
+    assert [poly._linear(vs, (*flux.a[j], flux.b[j])) for j in range(n)] == w
+    assert (system.q, system.a_eff, system.b_eff) == (q, a_eff, b_eff)
+    assert system._pluecker_residuals() == _chained_residuals(system)
+    assert not any(system._pluecker_residuals()[1])
