@@ -12,89 +12,104 @@ produces is cross-checked against its expected closed form in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .linalg import PolyMatrix
 from .operators import Hho2
-from .poly import MultiPoly
+from .poly import MultiPoly, rat
 
 __all__ = ["CatalogEntry", "list_entries", "get_entry", "build", "N8_CLASS_COUNT"]
 
 N8_CLASS_COUNT = 132
 
-# Defining triples (0-based) of the four basic n = 8 forms.
-_P1 = (((0, 1, 2), 1), ((3, 4, 5), 1), ((6, 7, 8), 1))
-_P2 = (((0, 3, 6), 1), ((1, 4, 7), 1), ((2, 5, 8), 1))
-_P3 = (((0, 4, 8), 1), ((1, 5, 6), 1), ((2, 3, 7), 1))
-_P4 = (((0, 5, 7), 1), ((1, 3, 8), 1), ((2, 4, 6), 1))
-_E1 = (((0, 5, 7), 1), ((1, 3, 8), 1))
-_E2 = (((0, 5, 7), 1),)
+# Defining triples (0-based) of the four basic n = 8 forms and of the two
+# nilpotent parts; every coefficient is 1.
+_P1 = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+_P2 = ((0, 3, 6), (1, 4, 7), (2, 5, 8))
+_P3 = ((0, 4, 8), (1, 5, 6), (2, 3, 7))
+_P4 = ((0, 5, 7), (1, 3, 8), (2, 4, 6))
+_E1 = ((0, 5, 7), (1, 3, 8))
+_E2 = ((0, 5, 7),)
+
+
+def _weight(variables: Tuple[str, ...], name: str, sign: int) -> MultiPoly:
+    """sign times the parameter `name`, or sign alone for an unnamed summand."""
+    if name:
+        return MultiPoly.variable(variables, name) * sign
+    return MultiPoly.const(variables, sign)
+
+
+def _unit(*triples) -> tuple:
+    """Summands of a fixed entry: one unit-weight summand."""
+    return (("", 1, triples),)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One classified operator: the weighted sum of its summands
+    (param name or "" for unit weight, sign, triples), each summand 1 on its
+    triples.  The summed table is the operator table: T for k < n and g0 for
+    k = n.  Parameters live only here; `build` evaluates them, so every
+    operator holds rationals."""
+
     id: str
     n: int
     params: Tuple[str, ...]
     notes: str
-    builder: Callable[[], Hho2]
+    summands: Tuple[Tuple[str, int, tuple], ...]
     expected_det: Optional[str] = None  # formula in u1..un, or None when unknown
     degenerate: bool = False
 
-    def build_symbolic(self) -> Hho2:
-        """Operator with parameters left as polynomial symbols (if any)."""
-        return self.builder()
-
     def build(self, params: Optional[Dict[str, Fraction]] = None) -> Hho2:
-        op = self.builder()
-        if self.params:
-            if not params:
-                raise ValueError(
-                    f"entry {self.id} needs parameter values for: {', '.join(self.params)}"
-                )
-            values = {name: Fraction(value) for name, value in params.items()}
-            op = op.instantiate(values)
-            if op.is_degenerate and not self.degenerate:
-                raise ValueError(f"entry {self.id} is degenerate at the given parameters")
-        elif params:
+        """The operator at the given parameter values, each read by `rat`;
+        values for names the entry does not take are ignored."""
+        if self.params and not params:
+            raise ValueError(f"entry {self.id} needs parameter values for: {', '.join(self.params)}")
+        if params and not self.params:
             raise ValueError(f"entry {self.id} takes no parameters")
+        values = {}
+        for name, value in (params or {}).items():
+            try:
+                values[name] = rat(value)
+            except ValueError as exc:
+                raise ValueError(f"parameter {name}: {exc}") from None
+        missing = [p for p in self.params if p not in values]
+        if missing:
+            raise ValueError(f"missing parameter values: {', '.join(missing)}")
+        table: dict = {}
+        for name, sign, triples in self.summands:
+            coeff = _weight(self.params, name, sign)
+            for key in triples:
+                table[key] = table.get(key, 0) + coeff
+        point = [values[p] for p in self.params]
+        op = Hho2(self.n, {key: value.eval(point) for key, value in table.items()})
+        if self.params and op.is_degenerate and not self.degenerate:
+            raise ValueError(f"entry {self.id} is degenerate at the given parameters")
         return op
 
-
-def _combined_form_op(weights: Sequence[Tuple[str, int, tuple]], params: Tuple[str, ...]):
-    """Operator whose tensor data are the coefficients of sum(c_a * p_a).
-
-    weights: (param name or empty for unit weight, sign, triples) per summand.
-    The summed table is the operator table: T for k < n and g0 for k = n.
-    """
-
-    def make() -> Hho2:
-        table: dict = {}
-        for name, sign, triples in weights:
-            if name:
-                coeff = MultiPoly.variable(params, name) * sign
-            else:
-                coeff = MultiPoly.const(params, sign)
-            for key, base in triples:
-                table[key] = table.get(key, 0) + coeff * base
-        return Hho2(8, table, params)
-
-    return make
+    def metric(self) -> PolyMatrix:
+        """The metric over (u1..un, params): each summand's unit-weight metric
+        times its weight, as the metric is linear in the table."""
+        vs = tuple(f"u{i + 1}" for i in range(self.n)) + self.params
+        parts = [(Hho2(self.n, dict.fromkeys(triples, 1)).metric(), _weight(vs, name, sign))
+                 for name, sign, triples in self.summands]
+        return PolyMatrix([[sum((g.at(i, j).with_vars(vs) * w for g, w in parts), MultiPoly.zero(vs))
+                            for j in range(self.n)] for i in range(self.n)])
 
 
 _FAM1_PARAMS = ("lambda1", "lambda2", "lambda3", "lambda4")
 _FAM2_PARAMS = ("lambda1", "lambda2", "lambda3")
 
-# Each builder gives the operator table: T on triples inside range(n), g0_ij
-# on the triple (i, j, n).
+# Each entry's summands give the operator table: T on triples inside range(n),
+# g0_ij on the triple (i, j, n).  A fixed entry is one unit-weight summand.
 _ENTRIES: List[CatalogEntry] = [
     CatalogEntry(
         id="n2",
         n=2,
         params=(),
         notes="canonical n=2 operator; constant symplectic leading term",
-        builder=partial(Hho2, 2, {(0, 1, 2): 1}),
+        summands=_unit((0, 1, 2)),
         expected_det="1",
     ),
     CatalogEntry(
@@ -102,7 +117,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=4,
         params=(),
         notes="n=4 open-orbit representative; block constant metric",
-        builder=partial(Hho2, 4, {(0, 1, 4): 1, (2, 3, 4): 1}),
+        summands=_unit((0, 1, 4), (2, 3, 4)),
         expected_det="1",
     ),
     CatalogEntry(
@@ -110,7 +125,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=4,
         params=(),
         notes="degenerate n=4 example: Pfaffian vanishes identically",
-        builder=partial(Hho2, 4, {(0, 1, 2): 1}),
+        summands=_unit((0, 1, 2)),
         expected_det="0",
         degenerate=True,
     ),
@@ -119,7 +134,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case X (open orbit)",
-        builder=partial(Hho2, 6, {(0, 1, 2): 1, (3, 4, 5): 1, (0, 3, 6): 1, (1, 4, 6): 1, (2, 5, 6): 1}),
+        summands=_unit((0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 6), (2, 5, 6)),
         expected_det="(u1*u4 + u2*u5 + u3*u6 - 1)^2",
     ),
     CatalogEntry(
@@ -127,7 +142,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case IX",
-        builder=partial(Hho2, 6, {(0, 1, 2): 1, (3, 4, 5): 1, (0, 3, 6): 1, (1, 4, 6): 1}),
+        summands=_unit((0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 6)),
         expected_det="(u1*u4 + u2*u5)^2",
     ),
     CatalogEntry(
@@ -135,7 +150,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case VIII",
-        builder=partial(Hho2, 6, {(0, 1, 2): 1, (3, 4, 5): 1, (0, 3, 6): 1}),
+        summands=_unit((0, 1, 2), (3, 4, 5), (0, 3, 6)),
         expected_det="(u1*u4)^2",
     ),
     CatalogEntry(
@@ -143,7 +158,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case VII",
-        builder=partial(Hho2, 6, {(3, 4, 5): 1, (0, 3, 6): 1, (1, 4, 6): 1, (2, 5, 6): 1}),
+        summands=_unit((3, 4, 5), (0, 3, 6), (1, 4, 6), (2, 5, 6)),
         expected_det="1",
     ),
     CatalogEntry(
@@ -151,7 +166,7 @@ _ENTRIES: List[CatalogEntry] = [
         n=6,
         params=(),
         notes="n=6 case VI; constant metric",
-        builder=partial(Hho2, 6, {(0, 3, 6): 1, (1, 4, 6): 1, (2, 5, 6): 1}),
+        summands=_unit((0, 3, 6), (1, 4, 6), (2, 5, 6)),
         expected_det="1",
     ),
     CatalogEntry(
@@ -162,10 +177,7 @@ _ENTRIES: List[CatalogEntry] = [
             "n=8 family 1 of the classification (132 classes in total): "
             "weighted sum lambda1*p1 + lambda2*p2 + lambda3*p3 + lambda4*p4"
         ),
-        builder=_combined_form_op(
-            [("lambda1", 1, _P1), ("lambda2", 1, _P2), ("lambda3", 1, _P3), ("lambda4", 1, _P4)],
-            _FAM1_PARAMS,
-        ),
+        summands=(("lambda1", 1, _P1), ("lambda2", 1, _P2), ("lambda3", 1, _P3), ("lambda4", 1, _P4)),
     ),
     CatalogEntry(
         id="n8-fam2-e1",
@@ -175,10 +187,7 @@ _ENTRIES: List[CatalogEntry] = [
             "n=8 family 2 with two-term nilpotent part: "
             "lambda1*p1 + lambda2*p2 - lambda3*p3 + e1"
         ),
-        builder=_combined_form_op(
-            [("lambda1", 1, _P1), ("lambda2", 1, _P2), ("lambda3", -1, _P3), ("", 1, _E1)],
-            _FAM2_PARAMS,
-        ),
+        summands=(("lambda1", 1, _P1), ("lambda2", 1, _P2), ("lambda3", -1, _P3), ("", 1, _E1)),
     ),
     CatalogEntry(
         id="n8-fam2-e2",
@@ -188,10 +197,7 @@ _ENTRIES: List[CatalogEntry] = [
             "n=8 family 2 with one-term nilpotent part: "
             "lambda1*p1 + lambda2*p2 - lambda3*p3 + e2"
         ),
-        builder=_combined_form_op(
-            [("lambda1", 1, _P1), ("lambda2", 1, _P2), ("lambda3", -1, _P3), ("", 1, _E2)],
-            _FAM2_PARAMS,
-        ),
+        summands=(("lambda1", 1, _P1), ("lambda2", 1, _P2), ("lambda3", -1, _P3), ("", 1, _E2)),
     ),
 ]
 

@@ -191,9 +191,8 @@ def cmd_catalog_list(args, config: RunConfig) -> int:
 
 def cmd_catalog_show(args, config: RunConfig) -> int:
     entry = _get_catalog_entry(args.id)
-    op = entry.build_symbolic()
-    g = op.metric()
-    matrix = [[str(g.at(i, j)) for j in range(op.n)] for i in range(op.n)]
+    g = entry.metric()
+    matrix = [[str(g.at(i, j)) for j in range(entry.n)] for i in range(entry.n)]
     report = {
         "command": "catalog show",
         "id": entry.id,
@@ -229,14 +228,12 @@ def _get_catalog_entry(entry_id: str):
 def cmd_catalog_export(args, config: RunConfig) -> int:
     entry = _get_catalog_entry(args.id)
     values = _parse_param_list(args.params)
+    if entry.params and not values:
+        raise InputError(f"{entry.id} needs --params for: {', '.join(entry.params)}")
     try:
-        op = entry.build(values) if (values or not entry.params) else entry.build_symbolic()
-    except (ValueError, KeyError) as exc:
+        op = entry.build(values)
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if not op.is_numeric():
-        raise InputError(
-            f"{entry.id} needs --params for: {', '.join(entry.params)}"
-        )
     _write_payload(op.to_json(), args.out)
     return 0
 
@@ -339,7 +336,7 @@ def cmd_op_to_3form(args, config: RunConfig) -> int:
 def cmd_op_from_3form(args, config: RunConfig) -> int:
     def read(text: str) -> Hho2:
         form = ThreeForm.from_json(text)
-        return Hho2(form.dim - 1, chart_restrict(form), form.params)
+        return Hho2(form.dim - 1, chart_restrict(form))
 
     op = _load(args.file, read)
     _write_payload(op.to_json(), args.out)
@@ -351,8 +348,6 @@ def cmd_op_from_3form(args, config: RunConfig) -> int:
 
 def cmd_sys_generate(args, config: RunConfig) -> int:
     op = _load_operator(args.op)
-    if not op.is_numeric():
-        raise InputError("operator has free parameters; export it with --params first")
     constants = _parse_constants(args.constants, op.n)
     rng = random.Random(config.seed)
     try:

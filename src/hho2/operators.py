@@ -33,7 +33,6 @@ from .linalg import PolyMatrix, clear_denominators, pfaffian, rat_det, rat_mat_m
 from .poly import MultiPoly, _sum_of_products, bounded_n, index_entries, json_int
 from .threeform import (
     LinearMapN1,
-    Value,
     chart_restrict,
     embed,
     pullback,
@@ -51,17 +50,8 @@ __all__ = [
 ]
 
 
-def _lift(value: Value, variables: Tuple[str, ...]) -> Value:
-    """A table value as a factor in `variables`: a parametric value re-based,
-    a rational as it is."""
-    if isinstance(value, MultiPoly):
-        return value.with_vars(variables)
-    return value
-
-
 class Hho2:
-    """Operator data: one skew table on the n+1 indices, possibly with named
-    rational parameters.
+    """Operator data: one skew table of rationals on the n+1 indices.
 
     The table maps strictly increasing triples in range(n+1) to coefficients,
     stored as in `ThreeForm.coeffs`: T on the triples inside range(n) and g0_ij
@@ -69,14 +59,13 @@ class Hho2:
     (n+1)^3 array, signs included.
     """
 
-    __slots__ = ("n", "table", "params", "tensor", "_metric", "_pf", "_integer")
+    __slots__ = ("n", "table", "tensor", "_metric", "_pf", "_integer")
 
-    def __init__(self, n: int, table: Dict[Tuple[int, int, int], Value], params: Sequence[str] = ()):
+    def __init__(self, n: int, table: Dict[Tuple[int, int, int], Fraction]):
         if n < 2 or n % 2 != 0:
             raise ValueError(f"n must be even and at least 2, got {n}")
         self.n = n
-        self.params = tuple(params)
-        self.table = skew_table(table, n + 1, self.params)
+        self.table = skew_table(table, n + 1)
         self.tensor = skew_dense(self.table, n + 1)
         self._metric = None
         self._pf = None
@@ -86,9 +75,9 @@ class Hho2:
 
     @property
     def vars(self) -> Tuple[str, ...]:
-        return tuple(f"u{i + 1}" for i in range(self.n)) + self.params
+        return tuple(f"u{i + 1}" for i in range(self.n))
 
-    def t_value(self, i: int, j: int, k: int) -> Value:
+    def t_value(self, i: int, j: int, k: int) -> Fraction:
         """Table value at any triple in range(n+1); t_value(i, j, n) is g0_ij."""
         return self.tensor[i][j][k]
 
@@ -104,7 +93,7 @@ class Hho2:
         coords = [MultiPoly.variable(vs, k) for k in range(n)] + [MultiPoly.const(vs, 1)]
         for i in range(n):
             for j in range(i + 1, n):
-                pairs = [(coord, _lift(tv, vs)) for tv, coord in zip(self.tensor[i][j], coords) if tv]
+                pairs = [(coord, tv) for tv, coord in zip(self.tensor[i][j], coords) if tv]
                 entry = _sum_of_products(vs, pairs)
                 rows[i][j] = entry
                 rows[j][i] = -entry
@@ -120,17 +109,12 @@ class Hho2:
     def is_degenerate(self) -> bool:
         return self.pfaffian_poly().is_zero()
 
-    def is_numeric(self) -> bool:
-        return not self.params
-
     def _integer_table(self) -> Tuple[int, List[List[List[int]]]]:
         """(L, t): L the lcm of the table's denominators and t = L * tensor on
         range(n) x range(n) x range(n + 1), column n holding g0; cached per
         operator.  Every integer route of the operator and its systems reads
         it; a product of a row of t with an n-vector reads range(n) only."""
         if self._integer is None:
-            if not self.is_numeric():
-                raise ValueError("integer table needs a numeric operator")
             n = self.n
             # Every table value sits in this block with its sign, so its lcm is the table's.
             big_l, rows = clear_denominators([row for plane in self.tensor[:n] for row in plane[:n]])
@@ -146,29 +130,24 @@ class Hho2:
     def __eq__(self, other):
         if not isinstance(other, Hho2):
             return NotImplemented
-        return self.n == other.n and self.params == other.params and self.table == other.table
+        return self.n == other.n and self.table == other.table
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Hho2(n={self.n}, entries={len(self.table)}, params={self.params})"
+        return f"Hho2(n={self.n}, entries={len(self.table)})"
 
     # ----- serialization ----------------------------------------------------
 
-    def to_json(self, param_values: Dict[str, Fraction] = None) -> str:
-        op = self
-        if self.params:
-            if param_values is None:
-                raise ValueError("parametric operator needs parameter values for export")
-            op = self.instantiate(param_values)
+    def to_json(self) -> str:
         t_items = []
         g_items = []
-        for (i, j, k), value in sorted(op.table.items()):
-            if k < op.n:
+        for (i, j, k), value in sorted(self.table.items()):
+            if k < self.n:
                 t_items.append([i + 1, j + 1, k + 1, str(value)])
             else:
                 g_items.append([i + 1, j + 1, str(value)])
-        return json.dumps({"n": op.n, "T": t_items, "g0": g_items, "params": {}}, sort_keys=True)
+        return json.dumps({"n": self.n, "T": t_items, "g0": g_items, "params": {}}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Hho2":
@@ -186,17 +165,6 @@ class Hho2:
         if data.get("params"):
             raise ValueError("operator documents with unresolved params are not supported")
         return cls(n, table)
-
-    def instantiate(self, param_values: Dict[str, Fraction]) -> "Hho2":
-        """Substitute rational values for all named parameters."""
-        missing = [p for p in self.params if p not in param_values]
-        if missing:
-            raise ValueError(f"missing parameter values: {', '.join(missing)}")
-        def crush(v: Value) -> Fraction:
-            if isinstance(v, MultiPoly):
-                return v.eval([param_values[p] for p in v.vars])
-            return v
-        return Hho2(self.n, {key: crush(v) for key, v in self.table.items()})
 
 
 @dataclass
@@ -264,7 +232,7 @@ def transform(op: Hho2, r: ProjReciprocal) -> Hho2:
     """
     if r.n != op.n:
         raise ValueError(f"transformation dimension {r.n} does not match operator n={op.n}")
-    return Hho2(op.n, chart_restrict(pullback(embed(op), r.a.inverse())), op.params)
+    return Hho2(op.n, chart_restrict(pullback(embed(op), r.a.inverse())))
 
 
 def _conformal_point(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]):
@@ -298,8 +266,7 @@ def conformal_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fracti
     Read off the integer record of `_conformal_point` with every denominator
     cleared: L K^T Gt K == c^3 Lt y_n^2 G entrywise.  Holds for every
     invertible map (a -> lambda a scales both sides by lambda^-3); raises
-    ZeroDivisionError at poles of the chart and ValueError for a parametric
-    operator.
+    ZeroDivisionError at poles of the chart.
     """
     g, gt, k, yn, big_l, scale = _conformal_point(op, moved, r, u)
     lhs = rat_mat_mul([list(col) for col in zip(*k)], rat_mat_mul(gt, k))

@@ -154,8 +154,6 @@ class ConservativeSystem:
     """
 
     def __init__(self, op: Hho2, flux: FluxParams, constants: Optional[Sequence] = None):
-        if not op.is_numeric():
-            raise ValueError("flux generation needs a fully numeric operator")
         if op.is_degenerate:
             raise DegenerateOperatorError(
                 "the metric Pfaffian vanishes identically; no flux vector exists"
@@ -252,7 +250,7 @@ class ConservativeSystem:
     # ----- pointwise exact evaluation ----------------------------------------
 
     def _point(self, u) -> Tuple[Fraction, ...]:
-        point = tuple(Fraction(x) for x in u)
+        point = tuple(map(rat, u))
         if len(point) != self.op.n:
             raise ValueError(f"point must have {self.op.n} coordinates")
         return point

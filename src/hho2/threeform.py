@@ -12,9 +12,8 @@ triples that contain the last index.  The conversion factor 3
 comes from collapsing the full-skew summation onto increasing triples and is
 applied only by `embed` and `chart_restrict`.
 
-Coefficient values are stored as Fractions, or as polynomials in parameter
-symbols for parametric families (`coefficient` normalises both); linear maps
-acting on forms are always rational.
+Coefficient values are exact rationals, read through `rat`; the parameters
+of the catalog's families never reach a form or an operator.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import clear_denominators, rat_det, rat_inverse, rat_mat_mul
-from .poly import MultiPoly, bounded_n, index_entries, json_int, rat
+from .poly import bounded_n, index_entries, json_int, rat
 
 __all__ = [
     "ThreeForm",
@@ -35,9 +34,8 @@ __all__ = [
     "embed",
 ]
 
-Value = Union[Fraction, MultiPoly]
 
-def skew_dense(coeffs: Dict[Tuple[int, int, int], Value], dim: int) -> List[List[List[Value]]]:
+def skew_dense(coeffs: Dict[Tuple[int, int, int], Fraction], dim: int) -> List[List[List[Fraction]]]:
     """Dense dim^3 array of the skew family stored on increasing triples:
     each stored value on its six permutations with their signs, zero where
     an index repeats or nothing is stored."""
@@ -48,24 +46,15 @@ def skew_dense(coeffs: Dict[Tuple[int, int, int], Value], dim: int) -> List[List
     return out
 
 
-def coefficient(value, params: Tuple[str, ...]) -> Value:
-    """One stored coefficient: a MultiPoly over `params`, or an exact rational."""
-    if isinstance(value, MultiPoly):
-        if value.vars != params:
-            raise ValueError(f"coefficient ring {value.vars} does not match params {params}")
-        return value
-    return rat(value)
-
-
-def skew_table(coeffs: Dict[Tuple[int, int, int], Value], dim: int, params: Tuple[str, ...]):
+def skew_table(coeffs: Dict[Tuple[int, int, int], Fraction], dim: int) -> Dict[Tuple[int, int, int], Fraction]:
     """Checked copy of a coefficient table: keys strictly increasing triples
-    inside range(dim), values normalised by `coefficient`, zeros dropped."""
+    inside range(dim), values read by `rat`, zeros dropped."""
     clean = {}
     for key, value in coeffs.items():
         i, j, k = key
         if not (0 <= i < j < k < dim):
             raise ValueError(f"triple {key} is not strictly increasing inside range({dim})")
-        value = coefficient(value, params)
+        value = rat(value)
         if value:
             clean[(i, j, k)] = value
     return clean
@@ -74,14 +63,13 @@ def skew_table(coeffs: Dict[Tuple[int, int, int], Value], dim: int, params: Tupl
 class ThreeForm:
     """Totally skew rank-3 coefficient family on indices 0..dim-1."""
 
-    __slots__ = ("dim", "coeffs", "params")
+    __slots__ = ("dim", "coeffs")
 
-    def __init__(self, dim: int, coeffs: Dict[Tuple[int, int, int], Value], params: Sequence[str] = ()):
+    def __init__(self, dim: int, coeffs: Dict[Tuple[int, int, int], Fraction]):
         if dim < 3:
             raise ValueError("a 3-form needs dimension at least 3")
         self.dim = dim
-        self.params = tuple(params)
-        self.coeffs = skew_table(coeffs, dim, self.params)
+        self.coeffs = skew_table(coeffs, dim)
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
@@ -93,11 +81,10 @@ class ThreeForm:
     def __add__(self, other: "ThreeForm") -> "ThreeForm":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        params = self.params or other.params
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
             out[key] = out.get(key, 0) + value
-        return ThreeForm(self.dim, out, params)
+        return ThreeForm(self.dim, out)
 
     def __str__(self):
         if not self.coeffs:
@@ -111,11 +98,7 @@ class ThreeForm:
     # ----- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        coeffs = []
-        for (i, j, k), value in sorted(self.coeffs.items()):
-            if isinstance(value, MultiPoly):
-                raise ValueError("parametric forms need numeric parameters before export")
-            coeffs.append([i + 1, j + 1, k + 1, str(value)])
+        coeffs = [[i + 1, j + 1, k + 1, str(value)] for (i, j, k), value in sorted(self.coeffs.items())]
         return json.dumps({"dim": self.dim, "coeffs": coeffs}, sort_keys=True)
 
     @classmethod
@@ -164,17 +147,17 @@ class LinearMapN1:
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
-    def random_sl(cls, dim: int, rng, shears: int = None, bound: int = 3) -> "LinearMapN1":
-        """Product of random elementary shears.  Its determinant is one by
-        construction, so no elimination runs."""
+    def random_sl(cls, dim: int, rng) -> "LinearMapN1":
+        """Product of 2 dim + 2 random elementary shears, each factor c/q with
+        |c| <= 3 and q in {1, 2}.  Its determinant is one by construction, so
+        no elimination runs."""
         m = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        count = shears if shears is not None else 2 * dim + 2
-        for _ in range(count):
+        for _ in range(2 * dim + 2):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
             while j == i:
                 j = rng.randrange(dim)
-            c = Fraction(rng.randint(-bound, bound), rng.randint(1, 2))
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             if not c:
                 continue
             # left-multiply by E_{ij}(c): row i += c * row j
@@ -233,43 +216,33 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
 
     Over a skew family this is the third exterior power of `a`: out[t] sums
     omega[s] times the 3x3 minor of `a` on rows s and columns t.  It runs in
-    integers: a = M / c, and omega = W / L per parameter monomial (one monomial
-    for a rational form).  Minors of M expand along their first row from the
-    2x2 minors of the other two rows, built once per row pair; each target is
-    divided by L * c^3 once at the end.
+    integers: a = M / c and omega = W / L.  Minors of M expand along their
+    first row from the 2x2 minors of the other two rows, built once per row
+    pair; each target is divided by L * c^3 once at the end.
     """
     if a.dim != form.dim:
         raise ValueError(f"map dimension {a.dim} does not match form dimension {form.dim}")
     d = form.dim
     c, m = clear_denominators(a.entries)
-    const = (0,) * len(form.params)
-    values = [dict(v.monomials()) if isinstance(v, MultiPoly) else {const: v} for v in form.coeffs.values()]
-    big_l, numerators = clear_denominators([list(v.values()) for v in values])
-    channels: Dict[Tuple[int, ...], Dict[Tuple[int, int], list]] = {}
-    for (p, q, r), monomials, row in zip(form.coeffs, values, numerators):
-        for e, x in zip(monomials, row):
-            channels.setdefault(e, {}).setdefault((q, r), []).append((p, x))
+    big_l, (numerators,) = clear_denominators([list(form.coeffs.values())])
+    by_pair: Dict[Tuple[int, int], list] = {}
+    for (p, q, r), x in zip(form.coeffs, numerators):
+        by_pair.setdefault((q, r), []).append((p, x))
     pairs = list(combinations(range(d), 2))
     at = {pair: i for i, pair in enumerate(pairs)}
     targets = list(combinations(range(d), 3))
     layout = [(i, j, k, at[j, k], at[i, k], at[i, j]) for i, j, k in targets]
-    out: Dict[Tuple[int, int, int], dict] = {t: {} for t in targets}
-    for e, by_pair in channels.items():
-        totals = [0] * len(targets)
-        for (q, r), sources in by_pair.items():
-            minors = [m[q][i] * m[r][j] - m[q][j] * m[r][i] for i, j in pairs]
-            v = [sum(x * m[p][col] for p, x in sources) for col in range(d)]
-            totals = [t + v[i] * minors[jk] - v[j] * minors[ik] + v[k] * minors[ij]
-                      for t, (i, j, k, jk, ik, ij) in zip(totals, layout)]
-        for t, total in zip(targets, totals):
-            if total:
-                out[t][e] = Fraction(total, big_l * c**3)
-    if form.params:
-        return ThreeForm(d, {t: MultiPoly(form.params, terms) for t, terms in out.items()}, form.params)
-    return ThreeForm(d, {t: terms.get(const, 0) for t, terms in out.items()})
+    totals = [0] * len(targets)
+    for (q, r), sources in by_pair.items():
+        minors = [m[q][i] * m[r][j] - m[q][j] * m[r][i] for i, j in pairs]
+        v = [sum(x * m[p][col] for p, x in sources) for col in range(d)]
+        totals = [t + v[i] * minors[jk] - v[j] * minors[ik] + v[k] * minors[ij]
+                  for t, (i, j, k, jk, ik, ij) in zip(totals, layout)]
+    scale = big_l * c**3
+    return ThreeForm(d, {t: Fraction(total, scale) for t, total in zip(targets, totals) if total})
 
 
-def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Value]:
+def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Fraction]:
     """Operator table of a form in dimension n+1 on the chart v^{n+1} = 1.
 
     T[i][j][k] = 3*omega[i][j][k] for i,j,k <= n and g0[i][j] = 3*omega[i][j][n+1];
@@ -281,4 +254,4 @@ def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Value]:
 def embed(op) -> ThreeForm:
     """Inverse of chart_restrict: the form omega = table/3 of an operator."""
     third = Fraction(1, 3)
-    return ThreeForm(op.n + 1, {key: value * third for key, value in op.table.items()}, op.params)
+    return ThreeForm(op.n + 1, {key: value * third for key, value in op.table.items()})

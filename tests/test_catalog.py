@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -162,9 +163,55 @@ def test_parameter_validation():
         build("n8-fam1", {name: Fraction(0) for name in N8_PARAMS})
 
 
+@pytest.mark.parametrize("bad", [0.5, True, 2.0, None, "1e3"])
+def test_parameter_values_must_be_exact(bad):
+    """Family parameters are read by `rat`: a float, a bool or any other
+    inexact value is refused with its value named, not stored as 1/2 or 1."""
+    values = {**N8_PARAMS, "lambda2": bad}
+    with pytest.raises(ValueError, match=f"lambda2: {re.escape(repr(bad))} is not an exact rational"):
+        build("n8-fam1", values)
+    with pytest.raises(ValueError, match="is not an exact rational"):
+        build("n8-fam2-e1", {"lambda1": 1, "lambda2": bad, "lambda3": Fraction(-3, 2)})
+
+
+# Three parameter draws per family, fractional and negative values included;
+# a family with three parameters reads the first three.
+LAMBDA_DRAWS = [
+    (2, 3, 5, 7),
+    (Fraction(-1, 2), Fraction(3, 4), -5, Fraction(2, 3)),
+    (-3, Fraction(-2, 7), Fraction(1, 3), -4),
+]
+
+
+def _at_params(p, n, values):
+    """p over (u1..un, params) with the params set to values, in u alone."""
+    terms = {}
+    for e, c in p.monomials():
+        for x, k in zip(values, e[n:]):
+            c *= Fraction(x) ** k
+        terms[e[:n]] = terms.get(e[:n], 0) + c
+    return MultiPoly(p.vars[:n], terms)
+
+
+@pytest.mark.parametrize("entry_id", [entry.id for entry in list_entries()])
+def test_entry_metric_matches_built_operators(entry_id):
+    """The metric over (u, lambda) that `catalog show` prints is, at each
+    parameter draw, the metric of the operator built at that draw; a fixed
+    entry has the one empty draw."""
+    entry = get_entry(entry_id)
+    g = entry.metric()
+    assert g.vars == tuple(f"u{i + 1}" for i in range(entry.n)) + entry.params
+    for draw in LAMBDA_DRAWS if entry.params else [()]:
+        values = draw[:len(entry.params)]
+        built = entry.build(dict(zip(entry.params, values)) or None).metric()
+        for i in range(entry.n):
+            for j in range(entry.n):
+                assert _at_params(g.at(i, j), entry.n, values) == built.at(i, j), (entry_id, draw, i, j)
+
+
 def test_defining_form_round_trip():
     for entry in list_entries():
-        op = entry.build_symbolic()
+        op = entry.build(N8_PARAMS if entry.params else None)
         form = embed(op)
         table = chart_restrict(form)
         assert form.dim == op.n + 1

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from hho2.catalog import build, get_entry, list_entries
+from hho2.catalog import build, list_entries
 from hho2.linalg import clear_denominators, rat_det, rat_mat_mul
 from hho2.operators import (
     Hho2,
@@ -61,18 +61,13 @@ def _skew_oracle(table, i, j, k):
     return _inversion_sign((i, j, k)) * table.get(tuple(sorted((i, j, k))), 0)
 
 
-@pytest.mark.parametrize("params", [(), ("s", "t")])
-def test_sign_table_views_agree(params):
+def test_sign_table_views_agree():
     """t_value, skew_dense and the dense form of `embed` all match the
     inversion-count oracle on every triple of range(n+1), g0 included."""
-    rng = random.Random(41 + len(params))
+    rng = random.Random(41)
 
     def draw():
-        value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
-        if not params:
-            return value
-        s, t = (MultiPoly.variable(params, name) for name in params)
-        return s * value + t * rng.randint(-3, 3) + rng.randint(-2, 2)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
 
     for n in (4, 6):
         for _ in range(4):
@@ -80,7 +75,7 @@ def test_sign_table_views_agree(params):
             # g0_ij is the entry on the triple (i, j, n).
             for i, j in rng.sample(list(combinations(range(n), 2)), 3):
                 table[(i, j, n)] = draw()
-            op = Hho2(n, table, params)
+            op = Hho2(n, table)
             assert op.table == table
             dense = skew_dense(table, n + 1)
             form = skew_dense(embed(op).coeffs, n + 1)
@@ -98,8 +93,6 @@ def test_constructor_rejects_inexact_values():
         Hho2(4, {(0, 1, 2): True})
     with pytest.raises(ValueError, match="0.25"):
         Hho2(4, {(0, 1, 4): -0.25})
-    with pytest.raises(ValueError, match="0.5"):
-        Hho2(4, {(0, 1, 2): 0.5}, ("s",))
 
 
 def test_t_value_signs():
@@ -222,13 +215,14 @@ def test_conformal_identity_has_teeth():
 
 
 def test_instantiate_and_is_numeric():
+    """A family built at parameter values holds rationals only."""
     entry_op = build("n8-fam1", {
         "lambda1": Fraction(1),
         "lambda2": Fraction(2),
         "lambda3": Fraction(3),
         "lambda4": Fraction(5),
     })
-    assert entry_op.is_numeric()
+    assert all(type(v) is Fraction for v in entry_op.table.values())
     assert not entry_op.is_degenerate
     with pytest.raises(ValueError):
         build("n8-fam1", {"lambda1": Fraction(1)})
@@ -361,9 +355,3 @@ def test_conformal_checks_raise_at_poles_and_on_parameters():
     for check in (conformal_check, conformal_determinant_check):
         with pytest.raises(ZeroDivisionError):
             check(op, moved, r, pole)
-    sym = get_entry("n8-fam1").build_symbolic()
-    r9 = ProjReciprocal(_fractional_sl(9))
-    moved_sym = transform(sym, r9)
-    for check in (conformal_check, conformal_determinant_check):
-        with pytest.raises(ValueError):
-            check(sym, moved_sym, r9, tuple(Fraction(k + 1) for k in range(8)))

@@ -541,12 +541,22 @@ def test_flux_params_validation():
 
 
 def test_symbolic_operator_needs_values():
+    """A family has no operator until its parameters have values, so no
+    flux can be generated on it."""
     from hho2.catalog import get_entry
 
-    op = get_entry("n8-fam1").build_symbolic()
-    rng = random.Random(28)
-    with pytest.raises(ValueError):
-        generate_flux(op, rng=rng)
+    with pytest.raises(ValueError, match="needs parameter values for: lambda1"):
+        get_entry("n8-fam1").build()
+
+
+@pytest.mark.parametrize("method", ["flux_at", "jacobian_at", "hessian_at"])
+@pytest.mark.parametrize("bad", [0.1, True, "1e3"])
+def test_pointwise_calls_reject_inexact_coordinates(method, bad):
+    """Each coordinate of a point is read by `rat`: a float is not turned
+    into the binary Fraction nearest it."""
+    system = generate_flux(build("n4-open"), rng=random.Random(28))
+    with pytest.raises(ValueError, match=f"{re.escape(repr(bad))} is not an exact rational"):
+        getattr(system, method)((bad, Fraction(1, 5), Fraction(3, 10), 2))
 
 
 def test_n8_system_build_needs_no_sympy_gcd(monkeypatch):
