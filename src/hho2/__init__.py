@@ -24,7 +24,6 @@ from .threeform import (
 )
 from .operators import (
     Hho2,
-    ProjReciprocal,
     ValidationReport,
     conformal_check,
     conformal_determinant_check,
@@ -82,7 +81,6 @@ __all__ = [
     "embed",
     "pullback",
     "Hho2",
-    "ProjReciprocal",
     "ValidationReport",
     "conformal_check",
     "conformal_determinant_check",

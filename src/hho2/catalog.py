@@ -63,13 +63,13 @@ class CatalogEntry:
 
     def build(self, params: Optional[Dict[str, Fraction]] = None) -> Hho2:
         """The operator at the given parameter values, each read by `rat`;
-        values for names the entry does not take are ignored."""
+        a name the entry does not take is refused."""
         if self.params and not params:
             raise ValueError(f"entry {self.id} needs parameter values for: {', '.join(self.params)}")
-        if params and not self.params:
-            raise ValueError(f"entry {self.id} takes no parameters")
         values = {}
         for name, value in (params or {}).items():
+            if name not in self.params:
+                raise ValueError(f"entry {self.id} takes no parameter {name}")
             try:
                 values[name] = rat(value)
             except ValueError as exc:

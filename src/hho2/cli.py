@@ -16,14 +16,12 @@ import functools
 import json
 import random
 import sys as _sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
 from .catalog import N8_CLASS_COUNT, get_entry, list_entries
 from .operators import (
     Hho2,
-    ProjReciprocal,
     conformal_check,
     conformal_determinant_check,
     transform,
@@ -43,25 +41,6 @@ from .systems import (
 )
 from .diagnostics import run_diagnostics, sample_points
 from .threeform import LinearMapN1, ThreeForm, chart_restrict, embed
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    samples: int = 20
-    coefficient_range: int = 10
-    mode: str = "exact"
-    digits: int = 50
-    output: str = "text"
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "coefficient_range": self.coefficient_range,
-            "mode": self.mode,
-            "digits": self.digits,
-        }
 
 
 class InputError(Exception):
@@ -89,20 +68,12 @@ def _load(source: str, reader, inline: bool = False):
         raise InputError(f"{source}: {exc}") from exc
 
 
-def _load_operator(path: str) -> Hho2:
-    return _load(path, Hho2.from_json)
-
-
-def _load_system(path: str) -> ConservativeSystem:
-    return _load(path, ConservativeSystem.from_json)
-
-
-def _load_linear_map(source: str) -> LinearMapN1:
-    return _load(source, LinearMapN1.from_json, inline=True)
-
-
-def _load_json(source: str):
-    return _load(source, json.loads, inline=True)
+def _load_sl(source: str, op: Hho2) -> LinearMapN1:
+    """The --sl map of a command on `op`, refused unless it is (n+1)x(n+1)."""
+    a = _load(source, LinearMapN1.from_json, inline=True)
+    if a.dim != op.n + 1:
+        raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
+    return a
 
 
 def _parse_param_list(items: Optional[List[str]]) -> dict:
@@ -130,11 +101,11 @@ def _parse_constants(raw: Optional[str], n: int) -> Optional[List[Fraction]]:
         raise InputError(f"--constants: {exc}") from exc
 
 
-def _sample_points(op: Hho2, count: int, rng, config: RunConfig, allow_degenerate: bool = False):
+def _sample_points(op: Hho2, count: int, rng, bound: int, allow_degenerate: bool = False):
     """`sample_points` with a sampling failure reported as bad input: every
     point of the coefficient box lies on the degeneracy locus."""
     try:
-        return sample_points(op, count, rng, bound=config.coefficient_range, allow_degenerate=allow_degenerate)
+        return sample_points(op, count, rng, bound=bound, allow_degenerate=allow_degenerate)
     except RuntimeError as exc:
         raise InputError(str(exc)) from exc
 
@@ -143,8 +114,19 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _emit(report: dict, config: RunConfig, text_lines: List[str]) -> None:
-    if config.output == "json":
+def _config(args) -> dict:
+    """The global options, as the reports echo them."""
+    return {
+        "seed": args.seed,
+        "samples": args.samples,
+        "coefficient_range": args.coefficient_range,
+        "mode": args.mode,
+        "digits": args.digits,
+    }
+
+
+def _emit(report: dict, args, text_lines: List[str]) -> None:
+    if args.output == "json":
         print(_dump(report))
     else:
         for line in text_lines:
@@ -162,7 +144,7 @@ def _write_payload(payload: str, out: Optional[str]) -> None:
 # ----- catalog ------------------------------------------------------------------
 
 
-def cmd_catalog_list(args, config: RunConfig) -> int:
+def cmd_catalog_list(args) -> int:
     entries = list_entries()
     rows = [
         {
@@ -185,11 +167,11 @@ def cmd_catalog_list(args, config: RunConfig) -> int:
         tag = " degenerate" if row["degenerate"] else ""
         par = f" params={','.join(row['parameters'])}" if row["parameters"] else ""
         lines.append(f"  {row['id']:14s} n={row['n']}{par}{tag}  {row['notes']}")
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0
 
 
-def cmd_catalog_show(args, config: RunConfig) -> int:
+def cmd_catalog_show(args) -> int:
     entry = _get_catalog_entry(args.id)
     g = entry.metric()
     matrix = [[str(g.at(i, j)) for j in range(entry.n)] for i in range(entry.n)]
@@ -214,7 +196,7 @@ def cmd_catalog_show(args, config: RunConfig) -> int:
         lines.append(f"det(g) = {entry.expected_det}")
     if entry.degenerate:
         lines.append("degenerate: Pfaffian vanishes identically")
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0
 
 
@@ -225,7 +207,7 @@ def _get_catalog_entry(entry_id: str):
         raise InputError(str(exc)) from exc
 
 
-def cmd_catalog_export(args, config: RunConfig) -> int:
+def cmd_catalog_export(args) -> int:
     entry = _get_catalog_entry(args.id)
     values = _parse_param_list(args.params)
     if entry.params and not values:
@@ -241,8 +223,8 @@ def cmd_catalog_export(args, config: RunConfig) -> int:
 # ----- op -----------------------------------------------------------------------
 
 
-def cmd_op_validate(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
+def cmd_op_validate(args) -> int:
+    op = _load(args.file, Hho2.from_json)
     rep = validate(op)
     pfaffian = str(rep.pfaffian)
     report = {
@@ -265,43 +247,35 @@ def cmd_op_validate(args, config: RunConfig) -> int:
     if rep.problems:
         lines += [f"problem: {p}" for p in rep.problems]
     lines.append("ok" if rep.ok else "INVALID")
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0 if rep.ok else 1
 
 
-def cmd_op_transform(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
-    a = _load_linear_map(args.sl)
-    if a.dim != op.n + 1:
-        raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
-    try:
-        moved = transform(op, ProjReciprocal(a))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(str(exc)) from exc
+def cmd_op_transform(args) -> int:
+    op = _load(args.file, Hho2.from_json)
+    moved = transform(op, _load_sl(args.sl, op))
     _write_payload(moved.to_json(), args.out)
     return 0
 
 
-def cmd_op_conformal_check(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
-    a = _load_linear_map(args.sl)
-    if a.dim != op.n + 1:
-        raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
-    r = ProjReciprocal(a)
-    moved = transform(op, r)
-    count = args.points if args.points is not None else config.samples
-    rng = random.Random(config.seed)
+def cmd_op_conformal_check(args) -> int:
+    op = _load(args.file, Hho2.from_json)
+    a = _load_sl(args.sl, op)
+    moved = transform(op, a)
+    count = args.points if args.points is not None else args.samples
+    rng = random.Random(args.seed)
     checked = 0
     failures = 0
     attempts = 0
     results = []
     while checked < count and attempts < 50 * count:
         attempts += 1
-        u = _sample_points(op, 1, rng, config, allow_degenerate=True)[0]
-        if not r.affine_factor(u):
+        u = _sample_points(op, 1, rng, args.coefficient_range, allow_degenerate=True)[0]
+        try:
+            ok_metric = conformal_check(op, moved, a, u)
+        except ZeroDivisionError:  # a pole of the chart
             continue
-        ok_metric = conformal_check(op, moved, r, u)
-        ok_det = conformal_determinant_check(op, moved, r, u)
+        ok_det = conformal_determinant_check(op, moved, a, u)
         results.append({"point": [str(x) for x in u], "metric_identity": ok_metric, "determinant_identity": ok_det})
         if not (ok_metric and ok_det):
             failures += 1
@@ -310,7 +284,7 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
         raise InputError("could not sample enough points off the poles")
     report = {
         "command": "op conformal-check",
-        "config": config.as_dict(),
+        "config": _config(args),
         "n": op.n,
         "sl": a.is_sl,
         "points_checked": checked,
@@ -322,18 +296,18 @@ def cmd_op_conformal_check(args, config: RunConfig) -> int:
         f"map is unimodular: {a.is_sl}",
         f"checked {checked} points: {'all conformal identities hold' if failures == 0 else f'{failures} failures'}",
     ]
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0 if failures == 0 else 1
 
 
-def cmd_op_to_3form(args, config: RunConfig) -> int:
-    op = _load_operator(args.file)
+def cmd_op_to_3form(args) -> int:
+    op = _load(args.file, Hho2.from_json)
     form = embed(op)
     _write_payload(form.to_json(), args.out)
     return 0
 
 
-def cmd_op_from_3form(args, config: RunConfig) -> int:
+def cmd_op_from_3form(args) -> int:
     def read(text: str) -> Hho2:
         form = ThreeForm.from_json(text)
         return Hho2(form.dim - 1, chart_restrict(form))
@@ -346,19 +320,19 @@ def cmd_op_from_3form(args, config: RunConfig) -> int:
 # ----- sys ----------------------------------------------------------------------
 
 
-def cmd_sys_generate(args, config: RunConfig) -> int:
-    op = _load_operator(args.op)
+def cmd_sys_generate(args) -> int:
+    op = _load(args.op, Hho2.from_json)
     constants = _parse_constants(args.constants, op.n)
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     try:
         if args.random:
-            flux = random_flux_params(op.n, rng, bound=config.coefficient_range)
+            flux = random_flux_params(op.n, rng, bound=args.coefficient_range)
             system = ConservativeSystem(op, flux, constants)
         elif args.A or args.B:
             if not (args.A and args.B):
                 raise InputError("--A and --B must be given together")
-            a_data = _load_json(args.A)
-            b_data = _load_json(args.B)
+            a_data = _load(args.A, json.loads, inline=True)
+            b_data = _load(args.B, json.loads, inline=True)
             try:
                 flux = FluxParams.make(a_data, b_data)
             except (ValueError, TypeError) as exc:
@@ -375,7 +349,7 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
     payload = system.to_json()
     report = {
         "command": "sys generate",
-        "config": config.as_dict(),
+        "config": _config(args),
         "n": op.n,
         "random_flux": bool(args.random),
         "linear": lin.is_linear,
@@ -393,12 +367,12 @@ def cmd_sys_generate(args, config: RunConfig) -> int:
         lines.append(f"system written to {args.out}")
     else:
         lines.append(payload)
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0
 
 
-def cmd_sys_verify(args, config: RunConfig) -> int:
-    system = _load_system(args.file)
+def cmd_sys_verify(args) -> int:
+    system = _load(args.file, ConservativeSystem.from_json)
     n = system.op.n
     compat = check_compat(system)
     plk = pluecker_relations(system)
@@ -408,7 +382,7 @@ def cmd_sys_verify(args, config: RunConfig) -> int:
     ok = compat.passed and plk.passed and den["ok"] and eul.passed
     report = {
         "command": "sys verify",
-        "config": config.as_dict(),
+        "config": _config(args),
         "n": n,
         "compatibility": {
             "mode": compat.mode,
@@ -430,21 +404,21 @@ def cmd_sys_verify(args, config: RunConfig) -> int:
         f"casimir corank: {cas.corank}",
         "ok" if ok else "VERIFICATION FAILED",
     ]
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0 if ok else 1
 
 
-def cmd_sys_diagnose(args, config: RunConfig) -> int:
-    system = _load_system(args.file)
-    count = args.points if args.points is not None else config.samples
-    rng = random.Random(config.seed)
-    pts = _sample_points(system.op, count, rng, config)
-    rep = run_diagnostics(system, pts, mode=config.mode, digits=config.digits)
+def cmd_sys_diagnose(args) -> int:
+    system = _load(args.file, ConservativeSystem.from_json)
+    count = args.points if args.points is not None else args.samples
+    rng = random.Random(args.seed)
+    pts = _sample_points(system.op, count, rng, args.coefficient_range)
+    rep = run_diagnostics(system, pts, mode=args.mode, digits=args.digits)
     body = rep.to_dict()
     ok = body["haantjes_zero"] and body["nijenhuis_routes_agree"] and body["charpoly_square_ok"]
     report = {
         "command": "sys diagnose",
-        "config": config.as_dict(),
+        "config": _config(args),
         "report": body,
         "ok": ok,
     }
@@ -457,7 +431,7 @@ def cmd_sys_diagnose(args, config: RunConfig) -> int:
         f"diagonalizable at all points: {body['all_diagonalizable']}",
         "ok" if ok else "DIAGNOSTIC FAILURE",
     ]
-    _emit(report, config, lines)
+    _emit(report, args, lines)
     return 0 if ok else 1
 
 
@@ -539,15 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        coefficient_range=args.coefficient_range,
-        mode=args.mode,
-        digits=args.digits,
-        output=args.output,
-    )
-    counts = [("--samples", config.samples)]
+    counts = [("--samples", args.samples)]
     if getattr(args, "points", None) is not None:
         counts.append(("--points", args.points))
     for flag, count in counts:
@@ -555,14 +521,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"{flag} must be at least 1")
         if count > MAX_POINTS:
             parser.error(f"{flag} must be at most {MAX_POINTS}")
-    if config.coefficient_range < 1:
+    if args.coefficient_range < 1:
         parser.error("--coefficient-range must be at least 1")
-    if config.digits < 1:
+    if args.digits < 1:
         parser.error("--digits must be at least 1")
-    if config.digits > MAX_DIGITS:
+    if args.digits > MAX_DIGITS:
         parser.error(f"--digits must be at most {MAX_DIGITS}")
     try:
-        return args.func(args, config)
+        return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

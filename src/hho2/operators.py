@@ -42,7 +42,6 @@ from .threeform import (
 
 __all__ = [
     "Hho2",
-    "ProjReciprocal",
     "ValidationReport",
     "validate",
     "transform",
@@ -202,40 +201,21 @@ def validate(op: Hho2) -> ValidationReport:
     return ValidationReport(op.n, t_skew, g_skew, pf, degenerate, problems)
 
 
-class ProjReciprocal:
-    """Projective reciprocal transformation with matrix a on n+1 homogeneous
-    coordinates: ut^i = (a[i][j] u^j + a[i][n]) / A, A = a[n][j] u^j + a[n][n]."""
-
-    __slots__ = ("a", "n")
-
-    def __init__(self, a: LinearMapN1):
-        self.a = a
-        self.n = a.dim - 1
-        if self.n < 1:
-            raise ValueError("projective reciprocal needs dimension at least 2")
-
-    @classmethod
-    def identity(cls, n: int) -> "ProjReciprocal":
-        return cls(LinearMapN1.identity(n + 1))
-
-    def affine_factor(self, u: Sequence[Fraction]) -> Fraction:
-        row = self.a.entries[self.n]
-        return sum((row[j] * Fraction(u[j]) for j in range(self.n)), row[self.n])
-
-
-def transform(op: Hho2, r: ProjReciprocal) -> Hho2:
+def transform(op: Hho2, a: LinearMapN1) -> Hho2:
     """Pull the extended tensor back along the inverse matrix.
 
-    With this orientation the output plays the transformed-coordinates role in
+    The matrix a acts on the n+1 homogeneous coordinates, so the point map is
+    ut^i = (a[i][j] u^j + a[i][n]) / A with the affine factor
+    A = a[n][j] u^j + a[n][n].  With this orientation the output plays the transformed-coordinates role in
     the conformal identity checked by `conformal_check`; compositions satisfy
     transform(transform(op, a), b) = transform(op, b compose a).
     """
-    if r.n != op.n:
-        raise ValueError(f"transformation dimension {r.n} does not match operator n={op.n}")
-    return Hho2(op.n, chart_restrict(pullback(embed(op), r.a.inverse())))
+    if a.dim != op.n + 1:
+        raise ValueError(f"transformation dimension {a.dim - 1} does not match operator n={op.n}")
+    return Hho2(op.n, chart_restrict(pullback(embed(op), a.inverse())))
 
 
-def _conformal_point(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]):
+def _conformal_point(op: Hho2, moved: Hho2, a: LinearMapN1, u: Sequence[Fraction]):
     """The integer record of both conformal identities at u.
 
     With x = (u, 1) = X/s, a = M/c, y = M X = c s (N, A), and the two metric
@@ -248,36 +228,36 @@ def _conformal_point(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fract
     if len(u) != n:
         raise ValueError(f"point must supply {n} values")
     _, (x,) = clear_denominators([[*u, 1]])
-    c, m = clear_denominators(r.a.entries)
+    c, m = clear_denominators(a.entries)
     y = [sum(map(mul, row, x)) for row in m]
-    big_l, g = op._metric_numerator(x)
-    lt, gt = moved._metric_numerator(y)
     yn, bottom = y[n], m[n]
     if not yn:
         raise ZeroDivisionError("affine factor vanishes at the sample point")
+    big_l, g = op._metric_numerator(x)
+    lt, gt = moved._metric_numerator(y)
     k = [[yn * m[i][l] - y[i] * bottom[l] for l in range(n)] for i in range(n)]
     return g, gt, k, yn, big_l, c**3 * lt
 
 
-def conformal_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
+def conformal_check(op: Hho2, moved: Hho2, a: LinearMapN1, u: Sequence[Fraction]) -> bool:
     """Exact pointwise conformal identity J^T gt(ut) J == A^{-3} g(u), with gt
-    the metric of `moved` (normally transform(op, r), computed once per map).
+    the metric of `moved` (normally transform(op, a), computed once per map).
 
     Read off the integer record of `_conformal_point` with every denominator
     cleared: L K^T Gt K == c^3 Lt y_n^2 G entrywise.  Holds for every
     invertible map (a -> lambda a scales both sides by lambda^-3); raises
     ZeroDivisionError at poles of the chart.
     """
-    g, gt, k, yn, big_l, scale = _conformal_point(op, moved, r, u)
+    g, gt, k, yn, big_l, scale = _conformal_point(op, moved, a, u)
     lhs = rat_mat_mul([list(col) for col in zip(*k)], rat_mat_mul(gt, k))
     rhs = scale * yn * yn
-    return all(big_l * a == rhs * b for row, g_row in zip(lhs, g) for a, b in zip(row, g_row))
+    return all(big_l * x == rhs * y for row, g_row in zip(lhs, g) for x, y in zip(row, g_row))
 
 
-def conformal_determinant_check(op: Hho2, moved: Hho2, r: ProjReciprocal, u: Sequence[Fraction]) -> bool:
+def conformal_determinant_check(op: Hho2, moved: Hho2, a: LinearMapN1, u: Sequence[Fraction]) -> bool:
     """Determinant consequence of the conformal identity, with gt the metric
     of `moved`: det(gt(ut)) * det(J)^2 == A^{-3n} det(g(u)), read off the
     same integer record as L^n det Gt (det K)^2 == (c^3 Lt)^n y_n^(2n) det G."""
-    g, gt, k, yn, big_l, scale = _conformal_point(op, moved, r, u)
+    g, gt, k, yn, big_l, scale = _conformal_point(op, moved, a, u)
     n = op.n
     return big_l**n * rat_det(gt) * rat_det(k) ** 2 == scale**n * yn ** (2 * n) * rat_det(g)

@@ -78,23 +78,6 @@ class ThreeForm:
 
     __hash__ = None
 
-    def __add__(self, other: "ThreeForm") -> "ThreeForm":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, 0) + value
-        return ThreeForm(self.dim, out)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j, k), value in sorted(self.coeffs.items()):
-            body = f"dv{i + 1}^dv{j + 1}^dv{k + 1}"
-            parts.append(f"({value})*{body}")
-        return " + ".join(parts)
-
     # ----- serialization -------------------------------------------------
 
     def to_json(self) -> str:

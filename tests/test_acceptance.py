@@ -27,7 +27,6 @@ from hho2.diagnostics import (
 from hho2.linalg import PolyMatrix, det_bareiss, pfaffian
 from hho2.operators import (
     Hho2,
-    ProjReciprocal,
     conformal_check,
     conformal_determinant_check,
     transform,
@@ -68,7 +67,7 @@ def announce(num: int, name: str, ok: bool, elapsed: float, detail: str = "") ->
 
 def build_any(entry_id: str) -> Hho2:
     entry = get_entry(entry_id)
-    return entry.build(N8_PARAMS if entry.params else None)
+    return entry.build({name: N8_PARAMS[name] for name in entry.params} or None)
 
 
 def seeded_system(entry_id: str, seed: int) -> ConservativeSystem:
@@ -192,14 +191,14 @@ def test_criterion_04_group_action():
         rng = random.Random(904 + n)
         for entry_id in ids:
             op = build(entry_id)
-            if transform(op, ProjReciprocal.identity(n)) != op:
+            if transform(op, LinearMapN1.identity(n + 1)) != op:
                 ok = False
         for count in range(50):
             op = build(ids[count % len(ids)])
             a = LinearMapN1.random_sl(n + 1, rng)
             b = LinearMapN1.random_sl(n + 1, rng)
-            step = transform(transform(op, ProjReciprocal(a)), ProjReciprocal(b))
-            joint = transform(op, ProjReciprocal(b.compose(a)))
+            step = transform(transform(op, a), b)
+            joint = transform(op, b.compose(a))
             if step != joint:
                 ok = False
             if not validate(step).ok:
@@ -221,8 +220,7 @@ def test_criterion_05_conformal_invariance():
         rng = random.Random(905)
         op = build_any(entry_id)
         a = LinearMapN1.random_sl(op.n + 1, rng)
-        r = ProjReciprocal(a)
-        moved = transform(op, r)
+        moved = transform(op, a)
         done = 0
         attempts = 0
         while done < count:
@@ -231,11 +229,13 @@ def test_criterion_05_conformal_invariance():
                 ok = False
                 break
             u = sample_points(op, 1, rng, allow_degenerate=True)[0]
-            if not r.affine_factor(u):
+            try:
+                metric_ok = conformal_check(op, moved, a, u)
+            except ZeroDivisionError:  # a pole of the chart
                 continue
-            if not conformal_check(op, moved, r, u):
+            if not metric_ok:
                 ok = False
-            if not op.is_degenerate and not conformal_determinant_check(op, moved, r, u):
+            if not op.is_degenerate and not conformal_determinant_check(op, moved, a, u):
                 ok = False
             done += 1
             checked_points += 1

@@ -17,6 +17,12 @@ N8_PARAMS = {
     "lambda4": Fraction(7),
 }
 
+
+def n8_params(entry_id):
+    """The values of N8_PARAMS for the names the entry takes, or None."""
+    return {name: N8_PARAMS[name] for name in get_entry(entry_id).params} or None
+
+
 # Hand-transcribed metric tables for the five nondegenerate n = 6 entries.
 # Kept independent of the builder code on purpose: they pin the exact
 # coefficient layout, not just structural invariants.
@@ -132,7 +138,7 @@ def test_n8_family1_metric_known_entries():
 
 def test_n8_families_nondegenerate_at_generic_values():
     for name in ("n8-fam1", "n8-fam2-e1", "n8-fam2-e2"):
-        op = build(name, N8_PARAMS)
+        op = build(name, n8_params(name))
         assert not op.is_degenerate
         assert op.pfaffian_poly().degree() <= 4
 
@@ -141,8 +147,8 @@ def test_n8_fam2_differ_by_nilpotent_part():
     # Both nilpotent parts share the triple that lands in T; the larger one
     # adds a second triple whose last index is the extension slot, so the two
     # entries differ exactly in one constant g0 coefficient.
-    a = build("n8-fam2-e1", N8_PARAMS)
-    b = build("n8-fam2-e2", N8_PARAMS)
+    a = build("n8-fam2-e1", n8_params("n8-fam2-e1"))
+    b = build("n8-fam2-e2", n8_params("n8-fam2-e2"))
     assert {key: v for key, v in a.table.items() if key[2] < 8} == {
         key: v for key, v in b.table.items() if key[2] < 8
     }
@@ -161,6 +167,11 @@ def test_parameter_validation():
         build("n6-X", {"lambda1": Fraction(1)})
     with pytest.raises(ValueError):
         build("n8-fam1", {name: Fraction(0) for name in N8_PARAMS})
+    # A name the entry does not take is refused, not dropped.
+    with pytest.raises(ValueError, match="entry n8-fam1 takes no parameter lambda5$"):
+        build("n8-fam1", {**N8_PARAMS, "lambda5": Fraction(1)})
+    with pytest.raises(ValueError, match="entry n8-fam2-e2 takes no parameter lamda3$"):
+        build("n8-fam2-e2", {"lambda1": Fraction(2), "lambda2": Fraction(3), "lamda3": Fraction(5)})
 
 
 @pytest.mark.parametrize("bad", [0.5, True, 2.0, None, "1e3"])
@@ -211,7 +222,7 @@ def test_entry_metric_matches_built_operators(entry_id):
 
 def test_defining_form_round_trip():
     for entry in list_entries():
-        op = entry.build(N8_PARAMS if entry.params else None)
+        op = entry.build(n8_params(entry.id))
         form = embed(op)
         table = chart_restrict(form)
         assert form.dim == op.n + 1

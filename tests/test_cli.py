@@ -78,6 +78,24 @@ def test_export_parametric_requires_params(tmp_path, capsys):
     assert doc["n"] == 8
 
 
+@pytest.mark.parametrize(
+    "entry, params, name",
+    [
+        ("n8-fam1", ["lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7", "lambda5=1"], "lambda5"),
+        ("n8-fam2-e1", ["lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7"], "lambda4"),
+        ("n6-X", ["lambda1=2"], "lambda1"),
+    ],
+    ids=["surplus", "fam2-takes-three", "fixed-entry"],
+)
+def test_export_refuses_unknown_parameter_names(tmp_path, capsys, entry, params, name):
+    """A --params name the entry does not take exits 2 and writes nothing."""
+    dest = tmp_path / "op.json"
+    code, out, err = run(capsys, "catalog", "export", entry, "--params", *params, "--out", str(dest))
+    assert code == 2
+    assert f"error: entry {entry} takes no parameter {name}" in err
+    assert not dest.exists()
+
+
 def test_validate_malformed_json_exits_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{ this is not json")
     code, out, err = run(capsys, "op", "validate", bad)
@@ -129,6 +147,30 @@ def test_conformal_check_passes(tmp_path, capsys):
     )
     assert code == 0
     assert "all conformal identities hold" in out
+
+
+def test_conformal_check_skips_poles(tmp_path, capsys):
+    """The map swapping u1 with the homogeneous coordinate has affine factor
+    A(u) = u1, so a drawn point with u1 = 0 is a pole of the chart.  n4-open
+    has Pfaffian 1, so poles are the only points skipped: the checked points
+    are the identity map's points of the same seed with u1 = 0 removed."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    swap = [[int(j == {0: 4, 4: 0}.get(i, i)) for j in range(5)] for i in range(5)]
+
+    def checked(sl, count):
+        code, out, err = run(capsys, "--seed", "3", "--coefficient-range", "1", "--output", "json",
+                             "op", "conformal-check", op_path, "--sl", sl, "--points", str(count))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["points_checked"] == count and report["ok"]
+        return [point["point"] for point in report["points"]]
+
+    moved = checked(json.dumps(swap), 10)
+    drawn = checked(_identity(5), 30)
+    off_poles = [point for point in drawn if point[0] != "0"]
+    assert moved == off_poles[:10]
+    assert moved != drawn[:10]
 
 
 def test_one_parser_serves_every_run(tmp_path, capsys):

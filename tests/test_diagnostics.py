@@ -38,6 +38,7 @@ N8_PARAMS = {
     "lambda3": Fraction(5),
     "lambda4": Fraction(7),
 }
+N8_FAM2_PARAMS = {name: N8_PARAMS[name] for name in ("lambda1", "lambda2", "lambda3")}
 
 
 def test_sample_points_deterministic_and_off_locus():
@@ -282,7 +283,7 @@ def test_haantjes_antisymmetry_in_lower_indices():
 
 def test_charpoly_is_square_at_points():
     rng = random.Random(35)
-    for name, params in (("n4-open", None), ("n6-X", None), ("n8-fam2-e1", N8_PARAMS)):
+    for name, params in (("n4-open", None), ("n6-X", None), ("n8-fam2-e1", N8_FAM2_PARAMS)):
         system = generate_flux(build(name, params), rng=rng)
         for u in sample_points(system.op, 3, rng):
             res = charpoly_square_at(system, u)

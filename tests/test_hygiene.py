@@ -16,16 +16,22 @@ never at module level, so no other path loads them.
 A module imports its hho2 siblings at module level only, never inside a
 function or class, so the order in which the modules depend on each other
 is read off their headers.
+
+Every name the package exports is read somewhere in the package outside its
+own definition, is read by the benchmark harness, or is named in the README
+section "Library use"; an export that none of these reach is dead API.
 """
 
 import ast
 import functools
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hho2"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hho2"
 
 
 def _imported_names(tree: ast.Module):
@@ -278,3 +284,77 @@ def test_checker_flags_a_nested_sibling_import():
         ("systems", "System", 11),
         ("systems", "System", 12),
     ]
+
+
+def read_counts(tree: ast.AST) -> Counter:
+    """How often each name is read in tree: loaded as a name or reached as an
+    attribute.  Definitions, assignments and imports are not reads."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+    return counts
+
+
+def unused_exports(exports, sources, outside=frozenset(), documented=""):
+    """The names of `exports` that no module of `sources` reads outside the
+    name's own definition, that are not in `outside` (the names read by other
+    code) and that do not appear as a word in `documented`.  Dunder names are
+    package metadata, not API, and are skipped."""
+    trees = [ast.parse(text) for text in sources.values()]
+    total = sum((read_counts(tree) for tree in trees), Counter())
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                total[node.name] -= read_counts(node)[node.name]
+    return [
+        name
+        for name in exports
+        if not name.startswith("__")
+        and total[name] <= 0
+        and name not in outside
+        and not re.search(rf"\b{re.escape(name)}\b", documented)
+    ]
+
+
+def _library_use_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_export_is_used():
+    exports = _exported(ast.parse((SRC / "__init__.py").read_text()))
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    harness = sum((read_counts(ast.parse(path.read_text())) for path in sorted((ROOT / "perfbench").glob("*.py"))),
+                  Counter())
+    assert unused_exports(sorted(exports), sources, set(harness), _library_use_section()) == []
+
+
+def test_checker_flags_an_unused_export():
+    sources = {
+        "a": (
+            "VALUE = 1\n"
+            "def used():\n"
+            "    return VALUE\n"
+            "def recursive(k):\n"
+            "    return recursive(k - 1) if k else 0\n"
+            "class Node:\n"
+            "    def copy(self):\n"
+            "        return Node()\n"
+            "def benched():\n"
+            "    pass\n"
+            "def documented():\n"
+            "    pass\n"
+        ),
+        "b": "from .a import used\nused()\n",
+        "__init__": (
+            "from .a import VALUE, Node, benched, documented, recursive, used\n"
+            "__version__ = '1'\n"
+            "__all__ = ['VALUE', 'Node', 'benched', 'documented', 'recursive', 'used', '__version__']\n"
+        ),
+    }
+    exports = sorted(_exported(ast.parse(sources["__init__"])))
+    assert unused_exports(exports, sources) == ["Node", "benched", "documented", "recursive"]
+    assert unused_exports(exports, sources, {"benched"}, "`documented()` is library API") == ["Node", "recursive"]

@@ -9,7 +9,6 @@ from hho2.catalog import build, list_entries
 from hho2.linalg import clear_denominators, rat_det, rat_mat_mul
 from hho2.operators import (
     Hho2,
-    ProjReciprocal,
     conformal_check,
     conformal_determinant_check,
     transform,
@@ -150,7 +149,7 @@ def test_extend_split_round_trip():
 def test_transform_identity_is_identity():
     for name in ("n2", "n4-open", "n6-X"):
         op = build(name)
-        moved = transform(op, ProjReciprocal.identity(op.n))
+        moved = transform(op, LinearMapN1.identity(op.n + 1))
         assert moved == op
 
 
@@ -159,8 +158,8 @@ def test_transform_composition():
     op = build("n4-open")
     a = LinearMapN1.random_sl(5, rng)
     b = LinearMapN1.random_sl(5, rng)
-    once = transform(transform(op, ProjReciprocal(a)), ProjReciprocal(b))
-    both = transform(op, ProjReciprocal(b.compose(a)))
+    once = transform(transform(op, a), b)
+    both = transform(op, b.compose(a))
     assert once == both
 
 
@@ -169,7 +168,7 @@ def test_transform_preserves_validity_and_degeneracy_split():
     for name in ("n2", "n4-open", "n4-degenerate", "n6-IX"):
         op = build(name)
         a = LinearMapN1.random_sl(op.n + 1, rng)
-        moved = transform(op, ProjReciprocal(a))
+        moved = transform(op, a)
         rep = validate(moved)
         assert rep.ok
         assert rep.degenerate == op.is_degenerate
@@ -180,15 +179,14 @@ def test_conformal_identities_hold_at_points():
     for name in ("n2", "n4-open", "n6-X", "n6-VII"):
         op = build(name)
         a = LinearMapN1.random_sl(op.n + 1, rng)
-        r = ProjReciprocal(a)
-        moved = transform(op, r)
+        moved = transform(op, a)
         done = 0
         while done < 5:
             u = sample_points(op, 1, rng, bound=9, allow_degenerate=True)[0]
-            if not r.affine_factor(u):
+            if not _affine_factor(a, u):
                 continue
-            assert conformal_check(op, moved, r, u)
-            assert conformal_determinant_check(op, moved, r, u)
+            assert conformal_check(op, moved, a, u)
+            assert conformal_determinant_check(op, moved, a, u)
             done += 1
 
 
@@ -200,16 +198,15 @@ def test_conformal_identity_has_teeth():
     # n4-open has no T; keep its g0 and add one T entry.
     wrong = Hho2(4, {**op.table, (0, 1, 2): Fraction(1)})
     a = LinearMapN1.random_sl(5, rng)
-    r = ProjReciprocal(a)
-    moved = transform(op, r)
+    moved = transform(op, a)
     violations = 0
     done = 0
     while done < 5:
         u = sample_points(op, 1, rng, bound=9, allow_degenerate=True)[0]
-        if not r.affine_factor(u):
+        if not _affine_factor(a, u):
             continue
         done += 1
-        if not conformal_check(wrong, moved, r, u):
+        if not conformal_check(wrong, moved, a, u):
             violations += 1
     assert violations > 0
 
@@ -235,7 +232,7 @@ def test_metric_at_matches_symbolic_eval():
     for name in ("n6-VIII", "n4-open"):
         op = build(name)
         if name == "n4-open":
-            op = transform(op, ProjReciprocal(_fractional_sl(5)))
+            op = transform(op, _fractional_sl(5))
         g = op.metric()
         for _ in range(5):
             u = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(op.n))
@@ -248,11 +245,17 @@ def test_metric_at_matches_symbolic_eval():
 # ----- Fraction oracle of the conformal identities ----------------------------
 
 
+def _affine_factor(a, u):
+    """A(u) = a_nj u^j + a_nn, the denominator of the point map."""
+    n = len(u)
+    return sum((a.entries[n][j] * u[j] for j in range(n)), a.entries[n][n])
+
+
 def _chart_oracle(a, u):
     """(ut, A) of the point map ut^i = (a_ij u^j + a_in) / A in Fractions."""
     n = len(u)
     e = a.entries
-    big_a = sum((e[n][j] * u[j] for j in range(n)), e[n][n])
+    big_a = _affine_factor(a, u)
     if not big_a:
         raise ZeroDivisionError("chart pole")
     return [sum((e[i][j] * u[j] for j in range(n)), e[i][n]) / big_a for i in range(n)], big_a
@@ -327,16 +330,15 @@ def test_conformal_record_matches_fraction_oracle():
     ]
     for op, _, a, _ in cases[:3]:
         assert clear_denominators(a.entries)[0] > 1
-        assert transform(op, ProjReciprocal(a))._metric_numerator([1] * (op.n + 1))[0] > 1
+        assert transform(op, a)._metric_numerator([1] * (op.n + 1))[0] > 1
     wrong_verdicts = []
     for op, source, a, expected in cases:
-        r = ProjReciprocal(a)
-        moved = transform(source, r)
+        moved = transform(source, a)
         for u in _points(rng, op.n, 3):
-            if not r.affine_factor(u):
+            if not _affine_factor(a, u):
                 continue
             want = _conformal_oracle(op, moved, a, u)
-            got = (conformal_check(op, moved, r, u), conformal_determinant_check(op, moved, r, u))
+            got = (conformal_check(op, moved, a, u), conformal_determinant_check(op, moved, a, u))
             assert got == want
             if expected is None:
                 wrong_verdicts.append(got[0])
@@ -347,11 +349,10 @@ def test_conformal_record_matches_fraction_oracle():
 
 def test_conformal_checks_raise_at_poles_and_on_parameters():
     a = _fractional_sl(5)
-    r = ProjReciprocal(a)
     op = build("n4-open")
-    moved = transform(op, r)
+    moved = transform(op, a)
     pole = (Fraction(-6), Fraction(1), Fraction(2), Fraction(5))
-    assert r.affine_factor(pole) == 0
+    assert _affine_factor(a, pole) == 0
     for check in (conformal_check, conformal_determinant_check):
         with pytest.raises(ZeroDivisionError):
-            check(op, moved, r, pole)
+            check(op, moved, a, pole)

@@ -6,7 +6,7 @@ import pytest
 
 from hho2 import poly, systems
 from hho2.catalog import build, list_entries
-from hho2.operators import Hho2, ProjReciprocal, transform
+from hho2.operators import Hho2, transform
 from hho2.poly import MultiPoly
 from hho2.systems import (
     ConservativeSystem,
@@ -610,7 +610,7 @@ _CI_SL = {
 
 def _ci_moved(op):
     """op moved by the CI map of its size."""
-    return transform(op, ProjReciprocal(LinearMapN1([[Fraction(x) for x in row] for row in _CI_SL[op.n]])))
+    return transform(op, LinearMapN1([[Fraction(x) for x in row] for row in _CI_SL[op.n]]))
 
 
 def test_point_kernel_tensor_is_the_scaled_dense_view():

@@ -165,17 +165,6 @@ def test_form_json_rejects_bad_triples():
         ThreeForm.from_json('{"dim": 5, "coeffs": [[1, 2, 9, "1"]]}')
 
 
-def test_form_algebra():
-    rng = random.Random(2)
-    a = rand_form(rng, 5)
-    b = rand_form(rng, 5)
-    da, db = skew_dense(a.coeffs, 5), skew_dense(b.coeffs, 5)
-    ds, doubled = skew_dense((a + b).coeffs, 5), skew_dense((a + a).coeffs, 5)
-    for i, j, k in itertools.product(range(5), repeat=3):
-        assert ds[i][j][k] == da[i][j][k] + db[i][j][k]
-        assert doubled[i][j][k] == 2 * da[i][j][k]
-
-
 def _contracted_pullback(form, a):
     """out[l,m,n] = sum over all ordered (p, q, r) of omega[p,q,r] a[p][l] a[q][m] a[r][n],
     the defining full contraction; only nonzero omega entries contribute."""
