@@ -3,10 +3,13 @@
 Subcommand groups wrap the library layers: `catalog` exposes the built-in
 operator entries, `op` works on operator JSON documents (validation, linear
 transformation, conformal checks, the correspondence with constant 3-forms),
-and `sys` generates and verifies conservative systems.
+and `sys` generates, verifies and diagnoses conservative systems.
+
+Only `--seed`, `--coefficient-range` and `--output` come before the group;
+every other option belongs to the one command that reads it. Reports echo no
+options, so a seeded report depends only on the arguments that affect it.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 bad input.
-Seeded invocations produce byte-identical output for identical arguments.
 """
 
 from __future__ import annotations
@@ -110,19 +113,22 @@ def _sample_points(op: Hho2, count: int, rng, bound: int, allow_degenerate: bool
         raise InputError(str(exc)) from exc
 
 
+def _bounded_int(flag: str, high: Optional[int] = None):
+    """An argparse type: an int from 1 to `high` (unbounded if None), refused naming `flag`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{flag} must be at least 1")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{flag} must be at most {high}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _config(args) -> dict:
-    """The global options, as the reports echo them."""
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "coefficient_range": args.coefficient_range,
-        "mode": args.mode,
-        "digits": args.digits,
-    }
 
 
 def _emit(report: dict, args, text_lines: List[str]) -> None:
@@ -262,13 +268,11 @@ def cmd_op_conformal_check(args) -> int:
     op = _load(args.file, Hho2.from_json)
     a = _load_sl(args.sl, op)
     moved = transform(op, a)
-    count = args.points if args.points is not None else args.samples
     rng = random.Random(args.seed)
-    checked = 0
     failures = 0
     attempts = 0
     results = []
-    while checked < count and attempts < 50 * count:
+    while len(results) < args.points and attempts < 50 * args.points:
         attempts += 1
         u = _sample_points(op, 1, rng, args.coefficient_range, allow_degenerate=True)[0]
         try:
@@ -279,22 +283,20 @@ def cmd_op_conformal_check(args) -> int:
         results.append({"point": [str(x) for x in u], "metric_identity": ok_metric, "determinant_identity": ok_det})
         if not (ok_metric and ok_det):
             failures += 1
-        checked += 1
-    if checked < count:
+    if len(results) < args.points:
         raise InputError("could not sample enough points off the poles")
     report = {
         "command": "op conformal-check",
-        "config": _config(args),
         "n": op.n,
         "sl": a.is_sl,
-        "points_checked": checked,
+        "points_checked": args.points,
         "failures": failures,
         "points": results,
         "ok": failures == 0,
     }
     lines = [
         f"map is unimodular: {a.is_sl}",
-        f"checked {checked} points: {'all conformal identities hold' if failures == 0 else f'{failures} failures'}",
+        f"checked {args.points} points: {'all conformal identities hold' if failures == 0 else f'{failures} failures'}",
     ]
     _emit(report, args, lines)
     return 0 if failures == 0 else 1
@@ -349,7 +351,6 @@ def cmd_sys_generate(args) -> int:
     payload = system.to_json()
     report = {
         "command": "sys generate",
-        "config": _config(args),
         "n": op.n,
         "random_flux": bool(args.random),
         "linear": lin.is_linear,
@@ -382,7 +383,6 @@ def cmd_sys_verify(args) -> int:
     ok = compat.passed and plk.passed and den["ok"] and eul.passed
     report = {
         "command": "sys verify",
-        "config": _config(args),
         "n": n,
         "compatibility": {
             "mode": compat.mode,
@@ -410,15 +410,13 @@ def cmd_sys_verify(args) -> int:
 
 def cmd_sys_diagnose(args) -> int:
     system = _load(args.file, ConservativeSystem.from_json)
-    count = args.points if args.points is not None else args.samples
     rng = random.Random(args.seed)
-    pts = _sample_points(system.op, count, rng, args.coefficient_range)
+    pts = _sample_points(system.op, args.points, rng, args.coefficient_range)
     rep = run_diagnostics(system, pts, mode=args.mode, digits=args.digits)
     body = rep.to_dict()
     ok = body["haantjes_zero"] and body["nijenhuis_routes_agree"] and body["charpoly_square_ok"]
     report = {
         "command": "sys diagnose",
-        "config": _config(args),
         "report": body,
         "ok": ok,
     }
@@ -445,15 +443,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tools for second-order homogeneous Hamiltonian operators and their conservative systems.",
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--samples", type=int, default=20, help="sample point count (default 20)")
     parser.add_argument(
-        "--coefficient-range", type=int, default=10, metavar="N",
+        "--coefficient-range", type=_bounded_int("--coefficient-range"), default=10, metavar="N",
         help="integer bound for random coefficients and sample coordinates (default 10)",
     )
-    parser.add_argument("--mode", choices=("exact", "float"), default="exact", help="eigenstructure arithmetic (default exact)")
-    parser.add_argument("--digits", type=int, default=50, help=f"working precision for --mode float (default 50, at most {MAX_DIGITS})")
     parser.add_argument("--output", choices=("text", "json"), default="text", help="report format (default text)")
 
+    points = _bounded_int("--points", MAX_POINTS)
     sub = parser.add_subparsers(dest="group", required=True)
 
     cat = sub.add_parser("catalog", help="built-in operator entries").add_subparsers(dest="command", required=True)
@@ -479,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conf = opg.add_parser("conformal-check", help="pointwise conformal identity under a reciprocal transformation")
     conf.add_argument("file")
     conf.add_argument("--sl", required=True, help="(n+1)x(n+1) matrix, inline JSON or a file path")
-    conf.add_argument("--points", type=int, help="number of sample points (default --samples)")
+    conf.add_argument("--points", type=points, default=20, help=f"number of sample points (default 20, at most {MAX_POINTS})")
     conf.set_defaults(func=cmd_op_conformal_check)
     to3 = opg.add_parser("to-3form", help="extended constant 3-form of the operator")
     to3.add_argument("file")
@@ -504,29 +500,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_sys_verify)
     dia = sysg.add_parser("diagnose", help="torsion tensors, square charpoly, eigenstructure at sample points")
     dia.add_argument("file", help="system JSON file")
-    dia.add_argument("--points", type=int, help="number of sample points (default --samples)")
+    dia.add_argument("--points", type=points, default=20, help=f"number of sample points (default 20, at most {MAX_POINTS})")
+    dia.add_argument("--mode", choices=("exact", "float"), default="exact", help="eigenstructure arithmetic (default exact)")
+    dia.add_argument("--digits", type=_bounded_int("--digits", MAX_DIGITS), default=50,
+                     help=f"working precision for --mode float (default 50, at most {MAX_DIGITS})")
     dia.set_defaults(func=cmd_sys_diagnose)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    counts = [("--samples", args.samples)]
-    if getattr(args, "points", None) is not None:
-        counts.append(("--points", args.points))
-    for flag, count in counts:
-        if count < 1:
-            parser.error(f"{flag} must be at least 1")
-        if count > MAX_POINTS:
-            parser.error(f"{flag} must be at most {MAX_POINTS}")
-    if args.coefficient_range < 1:
-        parser.error("--coefficient-range must be at least 1")
-    if args.digits < 1:
-        parser.error("--digits must be at least 1")
-    if args.digits > MAX_DIGITS:
-        parser.error(f"--digits must be at most {MAX_DIGITS}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -75,7 +75,8 @@ class PolyMatrix:
             if not self.entries[i][i].is_zero():
                 return False
             for j in range(i + 1, self.cols):
-                if self.entries[i][j] != -self.entries[j][i]:
+                upper, lower = self.entries[i][j].terms, self.entries[j][i].terms
+                if len(upper) != len(lower) or any(lower.get(key) != -c for key, c in upper.items()):
                     return False
         return True
 

@@ -161,8 +161,8 @@ class Hho2:
         table = dict(index_entries(data.get("T", []), 3, n, "T"))
         for (i, j), value in index_entries(data.get("g0", []), 2, n, "g0"):
             table[(i, j, n)] = value
-        if data.get("params"):
-            raise ValueError("operator documents with unresolved params are not supported")
+        if data.get("params", {}) != {}:
+            raise ValueError("params: must be {}; operator documents with unresolved params are not supported")
         return cls(n, table)
 
 

@@ -186,7 +186,7 @@ def test_one_parser_serves_every_run(tmp_path, capsys):
         ["op", "transform", op_path, "--sl", shear],
         ["catalog", "show", "n6-nope"],
         ["op", "transform", op_path],
-        ["--samples", "0", "catalog", "list"],
+        ["--coefficient-range", "0", "catalog", "list"],
     ]
 
     def outcome(argv):
@@ -199,7 +199,7 @@ def test_one_parser_serves_every_run(tmp_path, capsys):
 
     first = [outcome(argv) for argv in commands]
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2]
-    assert "required: --sl" in first[5][2] and "--samples must be at least 1" in first[6][2]
+    assert "required: --sl" in first[5][2] and "--coefficient-range must be at least 1" in first[6][2]
     for _ in range(2):
         assert [outcome(argv) for argv in reversed(commands)] == first[::-1]
     assert cli._build_parser() is cli._build_parser()
@@ -215,6 +215,24 @@ def _identity(dim):
     return json.dumps([[int(i == j) for j in range(dim)] for i in range(dim)])
 
 
+_EVERY_COMMAND = (
+    ["catalog", "list"], ["catalog", "show", "n2"], ["catalog", "export", "n2"],
+    ["op", "validate", "op.json"], ["op", "transform", "op.json", "--sl", "[[1]]"],
+    ["op", "conformal-check", "op.json", "--sl", "[[1]]"], ["op", "to-3form", "op.json"],
+    ["op", "from-3form", "form.json"], ["sys", "generate", "op.json", "--random"],
+    ["sys", "verify", "sys.json"], ["sys", "diagnose", "sys.json"],
+)
+
+
+@pytest.mark.parametrize("option", [["--samples", "2"], ["--mode", "float"], ["--digits", "30"]],
+                         ids=["samples", "mode", "digits"])
+def test_command_options_before_the_group_exit_2(capsys, option):
+    """Only --seed, --coefficient-range and --output are global: an option of
+    one command, or the retired --samples, is refused before the group."""
+    for command in _EVERY_COMMAND:
+        assert _parser_exit(capsys, *option, *command)[0] == 2, command
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -224,8 +242,8 @@ def _identity(dim):
         (["--coefficient-range", "-1", "sys", "generate", "{op}", "--random"], "--coefficient-range"),
         (["--coefficient-range", "-1", "sys", "diagnose", "{sys}"], "--coefficient-range"),
         (["--coefficient-range", "0", "op", "conformal-check", "{op}", "--sl", _identity(5)], "--coefficient-range"),
-        (["--digits", "0", "--mode", "float", "--samples", "1", "sys", "diagnose", "{sys}"], "--digits"),
-        (["--digits", "-5", "--mode", "float", "--samples", "1", "sys", "diagnose", "{sys}"], "--digits"),
+        (["sys", "diagnose", "{sys}", "--mode", "float", "--points", "1", "--digits", "0"], "--digits"),
+        (["sys", "diagnose", "{sys}", "--mode", "float", "--points", "1", "--digits", "-5"], "--digits"),
     ],
     ids=["diagnose-points-0", "diagnose-points-neg", "conformal-points-0",
          "generate-range-neg", "diagnose-range-neg", "conformal-range-0",
@@ -234,7 +252,7 @@ def _identity(dim):
 def test_counts_and_ranges_below_one_exit_2(tmp_path, capsys, argv, message):
     """A count below 1 would check nothing, a range below 1 leaves no sample
     box, and fewer than 1 digit leaves mpmath no precision: all are refused
-    before any work, like --samples 0."""
+    before any work."""
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-open", "--out", op_path)
     sys_path = str(tmp_path / "sys.json")
@@ -247,11 +265,10 @@ def test_counts_and_ranges_below_one_exit_2(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--samples", str(cli.MAX_POINTS + 1), "sys", "diagnose", "{sys}"], "--samples"),
         (["sys", "diagnose", "{sys}", "--points", str(cli.MAX_POINTS + 1)], "--points"),
         (["op", "conformal-check", "{op}", "--sl", _identity(5), "--points", str(10 ** 9)], "--points"),
     ],
-    ids=["diagnose-samples", "diagnose-points", "conformal-points"],
+    ids=["diagnose-points", "conformal-points"],
 )
 def test_counts_above_the_cap_exit_2(tmp_path, capsys, argv, message):
     """Point counts are bounded before any point is drawn or any report
@@ -263,7 +280,8 @@ def test_counts_above_the_cap_exit_2(tmp_path, capsys, argv, message):
     code, err = _parser_exit(capsys, *(arg.format(op=op_path, sys=sys_path) for arg in argv))
     assert code == 2
     assert f"{message} must be at most {cli.MAX_POINTS}" in err
-    assert run(capsys, "--samples", str(cli.MAX_POINTS), "catalog", "list")[0] == 0
+    assert cli._build_parser().parse_args(["sys", "diagnose", sys_path, "--points", str(cli.MAX_POINTS)]).points \
+        == cli.MAX_POINTS
 
 
 def test_digits_above_the_cap_exit_2(tmp_path, capsys):
@@ -273,11 +291,11 @@ def test_digits_above_the_cap_exit_2(tmp_path, capsys):
     run(capsys, "catalog", "export", "n2", "--out", op_path)
     sys_path = str(tmp_path / "sys.json")
     run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)
-    float_diagnose = ["--mode", "float", "--samples", "1", "sys", "diagnose", sys_path]
-    code, err = _parser_exit(capsys, "--digits", str(cli.MAX_DIGITS + 1), *float_diagnose)
+    float_diagnose = ["sys", "diagnose", sys_path, "--mode", "float", "--points", "1"]
+    code, err = _parser_exit(capsys, *float_diagnose, "--digits", str(cli.MAX_DIGITS + 1))
     assert code == 2
     assert f"--digits must be at most {cli.MAX_DIGITS}" in err
-    assert run(capsys, "--digits", str(cli.MAX_DIGITS), *float_diagnose)[0] == 0
+    assert run(capsys, *float_diagnose, "--digits", str(cli.MAX_DIGITS))[0] == 0
 
 
 # Pf(g) = u1^3 - u1 vanishes wherever u1 is -1, 0 or 1: with
@@ -333,8 +351,12 @@ def test_generate_verify_diagnose_pipeline(tmp_path, capsys):
     assert doc["op"]["n"] == 4 and len(doc["B"]) == 4
     code, out, err = run(capsys, "sys", "verify", sys_path)
     assert code == 0
-    code, out, err = run(capsys, "--samples", "4", "sys", "diagnose", sys_path)
+    code, out, err = run(capsys, "sys", "diagnose", sys_path, "--points", "4")
     assert code == 0
+    code, out, err = run(capsys, "--output", "json", "sys", "diagnose", sys_path,
+                         "--mode", "float", "--digits", "30", "--points", "1")
+    assert code == 0, err
+    assert [point["mode"] for point in json.loads(out)["report"]["diag"]] == ["float"]
 
 
 # Runs in a fresh interpreter: exact `sys diagnose` on n4-open and n8-fam1
@@ -345,8 +367,8 @@ import random, sys
 from hho2 import ConservativeSystem, cli
 from hho2.diagnostics import diag_check, sample_points
 folder = sys.argv[1]
-assert cli.main(["--samples", "2", "sys", "diagnose", folder + "/n4-open.sys.json"]) == 0
-assert cli.main(["--samples", "2", "sys", "diagnose", folder + "/n8-fam1.sys.json"]) == 1
+assert cli.main(["sys", "diagnose", folder + "/n4-open.sys.json", "--points", "2"]) == 0
+assert cli.main(["sys", "diagnose", folder + "/n8-fam1.sys.json", "--points", "2"]) == 1
 system = ConservativeSystem.from_json(open(folder + "/n6-X.sys.json").read())
 assert diag_check(system, sample_points(system.op, 1, random.Random(5))[0]).certified
 assert "sympy" not in sys.modules, "the exact diagnose path imported sympy"
@@ -402,8 +424,7 @@ def test_diagnose_reports_nonzero_torsion(tmp_path, capsys):
     code, out, err = run(capsys, "--seed", "3", "sys", "generate", op_path,
                          "--random", "--out", sys_path)
     assert code == 0
-    code, out, err = run(capsys, "--samples", "2", "--output", "json",
-                         "sys", "diagnose", sys_path)
+    code, out, err = run(capsys, "--output", "json", "sys", "diagnose", sys_path, "--points", "2")
     assert code == 1
     doc = json.loads(out)
     body = doc["report"]
@@ -515,6 +536,8 @@ def test_json_output_parses_for_verify(tmp_path, capsys):
     run(capsys, "--seed", "7", "sys", "generate", op_path, "--random", "--out", sys_path)
     code, out, err = run(capsys, "--output", "json", "sys", "verify", sys_path)
     assert code == 0
+    # No option before the group reaches the proof, and no report echoes one.
+    assert run(capsys, "--seed", "5", "--coefficient-range", "3", "--output", "json", "sys", "verify", sys_path)[1] == out
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["compatibility"]["first_order_ok"] is True
@@ -523,6 +546,15 @@ def test_json_output_parses_for_verify(tmp_path, capsys):
     assert doc["pluecker_ok"] is True
     assert doc["euler_ok"] is True
     assert doc["casimir_corank"] == 0
+
+
+@pytest.mark.parametrize("params", [[], 0, None, False, "", "x"],
+                         ids=["list", "zero", "null", "false", "empty-string", "string"])
+def test_operator_params_must_be_empty_object(tmp_path, capsys, params):
+    op_path = write(tmp_path, "op.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]], "params": params}))
+    code, out, err = run(capsys, "op", "validate", op_path)
+    assert code == 2
+    assert f"{op_path}: params: " in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -785,6 +817,7 @@ def _golden_digests(tmp_path, capsys):
     def digest(name, *argv, expect=0):
         code, out, err = run(capsys, *argv)
         assert code == expect, (name, err)
+        assert not out.startswith("{") or "config" not in json.loads(out), name  # reports echo no options
         digests[name] = hashlib.sha256(out.encode()).hexdigest()
         return out
 
@@ -808,19 +841,18 @@ def _golden_digests(tmp_path, capsys):
             moved_sys = digest(f"{entry} moved generate", "--seed", "909", "--output", "json", "sys", "generate",
                                moved_path, "--random")
             moved_sys_path = write(tmp_path, f"{entry}.moved.sys.json", json.dumps(json.loads(moved_sys)["system"]))
-            digest(f"{entry} moved diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose",
-                   moved_sys_path, expect=1)
+            digest(f"{entry} moved diagnose", "--seed", "909", "--output", "json", "sys", "diagnose",
+                   moved_sys_path, "--points", "3", expect=1)
             if n == 8:
                 # The compatibility proof and the Casimir rank of a dense
                 # linear metric on a moved n = 8 table.
-                digest(f"{entry} moved verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify",
-                       moved_sys_path)
+                digest(f"{entry} moved verify", "--seed", "909", "--output", "json", "sys", "verify", moved_sys_path)
         generated = digest(f"{entry} generate", "--seed", "909", "--output", "json", "sys", "generate", op_path, "--random")
         if entry in _GOLDEN_DIAGNOSE:
             sys_path = write(tmp_path, f"{entry}.sys.json", json.dumps(json.loads(generated)["system"]))
-            # Symbolic compatibility at every n; --samples does not reach verify.
-            digest(f"{entry} verify", "--seed", "909", "--samples", "3", "--output", "json", "sys", "verify", sys_path)
-            digest(f"{entry} diagnose", "--seed", "909", "--samples", "3", "--output", "json", "sys", "diagnose", sys_path,
+            # Symbolic compatibility at every n: verify draws no points.
+            digest(f"{entry} verify", "--seed", "909", "--output", "json", "sys", "verify", sys_path)
+            digest(f"{entry} diagnose", "--seed", "909", "--output", "json", "sys", "diagnose", sys_path, "--points", "3",
                    expect=_GOLDEN_DIAGNOSE[entry])
     return digests
 
@@ -834,15 +866,15 @@ _GOLDEN = {
     "n2 to-3form": "24def14cad883bbf36d08947e9ce63549e0aae2cf3d05de7d48fb2242f741ecf",
     "n2 from-3form": "ef44458d8d3ce36cfd4429d9e655e5d4b16d53636daa40689e7286b5960113db",
     "n2 transform": "ef44458d8d3ce36cfd4429d9e655e5d4b16d53636daa40689e7286b5960113db",
-    "n2 generate": "d4170471d873161f41975e9a3056edfbc1c1bfb7a441ccda91539a91038a347b",
+    "n2 generate": "3233dee1fb769f9db8e57c557fa020ab36c0888a85bf45d63fdbab9dcb7fe78d",
     "n4-open show": "a5ce237aba7ac5eb028923b447a6eed9fe1bc8def42d2bef35a991cee2034533",
     "n4-open validate": "176b1307792fe5cb017a6aaf17812e202f74744c58d2c460ca9efaae87a71f06",
     "n4-open to-3form": "3789db1f9c34965966b8dad04c40b00938246d6bae5ea2025dac67b8151dee1a",
     "n4-open from-3form": "bb003bf5db48544aed13b0f824baa18c85f7d1c70878ba4824f97da9335be7db",
     "n4-open transform": "d46e1107192866bfffd74fec240c07d94ce9b183f6615426857e1260a43a558f",
-    "n4-open generate": "a76d611681b44d97b6596ca5334adb399f7767b0ff3381a4024b702791baaf7b",
-    "n4-open verify": "ceef3b8d42c3e09ba3bc42aad95cea8190ce8b93f1be2bcf3aef72cf55ad5092",
-    "n4-open diagnose": "351b2720d65ad95c9b65aecf5a9fcee29320993b1b80aa809964612a44039148",
+    "n4-open generate": "fbb2b875e1de842674f94b7874e825a14b282de525254fa76b8659c5a2d2d781",
+    "n4-open verify": "f4d88e465c1ef3893aab2491e8d0ef7d3f0e58cbebb30e2adbb0b05987a2d5e2",
+    "n4-open diagnose": "923b2782615f4cb1c204aa34be2af03dca26cb996f15c99e6487e68322df86a6",
     "n6-X show": "bb45916ba028ba1769e0a1d02dc6abcb766050e118f2593d449f3d7329c09c0c",
     "n6-X validate": "b10a6f39bb174d9116e4b9980c67e8e6988d042eb3144a7c13bcdec656797c6e",
     "n6-X to-3form": "7032fd721ffbac30b69f852829b0484c517df3a21ba60ee6f8b6d83cacbe9f4a",
@@ -850,12 +882,12 @@ _GOLDEN = {
     "n6-X transform": "40d92caaa0d89c3427463971ccd8a3040aa6f1aaa24de138645a39fd73d00340",
     "n6-X moved validate": "591361137333bf028e424d73fa9ac4848fe75c1c9f22265f088aab5a7b6d5ac8",
     "n6-X moved transform": "8aac4091cb36ccfbb5366fcda7a596db1419d9ab32ced5f0078d89cb534a1fd2",
-    "n6-X moved conformal-check": "7a7ff54f34651c108c77372dc1a9bfc7236bf8485b65fe8db5b64aa3fbc4d8cb",
-    "n6-X moved generate": "a202488c047738ff07492bcdee28b8999974c4762465081d695e69ca9da367a9",
-    "n6-X moved diagnose": "bb52c7bbf23dc9e373db74dc602b4444344cebf6dea730ae164c8bb4dc0dbe9b",
-    "n6-X generate": "5fc826e1f103abbcb393458c282565665a3f9f855e401968be997db729b2a9a2",
-    "n6-X verify": "f1ff5f052a4c60384952880c55c18d5e9c2c84995492feb9a0967cbe37ad18c1",
-    "n6-X diagnose": "d3975e92d9b872870b9150dd285f956f5885ea80e4d7b013ff520fd75edb09b7",
+    "n6-X moved conformal-check": "864cf7b9351dc5b13d4577fc092eca56808fac96e9e084874d255f9a7d22ffec",
+    "n6-X moved generate": "13d1e02aa2f4041fc4364b829a509b4f9c294cea54168778f96034482e7bc2f7",
+    "n6-X moved diagnose": "66fe80fc62f7ff34b316f6e6d918758dff4bde4a26e891d620c72c8337383814",
+    "n6-X generate": "e4fc5e2fb013182cc9b698550788361bc5ebe4e62673bbca60989ab146415042",
+    "n6-X verify": "02d77f41bbf62fb1fa6d3109088cd6e4095c03abb8ac011256d38fc3b396d437",
+    "n6-X diagnose": "5d2c83d3092d79f4b228418ea4aa39249dbd76c82d02dbf87e604921de2eec6a",
     "n8-fam1 show": "94b58c9e2286f14ec4fb99044d34647e2e084b08d528df2b60c5efca0bc201c7",
     "n8-fam1 validate": "328197922eddc56ff48a3033f586ab60c8372773f57d1267efd342d73a6a414f",
     "n8-fam1 to-3form": "cc2e00c999b7ca146b6a7a3763edcd5da06f776d66bb8601e403b72f0b5c9f93",
@@ -863,13 +895,13 @@ _GOLDEN = {
     "n8-fam1 transform": "f596b7d6dc4e17d919aeb0a1fab23f7522b8a992ea96a27cda6811cf9bc269d4",
     "n8-fam1 moved validate": "16c8540c2141e7480a5292a391bd88bc3fd41dcc1f025a1df6160d37600c16de",
     "n8-fam1 moved transform": "62317f633e2b2e8a1d54b0ae9169982ded320aa062e56e403fb8d7e572b4cb58",
-    "n8-fam1 moved conformal-check": "931d52b2d90f2601e2c27c52356a160930e8584530f64473aadfcc50ba14f326",
-    "n8-fam1 moved generate": "1382ebbd2208dde7b8248766e7ca6419081dec8a98aec7823267ad046ae33998",
-    "n8-fam1 moved diagnose": "6cb2da43a86bc57dd20e47505edd6ccf8e234b0fddbc5341bf5a77372b9b2008",
-    "n8-fam1 moved verify": "b05d91a62dcd6ad81a28af5a471cac4ccef5a1082f5be103ce844723fe83b396",
-    "n8-fam1 generate": "a5cdd11c891373fca07bc6f4679d5ebbb9c324d5dbe5c9a24f3125b366c8c7d4",
-    "n8-fam1 verify": "b05d91a62dcd6ad81a28af5a471cac4ccef5a1082f5be103ce844723fe83b396",
-    "n8-fam1 diagnose": "bafe453fde1881f453ff6a55e91ab2f459ebe700e0d9bce36b451f3179c58df0",
+    "n8-fam1 moved conformal-check": "07119b792051cb2c5ca8e8390cc18e4bf39b7638133e0804c1d1b88ced9cf511",
+    "n8-fam1 moved generate": "a9f5c132ba880675eca0c024bc03a5cd985aab929ef4e77a6673feaa5b0cf61c",
+    "n8-fam1 moved diagnose": "f6bdf94b3ec375460f53c0875a1635ff1f6e7894a487fc821f753252980a2785",
+    "n8-fam1 moved verify": "d97d41085dfe1e35b7aca2368e725c1355b4eda4a99333bc1b33abf682f879e9",
+    "n8-fam1 generate": "ebb3d9048652ecd0aea70d55c46dcb834a7742d9583d2c6876796aecdbe409e6",
+    "n8-fam1 verify": "d97d41085dfe1e35b7aca2368e725c1355b4eda4a99333bc1b33abf682f879e9",
+    "n8-fam1 diagnose": "f758f18ed776a3c7c5d96c1f406c5af512a2887919b9dc5e13ad95a14aa4d1ab",
 }
 
 

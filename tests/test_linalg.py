@@ -117,6 +117,14 @@ def test_pfaffian_odd_dimension_rejected():
         pfaffian(PolyMatrix([[zero]]))
 
 
+def test_pfaffian_rejects_one_unnegated_term():
+    """Entries (0, 1) and (1, 0) agree but for the sign of their y term."""
+    zero = MultiPoly.zero(VARS)
+    upper, lower = MultiPoly.parse(VARS, "x + y"), MultiPoly.parse(VARS, "-x + y")
+    with pytest.raises(ValueError, match="non-skew"):
+        pfaffian(PolyMatrix([[zero, upper], [lower, zero]]))
+
+
 def test_pfaffian_adjugate_identity():
     rng = random.Random(8)
     for n in (2, 4, 6):
