@@ -412,7 +412,7 @@ def cmd_sys_diagnose(args) -> int:
     system = _load(args.file, ConservativeSystem.from_json)
     rng = random.Random(args.seed)
     pts = _sample_points(system.op, args.points, rng, args.coefficient_range)
-    rep = run_diagnostics(system, pts, mode=args.mode, digits=args.digits)
+    rep = run_diagnostics(system, pts, mode=args.mode, digits=args.digits or 50)
     body = rep.to_dict()
     ok = body["haantjes_zero"] and body["nijenhuis_routes_agree"] and body["charpoly_square_ok"]
     report = {
@@ -502,15 +502,18 @@ def _build_parser() -> argparse.ArgumentParser:
     dia.add_argument("file", help="system JSON file")
     dia.add_argument("--points", type=points, default=20, help=f"number of sample points (default 20, at most {MAX_POINTS})")
     dia.add_argument("--mode", choices=("exact", "float"), default="exact", help="eigenstructure arithmetic (default exact)")
-    dia.add_argument("--digits", type=_bounded_int("--digits", MAX_DIGITS), default=50,
-                     help=f"working precision for --mode float (default 50, at most {MAX_DIGITS})")
+    dia.add_argument("--digits", type=_bounded_int("--digits", MAX_DIGITS),
+                     help=f"working precision, only with --mode float (default 50, at most {MAX_DIGITS})")
     dia.set_defaults(func=cmd_sys_diagnose)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "digits", None) is not None and args.mode != "float":
+        parser.error("--digits needs --mode float")
     try:
         return args.func(args)
     except InputError as exc:

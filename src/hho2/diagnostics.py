@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .linalg import PolyMatrix, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
+from .linalg import PolyMatrix, _pfaffian_expansion, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly, _poly_mul_coeffs, _trim
 from .systems import ConservativeSystem
@@ -245,36 +245,20 @@ def charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     return _charpoly(*_jacobian_numerators(system, u))
 
 
-def _pencil_pfaffian(a: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> List[int]:
-    """Ascending coefficients of Pf(a - lam g) for integer skew matrices a, g.
+def _sum_coeff_products(pairs) -> List[int]:
+    """The sum of a * b over the (a, b) pairs of ascending coefficient lists.
 
-    First-row expansion over bitmasks of the remaining indices, memoised as
-    in linalg.pfaffian, on integer coefficient lists.
+    Each product is a fresh list, so the longer of it and the running sum
+    takes the other one in place.
     """
-    n = len(a)
-    memo = {0: [1]}
-
-    def pf(mask: int) -> List[int]:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        first = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << first)
-        total = [0] * (bin(mask).count("1") // 2 + 1)
-        sign = 1
-        for j in range(first + 1, n):
-            if not rest >> j & 1:
-                continue
-            x, y = sign * a[first][j], sign * g[first][j]
-            sign = -sign
-            if x or y:
-                for k, c in enumerate(pf(rest ^ (1 << j))):
-                    total[k] += x * c
-                    total[k + 1] -= y * c
-        memo[mask] = total
-        return total
-
-    return pf((1 << n) - 1)
+    total = []
+    for a, b in pairs:
+        prod = _poly_mul_coeffs(a, b)
+        if len(prod) > len(total):
+            prod, total = total, prod
+        for k, c in enumerate(prod):
+            total[k] += c
+    return total
 
 
 def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
@@ -285,22 +269,24 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     Read from the point record in integers.  With T = t / t_den,
     V = qv / d, Aeff = A / a_den and g = G / (t_den q), the pencil times
     m = t_den a_den q d is a_den q (t qv) + t_den q d A - lam a_den d G, so
-    s = Pf(that) d_scale / (m^(n/2) d), as Pf(g) = d / d_scale.
+    s = Pf(that) d_scale / (m^(n/2) d), as Pf(g) = d / d_scale.  Its entries
+    are ascending lam-coefficient lists, expanded by the `linalg` Pfaffian.
     """
     n = system.op.n
     num = system._numerators(u)
     t_den, t = system.op._integer_table()
     a_den, a = system._affine
     d = num.d
-    flux_scale, affine_scale = a_den * num.q, t_den * num.q * d
+    flux_scale, affine_scale, lam_scale = a_den * num.q, t_den * num.q * d, a_den * d
     pencil = [[0] * n for _ in range(n)]
     for h in range(n):
         for j in range(h + 1, n):
-            entry = flux_scale * sum(map(mul, t[h][j], num.qv)) + affine_scale * a[h][j]
-            pencil[h][j], pencil[j][h] = entry, -entry
-    g = [[a_den * d * x for x in row] for row in num.g]
+            x = flux_scale * sum(map(mul, t[h][j], num.qv)) + affine_scale * a[h][j]
+            y = lam_scale * num.g[h][j]
+            pencil[h][j], pencil[j][h] = _trim([x, -y]), _trim([-x, y])
+    pf = _pfaffian_expansion(pencil, _sum_coeff_products, [1])
     den = (t_den * a_den * num.q * d) ** (n // 2) * d
-    return [Fraction(x * num.d_scale, den) for x in _pencil_pfaffian(pencil, g)]
+    return [Fraction(x * num.d_scale, den) for x in pf((1 << n) - 1)]
 
 
 def charpoly_square_at(system: ConservativeSystem, u) -> dict:
@@ -320,9 +306,6 @@ def charpoly_square_at(system: ConservativeSystem, u) -> dict:
 class CharpolySquareReport:
     n: int
     equal: bool
-    route: str
-    det_side_degree_in_lam: int
-    pf_side_degree_in_lam: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,24 +353,13 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     every flux the constructor builds; g R = D C fails only for numerators `q`
     edited after construction, and such a flux can still satisfy the expanded
     identity.
-
-    Both degree fields are n without expanding a side: the lam-leading
-    coefficient of det(R - lam D^2 I) is (-D^2)^n, and that of Pf(Dm) is
-    Pf(-D g) = (-D)^(n/2) Pf(g) = (-D)^(n/2) D.  Both are nonzero because
-    construction refuses D = 0.
     """
     n = system.op.n
     g = system.op.metric()
     match = not any(eqp for row in system._residual_jacobian()[1] for eqp in row)
     gram = det_bareiss(g) == system.d * system.d
     universal = _universal_skew_det_is_pfaffian_square(n)
-    return CharpolySquareReport(
-        n=n,
-        equal=match and gram and universal,
-        route="factored",
-        det_side_degree_in_lam=n,
-        pf_side_degree_in_lam=n,
-    )
+    return CharpolySquareReport(n=n, equal=match and gram and universal)
 
 
 # ----- univariate factorization over the rationals ----------------------------

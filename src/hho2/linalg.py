@@ -3,10 +3,11 @@
 Polynomial matrices get fraction-free algorithms: one Bareiss elimination
 for determinants and rank, a rank first bounded below at a fixed rational
 point, a Laplace expansion memoised over column subsets as an independent
-determinant, a recursive first-row Pfaffian with memoisation over index
-subsets, and a skew adjugate assembled from Pfaffian minors, whose entries
-over the Pfaffian give the inverse; Pfaffians expand on integer coefficients,
-each minor summed in one pass.
+determinant, and a skew adjugate assembled from Pfaffian minors, whose entries
+over the Pfaffian give the inverse.  One recursive first-row Pfaffian
+expansion, memoised over index subsets, serves every coefficient ring: here
+integer polynomials, each minor summed in one pass, and the integer
+eigenvalue pencil of `diagnostics`.
 Plain rational matrices (lists of lists of Fraction) are cleared of
 denominators and row-reduced in integers by fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
@@ -167,42 +168,66 @@ def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
+def _pfaffian_expansion(rows, total, one):
+    """pf(mask), the Pfaffian of the skew submatrix of `rows` on the indices
+    in the bitmask, by recursive first-row expansion memoised over masks.
+
+    `rows` holds both triangles of a skew matrix over any ring, so the entry
+    with sign -1 is read from the transposed slot and nothing is negated.
+    Zero (falsy) entries are skipped, and `total(pairs)` sums the products of
+    the (entry, sub-Pfaffian) pairs of one expansion; `one` is Pf of the empty
+    matrix.
+    """
+    memo = {0: one}
+
+    def pf(mask: int):
+        got = memo.get(mask)
+        if got is None:
+            low = mask & -mask
+            first, rest = low.bit_length() - 1, mask ^ low
+            row, pairs, todo, odd = rows[first], [], rest, False
+            while todo:
+                bit = todo & -todo
+                j = bit.bit_length() - 1
+                entry = rows[j][first] if odd else row[j]
+                if entry:
+                    pairs.append((entry, pf(rest ^ bit)))
+                todo ^= bit
+                odd = not odd
+            got = memo[mask] = total(pairs)
+        return got
+
+    return pf
+
+
 def _pfaffian_minors(matrix: PolyMatrix, masks):
     """Pfaffians of the skew submatrices indexed by the given bitmasks,
-    computed by recursive first-row expansion with shared memoisation on the
-    entries times their coefficients' common denominator den; a minor on 2k
-    indices is then divided by den^k.  Each minor is one `_sum_of_products`
-    over its (signed entry, sub-minor) pairs; the entry with sign -1 is read
-    from the transposed position, as the matrix is skew."""
+    expanded with shared memoisation on the entries times their coefficients'
+    common denominator den; a minor on 2k indices is then divided by den^k.
+    Each minor is one `_sum_of_products` over its (entry, sub-minor) pairs."""
     vars_ = matrix.vars
     den, coeffs = clear_denominators([list(p.terms.values()) for row in matrix.entries for p in row])
     flat = iter(coeffs)
     m = [[MultiPoly._raw(vars_, dict(zip(p.terms, next(flat)))) for p in row] for row in matrix.entries]
-    memo = {0: MultiPoly.const(vars_, 1)}
-
-    def pf(mask: int) -> MultiPoly:
-        got = memo.get(mask)
-        if got is None:
-            idx = [i for i in range(matrix.rows) if mask >> i & 1]
-            first, rest = idx[0], mask & ~(1 << idx[0])
-            pairs = [(m[first][j] if pos % 2 == 0 else m[j][first], pf(rest & ~(1 << j)))
-                     for pos, j in enumerate(idx[1:]) if m[first][j].terms]
-            got = memo[mask] = _sum_of_products(vars_, pairs)
-        return got
-
+    pf = _pfaffian_expansion(m, lambda pairs: _sum_of_products(vars_, pairs), MultiPoly.const(vars_, 1))
     if den == 1:
         return [pf(mask) for mask in masks]
     return [pf(mask) * Fraction(1, den ** (mask.bit_count() // 2)) for mask in masks]
 
 
-def pfaffian(matrix: PolyMatrix) -> MultiPoly:
-    """Pfaffian of an even-dimensional skew matrix; Pf^2 = det."""
+def _check_pfaffian_input(matrix: PolyMatrix) -> None:
+    """Refuse a matrix that is not square, not even-dimensional or not skew."""
     if not matrix.is_square():
         raise ValueError("pfaffian of a non-square matrix")
     if matrix.rows % 2 != 0:
         raise ValueError("pfaffian needs even dimension")
     if not matrix.is_skew():
         raise ValueError("pfaffian of a non-skew matrix")
+
+
+def pfaffian(matrix: PolyMatrix) -> MultiPoly:
+    """Pfaffian of an even-dimensional skew matrix; Pf^2 = det."""
+    _check_pfaffian_input(matrix)
     full = (1 << matrix.rows) - 1
     return _pfaffian_minors(matrix, [full])[0]
 
@@ -213,25 +238,18 @@ def pfaffian_adjugate(matrix: PolyMatrix):
     P[i][j] is, up to the sign (-1)^(i+j) * sgn(j-i), the Pfaffian of the
     submatrix with rows and columns i, j deleted; all entries are polynomials.
     """
-    if not matrix.is_square() or matrix.rows % 2 != 0 or not matrix.is_skew():
-        raise ValueError("pfaffian adjugate needs an even-dimensional skew matrix")
+    _check_pfaffian_input(matrix)
     n = matrix.rows
     full = (1 << n) - 1
-    masks = [full]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs:
-        masks.append(full & ~(1 << i) & ~(1 << j))
-    values = _pfaffian_minors(matrix, masks)
-    pf = values[0]
+    pf, *minors = _pfaffian_minors(matrix, [full] + [full ^ (1 << i) ^ (1 << j) for i, j in pairs])
     if pf.is_zero():
         raise ZeroDivisionError("matrix is degenerate (zero Pfaffian)")
     zero = MultiPoly.zero(matrix.vars)
     out = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), minor in zip(pairs, values[1:]):
-        s = -1 if (i + j) % 2 else 1
-        entry = minor if s > 0 else -minor
-        out[i][j] = entry
-        out[j][i] = -entry
+    for (i, j), minor in zip(pairs, minors):
+        entry = -minor if (i + j) % 2 else minor
+        out[i][j], out[j][i] = entry, -entry
     return PolyMatrix(out), pf
 
 

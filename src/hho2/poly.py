@@ -88,8 +88,8 @@ def json_int(value, where: str) -> int:
 # anything whose size grows with n.
 MAX_N = 8
 
-# The largest sample point count `--samples` and `--points` accept: the point
-# loops keep one report per point, so the count is bounded before they start.
+# The largest sample point count `--points` accepts: the point loops keep one
+# report per point, so the count is bounded before they start.
 MAX_POINTS = 10_000
 
 # The largest working precision `--digits` accepts for the float
@@ -801,17 +801,17 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def lowest_terms(num: MultiPoly, den: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """The fraction num / den as a pair in lowest terms: gcd(num, den) = 1 and
     the denominator's deglex leading coefficient is +1.  A zero numerator
-    gets denominator 1, and a constant denominator is divided out with no gcd.
+    gets denominator 1, and a denominator that divides the numerator, a
+    constant one included, is divided out with no gcd.
     """
     if num.vars != den.vars:
         raise ValueError("variable mismatch in fraction")
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    one = MultiPoly.const(num.vars, 1)
-    if num.is_zero():
-        return num, one
-    if den.is_constant():
-        return num * (Fraction(1) / Fraction(den.constant_value())), one
+    try:
+        return num.exact_div(den), MultiPoly.const(num.vars, 1)
+    except ValueError:
+        pass
     g = poly_gcd(num, den)
     if not g.is_constant():
         num, den = num.exact_div(g), den.exact_div(g)

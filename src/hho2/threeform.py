@@ -183,14 +183,19 @@ class LinearMapN1:
 
     @classmethod
     def from_json(cls, text: str) -> "LinearMapN1":
-        """Read a document {"entries": rows, ...} or a bare list of rows."""
-        data = json.loads(text)
+        """Read a document {"dim": d, "entries": rows}, where d is optional
+        and must equal the row count, or a bare list of rows."""
+        data, dim = json.loads(text), None
         if isinstance(data, dict):
             if "entries" not in data:
                 raise ValueError("malformed linear map document: missing entries")
+            if "dim" in data:
+                dim = json_int(data["dim"], "dim")
             data = data["entries"]
         if isinstance(data, list):
             bounded_n(len(data) - 1, "entries")
+            if dim is not None and dim != len(data):
+                raise ValueError(f"dim: {dim} does not match the {len(data)} rows of entries")
         return cls(data)
 
 

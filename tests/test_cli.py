@@ -236,30 +236,34 @@ def test_command_options_before_the_group_exit_2(capsys, option):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sys", "diagnose", "{sys}", "--points", "0"], "--points"),
-        (["sys", "diagnose", "{sys}", "--points", "-3"], "--points"),
-        (["op", "conformal-check", "{op}", "--sl", _identity(5), "--points", "0"], "--points"),
-        (["--coefficient-range", "-1", "sys", "generate", "{op}", "--random"], "--coefficient-range"),
-        (["--coefficient-range", "-1", "sys", "diagnose", "{sys}"], "--coefficient-range"),
-        (["--coefficient-range", "0", "op", "conformal-check", "{op}", "--sl", _identity(5)], "--coefficient-range"),
-        (["sys", "diagnose", "{sys}", "--mode", "float", "--points", "1", "--digits", "0"], "--digits"),
-        (["sys", "diagnose", "{sys}", "--mode", "float", "--points", "1", "--digits", "-5"], "--digits"),
+        (["sys", "diagnose", "{sys}", "--points", "0"], "--points must be at least 1"),
+        (["sys", "diagnose", "{sys}", "--points", "-3"], "--points must be at least 1"),
+        (["op", "conformal-check", "{op}", "--sl", _identity(5), "--points", "0"], "--points must be at least 1"),
+        (["--coefficient-range", "-1", "sys", "generate", "{op}", "--random"], "--coefficient-range must be at least 1"),
+        (["--coefficient-range", "-1", "sys", "diagnose", "{sys}"], "--coefficient-range must be at least 1"),
+        (["--coefficient-range", "0", "op", "conformal-check", "{op}", "--sl", _identity(5)],
+         "--coefficient-range must be at least 1"),
+        (["sys", "diagnose", "{sys}", "--mode", "float", "--points", "1", "--digits", "0"], "--digits must be at least 1"),
+        (["sys", "diagnose", "{sys}", "--mode", "float", "--points", "1", "--digits", "-5"],
+         "--digits must be at least 1"),
+        (["sys", "diagnose", "{sys}", "--points", "1", "--digits", "7"], "--digits needs --mode float"),
     ],
     ids=["diagnose-points-0", "diagnose-points-neg", "conformal-points-0",
          "generate-range-neg", "diagnose-range-neg", "conformal-range-0",
-         "diagnose-digits-0", "diagnose-digits-neg"],
+         "diagnose-digits-0", "diagnose-digits-neg", "diagnose-digits-exact"],
 )
 def test_counts_and_ranges_below_one_exit_2(tmp_path, capsys, argv, message):
     """A count below 1 would check nothing, a range below 1 leaves no sample
-    box, and fewer than 1 digit leaves mpmath no precision: all are refused
-    before any work."""
+    box, and fewer than 1 digit leaves mpmath no precision, while digits
+    outside the float mode would be read by nothing: all are refused before
+    any work."""
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-open", "--out", op_path)
     sys_path = str(tmp_path / "sys.json")
     run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)
     code, err = _parser_exit(capsys, *(arg.format(op=op_path, sys=sys_path) for arg in argv))
     assert code == 2
-    assert f"{message} must be at least 1" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -393,6 +397,7 @@ def test_exact_diagnose_never_imports_sympy(tmp_path, capsys):
 # and fails if any of it imported sympy.  n6-VIII has the Pfaffian u1*u4, and
 # some of its flux components share a factor with it.
 _GENERATE_VERIFY_NO_SYMPY_SCRIPT = """
+import json
 import sys
 from hho2 import catalog, cli
 folder = sys.argv[1]
@@ -405,6 +410,11 @@ for entry in catalog.list_entries():
     for seed in ("3", "909"):
         assert cli.main(["--seed", seed, "sys", "generate", op, "--random", "--out", system]) == 0
         assert cli.main(["sys", "verify", system]) == 0
+# A constant flux on n6-X: each numerator Q_k is D c_k, a multiple of the Pfaffian.
+op, system = f"{folder}/n6-X.json", f"{folder}/n6-X.constant.sys.json"
+assert cli.main(["sys", "generate", op, "--A", json.dumps([[0] * 6] * 6), "--B", json.dumps([0] * 6),
+                 "--constants", "1,1,1,1,1,1", "--out", system]) == 0
+assert cli.main(["sys", "verify", system]) == 0
 assert "sympy" not in sys.modules, "sys generate or sys verify imported sympy"
 """
 
@@ -706,6 +716,17 @@ def test_linear_map_reader_names_the_bad_entry(tmp_path, capsys, bad):
         _assert_exit_2_at(capsys, "entries[2][1]", "op", "transform", good_op, "--sl", json.dumps(sl))
     for sl, where in (([[1, 0, 0], "010", [0, 0, 1]], "entries[1]"), ({"entries": 5}, "entries")):
         _assert_exit_2_at(capsys, where, "op", "transform", good_op, "--sl", json.dumps(sl))
+
+
+@pytest.mark.parametrize("dim", [9, "x", True, 5.0, 5])
+def test_linear_map_dim_must_be_the_integer_row_count(tmp_path, capsys, dim):
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    sl = write(tmp_path, "sl.json", json.dumps({"dim": dim, "entries": json.loads(_identity(5))}))
+    if type(dim) is int and dim == 5:
+        assert run(capsys, "op", "transform", op_path, "--sl", sl)[0] == 0
+    else:
+        _assert_exit_2_at(capsys, "dim", "op", "transform", op_path, "--sl", sl)
 
 
 def _assert_over_cap(capsys, where, n, *argv):

@@ -113,16 +113,18 @@ def test_pfaffian_known_values():
 
 def test_pfaffian_odd_dimension_rejected():
     zero = MultiPoly.zero(VARS)
-    with pytest.raises(ValueError):
-        pfaffian(PolyMatrix([[zero]]))
+    for pf in (pfaffian, pfaffian_adjugate):
+        with pytest.raises(ValueError, match="even dimension"):
+            pf(PolyMatrix([[zero]]))
 
 
 def test_pfaffian_rejects_one_unnegated_term():
     """Entries (0, 1) and (1, 0) agree but for the sign of their y term."""
     zero = MultiPoly.zero(VARS)
     upper, lower = MultiPoly.parse(VARS, "x + y"), MultiPoly.parse(VARS, "-x + y")
-    with pytest.raises(ValueError, match="non-skew"):
-        pfaffian(PolyMatrix([[zero, upper], [lower, zero]]))
+    for pf in (pfaffian, pfaffian_adjugate):
+        with pytest.raises(ValueError, match="non-skew"):
+            pf(PolyMatrix([[zero, upper], [lower, zero]]))
 
 
 def test_pfaffian_adjugate_identity():

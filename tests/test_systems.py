@@ -485,15 +485,16 @@ def test_linearity_short_circuit_agrees_with_every_component():
 @pytest.mark.parametrize("name", ["n6-VIII", "n6-X"])
 def test_linearity_stops_at_the_first_non_affine_component(monkeypatch, name):
     # Components other than `bad` are edited to V^k = u_k + k, affine over the
-    # nonconstant Pfaffian, so each takes one gcd; V^bad = u_bad^2 is not.
+    # nonconstant Pfaffian; V^bad = u_bad^2 is not.  Each component read is
+    # brought to lowest terms once.
     calls = []
-    gcd = poly.poly_gcd
+    reduce = systems.lowest_terms
 
-    def counted(f, g):
-        calls.append(f)
-        return gcd(f, g)
+    def counted(num, den):
+        calls.append(num)
+        return reduce(num, den)
 
-    monkeypatch.setattr(poly, "poly_gcd", counted)
+    monkeypatch.setattr(systems, "lowest_terms", counted)
     op = build(name)
     n = op.n
     for bad in [None, *range(n)]:
