@@ -24,7 +24,7 @@ J^T gt(ut) J = A(u)^{-3} g(u).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
@@ -169,36 +169,18 @@ class Hho2:
 @dataclass
 class ValidationReport:
     n: int
-    t_total_skew: bool
-    g0_skew: bool
     pfaffian: MultiPoly
     degenerate: bool
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def validate(op: Hho2) -> ValidationReport:
-    """Structural report: skewness of the data and the nondegeneracy flag.
+    """Structural report: the metric Pfaffian and the nondegeneracy flag.
 
-    Construction already canonicalises, so the skew checks re-derive the
-    invariants from the stored table keys rather than trusting flags: T lives
-    on increasing triples inside range(n), g0 on increasing pairs (i, j) of
-    the triples (i, j, n).
+    T and g0 are skew by construction: the constructor refuses every table
+    key that is not a strictly increasing triple (`skew_table`).
     """
-    problems = []
-    n = op.n
-    t_skew = all(0 <= i < j < k < n for i, j, k in op.table if k != n)
-    if not t_skew:
-        problems.append("tensor triples out of canonical range")
-    g_skew = all(0 <= i < j < n for i, j, k in op.table if k == n)
-    if not g_skew:
-        problems.append("g0 is not skew")
     pf = op.pfaffian_poly()
-    degenerate = pf.is_zero()
-    return ValidationReport(op.n, t_skew, g_skew, pf, degenerate, problems)
+    return ValidationReport(op.n, pf, pf.is_zero())
 
 
 def transform(op: Hho2, a: LinearMapN1) -> Hho2:

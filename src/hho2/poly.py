@@ -643,7 +643,7 @@ def _parse_atom(cls, vs, tokens, pos):
         poly, pos = _parse_power(cls, vs, tokens, pos + 1)
         return -poly, pos
     if tok[0].isdigit():
-        return cls.const(vs, Fraction(tok)), pos + 1
+        return cls.const(vs, rat(tok)), pos + 1
     if tok in vs:
         return cls.variable(vs, tok), pos + 1
     raise ValueError(f"unknown variable {tok!r}; ring is {vs}")

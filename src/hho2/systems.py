@@ -211,33 +211,12 @@ class ConservativeSystem:
 
     # ----- integer forms ------------------------------------------------------
 
-    def _integer_scales(self) -> int:
-        """The lcm `scale` of the coefficient denominators of D and the Q_k as
-        they are now; the table's integer form is `op._integer_table()` and
-        the affine data's is `_affine`, both fixed at construction."""
-        return clear_denominators([list(p.terms.values()) for p in (self.d, *self.q)])[0]
-
     def _pluecker_residuals(self) -> Tuple[MultiPoly, List[MultiPoly]]:
-        """(d, P): d = scale D and the residuals P_q = sum_k g_qk Q_k -
-        D (Aeff u + Beff)_q in Z[u], each times a_den t_den scale.  D and the
-        Q_k as they are at the first call carry scale, as in
-        `_integer_scales`, and the Q_k also a_den; the metric rows are read
-        from `op._integer_table`, so carry t_den, and Aeff, Beff their common
-        denominator a_den (`_affine`) times t_den.
-        Built once: `q` is edited only before the first read."""
+        """`_integer_residuals` of the numerators as they are at the first
+        call and of `_affine`.  Built once: `q` is edited only before the
+        first read."""
         if self._residuals is None:
-            n, vs = self.op.n, self.vars
-            scale = self._integer_scales()
-            t_den, t = self.op._integer_table()
-            a_den, rows = self._affine
-            q = [x * (scale * a_den) for x in self.q]
-            d = self.d * scale
-            out = []
-            for h in range(n):
-                pairs = [(_linear(vs, t[h][k]), q[k]) for k in range(n)]
-                pairs.append((d, _linear(vs, [-t_den * x for x in (*rows[h], rows[n][h])])))
-                out.append(_sum_of_products(vs, pairs))
-            self._residuals = d, out
+            self._residuals = _integer_residuals(self.op, self.d, self.q, self._affine)
         return self._residuals
 
     def _residual_jacobian(self) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
@@ -375,7 +354,7 @@ class _PointNumerators(NamedTuple):
 class _PointKernel:
     """Integer evaluation of D, the Q_k and their partials.
 
-    One common denominator `scale` (`ConservativeSystem._integer_scales`)
+    One common denominator `scale` (`_denominator_lcm` of D and the Q_k)
     clears D, the Q_k and their partials, which are built here and kept only
     compiled.  Each monomial of the one table is evaluated once, homogenised
     to the top degree, so a point U/q needs only integers.  The metric
@@ -387,7 +366,7 @@ class _PointKernel:
         self.n = n
         self.op = system.op
         self.pairs = [(p, l) for p in range(n) for l in range(p, n)]
-        self.scale = system._integer_scales()
+        self.scale = _denominator_lcm((system.d, *system.q))
         index: Dict[Tuple[int, ...], int] = {}
         self.polys = []
         for f in (system.d, *system.q):
@@ -498,6 +477,36 @@ class CompatReport:
         )
 
 
+def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
+    """The lcm `scale` of the coefficient denominators of the polys."""
+    return clear_denominators([list(p.terms.values()) for p in polys])[0]
+
+
+def _integer_residuals(
+    op: Hho2, d: MultiPoly, q: Sequence[MultiPoly], affine: Tuple[int, List[List[int]]]
+) -> Tuple[MultiPoly, List[MultiPoly]]:
+    """(d, P): d = scale D and the residuals P_h = sum_k g_hk Q_k -
+    D (Aeff u + Beff)_h in Z[u], each times a_den t_den scale, for numerators
+    Q_k over D in the operator's ring.  scale is `_denominator_lcm` of D and
+    the Q_k, which also carry a_den; the metric rows are read from
+    `op._integer_table`, so carry t_den.  affine = (a_den, rows) holds
+    a_den Aeff in rows h < n and a_den Beff in row n, as
+    `ConservativeSystem._affine` does; a zero affine part drops out of the
+    sums."""
+    n, vs = op.n, op.vars
+    scale = _denominator_lcm((d, *q))
+    t_den, t = op._integer_table()
+    a_den, rows = affine
+    q = [x * (scale * a_den) for x in q]
+    d = d * scale
+    out = []
+    for h in range(n):
+        pairs = [(_linear(vs, t[h][k]), q[k]) for k in range(n)]
+        pairs.append((d, _linear(vs, [-t_den * x for x in (*rows[h], rows[n][h])])))
+        out.append(_sum_of_products(vs, pairs))
+    return d, out
+
+
 def _residual_table(vs: Tuple[str, ...], d: MultiPoly, res: Sequence[MultiPoly]) -> List[List[MultiPoly]]:
     """E_qp = d dP_q/du^p - d_p P_q for the residuals P = res over d."""
     d1 = [d.diff(p) for p in range(len(res))]
@@ -594,11 +603,13 @@ def check_compat_rational(op: Hho2, fractions: Sequence[Tuple[MultiPoly, MultiPo
     (numerator, denominator) pairs of polynomials in u, such as `system.v`.
 
     The pairs are cleared to one denominator D, the product of the distinct
-    M_k, so that Q_k = N_k D / M_k; no gcd is taken.  Both families are then
-    read off the residual P_q = sum_k g_qk Q_k by the reader of the symbolic
-    proof, with Aeff = Beff = 0 and C_qp = T_qpk Q_k.  F - D C = E needs only
-    C skew, so it holds for any nonzero D, not only the Pfaffian, and the
-    failure lists are exact.  Tests use it to check foreign vectors.
+    M_k, so that Q_k = N_k D / M_k; no gcd is taken.  The residual
+    P_q = sum_k g_qk Q_k is built in integers by `_integer_residuals`, the
+    builder of `sys verify`, with Aeff = Beff = 0, and both families are read
+    off it by the reader of the symbolic proof, with C_qp = T_qpk Q_k.
+    F - D C = E needs only C skew, so it holds for any nonzero D, not only
+    the Pfaffian, and the failure lists are exact.  Tests use it to check
+    foreign vectors.
     """
     n, vs = op.n, op.vars
     if len(fractions) != n:
@@ -610,10 +621,8 @@ def check_compat_rational(op: Hho2, fractions: Sequence[Tuple[MultiPoly, MultiPo
     for _, den in pairs:
         if den not in dens:
             dens.append(den)
-    d = reduce(operator.mul, dens)
     q = [reduce(operator.mul, [x for x in dens if x != den], num) for num, den in pairs]
-    g = op.metric()
-    res = [_sum_of_products(vs, [(g.at(h, k), q[k]) for k in range(n)]) for h in range(n)]
+    d, res = _integer_residuals(op, reduce(operator.mul, dens), q, (1, [[0] * n] * (n + 1)))
     return _compat_families("rational", vs, d, _residual_table(vs, d, res))
 
 

@@ -883,13 +883,13 @@ def _golden_digests(tmp_path, capsys):
 # is; a digest changes only with an intended change of output.
 _GOLDEN = {
     "n2 show": "b7770678f275d87eb9da8e7c67d801a10cb394d6d9bf7db60b11585a4f15e2ae",
-    "n2 validate": "b542ee9931c980affd143ce4957c46ac84a6188a280843c1a032c3e42e3d6329",
+    "n2 validate": "78fbe5a060f831b129aa8f8066fb915dfb72995d1d46a8e24e2e69f43c4fbf4e",
     "n2 to-3form": "24def14cad883bbf36d08947e9ce63549e0aae2cf3d05de7d48fb2242f741ecf",
     "n2 from-3form": "ef44458d8d3ce36cfd4429d9e655e5d4b16d53636daa40689e7286b5960113db",
     "n2 transform": "ef44458d8d3ce36cfd4429d9e655e5d4b16d53636daa40689e7286b5960113db",
     "n2 generate": "3233dee1fb769f9db8e57c557fa020ab36c0888a85bf45d63fdbab9dcb7fe78d",
     "n4-open show": "a5ce237aba7ac5eb028923b447a6eed9fe1bc8def42d2bef35a991cee2034533",
-    "n4-open validate": "176b1307792fe5cb017a6aaf17812e202f74744c58d2c460ca9efaae87a71f06",
+    "n4-open validate": "3a22209e84ac911810e3179ff4602787d0442c859a7455e71f2cc748e90f2911",
     "n4-open to-3form": "3789db1f9c34965966b8dad04c40b00938246d6bae5ea2025dac67b8151dee1a",
     "n4-open from-3form": "bb003bf5db48544aed13b0f824baa18c85f7d1c70878ba4824f97da9335be7db",
     "n4-open transform": "d46e1107192866bfffd74fec240c07d94ce9b183f6615426857e1260a43a558f",
@@ -897,11 +897,11 @@ _GOLDEN = {
     "n4-open verify": "f4d88e465c1ef3893aab2491e8d0ef7d3f0e58cbebb30e2adbb0b05987a2d5e2",
     "n4-open diagnose": "923b2782615f4cb1c204aa34be2af03dca26cb996f15c99e6487e68322df86a6",
     "n6-X show": "bb45916ba028ba1769e0a1d02dc6abcb766050e118f2593d449f3d7329c09c0c",
-    "n6-X validate": "b10a6f39bb174d9116e4b9980c67e8e6988d042eb3144a7c13bcdec656797c6e",
+    "n6-X validate": "18abe4275f58a3b52eb012228e3257524540c4ae98e87d8e12dfbe18a1969fab",
     "n6-X to-3form": "7032fd721ffbac30b69f852829b0484c517df3a21ba60ee6f8b6d83cacbe9f4a",
     "n6-X from-3form": "47b0cc3b573f084e4ad420892d004a40c2056ed25fcb637ceeec75612fb72e2d",
     "n6-X transform": "40d92caaa0d89c3427463971ccd8a3040aa6f1aaa24de138645a39fd73d00340",
-    "n6-X moved validate": "591361137333bf028e424d73fa9ac4848fe75c1c9f22265f088aab5a7b6d5ac8",
+    "n6-X moved validate": "ec140610f013bb735e64639aa31f07284f5aea627c167b0d23acff3d7c307ecb",
     "n6-X moved transform": "8aac4091cb36ccfbb5366fcda7a596db1419d9ab32ced5f0078d89cb534a1fd2",
     "n6-X moved conformal-check": "864cf7b9351dc5b13d4577fc092eca56808fac96e9e084874d255f9a7d22ffec",
     "n6-X moved generate": "13d1e02aa2f4041fc4364b829a509b4f9c294cea54168778f96034482e7bc2f7",
@@ -910,11 +910,11 @@ _GOLDEN = {
     "n6-X verify": "02d77f41bbf62fb1fa6d3109088cd6e4095c03abb8ac011256d38fc3b396d437",
     "n6-X diagnose": "5d2c83d3092d79f4b228418ea4aa39249dbd76c82d02dbf87e604921de2eec6a",
     "n8-fam1 show": "94b58c9e2286f14ec4fb99044d34647e2e084b08d528df2b60c5efca0bc201c7",
-    "n8-fam1 validate": "328197922eddc56ff48a3033f586ab60c8372773f57d1267efd342d73a6a414f",
+    "n8-fam1 validate": "87a9a870840344501415b9f219e474b7d306f6c4a26f38876be3646eb9532226",
     "n8-fam1 to-3form": "cc2e00c999b7ca146b6a7a3763edcd5da06f776d66bb8601e403b72f0b5c9f93",
     "n8-fam1 from-3form": "f6f2383bb0ee403482c758ec4384279b944abb102644796e2e8fb6fcf06031d3",
     "n8-fam1 transform": "f596b7d6dc4e17d919aeb0a1fab23f7522b8a992ea96a27cda6811cf9bc269d4",
-    "n8-fam1 moved validate": "16c8540c2141e7480a5292a391bd88bc3fd41dcc1f025a1df6160d37600c16de",
+    "n8-fam1 moved validate": "5e42cd794642e44947653dbc0acdf71f5845fa6312eddb6d227477e6cc213f1b",
     "n8-fam1 moved transform": "62317f633e2b2e8a1d54b0ae9169982ded320aa062e56e403fb8d7e572b4cb58",
     "n8-fam1 moved conformal-check": "07119b792051cb2c5ca8e8390cc18e4bf39b7638133e0804c1d1b88ced9cf511",
     "n8-fam1 moved generate": "a9f5c132ba880675eca0c024bc03a5cd985aab929ef4e77a6673feaa5b0cf61c",

@@ -106,6 +106,14 @@ def test_parse_round_trip():
     assert MultiPoly.parse(VARS, str(p)) == p
 
 
+
+@pytest.mark.parametrize("text", ["1/0*x", "x - 3/00", "1/2/3*y"])
+def test_parse_reads_numbers_through_rat(text):
+    # A number token obeys `rat`: a zero denominator is a ValueError too,
+    # which document readers report, not a ZeroDivisionError.
+    with pytest.raises(ValueError):
+        MultiPoly.parse(VARS, text)
+
 def test_exact_div_and_divides():
     rng = random.Random(3)
     for _ in range(25):

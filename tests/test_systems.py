@@ -783,7 +783,7 @@ def test_pluecker_residual_lemma(name, case):
         - d * system.b_eff[a]
         for a in range(n)
     ]
-    scale, t_den = system._integer_scales(), system.op._integer_table()[0]
+    scale, t_den = systems._denominator_lcm((system.d, *system.q)), system.op._integer_table()[0]
     a_den, _ = clear_denominators([*system.a_eff, system.b_eff])
     assert system._pluecker_residuals() == (d * scale, [x * (a_den * t_den * scale) for x in p])
     assert any(p) == (case != "clean")
@@ -824,6 +824,28 @@ def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
     assert seen and all(type(c) is int for c in seen)
     assert not check_compat(broken, mode="symbolic").passed
 
+
+
+@pytest.mark.parametrize("case", _EDITS)
+def test_rational_route_on_a_moved_table_runs_on_integers(monkeypatch, case):
+    """On the fractional table of a moved n6-X, `check_compat_rational`
+    builds its residual with the integer builder of the symbolic proof: the
+    residual it differentiates has int coefficients only, and its failure
+    lists are the proof's, clean and with edited numerators."""
+    seen = []
+    residual_table = systems._residual_table
+
+    def recorded(vs, d, res):
+        seen.extend(c for p in (d, *res) for c in p.terms.values())
+        return residual_table(vs, d, res)
+
+    system = _edit_flux(generate_flux(_ci_moved(build("n6-X")), rng=random.Random(909)), case)
+    proof = check_compat(system, mode="symbolic")
+    monkeypatch.setattr(systems, "_residual_table", recorded)
+    rational = check_compat_rational(system.op, [(qk, system.d) for qk in system.q])
+    assert seen and all(type(c) is int for c in seen)
+    assert rational.first_order_failures == proof.first_order_failures
+    assert rational.second_order_failures == proof.second_order_failures
 
 # ----- the chained sums that construction replaced, kept as oracles ------------
 
@@ -882,7 +904,7 @@ def _chained_residuals(system):
     scaled by a_den t_den and the D (Aeff u + Beff) term summed over
     D u^l."""
     n, vs = system.op.n, system.vars
-    scale, t_den = system._integer_scales(), system.op._integer_table()[0]
+    scale, t_den = systems._denominator_lcm((system.d, *system.q)), system.op._integer_table()[0]
     a_den, rows = clear_denominators([*system.a_eff, system.b_eff])
     metric = system.op.metric()
     q = [x * scale for x in system.q]
