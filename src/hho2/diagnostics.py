@@ -246,18 +246,19 @@ def charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
 
 
 def _sum_coeff_products(pairs) -> List[int]:
-    """The sum of a * b over the (a, b) pairs of ascending coefficient lists.
-
-    Each product is a fresh list, so the longer of it and the running sum
-    takes the other one in place.
-    """
+    """The sum of a * b over the (a, b) pairs of ascending coefficient lists,
+    each product x * y added straight into the one running list.  As in
+    `_poly_mul_coeffs`, a pair with an empty list adds nothing."""
     total = []
     for a, b in pairs:
-        prod = _poly_mul_coeffs(a, b)
-        if len(prod) > len(total):
-            prod, total = total, prod
-        for k, c in enumerate(prod):
-            total[k] += c
+        if not (a and b):
+            continue
+        total += [0] * (len(a) + len(b) - 1 - len(total))
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    if y:
+                        total[k] += x * y
     return total
 
 

@@ -320,15 +320,24 @@ def rat_rank(matrix) -> int:
     return len(_integer_gauss_jordan(matrix)[1])
 
 
-def rat_inverse(matrix):
-    """Inverse by eliminating [matrix | I]: the right block ends as the last
-    pivot times the inverse."""
+def _det_inverse(matrix):
+    """(det, inverse) of a square matrix by one elimination of [matrix | I]:
+    the right block ends as the last pivot times the inverse.  A singular
+    matrix gives (0, None)."""
     n = len(matrix)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    m, pivots, _, last = _integer_gauss_jordan(aug)
+    m, pivots, det, last = _integer_gauss_jordan(aug)
     if pivots[:n] != list(range(n)):
+        return Fraction(0), None
+    return det, [[Fraction(x, last) for x in row[n:]] for row in m]
+
+
+def rat_inverse(matrix):
+    """Inverse of a square matrix; ZeroDivisionError when it is singular."""
+    inverse = _det_inverse(matrix)[1]
+    if inverse is None:
         raise ZeroDivisionError("matrix is singular")
-    return [[Fraction(x, last) for x in row[n:]] for row in m]
+    return inverse
 
 
 def rat_kernel(matrix):

@@ -15,9 +15,10 @@ representable and flagged, but excluded from inversion-dependent work.
 Projective reciprocal transformations act through an invertible matrix on the
 n+1 homogeneous coordinates of the table; the induced point map and its
 Jacobian live on the affine chart, and the conformal checks evaluate them at a
-point in one integer record.  `transform` embeds the operator as a
-3-form, pulls it back along the inverse matrix and restricts it to the chart
-again, which makes `conformal_check` the literal conformal identity
+point in one integer record.  `transform` pulls the operator's own table
+back along the inverse matrix: pullback is linear, so the table, three times
+the form, pulls back to three times the pulled-back form and the factor 3
+never enters.  This makes `conformal_check` the literal conformal identity
 J^T gt(ut) J = A(u)^{-3} g(u).
 """
 
@@ -31,14 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, clear_denominators, pfaffian, rat_det, rat_mat_mul
 from .poly import MultiPoly, _sum_of_products, bounded_n, index_entries, json_int
-from .threeform import (
-    LinearMapN1,
-    chart_restrict,
-    embed,
-    pullback,
-    skew_dense,
-    skew_table,
-)
+from .threeform import LinearMapN1, ThreeForm, pullback, skew_dense, skew_table
 
 __all__ = [
     "Hho2",
@@ -184,17 +178,20 @@ def validate(op: Hho2) -> ValidationReport:
 
 
 def transform(op: Hho2, a: LinearMapN1) -> Hho2:
-    """Pull the extended tensor back along the inverse matrix.
+    """Pull the operator's table back along the inverse matrix.
 
-    The matrix a acts on the n+1 homogeneous coordinates, so the point map is
-    ut^i = (a[i][j] u^j + a[i][n]) / A with the affine factor
-    A = a[n][j] u^j + a[n][n].  With this orientation the output plays the transformed-coordinates role in
-    the conformal identity checked by `conformal_check`; compositions satisfy
+    The table is read as a 3-form on the n+1 indices; as pullback is linear,
+    this equals chart_restrict(pullback(embed(op), a^-1)) with no factor 3
+    applied and removed.  The matrix a acts on the n+1 homogeneous
+    coordinates, so the point map is ut^i = (a[i][j] u^j + a[i][n]) / A with
+    the affine factor A = a[n][j] u^j + a[n][n].  With this orientation the
+    output plays the transformed-coordinates role in the conformal identity
+    checked by `conformal_check`; compositions satisfy
     transform(transform(op, a), b) = transform(op, b compose a).
     """
     if a.dim != op.n + 1:
         raise ValueError(f"transformation dimension {a.dim - 1} does not match operator n={op.n}")
-    return Hho2(op.n, chart_restrict(pullback(embed(op), a.inverse())))
+    return Hho2(op.n, pullback(ThreeForm(op.n + 1, op.table), a.inverse()).coeffs)
 
 
 def _conformal_point(op: Hho2, moved: Hho2, a: LinearMapN1, u: Sequence[Fraction]):

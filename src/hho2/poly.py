@@ -65,15 +65,18 @@ def rat(value) -> Fraction:
     Every other type is refused, floats and bools included, so no binary
     approximation, JSON `true`, list or null silently becomes a Fraction.  A
     string must be [+-]digits[/digits] with a nonzero denominator, so no
-    exponent such as '1e4300' expands to 4301 digits.
+    exponent such as '1e4300' expands to 4301 digits; its two parts are then
+    read by `int`, so `Fraction` never parses the string again.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, Fraction, str))
-            or (isinstance(value, str) and not _RATIONAL.fullmatch(value))):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        p, _, q = value.partition("/")
+        try:
+            return Fraction(int(p), int(q or 1))
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError(f"{value!r} is not an exact rational; give an integer or a 'p/q' string")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{value!r} has a zero denominator") from None
+    return Fraction(value)
 
 
 def json_int(value, where: str) -> int:
@@ -528,31 +531,17 @@ class MultiPoly:
         if not self.terms:
             return "0"
         nv = len(self.vars)
-        parts = []
+        pieces = []
         for key in sorted(self.terms, reverse=True):
-            factors = []
-            for name, x in zip(self.vars, _unpack(key, nv)):
-                if x == 1:
-                    factors.append(name)
-                elif x > 1:
-                    factors.append(f"{name}^{x}")
-            f = Fraction(self.terms[key])
-            coeff_str = str(f) if f.denominator != 1 else str(f.numerator)
-            if factors:
-                body = "*".join(factors)
-                if coeff_str == "1":
-                    text = body
-                elif coeff_str == "-1":
-                    text = "-" + body
-                else:
-                    text = coeff_str + "*" + body
-            else:
-                text = coeff_str
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            c = self.terms[key]
+            body = "*".join(name if x == 1 else f"{name}^{x}" for name, x in zip(self.vars, _unpack(key, nv)) if x)
+            if c < 0:
+                pieces.append(" - " if pieces else "-")
+                c = -c
+            elif pieces:
+                pieces.append(" + ")
+            pieces.append(str(c) if not body else body if c == 1 else f"{c}*{body}")
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"

@@ -12,8 +12,8 @@ triples that contain the last index.  The conversion factor 3
 comes from collapsing the full-skew summation onto increasing triples and is
 applied only by `embed` and `chart_restrict`.
 
-Coefficient values are exact rationals, read through `rat`; the parameters
-of the catalog's families never reach a form or an operator.
+Coefficient values are exact rationals, checked by `skew_table`; the
+parameters of the catalog's families never reach a form or an operator.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import clear_denominators, rat_det, rat_inverse, rat_mat_mul
+from .linalg import _det_inverse, clear_denominators, rat_inverse, rat_mat_mul
 from .poly import bounded_n, index_entries, json_int, rat
 
 __all__ = [
@@ -48,13 +48,14 @@ def skew_dense(coeffs: Dict[Tuple[int, int, int], Fraction], dim: int) -> List[L
 
 def skew_table(coeffs: Dict[Tuple[int, int, int], Fraction], dim: int) -> Dict[Tuple[int, int, int], Fraction]:
     """Checked copy of a coefficient table: keys strictly increasing triples
-    inside range(dim), values read by `rat`, zeros dropped."""
+    inside range(dim), zeros dropped.  A `Fraction` value is kept as it is;
+    every other value is read by `rat`."""
     clean = {}
     for key, value in coeffs.items():
         i, j, k = key
         if not (0 <= i < j < k < dim):
             raise ValueError(f"triple {key} is not strictly increasing inside range({dim})")
-        value = rat(value)
+        value = value if type(value) is Fraction else rat(value)
         if value:
             clean[(i, j, k)] = value
     return clean
@@ -98,7 +99,7 @@ class ThreeForm:
 class LinearMapN1:
     """Invertible rational linear map of the homogeneous coordinate space."""
 
-    __slots__ = ("dim", "entries", "det")
+    __slots__ = ("dim", "entries", "det", "_inverse")
 
     def __init__(self, entries: Sequence[Sequence]):
         if not isinstance(entries, (list, tuple)):
@@ -117,7 +118,7 @@ class LinearMapN1:
         self.dim = len(self.entries)
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("linear map matrix must be square")
-        self.det = rat_det(self.entries)
+        self.det, self._inverse = _det_inverse(self.entries)
         if not self.det:
             raise ValueError("linear map must be invertible")
 
@@ -155,10 +156,11 @@ class LinearMapN1:
         obj.entries = entries
         obj.dim = len(entries)
         obj.det = det
+        obj._inverse = None
         return obj
 
     def inverse(self) -> "LinearMapN1":
-        return LinearMapN1._with_det(rat_inverse(self.entries), 1 / self.det)
+        return LinearMapN1._with_det(self._inverse or rat_inverse(self.entries), 1 / self.det)
 
     def compose(self, other: "LinearMapN1") -> "LinearMapN1":
         """Matrix product self * other: the product of the two integer

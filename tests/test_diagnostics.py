@@ -541,6 +541,23 @@ def test_pf_of_the_integer_pencil_squares_to_the_laplace_determinant():
     assert _pf_of_integer_pencil(m, h) == closed
 
 
+def test_sum_coeff_products_adds_in_place_as_the_product_lists_sum():
+    """The running sum equals the sum of the `_poly_mul_coeffs` product lists,
+    padded to the longest: same length, so the pencil Pfaffian's coefficient
+    list is unchanged, including pairs with an empty list or zero entries."""
+    rng = random.Random(41)
+
+    def coeffs():
+        return rng.choice([[], [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]])
+
+    for _ in range(300):
+        pairs = [(coeffs(), coeffs()) for _ in range(rng.randint(0, 5))]
+        products = [_poly_mul_coeffs(a, b) for a, b in pairs]
+        width = max(map(len, products), default=0)
+        expected = [sum(p[k] for p in products if k < len(p)) for k in range(width)]
+        assert _sum_coeff_products(pairs) == expected
+
+
 def _bareiss_charpoly(a):
     """Reference: ascending coefficients of det(a - lam I) by univariate Bareiss."""
     lam_vars = ("lam",)

@@ -15,7 +15,7 @@ from hho2.operators import (
     validate,
 )
 from hho2.poly import MultiPoly
-from hho2.threeform import LinearMapN1, chart_restrict, embed, skew_dense
+from hho2.threeform import LinearMapN1, chart_restrict, embed, pullback, skew_dense
 from hho2.diagnostics import sample_points
 
 
@@ -353,3 +353,40 @@ def test_conformal_checks_raise_at_poles_and_on_parameters():
     for check in (conformal_check, conformal_determinant_check):
         with pytest.raises(ZeroDivisionError):
             check(op, moved, a, pole)
+
+
+def _transform_by_embedding(op, a):
+    """`transform` as the composition it was before it pulled the table back
+    directly: the form table/3 of `embed`, pulled back along the inverse map,
+    then times 3 on the chart."""
+    return Hho2(op.n, chart_restrict(pullback(embed(op), a.inverse())))
+
+
+# The determinant-one maps with fractional entries of the CI smoke test
+# (.github/workflows/tests.yml), SL5, SL7 and SL9, by dimension n + 1.
+_CI_SL = {
+    5: '[[1,0,0,0,0],["1/2",1,0,0,0],[0,"-2/3",1,0,0],[0,0,"3/4",1,0],["1/3",0,0,"-1/2",1]]',
+    7: '[["1","0","2","-1/2","1","-1","0"],["1","1","1","-1/2","2","-2","1/2"],'
+       '["1/2","1","1","1/4","-1/2","-3/2","5/2"],["0","1/2","1/2","3/2","-2","1/2","5/4"],'
+       '["-1/2","0","-1/2","3/2","-1","5/2","-1"],["1","-1/2","5/2","0","5/4","2","-7/4"],'
+       '["1/2","1","-1/2","-1/2","3","0","0"]]',
+    9: '[[1,0,0,0,0,0,0,0,0],["1/2",1,0,0,0,0,0,0,0],[0,"-2/3",1,0,0,0,0,0,0],[0,0,"3/4",1,0,0,0,0,0],'
+       '[0,0,0,"-4/5",1,0,0,0,0],[0,0,0,0,"5/6",1,0,0,0],[0,0,0,0,0,"-6/7",1,0,0],'
+       '[0,0,0,0,0,0,"7/8",1,0],["1/3",0,0,0,"-1/2",0,0,"-8/9",1]]',
+}
+
+
+@pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.id)
+def test_transform_equals_the_embedded_pullback(entry):
+    """Pullback is linear, so pulling the table (three times the form) back
+    gives three times the pulled-back form: `transform` equals the old
+    composition on every catalog entry, under random determinant-one shear
+    products and the fractional CI map of its size."""
+    op = entry.build({name: Fraction(k + 2) for k, name in enumerate(entry.params)} if entry.params else None)
+    rng = random.Random(83)
+    maps = [LinearMapN1.random_sl(op.n + 1, rng) for _ in range(3)]
+    if op.n + 1 in _CI_SL:
+        maps.append(LinearMapN1.from_json(_CI_SL[op.n + 1]))
+    for a in maps:
+        moved, oracle = transform(op, a), _transform_by_embedding(op, a)
+        assert moved == oracle and moved.to_json() == oracle.to_json()

@@ -3,10 +3,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hho2.poly import (
+    _RATIONAL,
     MultiPoly,
     _coprime_on_a_line,
     _gcd_via_sympy,
@@ -365,6 +366,33 @@ def test_rat_refuses_strings_outside_the_contract(value):
     # is a ValueError too, not a ZeroDivisionError.
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         rat(value)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+
+
+@given(st.one_of(
+    st.from_regex(_RATIONAL, fullmatch=True),
+    st.builds(lambda sign, p, q: sign + p + ("/" + q if q else ""), st.sampled_from(["", "+", "-"]), _DIGITS,
+              st.none() | _DIGITS),
+))
+@example("+007")
+@example("-0012/0034")
+@example("1234567890123456789012345678901234567890/9876543210987654321098765432109876543210")
+@example("1/0")
+@settings(max_examples=300, deadline=None)
+def test_rat_reads_every_contract_string_as_fraction_does(text):
+    # Leading signs, leading zeros and 40-digit parts, read by `int` in `rat`
+    # and by `Fraction`'s own parser here.
+    assert _RATIONAL.fullmatch(text)
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat(text)
+    else:
+        got = rat(text)
+        assert type(got) is Fraction and got == expected
 
 
 def test_rat_round_trips_every_fraction_string():

@@ -92,6 +92,8 @@ def ref_exact_div(a, b):
 
 
 def ref_str(variables, a):
+    """The rendering `MultiPoly.__str__` gave before it built its terms in one
+    join: each coefficient through Fraction, the parts joined pairwise."""
     if not a:
         return "0"
     parts = []
@@ -205,6 +207,18 @@ def test_with_vars_matches_reference(data, rnd):
     assert moved.vars == bigger
     same(moved, expected)
     assert str(moved) == ref_str(bigger, expected)
+
+
+@given(ring_and_polys(count=1), st.fractions(max_denominator=7), st.fractions(max_denominator=7))
+@settings(max_examples=150, deadline=None)
+def test_str_matches_the_previous_rendering_and_parses_back(data, lead, constant):
+    # A leading term of either sign (degree 40 is above every drawn term),
+    # fractional and negative coefficients and a constant term.
+    variables, (a,) = data
+    terms = ref_add(ref_add(a, {(40,) + (0,) * (len(variables) - 1): lead}), {(0,) * len(variables): constant})
+    p = MultiPoly(variables, terms)
+    assert str(p) == ref_str(variables, terms)
+    assert MultiPoly.parse(variables, str(p)) == p
 
 
 def test_degree_guard():

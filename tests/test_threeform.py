@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hho2.linalg import rat_det, rat_mat_mul
+from hho2.linalg import rat_det, rat_inverse, rat_mat_mul
 from hho2.operators import Hho2
 from hho2.threeform import (
     LinearMapN1,
@@ -122,10 +122,34 @@ def test_compose_matches_fraction_product():
 
 
 def test_linear_map_requires_invertible():
-    with pytest.raises(ValueError):
-        LinearMapN1([[1, 1], [1, 1]])
+    # Singular maps whose elimination of [M | I] runs out of pivots at
+    # different columns, one with fractional entries: one message for all.
+    for rows in ([[1, 1], [1, 1]], [[0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]], [["1/2", "1/3"], ["3/2", 1]],
+                 [[0, 1, 2], [0, 3, 4], [0, 5, 6]]):
+        with pytest.raises(ValueError, match="^linear map must be invertible$"):
+            LinearMapN1(rows)
     with pytest.raises(ValueError):
         LinearMapN1([[1, 0], [1]])
+
+
+def test_map_det_and_inverse_match_the_rational_routes():
+    """The constructor's one elimination of [M | I] gives rat_det's
+    determinant and rat_inverse's inverse; maps built without it (random_sl,
+    compose, inverse) invert through rat_inverse when asked."""
+    rng = random.Random(31)
+    for dim in range(1, 10):
+        for a in [_rational_map(rng, dim) for _ in range(3)] + [LinearMapN1.identity(dim)]:
+            assert a.det == rat_det(a.entries)
+            inverse = a.inverse()
+            assert inverse.entries == rat_inverse(a.entries)
+            assert inverse.det == 1 / a.det == rat_det(inverse.entries)
+            assert inverse.inverse() == a
+    for dim in range(2, 10):
+        a = LinearMapN1.random_sl(dim, rng)
+        b = LinearMapN1.from_json(a.to_json())
+        assert a.inverse() == b.inverse()
+        assert a.inverse().entries == rat_inverse(a.entries)
+        assert a.compose(b).inverse() == LinearMapN1.from_json(a.compose(b).to_json()).inverse()
 
 
 def test_chart_restrict_embed_round_trip():
