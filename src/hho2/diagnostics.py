@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 from .linalg import PolyMatrix, _pfaffian_expansion, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly, _poly_mul_coeffs, _trim
-from .systems import ConservativeSystem
+from .systems import ConservativeSystem, _residual_quotients
 
 __all__ = [
     "sample_points",
@@ -336,8 +336,7 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     """Certificate for det(R - lam D^2 I) = Pf(Dm)^2 D^(n-2) in Q[u, lam].
 
     R[k][p] is the numerator of dV^k/du^p over D^2 and Dm = C - lam D g is the
-    cleared skew pencil, with C = D (T V + Aeff) the lam-free part defined in
-    the `systems` module docstring.
+    cleared skew pencil, with C = D (T V + Aeff) the lam-free part.
     Three lam-free facts are checked: g R == D C entrywise in Q[u],
     det(g) == D^2 by Bareiss, and det == Pf^2 for the generic skew matrix of
     this size, by a Laplace expansion.  Then g (R - lam D^2 I) = D C -
@@ -345,19 +344,19 @@ def charpoly_square_symbolic(system: ConservativeSystem) -> CharpolySquareReport
     domain, D != 0) gives det(g) det(R - lam D^2 I) = D^n Pf(Dm)^2;
     cancelling det(g) = D^2 yields the identity, with every step exact.
 
-    g R - D C is E_qp = D dP_q/du^p - D_p P_q for the residual P of the
-    line-congruence relation (the lemma of the `systems` docstring), so the
-    first fact is E = 0, read from `ConservativeSystem._residual_jacobian`;
-    g R and D C are never formed.
+    With W = g V, (g R - D C)_qp / D^2 = dW_q/du^p - Aeff_qp, the derivative
+    of the residual P_q / D of the `systems` certificate.  So the first fact
+    holds exactly when every quotient P_q / D is a constant, and is read off
+    the same division; g R and D C are never formed.
 
-    `equal` is a certificate, not a disproof.  P = 0, hence E = 0, holds for
-    every flux the constructor builds; g R = D C fails only for numerators `q`
-    edited after construction, and such a flux can still satisfy the expanded
-    identity.
+    `equal` is a certificate, not a disproof.  P = 0 holds for every flux the
+    constructor builds; g R = D C fails only for numerators `q` edited after
+    construction, and such a flux can still satisfy the expanded identity.
     """
     n = system.op.n
     g = system.op.metric()
-    match = not any(eqp for row in system._residual_jacobian()[1] for eqp in row)
+    w = _residual_quotients(*system._pluecker_residuals())
+    match = w is not None and all(x.is_constant() for x in w)
     gram = det_bareiss(g) == system.d * system.d
     universal = _universal_skew_det_is_pfaffian_square(n)
     return CharpolySquareReport(n=n, equal=match and gram and universal)

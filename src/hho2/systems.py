@@ -14,35 +14,32 @@ polynomial identities obtained by clearing denominators with powers of D:
 
 where R_kp = Q_{k,p} D - Q_k D_p is the numerator of dV^k/du^p over D^2 and
 S_kpl = R_{kp,l} D - 2 R_kp D_l is the numerator of the second derivative
-over D^3.  The derivatives here are genuine quotient-rule derivatives of the
-flux components; the checks do not assume any structural identity that would
-make them vacuous.
+over D^3, both by the quotient rule.
 
-Both families read off one product F_qp = sum_k g_qk R_kp: the first is
-F_qp + F_pq.  As dg_qk/du^l = T_qkl (g = T u + g0),
-sum_k g_qk S_kpl = D (dF_qp/du^l - T_qkl R_kp) - 2 D_l F_qp; the T_qkl R_kp
-terms cancel, so the second is D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp.
+Both families are derivatives of W = g V.  As dg_qj/du^p = T_qjp
+(g = T u + g0) and T_qjp = T_pqj = -T_pjq, dW_q/du^p = T_qjp V^j + (g dV)_qp
+with a first term skew in (q, p): the first family over D^2 is
+dW_q/du^p + dW_p/du^q, and the second over D^3 is d^2 W_q/du^p du^l.
 
-The symbolic proof does not form F.  It reads the residual of the
-line-congruence relation g V = Aeff u + Beff cleared by D,
-P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q.  Aeff_qp = A_qp + T_qkp c_k is
-skew because T is totally skew.  Let C_qp = T_qpk Q_k + D Aeff_qp be the skew
-lam-free part of the eigenvalue pencil and E_qp = D dP_q/du^p - D_p P_q.  For
-any numerators Q,
+Lemma: compatibility holds iff W = A u + B with A skew and A, B constant, and
+then the second family follows from the first.  Proof: K_qpl =
+d^2 W_q/du^p du^l is symmetric in (p, l), and the first family, differentiated,
+makes it skew in (q, p); so K_qpl = -K_pql = -K_plq = K_lpq = K_lqp = -K_qlp
+= -K_qpl, and K = 0 as rational functions.  Then each dW_q/du^p is a constant,
+skew by the first family.  This is the paper's explicit form
+V = g^{-1}(A u + B), the constants c absorbed into A and B.
 
-  F_qp - D C_qp = E_qp,
-
-since dP_q/du^p = T_qkp Q_k + g_qk Q_{k,p} - D_p (Aeff u + Beff)_q - D Aeff_qp
-and T_qkp = -T_qpk.  With C skew, the first family is E_qp + E_pq; with
-dC_qp/du^l = T_qpk Q_{k,l} + D_l Aeff_qp, the second is
-D dE_qp/du^l - 2 D_l E_qp.  Both are exact for any numerators, so the failure
-lists are too, and g R = D C exactly when E = 0.  Every flux the constructor
-builds has P = 0, hence E = 0: the proof costs the n rows of P.  A flux whose
-numerators were edited afterwards may have P != 0 and still be compatible
-(adding c_k D to every Q_k keeps dV).  With D and the Q_k scaled by the lcm
-`scale` of their coefficient denominators, the table by its own, t_den, and
-Aeff, Beff by theirs, every coefficient is an integer.  The pointwise check
-evaluates S: an independent route to the same identities.
+The proof routes check this certificate on the residual of g V = Aeff u + Beff
+cleared by D, P_q = sum_k g_qk Q_k - D (Aeff u + Beff)_q: D divides every P_q
+with a quotient of degree at most one whose linear part is skew, and the
+quotients give the witness (A, B).  Aeff_qp = A_qp + T_qkp c_k and Beff
+absorb the constants.  Every flux the constructor builds has P = 0; an edited
+one may have P != 0 and still be compatible (adding c_k D to every Q_k keeps
+dV).  A failure lists the first family only, as E_qp + E_pq with
+E_qp = D dP_q/du^p - D_p P_q = D^2 (dW_q/du^p - Aeff_qp).  With D and the Q_k
+scaled by the lcm `scale` of their coefficient denominators, the table by its
+own, t_den, and Aeff, Beff by theirs, every coefficient is an integer.  The
+pointwise check evaluates R, S and both families: an independent route.
 
 Pointwise evaluation works in integers, through one record per point.  D,
 the Q_k and their first and second partials are scaled by one common
@@ -218,13 +215,6 @@ class ConservativeSystem:
         if self._residuals is None:
             self._residuals = _integer_residuals(self.op, self.d, self.q, self._affine)
         return self._residuals
-
-    def _residual_jacobian(self) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
-        """(d, E) on the (d, P) of `_pluecker_residuals`, in Z[u].  E is
-        F - D C of the module docstring times one positive integer, and zero
-        wherever P is."""
-        d, res = self._pluecker_residuals()
-        return d, _residual_table(self.vars, d, res)
 
     # ----- pointwise exact evaluation ----------------------------------------
 
@@ -448,33 +438,35 @@ def generate_flux(
 
 @dataclass
 class CompatReport:
+    """Failure lists of the two identity families.  A proof route implies the
+    second from the first (module docstring): it reports [] and the witness
+    (A, B) of g V = A u + B on a pass, None (not evaluated) on a failure."""
+
     mode: str
     n: int
     first_order_failures: List[tuple] = field(default_factory=list)
-    second_order_failures: List[tuple] = field(default_factory=list)
+    second_order_failures: Optional[List[tuple]] = field(default_factory=list)
     points_checked: Optional[int] = None
+    witness: Optional[Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[Fraction, ...]]] = None
 
     @property
     def first_order_ok(self) -> bool:
         return not self.first_order_failures
 
     @property
-    def second_order_ok(self) -> bool:
-        return not self.second_order_failures
+    def second_order_ok(self) -> Optional[bool]:
+        return None if self.second_order_failures is None else not self.second_order_failures
 
     @property
     def passed(self) -> bool:
-        return self.first_order_ok and self.second_order_ok
+        return self.first_order_ok and self.second_order_ok is True
 
     def summary(self) -> str:
         where = f" at {self.points_checked} points" if self.points_checked is not None else ""
         if self.passed:
             return f"compatible ({self.mode}{where}): both identity families hold"
-        return (
-            f"NOT compatible ({self.mode}{where}): "
-            f"{len(self.first_order_failures)} first-order and "
-            f"{len(self.second_order_failures)} second-order identities fail"
-        )
+        second = "" if self.second_order_failures is None else f" and {len(self.second_order_failures)} second-order"
+        return f"NOT compatible ({self.mode}{where}): {len(self.first_order_failures)} first-order{second} identities fail"
 
 
 def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
@@ -513,32 +505,41 @@ def _residual_table(vs: Tuple[str, ...], d: MultiPoly, res: Sequence[MultiPoly])
     return [[_sum_of_products(vs, [(d, pq.diff(p)), (pq, -d1[p])]) for p in range(len(res))] for pq in res]
 
 
-def _compat_families(mode: str, vs: Tuple[str, ...], d: MultiPoly, e: List[List[MultiPoly]]) -> CompatReport:
-    """Both identity families read off E = F - D C of the module docstring:
-    the first is E_qp + E_pq, the second D dE_qp/du^l - 2 D_l E_qp.  Both
-    forms are exact for any numerators over any nonzero D, so the failure
-    lists are."""
-    n = len(e)
-    d1 = [d.diff(l) for l in range(n)]
-    report = CompatReport(mode=mode, n=n)
+def _residual_quotients(d: MultiPoly, res: Sequence[MultiPoly]) -> Optional[List[MultiPoly]]:
+    """The quotients P_h / d, or None when d does not divide some P_h."""
+    try:
+        return [p.exact_div(d) for p in res]
+    except ValueError:
+        return None
 
-    for q in range(n):
-        for p in range(q, n):
-            if e[q][p] + e[p][q]:
-                report.first_order_failures.append((q + 1, p + 1))
 
-    for q in range(n):
-        for p in range(n):
-            eqp = e[q][p]
-            for l in range(p, n):
-                if eqp and _sum_of_products(vs, [(d, eqp.diff(l)), (eqp, d1[l] * -2)]):
-                    report.second_order_failures.append((q + 1, p + 1, l + 1))
-    return report
+def _killing_certificate(
+    mode: str, op: Hho2, d: MultiPoly, res: Sequence[MultiPoly], affine: Tuple[int, List[List[int]]]
+) -> CompatReport:
+    """The certificate of the module docstring on the `_integer_residuals`
+    (d, res) built on `affine`: each P_h / d is t_den a_den (W - Aeff u -
+    Beff)_h.  Only a failure lists the first family, read off E + E^T."""
+    n = op.n
+    w = _residual_quotients(d, res)
+    if w is not None and all(x.degree() <= 1 for x in w):
+        t_den, (a_den, rows) = op._integer_table()[0], affine
+        # ab[h] = t_den a_den (A_h0, ..., A_h(n-1), B_h)
+        ab = [[t_den * x for x in (*rows[h], rows[n][h])] for h in range(n)]
+        for row, x in zip(ab, w):
+            for e, c in x.monomials():
+                row[e.index(1) if any(e) else n] += c
+        if all(ab[h][p] == -ab[p][h] for h in range(n) for p in range(h, n)):
+            den = t_den * a_den
+            a = tuple(tuple(Fraction(x, den) for x in row[:n]) for row in ab)
+            return CompatReport(mode, n, witness=(a, tuple(Fraction(row[n], den) for row in ab)))
+    e = _residual_table(op.vars, d, res)
+    first = [(q + 1, p + 1) for q in range(n) for p in range(q, n) if e[q][p] + e[p][q]]
+    return CompatReport(mode, n, first, second_order_failures=None)
 
 
 def _check_compat_symbolic(system: ConservativeSystem) -> CompatReport:
-    """Both identity families of the system's flux in Z[u], from its residual P."""
-    return _compat_families("symbolic", system.vars, *system._residual_jacobian())
+    """The certificate in Z[u] on the system's residual P."""
+    return _killing_certificate("symbolic", system.op, *system._pluecker_residuals(), system._affine)
 
 
 def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
@@ -583,11 +584,10 @@ def _check_compat_points(system: ConservativeSystem, points) -> CompatReport:
 def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None) -> CompatReport:
     """Verify the compatibility identities for a generated system.
 
-    mode "symbolic" proves them as polynomial identities, from the residual
-    P, at every n; `sys verify` takes it (5-9 ms on the three n = 8 catalog
-    systems, flux seed 909).  mode "points" checks them exactly at the given
-    sample points, evaluating the second-derivative numerators: an
-    independent route to the same failure lists.
+    mode "symbolic" proves them in Z[u] by the certificate of the module
+    docstring on the residual P, at every n; `sys verify` takes it.  mode
+    "points" checks both families exactly at the given sample points,
+    evaluating the second-derivative numerators: the independent route.
     """
     if mode == "symbolic":
         return _check_compat_symbolic(system)
@@ -605,11 +605,9 @@ def check_compat_rational(op: Hho2, fractions: Sequence[Tuple[MultiPoly, MultiPo
     The pairs are cleared to one denominator D, the product of the distinct
     M_k, so that Q_k = N_k D / M_k; no gcd is taken.  The residual
     P_q = sum_k g_qk Q_k is built in integers by `_integer_residuals`, the
-    builder of `sys verify`, with Aeff = Beff = 0, and both families are read
-    off it by the reader of the symbolic proof, with C_qp = T_qpk Q_k.
-    F - D C = E needs only C skew, so it holds for any nonzero D, not only
-    the Pfaffian, and the failure lists are exact.  Tests use it to check
-    foreign vectors.
+    builder of `sys verify`, with Aeff = Beff = 0, so P_q / D is W_q itself,
+    and the symbolic proof's certificate reads it.  The lemma holds for any
+    nonzero D.  Tests use it to check foreign vectors.
     """
     n, vs = op.n, op.vars
     if len(fractions) != n:
@@ -622,8 +620,8 @@ def check_compat_rational(op: Hho2, fractions: Sequence[Tuple[MultiPoly, MultiPo
         if den not in dens:
             dens.append(den)
     q = [reduce(operator.mul, [x for x in dens if x != den], num) for num, den in pairs]
-    d, res = _integer_residuals(op, reduce(operator.mul, dens), q, (1, [[0] * n] * (n + 1)))
-    return _compat_families("rational", vs, d, _residual_table(vs, d, res))
+    zero = (1, [[0] * n] * (n + 1))
+    return _killing_certificate("rational", op, *_integer_residuals(op, reduce(operator.mul, dens), q, zero), zero)
 
 
 # ----- linear line congruence ---------------------------------------------------

@@ -93,7 +93,8 @@ def test_compat_rational_distinct_denominators_match_sympy(name):
     """A compatible flux with 1/M1 added to V^1, u1/M2 to V^2 and, at n = 4,
     u2/M1 to V^3, for two distinct nonconstant M1 and M2: the failure lists
     equal those of both families evaluated by sympy.cancel on the
-    quotient-rule derivatives."""
+    quotient-rule derivatives.  The proof route leaves the second family
+    unevaluated on a failure; sympy's second family fails too."""
     import sympy
 
     system = generate_flux(build(name), rng=random.Random(3))
@@ -129,7 +130,7 @@ def test_compat_rational_distinct_denominators_match_sympy(name):
     # Some identities fail, and not all of them.
     assert 0 < len(first) < n * (n + 1) // 2 and 0 < len(second) < n * n * (n + 1) // 2
     assert rep.first_order_failures == first
-    assert rep.second_order_failures == second
+    assert rep.second_order_failures is None and rep.second_order_ok is None
 
 
 def test_compat_pointwise_mode():
@@ -140,17 +141,19 @@ def test_compat_pointwise_mode():
     assert rep.passed
     assert rep.points_checked == 6
     # An incompatible flux: Q_1 perturbed before any derivative table is
-    # built.  The points must find exactly the identities the proof rejects.
+    # built.  The points must find exactly the first-order identities the
+    # proof rejects, and the second-order ones the S-table oracle rejects.
     broken = generate_flux(build("n6-IX"), rng=rng)
     broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "u1*u2 - 3*u5")
     proof = check_compat(broken, mode="symbolic")
     rep = check_compat(broken, mode="points", points=pts)
     assert not rep.passed
     assert rep.first_order_failures == proof.first_order_failures
-    assert rep.second_order_failures == proof.second_order_failures
+    assert proof.second_order_failures is None
+    assert rep.second_order_failures == _compat_failures_oracle(broken)[1]
     rational = check_compat_rational(broken.op, [(qk, broken.d) for qk in broken.q])
     assert rational.first_order_failures == rep.first_order_failures
-    assert rational.second_order_failures == rep.second_order_failures
+    assert rational.second_order_failures is None
 
 
 def test_flux_evaluation_routes_agree():
@@ -271,14 +274,15 @@ def test_pointwise_readers_on_fractional_data():
         assert nijenhuis(system, u) == nijenhuis_closed_form(system, u)
         assert sqrt_charpoly_at(system, u) == _sqrt_charpoly_oracle(system, u)
     # Q_1 perturbed by a fractional polynomial before any table is built: the
-    # points find exactly the identities the proof rejects.
+    # points find exactly the first-order identities the proof rejects, and
+    # the second-order ones the S-table oracle rejects.
     broken = _fractional_system(random.Random(30))
     broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "1/3*u1*u2 - 5/7*u4")
     proof = check_compat(broken, mode="symbolic")
     rep = check_compat(broken, mode="points", points=points)
-    assert not proof.passed
+    assert not proof.passed and proof.second_order_failures is None
     assert rep.first_order_failures == proof.first_order_failures
-    assert rep.second_order_failures == proof.second_order_failures
+    assert rep.second_order_failures == _compat_failures_oracle(broken)[1]
 
 
 def test_additive_constants_absorb_into_effective_parameters():
@@ -729,17 +733,22 @@ def _edit_flux(system, case):
 )
 @pytest.mark.parametrize("case", _EDITS)
 def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
-    """The proof rejects exactly the identities that the stated S-table
-    families reject, clean and with edited numerators; the compatible edits
-    pass with P != 0."""
+    """The proof rejects exactly the first-order identities that the stated
+    S-table families reject, clean and with edited numerators, and leaves the
+    second family unevaluated on a failure; the compatible edits pass with
+    P != 0.  The pointwise route finds both of the oracle's lists, and the
+    oracle's second family holds wherever its first does."""
     op = _ci_moved(build("n4-open")) if name == "n4-open-moved" else build(name)
     system = _edit_flux(generate_flux(op, rng=random.Random(seed)), case)
     first, second = _compat_failures_oracle(system)
+    assert first or not second
+    points = check_compat(system, mode="points", points=sample_points(op, 3, random.Random(5)))
+    assert (points.first_order_failures, points.second_order_failures) == (first, second)
     rep = check_compat(system, mode="symbolic")
     assert rep.first_order_failures == first
-    assert rep.second_order_failures == second
+    assert rep.second_order_failures == ([] if rep.passed else None)
     rational = check_compat_rational(system.op, [(qk, system.d) for qk in system.q])
-    assert (rational.first_order_failures, rational.second_order_failures) == (first, second)
+    assert (rational.first_order_failures, rational.second_order_failures) == (first, rep.second_order_failures)
     assert rep.passed == (case in _COMPATIBLE_EDITS)
     assert pluecker_relations(system).passed == (case == "clean")
 
@@ -753,8 +762,9 @@ def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
 @pytest.mark.parametrize("case", _EDITS)
 def test_n8_compat_proof_matches_the_pointwise_route(name, params, case):
     """At n = 8 the proof that `sys verify` runs rejects exactly the
-    identities that the independent pointwise route rejects at sampled
-    points, clean and with edited numerators."""
+    first-order identities that the independent pointwise route rejects at
+    sampled points, clean and with edited numerators; where it fails, the
+    points find second-order failures too."""
     op = build(name, params)
     system = _edit_flux(generate_flux(op, rng=random.Random(909)), case)
     points = sample_points(op, 3, random.Random(5))
@@ -762,20 +772,68 @@ def test_n8_compat_proof_matches_the_pointwise_route(name, params, case):
     rep = check_compat(system, mode="points", points=points)
     assert rep.points_checked == len(points)
     assert rep.first_order_failures == proof.first_order_failures
-    assert rep.second_order_failures == proof.second_order_failures
-    assert proof.passed == (case in _COMPATIBLE_EDITS)
+    assert proof.second_order_failures == ([] if proof.passed else None)
+    assert rep.passed == proof.passed == (case in _COMPATIBLE_EDITS)
+    assert bool(rep.second_order_failures) == (not proof.passed)
+
+
+_N8_FAM1 = {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7}
+
+
+@pytest.mark.parametrize(
+    "name, moved",
+    [("n2", False)] + [(name, moved) for name in ("n4-open", "n6-IX", "n6-X", "n8-fam1") for moved in (False, True)],
+)
+@pytest.mark.parametrize("case", _COMPATIBLE_EDITS)
+def test_compat_witness_recovers_the_affine_data(name, moved, case):
+    """A passing proof returns (A, B) with g V = A u + B: the system's own
+    (Aeff, Beff) for the clean flux, Aeff and Beff shifted by the table
+    contracted with c for V + c, and B + kappa for the b-shift.  Both proof
+    routes recover it, and the system rebuilt from it with zero constants
+    has the edited numerators exactly.  n2 is not moved (`_oracle_cases`)."""
+    op = build(name, _N8_FAM1) if name == "n8-fam1" else build(name)
+    op = _ci_moved(op) if moved else op
+    n = op.n
+    flux = random_flux_params(n, random.Random(909))
+    if case == "v-plus-c":
+        shifted = ConservativeSystem(op, flux, [Fraction(2 * k - 3, 2) for k in range(n)])
+        expected = (shifted.a_eff, shifted.b_eff)
+    else:
+        kappa = [Fraction(j + 1, 3) if case == "b-shift" else 0 for j in range(n)]
+        expected = (flux.a, tuple(b + k for b, k in zip(flux.b, kappa)))
+    system = _edit_flux(ConservativeSystem(op, flux), case)
+    rep = check_compat(system, mode="symbolic")
+    rational = check_compat_rational(op, [(qk, system.d) for qk in system.q])
+    assert rep.passed and rational.passed
+    assert rep.witness == rational.witness == expected
+    assert ConservativeSystem(op, FluxParams.make(*rep.witness)).q == system.q
+
+
+@pytest.mark.parametrize("case", ["clean", "b-shift", "u1-in-v2"])
+def test_compat_proofs_on_the_moved_n8_table(case):
+    """On n8-fam1 moved by the CI map, where the second family of the old
+    proof routes took about a minute, both proof routes give the pointwise
+    route's verdict and first-order failure list at three points."""
+    op = _ci_moved(build("n8-fam1", _N8_FAM1))
+    system = _edit_flux(generate_flux(op, rng=random.Random(909)), case)
+    points = check_compat(system, mode="points", points=sample_points(op, 3, random.Random(5)))
+    assert points.passed == (case != "u1-in-v2")
+    for rep in (check_compat(system), check_compat_rational(op, [(qk, system.d) for qk in system.q])):
+        assert rep.passed == points.passed
+        assert rep.first_order_failures == points.first_order_failures
+        assert rep.second_order_failures == ([] if rep.passed else None)
 
 
 @pytest.mark.parametrize("name", ["n4-open", "n6-VIII", "n6-X"])
 @pytest.mark.parametrize("case", _EDITS)
 def test_pluecker_residual_lemma(name, case):
-    """For any numerators Q, F - D C = E with E_qp = D dP_q/du^p - D_p P_q,
-    and the second family D (dF_qp/du^l + T_pqk R_kl) - 2 D_l F_qp equals
-    D dE_qp/du^l - 2 D_l E_qp; P is read from its definition, and the
-    helpers' integer P and E are P and E times positive integers."""
+    """For any numerators Q, F - D C = E with E_qp = D dP_q/du^p - D_p P_q;
+    P is read from its definition, and the helpers' integer P and E are P and
+    E times positive integers.  Where D divides P, E is D^2 times the
+    gradient of the quotient, which the certificate reads."""
     system = _edit_flux(generate_flux(build(name), rng=random.Random(909)), case)
     n, vs, d = system.op.n, system.vars, system.d
-    g, t = system.op.metric(), system.op.tensor
+    g = system.op.metric()
     u = [MultiPoly.variable(vs, l) for l in range(n)]
     p = [
         poly._sum_of_products(vs, [(g.at(a, k), system.q[k]) for k in range(n)])
@@ -792,13 +850,14 @@ def test_pluecker_residual_lemma(name, case):
     f = [[poly._sum_of_products(vs, [(g.at(a, k), r[k][b]) for k in range(n)]) for b in range(n)] for a in range(n)]
     e = [[d * p[a].diff(b) - d1[b] * p[a] for b in range(n)] for a in range(n)]
     e_scale = a_den * t_den * scale * scale
-    assert system._residual_jacobian() == (d * scale, [[x * e_scale for x in row] for row in e])
+    assert systems._residual_table(vs, *system._pluecker_residuals()) == [[x * e_scale for x in row] for row in e]
+    quotients = systems._residual_quotients(d, p)
+    assert (quotients is None) == any(not d.divides(x) for x in p)
     for a in range(n):
         for b in range(n):
             assert f[a][b] - d * c[a][b] == e[a][b]
-            for l in range(b, n):
-                inner = f[a][b].diff(l) + poly._sum_of_products(vs, [(r[k][l], t[b][a][k]) for k in range(n)])
-                assert d * inner - d1[l] * f[a][b] * 2 == d * e[a][b].diff(l) - d1[l] * e[a][b] * 2
+            if quotients is not None:
+                assert e[a][b] == d * d * quotients[a].diff(b)
 
 
 def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
@@ -830,22 +889,24 @@ def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
 def test_rational_route_on_a_moved_table_runs_on_integers(monkeypatch, case):
     """On the fractional table of a moved n6-X, `check_compat_rational`
     builds its residual with the integer builder of the symbolic proof: the
-    residual it differentiates has int coefficients only, and its failure
-    lists are the proof's, clean and with edited numerators."""
+    residual it hands to the certificate has int coefficients only, and its
+    report is the proof's, clean and with edited numerators."""
     seen = []
-    residual_table = systems._residual_table
+    certificate = systems._killing_certificate
 
-    def recorded(vs, d, res):
+    def recorded(mode, op, d, res, affine):
         seen.extend(c for p in (d, *res) for c in p.terms.values())
-        return residual_table(vs, d, res)
+        return certificate(mode, op, d, res, affine)
 
     system = _edit_flux(generate_flux(_ci_moved(build("n6-X")), rng=random.Random(909)), case)
     proof = check_compat(system, mode="symbolic")
-    monkeypatch.setattr(systems, "_residual_table", recorded)
+    monkeypatch.setattr(systems, "_killing_certificate", recorded)
     rational = check_compat_rational(system.op, [(qk, system.d) for qk in system.q])
     assert seen and all(type(c) is int for c in seen)
+    assert rational.passed == proof.passed == (case in _COMPATIBLE_EDITS)
     assert rational.first_order_failures == proof.first_order_failures
     assert rational.second_order_failures == proof.second_order_failures
+
 
 # ----- the chained sums that construction replaced, kept as oracles ------------
 
