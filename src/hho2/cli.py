@@ -321,6 +321,8 @@ def cmd_sys_generate(args) -> int:
     rng = random.Random(args.seed)
     try:
         if args.random:
+            if args.A is not None or args.B is not None:
+                raise InputError("--random draws A and B; it cannot be combined with --A or --B")
             flux = random_flux_params(op.n, rng, bound=args.coefficient_range)
             system = ConservativeSystem(op, flux, constants)
         elif args.A or args.B:

@@ -5,8 +5,9 @@ constant skew matrix g0 on n dependent variables (n even): its covariant
 metric is g_ij(u) = T_ijk u^k + g0_ij, summed over the full skew range.  Both
 are stored as one skew table on the n+1 homogeneous indices (`Hho2.table`),
 T on the triples inside range(n) and g0_ij on (i, j, n), so the metric is the
-table contracted with (u, 1).  Every reader of single entries goes through the
-one dense view `Hho2.tensor`, filled once by `skew_dense`.  The table is three
+table contracted with (u, 1).  `t_value` reads a signed entry off the table;
+the metric and every integer route read `_integer_table`, the table cleared
+of denominators as one dense signed array.  The table is three
 times the coefficients of the constant 3-form the operator corresponds to;
 `embed` and `chart_restrict` apply that factor.  The operator is nondegenerate
 when the Pfaffian of g is not the zero polynomial; degenerate operators are
@@ -31,7 +32,7 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import PolyMatrix, clear_denominators, pfaffian, rat_det, rat_mat_mul
-from .poly import MultiPoly, _sum_of_products, bounded_n, index_entries, json_int
+from .poly import MultiPoly, _linear, bounded_n, index_entries, json_int
 from .threeform import LinearMapN1, ThreeForm, pullback, skew_dense, skew_table
 
 __all__ = [
@@ -48,18 +49,16 @@ class Hho2:
 
     The table maps strictly increasing triples in range(n+1) to coefficients,
     stored as in `ThreeForm.coeffs`: T on the triples inside range(n) and g0_ij
-    on the triple (i, j, n).  `tensor` is the same data as a dense
-    (n+1)^3 array, signs included.
+    on the triple (i, j, n).
     """
 
-    __slots__ = ("n", "table", "tensor", "_metric", "_pf", "_integer")
+    __slots__ = ("n", "table", "_metric", "_pf", "_integer")
 
     def __init__(self, n: int, table: Dict[Tuple[int, int, int], Fraction]):
         if n < 2 or n % 2 != 0:
             raise ValueError(f"n must be even and at least 2, got {n}")
         self.n = n
         self.table = skew_table(table, n + 1)
-        self.tensor = skew_dense(self.table, n + 1)
         self._metric = None
         self._pf = None
         self._integer = None
@@ -71,23 +70,26 @@ class Hho2:
         return tuple(f"u{i + 1}" for i in range(self.n))
 
     def t_value(self, i: int, j: int, k: int) -> Fraction:
-        """Table value at any triple in range(n+1); t_value(i, j, n) is g0_ij."""
-        return self.tensor[i][j][k]
+        """Table value at any triple in range(n+1), g0_ij at (i, j, n): the value
+        on the sorted triple, negated for an odd permutation; 0 on a repeat."""
+        if min(i, j, k) < 0 or max(i, j, k) > self.n:
+            raise IndexError(f"triple {(i, j, k)} is not inside range({self.n + 1})")
+        value = self.table.get(tuple(sorted((i, j, k))), Fraction(0))
+        return -value if (i > j) ^ (i > k) ^ (j > k) else value
 
     def metric(self) -> PolyMatrix:
-        """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: the table contracted
-        with (u^1, ..., u^n, 1), each entry summed in one pass."""
+        """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: row (i, j) of
+        `_integer_table` over L, read as one linear form in u."""
         if self._metric is not None:
             return self._metric
-        vs = self.vars
-        n = self.n
+        vs, n = self.vars, self.n
+        big_l, t = self._integer_table()
         zero = MultiPoly.zero(vs)
         rows = [[zero for _ in range(n)] for _ in range(n)]
-        coords = [MultiPoly.variable(vs, k) for k in range(n)] + [MultiPoly.const(vs, 1)]
         for i in range(n):
             for j in range(i + 1, n):
-                pairs = [(coord, tv) for tv, coord in zip(self.tensor[i][j], coords) if tv]
-                entry = _sum_of_products(vs, pairs)
+                # An integral table (L = 1) is its own row of coefficients.
+                entry = _linear(vs, t[i][j] if big_l == 1 else [Fraction(x, big_l) for x in t[i][j]])
                 rows[i][j] = entry
                 rows[j][i] = -entry
         self._metric = PolyMatrix(rows)
@@ -103,15 +105,17 @@ class Hho2:
         return self.pfaffian_poly().is_zero()
 
     def _integer_table(self) -> Tuple[int, List[List[List[int]]]]:
-        """(L, t): L the lcm of the table's denominators and t = L * tensor on
-        range(n) x range(n) x range(n + 1), column n holding g0; cached per
-        operator.  Every integer route of the operator and its systems reads
-        it; a product of a row of t with an n-vector reads range(n) only."""
+        """(L, t): L the lcm of the table's denominators and t the table times
+        L as a dense signed array (`skew_dense`) on range(n) x range(n) x
+        range(n + 1), column n holding g0; built from the numerators on first
+        use and cached.  The metric and every integer route of the operator
+        and its systems read it; a product of a row of t with an n-vector
+        reads range(n) only."""
         if self._integer is None:
             n = self.n
-            # Every table value sits in this block with its sign, so its lcm is the table's.
-            big_l, rows = clear_denominators([row for plane in self.tensor[:n] for row in plane[:n]])
-            self._integer = big_l, [rows[i * n : (i + 1) * n] for i in range(n)]
+            big_l, (nums,) = clear_denominators([list(self.table.values())])
+            dense = skew_dense(dict(zip(self.table, nums)), n + 1)
+            self._integer = big_l, [plane[:n] for plane in dense[:n]]
         return self._integer
 
     def _metric_numerator(self, x: Sequence[int]) -> Tuple[int, List[List[int]]]:

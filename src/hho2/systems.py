@@ -141,13 +141,10 @@ def random_flux_params(n: int, rng, bound: int = 5) -> FluxParams:
 class ConservativeSystem:
     """Operator together with a generated flux vector V = g^{-1}(Au + B) + c.
 
-    The flux is held as numerators Q_k over the Pfaffian D.  `v` holds the
-    components in lowest terms as (numerator, denominator) pairs, reduced by
-    `lowest_terms` (one `poly_gcd` each) the first time it is read; it is
-    library API, and no command reads it (`linearity_report` reduces the
-    components itself, one at a time).  The forms read from `q` (`v`, the
-    residual P, the point kernel) are built once, so `q` may be edited only
-    before the first read.
+    The flux is held in one form, the numerators Q_k over the Pfaffian D:
+    V^k = q[k] / d.  `lowest_terms(q[k], d)` gives a component in lowest
+    terms.  The forms read from `q` (the residual P, the point kernel) are
+    built once, so `q` may be edited only before the first read.
     """
 
     def __init__(self, op: Hho2, flux: FluxParams, constants: Optional[Sequence] = None):
@@ -163,8 +160,9 @@ class ConservativeSystem:
         if constants is None:
             self.constants: Tuple[Fraction, ...] = tuple(Fraction(0) for _ in range(n))
         else:
-            if len(constants) != n:
-                raise ValueError("constants must have length n")
+            # A string or a mapping of n keys has length n too; neither is a vector.
+            if not isinstance(constants, (list, tuple)) or len(constants) != n:
+                raise ValueError(f"constants must have length n = {n} as a list or tuple, got {constants!r}")
             self.constants = tuple(rat(c) for c in constants)
 
         vs = op.vars
@@ -179,10 +177,12 @@ class ConservativeSystem:
         # Effective affine data absorbing the additive constants c, so that
         # g V = Aeff u + Beff; these are what the eigenvalue pencil sees
         # alongside the actual V.  The constants add g(u) c: the table
-        # contracted with c in its middle index, whose column n shifts B.
-        t, c = op.tensor, self.constants
+        # contracted with c in its middle index (column n shifts B), read off
+        # the integer table and divided by its L once per entry.
+        c = self.constants
         if any(c):
-            shift = [[sum((t[h][i][j] * c[i] for i in range(n) if c[i]), Fraction(0)) for j in range(n + 1)]
+            big_l, t = op._integer_table()
+            shift = [[sum((t[h][i][j] * c[i] for i in range(n) if c[i]), Fraction(0)) / big_l for j in range(n + 1)]
                      for h in range(n)]
             self.a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
             self.b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
@@ -191,20 +191,11 @@ class ConservativeSystem:
         # (a_den, rows): rows h < n are a_den Aeff, row n is a_den Beff.
         self._affine: Tuple[int, List[List[int]]] = clear_denominators([*self.a_eff, self.b_eff])
 
-        self._v: Optional[List[Tuple[MultiPoly, MultiPoly]]] = None
         self._residuals: Optional[Tuple[MultiPoly, List[MultiPoly]]] = None
         # Diagnostics evaluate several tensors at one point before moving to
         # the next; memoize the integer numerators of the last few points.
         self._kern: Optional[_PointKernel] = None
         self._num_cache: Dict[tuple, _PointNumerators] = {}
-
-    @property
-    def v(self) -> List[Tuple[MultiPoly, MultiPoly]]:
-        """The flux components Q_k / D as (num, den) pairs in lowest terms,
-        reduced on first read."""
-        if self._v is None:
-            self._v = [lowest_terms(qk, self.d) for qk in self.q]
-        return self._v
 
     # ----- integer forms ------------------------------------------------------
 
@@ -600,7 +591,8 @@ def check_compat(system: ConservativeSystem, mode: str = "symbolic", points=None
 
 def check_compat_rational(op: Hho2, fractions: Sequence[Tuple[MultiPoly, MultiPoly]]) -> CompatReport:
     """Compatibility identities for any flux vector V^k = N_k / M_k given as
-    (numerator, denominator) pairs of polynomials in u, such as `system.v`.
+    (numerator, denominator) pairs of polynomials in u, such as a system's
+    (q_k, d) pairs or their `lowest_terms`.
 
     The pairs are cleared to one denominator D, the product of the distinct
     M_k, so that Q_k = N_k D / M_k; no gcd is taken.  The residual
@@ -748,7 +740,7 @@ def linearity_report(system: ConservativeSystem) -> LinearityReport:
     V is linear iff each component is a polynomial of degree at most one.
     The components Q_k / D are brought to lowest terms one at a time, in
     order, and the test stops at the first that is not affine, so a nonlinear
-    flux usually takes one `poly_gcd`; `system.v` is not built.
+    flux usually takes one `poly_gcd`.
     """
     is_linear = all(
         den.is_constant() and num.degree() <= 1

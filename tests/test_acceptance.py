@@ -31,7 +31,7 @@ from hho2.operators import (
     conformal_determinant_check,
     transform,
 )
-from hho2.poly import MultiPoly
+from hho2.poly import MultiPoly, lowest_terms
 from hho2.systems import (
     ConservativeSystem,
     DegenerateOperatorError,
@@ -292,7 +292,7 @@ def test_criterion_07_flux_structure():
         n = system.op.n
         pf = system.op.pfaffian_poly()
         for k in range(n):
-            num, den = system.v[k]
+            num, den = lowest_terms(system.q[k], system.d)
             if not den.divides(pf):
                 ok = False
             if num.degree() > n // 2:

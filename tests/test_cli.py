@@ -518,6 +518,19 @@ def test_generate_flux_data_must_be_lists(tmp_path, capsys, a, b):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--A", "garbage"], ["--B", "[1,2]"], ["--A", "[[0,1],[-1,0]]", "--B", "[1,2]"]],
+                         ids=["A", "B", "A-and-B"])
+def test_generate_random_with_flux_data_exits_2(tmp_path, capsys, flags):
+    """--random draws A and B itself, so --A or --B beside it would be
+    ignored: refused, well-formed or not."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n2", "--out", op_path)
+    code, out, err = run(capsys, "sys", "generate", op_path, "--random", *flags)
+    assert code == 2
+    assert err == "error: --random draws A and B; it cannot be combined with --A or --B\n"
+    assert out == ""
+
+
 def test_generate_degenerate_operator_exits_2(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-degenerate", "--out", op_path)

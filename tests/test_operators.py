@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -61,8 +62,10 @@ def _skew_oracle(table, i, j, k):
 
 
 def test_sign_table_views_agree():
-    """t_value, skew_dense and the dense form of `embed` all match the
-    inversion-count oracle on every triple of range(n+1), g0 included."""
+    """t_value, skew_dense, the dense form of `embed`, the integer table over
+    its L and the metric entries all match the inversion-count oracle on
+    every triple of range(n+1), g0 included, on tables with fractional
+    entries."""
     rng = random.Random(41)
 
     def draw():
@@ -83,6 +86,16 @@ def test_sign_table_views_agree():
                 assert op.t_value(i, j, k) == want
                 assert dense[i][j][k] == want
                 assert 3 * form[i][j][k] == want
+            # The integer table is the table over the lcm of its denominators,
+            # on range(n) x range(n) x range(n + 1).
+            big_l, t = op._integer_table()
+            assert big_l == math.lcm(*(v.denominator for v in table.values())) > 1
+            g, unit = op.metric(), [tuple(int(l == k) for l in range(n)) for k in range(n)] + [(0,) * n]
+            for i, j in product(range(n), repeat=2):
+                row = [_skew_oracle(table, i, j, k) for k in range(n + 1)]
+                assert all(type(x) is int for x in t[i][j])
+                assert [Fraction(x, big_l) for x in t[i][j]] == row
+                assert g.at(i, j) == MultiPoly(op.vars, dict(zip(unit, row)))
 
 
 def test_constructor_rejects_inexact_values():
@@ -101,6 +114,10 @@ def test_t_value_signs():
     assert op.t_value(2, 0, 1) == 1
     assert op.t_value(0, 0, 2) == 0
     assert op.t_value(1, 2, 3) == 0
+    # An index outside range(n + 1) is refused, not read as a missing entry.
+    for triple in ((0, 1, 5), (-1, 0, 1)):
+        with pytest.raises(IndexError, match="range"):
+            op.t_value(*triple)
 
 
 def test_validate_reports():

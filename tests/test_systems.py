@@ -7,7 +7,7 @@ import pytest
 from hho2 import poly, systems
 from hho2.catalog import build, list_entries
 from hho2.operators import Hho2, transform
-from hho2.poly import MultiPoly
+from hho2.poly import MultiPoly, lowest_terms
 from hho2.systems import (
     ConservativeSystem,
     DegenerateOperatorError,
@@ -32,7 +32,13 @@ def rotation_flux_n2():
     return FluxParams.make([[0, 1], [-1, 0]], [0, 0])
 
 
+def _reduced(system):
+    """The flux components Q_k / D in lowest terms, as (num, den) pairs."""
+    return [lowest_terms(qk, system.d) for qk in system.q]
+
+
 _ZERO2 = [[0, 0], [0, 0]]
+_ZERO4 = [[0] * 4 for _ in range(4)]
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True])
@@ -44,8 +50,15 @@ _ZERO2 = [[0, 0], [0, 0]]
         lambda bad: FluxParams.make([[0, bad], [0, 0]], [0, 0]),
         lambda bad: FluxParams.make(_ZERO2, [bad, 0]),
         lambda bad: ConservativeSystem(build("n2"), FluxParams.make(_ZERO2, [1, 0]), [0, bad]),
+        # A string of n characters or a mapping of n keys has length n too;
+        # neither is a vector, and neither names a bad element.
+        lambda bad: ConservativeSystem(build("n4-open"), FluxParams.make(_ZERO4, [1, 0, 0, 0]), str(bad).ljust(4)),
+        lambda bad: ConservativeSystem(build("n2"), FluxParams.make(_ZERO2, [1, 0]), {0: bad, 1: bad}),
+        lambda bad: generate_flux(build("n4-open"), rng=random.Random(1), constants=str(bad).ljust(4)),
+        lambda bad: generate_flux(build("n2"), rng=random.Random(1), constants={0: bad, 1: bad}),
     ],
-    ids=["MultiPoly", "MultiPoly.const", "FluxParams.A", "FluxParams.B", "constants"],
+    ids=["MultiPoly", "MultiPoly.const", "FluxParams.A", "FluxParams.B", "constants",
+         "constants-str", "constants-dict", "generate_flux.constants-str", "generate_flux.constants-dict"],
 )
 def test_library_constructors_reject_inexact_values(make, bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
@@ -57,7 +70,7 @@ def test_n2_known_flux_vector():
     system = ConservativeSystem(build("n2"), rotation_flux_n2())
     vs = system.vars
     one = MultiPoly.const(vs, 1)
-    assert system.v == [(MultiPoly.parse(vs, "u1"), one), (MultiPoly.parse(vs, "u2"), one)]
+    assert _reduced(system) == [(MultiPoly.parse(vs, "u1"), one), (MultiPoly.parse(vs, "u2"), one)]
     assert check_compat(system).passed
 
 
@@ -84,7 +97,7 @@ def test_compat_symbolic_seeded_families():
 def test_compat_rational_route_agrees_n4():
     rng = random.Random(12)
     system = generate_flux(build("n4-open"), rng=rng)
-    rep = check_compat_rational(system.op, system.v)
+    rep = check_compat_rational(system.op, _reduced(system))
     assert rep.passed
 
 
@@ -100,7 +113,7 @@ def test_compat_rational_distinct_denominators_match_sympy(name):
     system = generate_flux(build(name), rng=random.Random(3))
     op, vs, n = system.op, system.vars, system.op.n
     m1, m2 = MultiPoly.parse(vs, "u1 + 2"), MultiPoly.parse(vs, "u2^2 - 3*u1 + 1")
-    fractions = list(system.v)
+    fractions = _reduced(system)
     for k, (m, extra) in enumerate([(m1, "1"), (m2, "u1"), (m1, "u2")][:n]):
         num, den = fractions[k]
         fractions[k] = (num * m + den * MultiPoly.parse(vs, extra), den * m)
@@ -160,7 +173,7 @@ def test_flux_evaluation_routes_agree():
     rng = random.Random(14)
     system = generate_flux(build("n4-open"), rng=rng)
     for u in sample_points(system.op, 4, rng):
-        direct = [num.eval(u) / den.eval(u) for num, den in system.v]
+        direct = [num.eval(u) / den.eval(u) for num, den in _reduced(system)]
         assert system.flux_at(u) == direct
 
 
@@ -247,12 +260,12 @@ def _sqrt_charpoly_oracle(system, u):
     """Ascending coefficients of Pf(T V + Aeff - lam g) / D(u), in Fractions
     from the reduced flux and the symbolic metric, through `linalg.pfaffian`
     over the ring ("lam",)."""
-    n, t = system.op.n, system.op.tensor
-    v = [num.eval(u) / den.eval(u) for num, den in system.v]
+    n, t = system.op.n, system.op.t_value
+    v = [num.eval(u) / den.eval(u) for num, den in _reduced(system)]
     g = system.op.metric().eval_at(u)
     lam = MultiPoly.variable(("lam",), 0)
     rows = [
-        [lam * -g[h][j] + (sum(t[h][j][i] * v[i] for i in range(n)) + system.a_eff[h][j]) for j in range(n)]
+        [lam * -g[h][j] + (sum(t(h, j, i) * v[i] for i in range(n)) + system.a_eff[h][j]) for j in range(n)]
         for h in range(n)
     ]
     pf = pfaffian(PolyMatrix(rows))
@@ -292,7 +305,7 @@ def test_additive_constants_absorb_into_effective_parameters():
     consts = [Fraction(rng.randint(-4, 4)) for _ in range(6)]
     with_c = ConservativeSystem(op, flux, consts)
     absorbed = ConservativeSystem(op, FluxParams.make(with_c.a_eff, with_c.b_eff))
-    assert [str(x) for x in with_c.v] == [str(x) for x in absorbed.v]
+    assert [str(x) for x in _reduced(with_c)] == [str(x) for x in _reduced(absorbed)]
     for u in sample_points(op, 3, rng):
         assert with_c.jacobian_at(u) == absorbed.jacobian_at(u)
 
@@ -481,7 +494,7 @@ def test_linearity_short_circuit_agrees_with_every_component():
         for seed, constants in ((3, None), (909, None), (3, thirds), (27, thirds)):
             system = generate_flux(op, rng=random.Random(seed), constants=constants)
             got = linearity_report(system).is_linear
-            assert got == all(den.is_constant() and num.degree() <= 1 for num, den in system.v), (name, seed)
+            assert got == all(den.is_constant() and num.degree() <= 1 for num, den in _reduced(system)), (name, seed)
             seen.add(got)
     assert seen == {True, False}
 
@@ -525,7 +538,7 @@ def test_system_json_round_trip():
     assert again.op == system.op
     assert again.flux == system.flux
     assert again.constants == system.constants
-    assert [str(x) for x in again.v] == [str(x) for x in system.v]
+    assert again.q == system.q and again.d == system.d
 
 
 def test_generate_flux_reproducible():
@@ -577,11 +590,9 @@ def test_n8_system_build_needs_no_sympy_gcd(monkeypatch):
     monkeypatch.setattr(poly, "_gcd_via_sympy", counted("sympy", poly._gcd_via_sympy))
     op = build("n8-fam1", {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7})
     system = generate_flux(op, rng=random.Random(909))
-    # The flux fractions are reduced on first read, one gcd per component.
+    # Construction takes no gcd; reducing each flux fraction takes one.
     assert calls == {"poly_gcd": 0, "sympy": 0}
-    v = system.v
-    assert calls == {"poly_gcd": 8, "sympy": 0}
-    assert system.v is v
+    v = _reduced(system)
     assert calls == {"poly_gcd": 8, "sympy": 0}
     assert all(den == system.d.monic() for _, den in v)
 
@@ -619,7 +630,7 @@ def _ci_moved(op):
 
 
 def test_point_kernel_tensor_is_the_scaled_dense_view():
-    """The operator's one integer table is t_den times `op.tensor` on
+    """The operator's one integer table is t_den times `op.t_value` on
     range(n) x range(n) x range(n + 1), column n holding g0, for a table with
     fractional entries; the point record's metric is that table contracted
     with (U, q)."""
@@ -628,7 +639,7 @@ def test_point_kernel_tensor_is_the_scaled_dense_view():
     t_den, t = op._integer_table()
     assert t_den > 1 and op._integer_table()[1] is t
     n = op.n
-    assert t == [[[t_den * op.tensor[i][j][k] for k in range(n + 1)] for j in range(n)] for i in range(n)]
+    assert t == [[[t_den * op.t_value(i, j, k) for k in range(n + 1)] for j in range(n)] for i in range(n)]
     u = [Fraction(1, 3), Fraction(-2, 5), 1, Fraction(3, 2), 0, 2]
     num = system._numerators(u)
     g = op.metric()
@@ -661,9 +672,9 @@ def _eigenvalue_pencil(system):
     (u, lam), whose Pfaffian over D^(n/2 + 1) is the square root of the
     characteristic polynomial of the flux Jacobian.  Every entry is built on
     its own, so `pfaffian(Dm)` also checks that C is skew."""
-    n, d, t = system.op.n, system.d, system.op.tensor
+    n, d, t = system.op.n, system.d, system.op.t_value
     c = [
-        [sum((system.q[i] * t[h][j][i] for i in range(n)), d * system.a_eff[h][j]) for j in range(n)]
+        [sum((system.q[i] * t(h, j, i) for i in range(n)), d * system.a_eff[h][j]) for j in range(n)]
         for h in range(n)
     ]
     rvars = system.vars + ("lam",)
@@ -678,7 +689,7 @@ def _compat_failures_oracle(system):
     with the S table of second derivatives, in the flux's own coefficients:
     (first-order failures, second-order failures)."""
     n, vs = system.op.n, system.vars
-    g, t = system.op.metric(), system.op.tensor
+    g, t = system.op.metric(), system.op.t_value
     d = system.d
     d1 = [d.diff(p) for p in range(n)]
     r = _jacobian_numerators(system)
@@ -694,7 +705,7 @@ def _compat_failures_oracle(system):
         for p in range(n):
             for l in range(p, n):
                 pairs = [(g.at(a, k), s[k][p][l]) for k in range(n)]
-                pairs += [(d * r[k][l], t[p][a][k]) for k in range(n)] + [(d * r[k][p], t[a][k][l]) for k in range(n)]
+                pairs += [(d * r[k][l], t(p, a, k)) for k in range(n)] + [(d * r[k][p], t(a, k, l)) for k in range(n)]
                 if poly._sum_of_products(vs, pairs):
                     second.append((a + 1, p + 1, l + 1))
     return first, second
@@ -763,8 +774,9 @@ def test_compat_proof_matches_the_s_table_oracle(name, seed, case):
 def test_n8_compat_proof_matches_the_pointwise_route(name, params, case):
     """At n = 8 the proof that `sys verify` runs rejects exactly the
     first-order identities that the independent pointwise route rejects at
-    sampled points, clean and with edited numerators; where it fails, the
-    points find second-order failures too."""
+    sampled points, clean and with edited numerators; the pointwise route's
+    two failure lists are those of the quotient-rule oracle at the same
+    points."""
     op = build(name, params)
     system = _edit_flux(generate_flux(op, rng=random.Random(909)), case)
     points = sample_points(op, 3, random.Random(5))
@@ -774,7 +786,44 @@ def test_n8_compat_proof_matches_the_pointwise_route(name, params, case):
     assert rep.first_order_failures == proof.first_order_failures
     assert proof.second_order_failures == ([] if proof.passed else None)
     assert rep.passed == proof.passed == (case in _COMPATIBLE_EDITS)
+    assert (rep.first_order_failures, rep.second_order_failures) == _pointwise_families_oracle(system, points)
     assert bool(rep.second_order_failures) == (not proof.passed)
+
+
+def _pointwise_families_oracle(system, points):
+    """Both identity families at the points, in Fractions: dV and d^2V by the
+    quotient rule on V^k = Q_k / D from `MultiPoly.diff` and `eval`, the
+    metric and T through `t_value`; no point record is read.  Returns the
+    (first-order, second-order) failure lists, as the pointwise route
+    numbers them."""
+    n, t, d = system.op.n, system.op.t_value, system.d
+    pairs = [(p, l) for p in range(n) for l in range(p, n)]
+    d1 = [d.diff(p) for p in range(n)]
+    d2 = {(p, l): d1[p].diff(l) for p, l in pairs}
+    q1 = [[qk.diff(p) for p in range(n)] for qk in system.q]
+    q2 = [{(p, l): q1[k][p].diff(l) for p, l in pairs} for k in range(n)]
+    first, second = set(), set()
+    for u in points:
+        dv, dv1 = d.eval(u), [x.eval(u) for x in d1]
+        g = [[sum(t(a, b, k) * u[k] for k in range(n)) + t(a, b, n) for b in range(n)] for a in range(n)]
+        jac, hess = [], []
+        for k in range(n):
+            qv, qv1 = system.q[k].eval(u), [x.eval(u) for x in q1[k]]
+            jac.append([(qv1[p] * dv - qv * dv1[p]) / dv**2 for p in range(n)])
+            # d_l of R_kp / D^2 with R_kp = Q_k,p D - Q_k D_p.
+            hess.append({
+                (p, l): (q2[k][p, l].eval(u) * dv + qv1[p] * dv1[l] - qv1[l] * dv1[p] - qv * d2[p, l].eval(u)) / dv**2
+                - 2 * jac[k][p] * dv1[l] / dv
+                for p, l in pairs
+            })
+        for a in range(n):
+            for b in range(a, n):
+                if sum(g[a][j] * jac[j][b] + g[b][j] * jac[j][a] for j in range(n)):
+                    first.add((a + 1, b + 1))
+            for p, l in pairs:
+                if sum(g[a][k] * hess[k][p, l] + t(p, a, k) * jac[k][l] + t(a, k, l) * jac[k][p] for k in range(n)):
+                    second.add((a + 1, p + 1, l + 1))
+    return sorted(first), sorted(second)
 
 
 _N8_FAM1 = {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7}
@@ -921,7 +970,7 @@ def _chained_metric(op):
     for i in range(n):
         for j in range(i + 1, n):
             entry = zero
-            for tv, coord in zip(op.tensor[i][j], coords):
+            for tv, coord in zip((op.t_value(i, j, k) for k in range(n + 1)), coords):
                 if tv:
                     lifted = tv.with_vars(vs) if isinstance(tv, MultiPoly) else MultiPoly.const(vs, tv)
                     entry = entry + lifted * coord
@@ -952,8 +1001,8 @@ def _chained_construction(op, flux, constants):
         if constants[k]:
             acc = acc + d * constants[k]
         q.append(acc)
-    t = op.tensor
-    shift = [[sum((t[h][i][j] * constants[i] for i in range(n) if constants[i]), Fraction(0)) for j in range(n + 1)]
+    t = op.t_value
+    shift = [[sum((t(h, i, j) * constants[i] for i in range(n) if constants[i]), Fraction(0)) for j in range(n + 1)]
              for h in range(n)]
     a_eff = tuple(tuple(flux.a[h][j] + shift[h][j] for j in range(n)) for h in range(n))
     b_eff = tuple(flux.b[h] + shift[h][n] for h in range(n))
