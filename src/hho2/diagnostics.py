@@ -71,22 +71,27 @@ def sample_points(
     """Integer sample points off the degeneracy locus.
 
     Points are drawn coordinate-wise from [-bound, bound] and rejected while
-    the Pfaffian vanishes there.  With allow_degenerate, an identically zero
-    Pfaffian rejects nothing.
+    the Pfaffian D vanishes there.  A draw u is tested by the integer
+    Pfaffian of the metric numerator G = L g(u) (`Hho2._metric_numerator`),
+    which is L^(n/2) D(u); the symbolic Pfaffian is read only to refuse a
+    degenerate operator and, for a draw on the locus, to tell whether D is
+    identically zero.  With allow_degenerate, an identically zero Pfaffian
+    rejects nothing.
     """
     n = op.n
-    pf = op.pfaffian_poly()
-    if pf.is_zero() and not allow_degenerate:
+    if not allow_degenerate and op.is_degenerate:
         raise ValueError("operator is degenerate; every point lies on the locus")
+    full = (1 << n) - 1
     points = []
     attempts = 0
     while len(points) < count:
         attempts += 1
         if attempts > 200 * count + 200:
             raise RuntimeError("sampling failed to avoid the degeneracy locus")
-        u = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
-        if pf.is_zero() or pf.eval(u) != 0:
-            points.append(u)
+        x = [rng.randint(-bound, bound) for _ in range(n)]
+        g = op._metric_numerator([*x, 1])[1]
+        if _pfaffian_expansion(g, lambda pairs: sum(a * b for a, b in pairs), 1)(full) or op.is_degenerate:
+            points.append(tuple(map(Fraction, x)))
     return points
 
 

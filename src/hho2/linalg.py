@@ -276,15 +276,16 @@ def rat_mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _integer_gauss_jordan(matrix):
-    """Fraction-free Gauss-Jordan elimination of the matrix cleared of its
-    denominators: (rows, pivot columns, det when square and nonsingular, last pivot).
+def _integer_gauss_jordan(m):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place:
+    (rows, pivot columns, signed last pivot, last pivot), the signed last
+    pivot being the determinant when m is square and nonsingular.
 
     A step maps each row but the pivot row to (p * row - f * pivot row) // prev
     for pivots p and prev, exactly, as every entry is a minor of the input.  At
     the end each pivot row holds the last pivot at its pivot column, so the
-    reduced row echelon form is the rows over the last pivot."""
-    den, m = clear_denominators(matrix)
+    reduced row echelon form is the rows over the last pivot.  Rational
+    matrices are cleared of their denominators first."""
     rows = len(m)
     pivots = []
     sign = prev = 1
@@ -305,39 +306,42 @@ def _integer_gauss_jordan(matrix):
         pivots.append(c)
         if r + 1 == rows:
             break
-    return m, pivots, Fraction(sign * prev, den**rows), prev
+    return m, pivots, sign * prev, prev
 
 
 def rat_det(matrix) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, det, _ = _integer_gauss_jordan(matrix)
-    return det if len(pivots) == n else Fraction(0)
+    den, m = clear_denominators(matrix)
+    _, pivots, det, _ = _integer_gauss_jordan(m)
+    return Fraction(det, den**n) if len(pivots) == n else Fraction(0)
 
 
 def rat_rank(matrix) -> int:
-    return len(_integer_gauss_jordan(matrix)[1])
+    return len(_integer_gauss_jordan(clear_denominators(matrix)[1])[1])
 
 
-def _det_inverse(matrix):
-    """(det, inverse) of a square matrix by one elimination of [matrix | I]:
-    the right block ends as the last pivot times the inverse.  A singular
-    matrix gives (0, None)."""
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+def _det_inverse(m):
+    """(det, (last, R)) of a square integer matrix by one elimination of
+    [m | I]: the right block R ends as the last pivot times the inverse, so
+    the inverse is R / last.  A singular matrix gives (0, None)."""
+    n = len(m)
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
     m, pivots, det, last = _integer_gauss_jordan(aug)
     if pivots[:n] != list(range(n)):
-        return Fraction(0), None
-    return det, [[Fraction(x, last) for x in row[n:]] for row in m]
+        return 0, None
+    return det, (last, [row[n:] for row in m])
 
 
 def rat_inverse(matrix):
     """Inverse of a square matrix; ZeroDivisionError when it is singular."""
-    inverse = _det_inverse(matrix)[1]
+    den, m = clear_denominators(matrix)
+    inverse = _det_inverse(m)[1]
     if inverse is None:
         raise ZeroDivisionError("matrix is singular")
-    return inverse
+    last, rows = inverse
+    return [[Fraction(den * x, last) for x in row] for row in rows]
 
 
 def rat_kernel(matrix):
@@ -345,7 +349,7 @@ def rat_kernel(matrix):
     if not matrix:
         return []
     cols = len(matrix[0])
-    m, pivots, _, last = _integer_gauss_jordan(matrix)
+    m, pivots, _, last = _integer_gauss_jordan(clear_denominators(matrix)[1])
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:

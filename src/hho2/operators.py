@@ -211,7 +211,7 @@ def _conformal_point(op: Hho2, moved: Hho2, a: LinearMapN1, u: Sequence[Fraction
     if len(u) != n:
         raise ValueError(f"point must supply {n} values")
     _, (x,) = clear_denominators([[*u, 1]])
-    c, m = clear_denominators(a.entries)
+    c, m = a.den, a.num
     y = [sum(map(mul, row, x)) for row in m]
     yn, bottom = y[n], m[n]
     if not yn:

@@ -36,7 +36,8 @@ quotients give the witness (A, B).  Aeff_qp = A_qp + T_qkp c_k and Beff
 absorb the constants.  Every flux the constructor builds has P = 0; an edited
 one may have P != 0 and still be compatible (adding c_k D to every Q_k keeps
 dV).  A failure lists the first family only, as E_qp + E_pq with
-E_qp = D dP_q/du^p - D_p P_q = D^2 (dW_q/du^p - Aeff_qp).  With D and the Q_k
+E_qp = D dP_q/du^p - D_p P_q = D^2 (dW_q/du^p - Aeff_qp), read off the
+quotients P_q / D where D divides every P_q.  With D and the Q_k
 scaled by the lcm `scale` of their coefficient denominators, the table by its
 own, t_den, and Aeff, Beff by theirs, every coefficient is an integer.  The
 pointwise check evaluates R, S and both families: an independent route.
@@ -509,7 +510,9 @@ def _killing_certificate(
 ) -> CompatReport:
     """The certificate of the module docstring on the `_integer_residuals`
     (d, res) built on `affine`: each P_h / d is t_den a_den (W - Aeff u -
-    Beff)_h.  Only a failure lists the first family, read off E + E^T."""
+    Beff)_h.  Only a failure lists the first family, read off E + E^T: where
+    d divides every P_h, E_qp + E_pq = d^2 (d_p w_q + d_q w_p) for the
+    quotients w, and only otherwise is E built."""
     n = op.n
     w = _residual_quotients(d, res)
     if w is not None and all(x.degree() <= 1 for x in w):
@@ -523,7 +526,7 @@ def _killing_certificate(
             den = t_den * a_den
             a = tuple(tuple(Fraction(x, den) for x in row[:n]) for row in ab)
             return CompatReport(mode, n, witness=(a, tuple(Fraction(row[n], den) for row in ab)))
-    e = _residual_table(op.vars, d, res)
+    e = _residual_table(op.vars, d, res) if w is None else [[x.diff(p) for p in range(n)] for x in w]
     first = [(q + 1, p + 1) for q in range(n) for p in range(q, n) if e[q][p] + e[p][q]]
     return CompatReport(mode, n, first, second_order_failures=None)
 

@@ -14,16 +14,21 @@ applied only by `embed` and `chart_restrict`.
 
 Coefficient values are exact rationals, checked by `skew_table`; the
 parameters of the catalog's families never reach a form or an operator.
+
+A linear map (`LinearMapN1`) is held as one integer form num / den in lowest
+terms, its inverse too; `entries` is a derived `Fraction` view, and
+`pullback` and the conformal checks read (den, num) directly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import _det_inverse, clear_denominators, rat_inverse, rat_mat_mul
+from .linalg import _det_inverse, clear_denominators, rat_mat_mul
 from .poly import bounded_n, index_entries, json_int, rat
 
 __all__ = [
@@ -96,15 +101,24 @@ class ThreeForm:
         return cls(dim, coeffs)
 
 
-class LinearMapN1:
-    """Invertible rational linear map of the homogeneous coordinate space."""
+def _lowest_terms(den: int, num: List[List[int]]) -> Tuple[int, List[List[int]]]:
+    """The integer form num / den divided by its gcd, with den > 0."""
+    g = math.gcd(den, *(x for row in num for x in row))
+    if den < 0:
+        g = -g
+    return (den, num) if g == 1 else (den // g, [[x // g for x in row] for row in num])
 
-    __slots__ = ("dim", "entries", "det", "_inverse")
+
+class LinearMapN1:
+    """Invertible rational linear map of the homogeneous coordinate space,
+    the matrix num / den with den > 0 coprime to the entries of num."""
+
+    __slots__ = ("dim", "den", "num", "det", "_inverse")
 
     def __init__(self, entries: Sequence[Sequence]):
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"entries: expected a list of rows, got {entries!r}")
-        self.entries = []
+        rows = []
         for r, row in enumerate(entries):
             if not isinstance(row, (list, tuple)):
                 raise ValueError(f"entries[{r}]: expected a list of rationals, got {row!r}")
@@ -114,13 +128,36 @@ class LinearMapN1:
                     parsed.append(rat(x))
                 except (ValueError, TypeError) as exc:
                     raise ValueError(f"entries[{r}][{c}]: {exc}") from None
-            self.entries.append(parsed)
-        self.dim = len(self.entries)
-        if any(len(row) != self.dim for row in self.entries):
+            rows.append(parsed)
+        self.dim = len(rows)
+        if any(len(row) != self.dim for row in rows):
             raise ValueError("linear map matrix must be square")
-        self.det, self._inverse = _det_inverse(self.entries)
+        self.den, self.num = clear_denominators(rows)
+        self._inverse = None
+        self.det = self._eliminate()
         if not self.det:
             raise ValueError("linear map must be invertible")
+
+    def _eliminate(self) -> Fraction:
+        """The determinant, by one fraction-free elimination of [num | I];
+        its right block, last * num^-1, gives the inverse form, kept."""
+        det, inverse = _det_inverse(self.num)
+        if inverse is not None:
+            last, rows = inverse
+            self._inverse = _lowest_terms(last, [[self.den * x for x in row] for row in rows])
+        return Fraction(det, self.den**self.dim)
+
+    @classmethod
+    def _of_form(cls, den: int, num: List[List[int]], det: Fraction, inverse=None) -> "LinearMapN1":
+        # A map from an integer form in lowest terms whose determinant is
+        # known; the inverse form is eliminated when first asked for.
+        obj = object.__new__(cls)
+        obj.dim, obj.den, obj.num, obj.det, obj._inverse = len(num), den, num, det, inverse
+        return obj
+
+    @property
+    def entries(self) -> List[List[Fraction]]:
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
 
     @property
     def is_sl(self) -> bool:
@@ -133,47 +170,47 @@ class LinearMapN1:
     @classmethod
     def random_sl(cls, dim: int, rng) -> "LinearMapN1":
         """Product of 2 dim + 2 random elementary shears, each factor c/q with
-        |c| <= 3 and q in {1, 2}.  Its determinant is one by construction, so
-        no elimination runs."""
-        m = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+        |c| <= 3 and q in {1, 2}, on integer rows over a power-of-two
+        denominator.  Its determinant is one by construction, so no
+        elimination runs.  A shear needs two distinct indices, so dim < 2 is
+        refused before any draw."""
+        if dim < 2:
+            raise ValueError(f"random_sl needs dim at least 2, got {dim}")
+        den, m = 1, [[int(i == j) for j in range(dim)] for i in range(dim)]
         for _ in range(2 * dim + 2):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
             while j == i:
                 j = rng.randrange(dim)
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            c, q = rng.randint(-3, 3), rng.randint(1, 2)
             if not c:
                 continue
-            # left-multiply by E_{ij}(c): row i += c * row j
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        return cls._with_det(m, Fraction(1))
-
-    @classmethod
-    def _with_det(cls, entries: List[List[Fraction]], det: Fraction) -> "LinearMapN1":
-        # Internal fast path for a square Fraction matrix whose determinant
-        # is already known, so no elimination runs again.
-        obj = object.__new__(cls)
-        obj.entries = entries
-        obj.dim = len(entries)
-        obj.det = det
-        obj._inverse = None
-        return obj
+            # left-multiply by E_{ij}(c/q): row i += (c/q) * row j
+            row = m[j]
+            if c % q:
+                # c/2 in lowest terms: double every row and the denominator
+                den *= 2
+                m = [[2 * x for x in r] for r in m]
+            else:
+                c //= q
+            m[i] = [a + c * b for a, b in zip(m[i], row)]
+        return cls._of_form(*_lowest_terms(den, m), Fraction(1))
 
     def inverse(self) -> "LinearMapN1":
-        return LinearMapN1._with_det(self._inverse or rat_inverse(self.entries), 1 / self.det)
+        if self._inverse is None:
+            self._eliminate()
+        return LinearMapN1._of_form(*self._inverse, 1 / self.det, (self.den, self.num))
 
     def compose(self, other: "LinearMapN1") -> "LinearMapN1":
-        """Matrix product self * other: the product of the two integer
-        numerators, divided once by the product of their denominators."""
-        c, m = clear_denominators(self.entries)
-        d, k = clear_denominators(other.entries)
-        entries = [[Fraction(x, c * d) for x in row] for row in rat_mat_mul(m, k)]
-        return LinearMapN1._with_det(entries, self.det * other.det)
+        """Matrix product self * other: one integer product of the
+        numerators over the product of the denominators, reduced once."""
+        form = _lowest_terms(self.den * other.den, rat_mat_mul(self.num, other.num))
+        return LinearMapN1._of_form(*form, self.det * other.det)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMapN1):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -213,7 +250,7 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
     if a.dim != form.dim:
         raise ValueError(f"map dimension {a.dim} does not match form dimension {form.dim}")
     d = form.dim
-    c, m = clear_denominators(a.entries)
+    c, m = a.den, a.num
     big_l, (numerators,) = clear_denominators([list(form.coeffs.values())])
     by_pair: Dict[Tuple[int, int], list] = {}
     for (p, q, r), x in zip(form.coeffs, numerators):

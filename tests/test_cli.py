@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -147,6 +148,27 @@ def test_conformal_check_passes(tmp_path, capsys):
     )
     assert code == 0
     assert "all conformal identities hold" in out
+
+
+@pytest.mark.parametrize("entry, params", [
+    ("n6-X", []),
+    ("n8-fam1", ["--params", "lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7"]),
+])
+def test_conformal_check_never_builds_the_symbolic_pfaffian(tmp_path, capsys, monkeypatch, entry, params):
+    """Sample points are tested by the integer Pfaffian of the metric at the
+    point: on a nondegenerate operator whose draws miss the locus, neither
+    the operator nor its moved copy builds its Pfaffian polynomial."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", entry, *params, "--out", op_path)
+    calls = []
+    pfaffian_poly = hho2.Hho2.pfaffian_poly
+    monkeypatch.setattr(hho2.Hho2, "pfaffian_poly", lambda self: calls.append(1) or pfaffian_poly(self))
+    dim = json.loads(open(op_path).read())["n"] + 1
+    sl = hho2.LinearMapN1.random_sl(dim, random.Random(4)).to_json()
+    code, out, err = run(capsys, "--seed", "7", "op", "conformal-check", op_path, "--sl", sl, "--points", "6")
+    assert code == 0, err
+    assert "all conformal identities hold" in out
+    assert calls == []
 
 
 def test_conformal_check_skips_poles(tmp_path, capsys):

@@ -6,7 +6,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
-from hho2.catalog import build
+from hho2.catalog import build, list_entries
 from hho2.diagnostics import (
     _charpoly,
     _geometric_multiplicity,
@@ -66,6 +66,50 @@ def test_sample_points_degenerate_guard():
         sample_points(op, 1, random.Random(2))
     pts = sample_points(op, 2, random.Random(2), allow_degenerate=True)
     assert len(pts) == 2
+
+
+def _sample_points_oracle(op, count, rng, bound, allow_degenerate):
+    """The symbolic route: a draw is rejected while the Pfaffian polynomial
+    evaluates to zero there, unless it is identically zero.  Returns the
+    points and the number of rejected draws."""
+    pf = op.pfaffian_poly()
+    if pf.is_zero() and not allow_degenerate:
+        raise ValueError("degenerate")
+    points, rejected = [], 0
+    while len(points) < count:
+        if len(points) + rejected >= 200 * count + 200:
+            raise RuntimeError("sampling failed")
+        u = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(op.n))
+        if pf.is_zero() or pf.eval(u) != 0:
+            points.append(u)
+        else:
+            rejected += 1
+    return points, rejected
+
+
+def _sampling_cases():
+    """Every catalog entry, the n = 8 families at lambda = 2, 3, 5, 7, and
+    n4-open, n6-X and n8-fam1 moved by the CI maps."""
+    for entry in list_entries():
+        op = entry.build({name: N8_PARAMS[name] for name in entry.params})
+        yield entry.id, op
+        if entry.id in ("n4-open", "n6-X", "n8-fam1"):
+            yield entry.id + "-moved", _ci_moved(op)
+
+
+def test_sample_points_match_the_symbolic_route():
+    """The integer Pfaffian of the metric numerator at a draw rejects exactly
+    the draws on which the Pfaffian polynomial vanishes, so the points are
+    those of the symbolic route, draw for draw; small boxes put draws on the
+    locus, and a degenerate entry accepts every draw."""
+    rejected = 0
+    for name, op in _sampling_cases():
+        degenerate = op.pfaffian_poly().is_zero()
+        for seed, bound in ((1, 1), (2, 2), (3, 10)):
+            expected, skipped = _sample_points_oracle(op, 6, random.Random(seed), bound, degenerate)
+            assert sample_points(op, 6, random.Random(seed), bound, allow_degenerate=degenerate) == expected, name
+            rejected += skipped
+    assert rejected > 0
 
 
 def test_nijenhuis_routes_agree():

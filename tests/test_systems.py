@@ -873,6 +873,27 @@ def test_compat_proofs_on_the_moved_n8_table(case):
         assert rep.second_order_failures == ([] if rep.passed else None)
 
 
+@pytest.mark.parametrize("name", ["n2", "n4-open", "n6-X", "n8-fam1-moved"])
+@pytest.mark.parametrize("case", _EDITS)
+def test_failing_certificate_reads_the_first_family_off_the_quotients(monkeypatch, name, case):
+    """Where D divides every residual row, the certificate lists the first
+    family from the quotients w, as E + E^T = d^2 (dw + dw^T), and builds no
+    E table; the list is the one read off the E table of the residual.  n8-fam1
+    is moved by the CI map."""
+    op = _ci_moved(build("n8-fam1", _N8_FAM1)) if name == "n8-fam1-moved" else build(name)
+    system = _edit_flux(generate_flux(op, rng=random.Random(909)), case)
+    n, (d, res) = op.n, system._pluecker_residuals()
+    e = systems._residual_table(op.vars, d, res)
+    expected = [(q + 1, p + 1) for q in range(n) for p in range(q, n) if e[q][p] + e[p][q]]
+    calls = []
+    residual_table = systems._residual_table
+    monkeypatch.setattr(systems, "_residual_table", lambda *args: calls.append(1) or residual_table(*args))
+    rep = check_compat(system)
+    assert rep.first_order_failures == expected
+    assert rep.passed == (case in _COMPATIBLE_EDITS)
+    assert bool(calls) == (systems._residual_quotients(d, res) is None)
+
+
 @pytest.mark.parametrize("name", ["n4-open", "n6-VIII", "n6-X"])
 @pytest.mark.parametrize("case", _EDITS)
 def test_pluecker_residual_lemma(name, case):

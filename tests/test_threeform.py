@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hho2.linalg import rat_det, rat_inverse, rat_mat_mul
+from hho2.linalg import clear_denominators, rat_det, rat_inverse, rat_mat_mul
 from hho2.operators import Hho2
 from hho2.threeform import (
     LinearMapN1,
@@ -109,6 +110,65 @@ def test_random_sl_draws_are_pinned():
     )
 
 
+@pytest.mark.parametrize("dim", [1, 0, -1])
+def test_random_sl_refuses_dims_below_two(dim):
+    """A shear needs two distinct indices: dim 1 would redraw j forever and
+    dim 0 has no index at all.  The refusal names the dim and comes before
+    any draw."""
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"random_sl needs dim at least 2, got {dim}$"):
+        LinearMapN1.random_sl(dim, rng)
+    assert rng.getstate() == state
+
+
+def _assert_lowest_terms(a):
+    """The map's one integer form is in lowest terms and is the cleared
+    Fraction view."""
+    assert a.den > 0 and math.gcd(a.den, *(x for row in a.num for x in row)) == 1
+    assert all(type(x) is int for row in a.num for x in row)
+    assert (a.den, a.num) == clear_denominators(a.entries)
+    assert a.dim == len(a.num)
+
+
+def test_map_integer_forms_are_in_lowest_terms():
+    """Maps from parsing, random_sl, compose and inverse() at dims 3-9,
+    including products whose denominators cancel."""
+    rng = random.Random(19)
+    for dim in range(3, 10):
+        a, b, r = LinearMapN1.random_sl(dim, rng), LinearMapN1.random_sl(dim, rng), _rational_map(rng, dim)
+        parsed = [r, LinearMapN1.from_json(a.to_json()), LinearMapN1([[str(2 * x) for x in row] for row in r.entries])]
+        made = [a, b, a.compose(b), r.compose(a), a.compose(a.inverse()), r.compose(r.inverse())]
+        for m in parsed + made:
+            _assert_lowest_terms(m)
+            _assert_lowest_terms(m.inverse())
+            _assert_lowest_terms(m.inverse().inverse())
+        assert a.compose(a.inverse()) == r.compose(r.inverse()) == LinearMapN1.identity(dim)
+        assert a.compose(a.inverse()).den == 1
+
+
+def test_compose_and_inverse_digests_are_pinned():
+    """Seeded products and inverses of shear products and of parsed rational
+    maps, as JSON: the digests were recorded on the Fraction implementation
+    of the maps."""
+    rng = random.Random(41)
+    parts = []
+    for dim in range(3, 10):
+        a, b, r = LinearMapN1.random_sl(dim, rng), LinearMapN1.random_sl(dim, rng), _rational_map(rng, dim)
+        parts += [a.compose(b).to_json(), b.compose(r).to_json(), r.compose(a).to_json()]
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
+        "61c086863e41fbdba095ad3cb74aa58909f83b2d2f9c0741a164d3213b609329"
+    )
+    rng = random.Random(43)
+    parts = []
+    for dim in range(3, 10):
+        a, r = LinearMapN1.random_sl(dim, rng), _rational_map(rng, dim)
+        parts += [a.inverse().to_json(), r.inverse().to_json(), a.compose(r).inverse().to_json()]
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
+        "4990ad00ecb811540bf1b41d95724b762682035cd82359a04b4bc9505432bbe3"
+    )
+
+
 def test_compose_matches_fraction_product():
     rng = random.Random(11)
     for dim in (3, 5, 9):
@@ -135,7 +195,8 @@ def test_linear_map_requires_invertible():
 def test_map_det_and_inverse_match_the_rational_routes():
     """The constructor's one elimination of [M | I] gives rat_det's
     determinant and rat_inverse's inverse; maps built without it (random_sl,
-    compose, inverse) invert through rat_inverse when asked."""
+    compose) run the same elimination when first inverted, and an inverse
+    inverts back to the map it came from."""
     rng = random.Random(31)
     for dim in range(1, 10):
         for a in [_rational_map(rng, dim) for _ in range(3)] + [LinearMapN1.identity(dim)]:
