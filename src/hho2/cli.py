@@ -30,7 +30,7 @@ from .operators import (
     transform,
     validate,
 )
-from .poly import MAX_DIGITS, MAX_POINTS, rat
+from .poly import MAX_COEFFICIENT_RANGE, MAX_DIGITS, MAX_POINTS, rat
 from .systems import (
     ConservativeSystem,
     DegenerateOperatorError,
@@ -113,13 +113,13 @@ def _sample_points(op: Hho2, count: int, rng, bound: int, allow_degenerate: bool
         raise InputError(str(exc)) from exc
 
 
-def _bounded_int(flag: str, high: Optional[int] = None):
-    """An argparse type: an int from 1 to `high` (unbounded if None), refused naming `flag`."""
+def _bounded_int(flag: str, high: int):
+    """An argparse type: an int from 1 to `high`, refused naming `flag`."""
     def parse(text: str) -> int:
         value = int(text)
         if value < 1:
             raise argparse.ArgumentTypeError(f"{flag} must be at least 1")
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(f"{flag} must be at most {high}")
         return value
 
@@ -439,8 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument(
-        "--coefficient-range", type=_bounded_int("--coefficient-range"), default=10, metavar="N",
-        help="integer bound for random coefficients and sample coordinates (default 10)",
+        "--coefficient-range", type=_bounded_int("--coefficient-range", MAX_COEFFICIENT_RANGE), default=10,
+        metavar="N", help="integer bound for random coefficients and sample coordinates (default 10, at most 10^100)",
     )
     parser.add_argument("--output", choices=("text", "json"), default="text", help="report format (default text)")
 

@@ -7,7 +7,10 @@ determinant, and a skew adjugate assembled from Pfaffian minors, whose entries
 over the Pfaffian give the inverse.  One recursive first-row Pfaffian
 expansion, memoised over index subsets, serves every coefficient ring: here
 integer polynomials, each minor summed in one pass, and the integer
-eigenvalue pencil of `diagnostics`.
+eigenvalue pencil of `diagnostics`.  A matrix is checked, cleared of
+denominators and given its expansion once, on the first Pfaffian or adjugate
+asked of it, so `pfaffian(M)` then `pfaffian_adjugate(M)` expand each minor
+once; an integral matrix is expanded on its own entries.
 Plain rational matrices (lists of lists of Fraction) are cleared of
 denominators and row-reduced in integers by fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
@@ -42,9 +45,14 @@ __all__ = [
 
 
 class PolyMatrix:
-    """Rectangular matrix of MultiPoly entries sharing one ring."""
+    """Rectangular matrix of MultiPoly entries sharing one ring.
 
-    __slots__ = ("rows", "cols", "entries", "vars")
+    Values are immutable in practice, as `MultiPoly` values are: no routine
+    writes to `entries` after construction.  The Pfaffian expansion memoised
+    in `_expansion` on first use relies on that.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "vars", "_expansion")
 
     def __init__(self, entries: Sequence[Sequence[MultiPoly]]):
         self.entries = [list(row) for row in entries]
@@ -62,6 +70,7 @@ class PolyMatrix:
                 elif p.vars != vs:
                     raise ValueError("mixed variable sets in matrix")
         self.vars = vs if vs is not None else ()
+        self._expansion = None
 
     def at(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
@@ -201,15 +210,28 @@ def _pfaffian_expansion(rows, total, one):
 
 
 def _pfaffian_minors(matrix: PolyMatrix, masks):
-    """Pfaffians of the skew submatrices indexed by the given bitmasks,
-    expanded with shared memoisation on the entries times their coefficients'
-    common denominator den; a minor on 2k indices is then divided by den^k.
-    Each minor is one `_sum_of_products` over its (entry, sub-minor) pairs."""
-    vars_ = matrix.vars
-    den, coeffs = clear_denominators([list(p.terms.values()) for row in matrix.entries for p in row])
-    flat = iter(coeffs)
-    m = [[MultiPoly._raw(vars_, dict(zip(p.terms, next(flat)))) for p in row] for row in matrix.entries]
-    pf = _pfaffian_expansion(m, lambda pairs: _sum_of_products(vars_, pairs), MultiPoly.const(vars_, 1))
+    """Pfaffians of the skew submatrices indexed by the given bitmasks.
+
+    On first use the matrix is checked by `_check_pfaffian_input` (a refused
+    matrix stores nothing, so it is refused again on every call), and the
+    entries are multiplied by their coefficients' common denominator den;
+    the expansion on those integer entries, memoised over masks, is kept in
+    the matrix's `_expansion` slot for every later call.  An integral matrix
+    (den = 1) is expanded on its own entries.  A minor on 2k indices is one
+    `_sum_of_products` over its (entry, sub-minor) pairs, divided by den^k.
+    """
+    if matrix._expansion is None:
+        _check_pfaffian_input(matrix)
+        vars_ = matrix.vars
+        den, coeffs = clear_denominators([list(p.terms.values()) for row in matrix.entries for p in row])
+        if den == 1:
+            m = matrix.entries
+        else:
+            flat = iter(coeffs)
+            m = [[MultiPoly._raw(vars_, dict(zip(p.terms, next(flat)))) for p in row] for row in matrix.entries]
+        pf = _pfaffian_expansion(m, lambda pairs: _sum_of_products(vars_, pairs), MultiPoly.const(vars_, 1))
+        matrix._expansion = den, pf
+    den, pf = matrix._expansion
     if den == 1:
         return [pf(mask) for mask in masks]
     return [pf(mask) * Fraction(1, den ** (mask.bit_count() // 2)) for mask in masks]
@@ -227,9 +249,7 @@ def _check_pfaffian_input(matrix: PolyMatrix) -> None:
 
 def pfaffian(matrix: PolyMatrix) -> MultiPoly:
     """Pfaffian of an even-dimensional skew matrix; Pf^2 = det."""
-    _check_pfaffian_input(matrix)
-    full = (1 << matrix.rows) - 1
-    return _pfaffian_minors(matrix, [full])[0]
+    return _pfaffian_minors(matrix, [(1 << matrix.rows) - 1])[0]
 
 
 def pfaffian_adjugate(matrix: PolyMatrix):
@@ -238,7 +258,6 @@ def pfaffian_adjugate(matrix: PolyMatrix):
     P[i][j] is, up to the sign (-1)^(i+j) * sgn(j-i), the Pfaffian of the
     submatrix with rows and columns i, j deleted; all entries are polynomials.
     """
-    _check_pfaffian_input(matrix)
     n = matrix.rows
     full = (1 << n) - 1
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -52,7 +52,7 @@ class Hho2:
     on the triple (i, j, n).
     """
 
-    __slots__ = ("n", "table", "_metric", "_pf", "_integer")
+    __slots__ = ("n", "table", "_metric", "_pf", "_integer", "_integer_forms")
 
     def __init__(self, n: int, table: Dict[Tuple[int, int, int], Fraction]):
         if n < 2 or n % 2 != 0:
@@ -62,6 +62,7 @@ class Hho2:
         self._metric = None
         self._pf = None
         self._integer = None
+        self._integer_forms = None
 
     # ----- derived data ----------------------------------------------------
 
@@ -79,20 +80,11 @@ class Hho2:
 
     def metric(self) -> PolyMatrix:
         """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: row (i, j) of
-        `_integer_table` over L, read as one linear form in u."""
-        if self._metric is not None:
-            return self._metric
-        vs, n = self.vars, self.n
-        big_l, t = self._integer_table()
-        zero = MultiPoly.zero(vs)
-        rows = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                # An integral table (L = 1) is its own row of coefficients.
-                entry = _linear(vs, t[i][j] if big_l == 1 else [Fraction(x, big_l) for x in t[i][j]])
-                rows[i][j] = entry
-                rows[j][i] = -entry
-        self._metric = PolyMatrix(rows)
+        `_integer_table` over L, read as one linear form in u.  An integral
+        table (L = 1) is its own metric: the entries are `_integer_metric`."""
+        if self._metric is None:
+            big_l = self._integer_table()[0]
+            self._metric = PolyMatrix(self._integer_metric() if big_l == 1 else self._linear_rows(big_l))
         return self._metric
 
     def pfaffian_poly(self) -> MultiPoly:
@@ -117,6 +109,27 @@ class Hho2:
             dense = skew_dense(dict(zip(self.table, nums)), n + 1)
             self._integer = big_l, [plane[:n] for plane in dense[:n]]
         return self._integer
+
+    def _linear_rows(self, big_l: int) -> List[List[MultiPoly]]:
+        """The n x n skew matrix whose entry (i, j) is row (i, j) of
+        `_integer_table` over big_l, read as one linear form in u."""
+        vs, n = self.vars, self.n
+        t = self._integer_table()[1]
+        zero = MultiPoly.zero(vs)
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = _linear(vs, t[i][j] if big_l == 1 else [Fraction(x, big_l) for x in t[i][j]])
+                rows[j][i] = -rows[i][j]
+        return rows
+
+    def _integer_metric(self) -> List[List[MultiPoly]]:
+        """L g(u) with integer coefficients, `_linear_rows(1)`, built on first
+        use and cached: the integer residuals of the operator's systems read
+        it at every L, and it is the metric when L = 1."""
+        if self._integer_forms is None:
+            self._integer_forms = self._linear_rows(1)
+        return self._integer_forms
 
     def _metric_numerator(self, x: Sequence[int]) -> Tuple[int, List[List[int]]]:
         """(L, G) with g(u) = G / (L s) at the integer vector x = s (u, 1): G is

@@ -52,6 +52,7 @@ __all__ = [
     "MAX_N",
     "MAX_POINTS",
     "MAX_DIGITS",
+    "MAX_COEFFICIENT_RANGE",
 ]
 
 
@@ -99,6 +100,13 @@ MAX_POINTS = 10_000
 # eigenstructure: one n=8 point takes over a second at 1000 digits; above 4300
 # digits Python refuses the integer-to-string conversion of the result.
 MAX_DIGITS = 1000
+
+# The largest bound `--coefficient-range` accepts for random flux entries and
+# sample coordinates: the exact eigenstructure of one n=8 point prints the
+# factors of its characteristic polynomial, whose integer coefficients pass
+# Python's 4300-digit string limit between 10^200 and 10^300; at this cap they
+# stay below 2300 digits and `sys diagnose` on n8-fam1 takes about a second.
+MAX_COEFFICIENT_RANGE = 10**100
 
 
 def bounded_n(n: int, where: str) -> int:
@@ -471,18 +479,28 @@ class MultiPoly:
     # ----- division and gcd support ----------------------------------------
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial quotient; raises if the division is not exact."""
+        """Exact polynomial quotient; raises if the division is not exact.
+
+        The quotient stays in integers where it can: an int coefficient
+        over an int leading coefficient that divides it is one floor
+        division, and a constant int divisor of every coefficient takes one
+        integer pass.  Every other step divides as `Fraction`s.
+        """
         if isinstance(divisor, (int, Fraction)):
             if not divisor:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(divisor))
-        if divisor.vars != self.vars:
-            raise ValueError("variable mismatch in division")
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            inv = Fraction(1) / divisor.constant_value()
-            return self * inv
+            k = _norm_coeff(divisor)
+        else:
+            if divisor.vars != self.vars:
+                raise ValueError("variable mismatch in division")
+            if divisor.is_zero():
+                raise ZeroDivisionError("division by zero polynomial")
+            k = divisor.terms[0] if divisor.is_constant() else None
+        if k is not None:
+            terms = self.terms
+            if type(k) is int and all(type(c) is int and not c % k for c in terms.values()):
+                return MultiPoly._raw(self.vars, {e: c // k for e, c in terms.items()})
+            return self * (Fraction(1) / Fraction(k))
         if self.is_zero():
             return self
         nv = len(self.vars)
@@ -498,7 +516,10 @@ class MultiPoly:
             if any(x < y for x, y in zip(_unpack(re, nv), dexp)):
                 raise ValueError("division is not exact")
             qe = re - de
-            qc = _norm_coeff(Fraction(rc) / Fraction(dc))
+            if type(rc) is int and type(dc) is int and not rc % dc:
+                qc = rc // dc
+            else:
+                qc = _norm_coeff(Fraction(rc) / Fraction(dc))
             q[qe] = qc
             for e, c in divisor.terms.items():
                 key = qe + e

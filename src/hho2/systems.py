@@ -472,22 +472,22 @@ def _integer_residuals(
     """(d, P): d = scale D and the residuals P_h = sum_k g_hk Q_k -
     D (Aeff u + Beff)_h in Z[u], each times a_den t_den scale, for numerators
     Q_k over D in the operator's ring.  scale is `_denominator_lcm` of D and
-    the Q_k, which also carry a_den; the metric rows are read from
-    `op._integer_table`, so carry t_den.  affine = (a_den, rows) holds
-    a_den Aeff in rows h < n and a_den Beff in row n, as
-    `ConservativeSystem._affine` does; a zero affine part drops out of the
-    sums."""
+    the Q_k, which also carry a_den; the metric rows are the operator's
+    cached integer forms `op._integer_metric()`, so carry t_den.
+    affine = (a_den, rows) holds a_den Aeff in rows h < n and a_den Beff in
+    row n, as `ConservativeSystem._affine` does; a zero affine part drops out
+    of the sums."""
     n, vs = op.n, op.vars
     scale = _denominator_lcm((d, *q))
-    t_den, t = op._integer_table()
+    t_den = op._integer_table()[0]
+    g = op._integer_metric()
     a_den, rows = affine
     q = [x * (scale * a_den) for x in q]
     d = d * scale
     out = []
     for h in range(n):
-        pairs = [(_linear(vs, t[h][k]), q[k]) for k in range(n)]
-        pairs.append((d, _linear(vs, [-t_den * x for x in (*rows[h], rows[n][h])])))
-        out.append(_sum_of_products(vs, pairs))
+        affine_row = _linear(vs, [-t_den * x for x in (*rows[h], rows[n][h])])
+        out.append(_sum_of_products(vs, [*zip(g[h], q), (d, affine_row)]))
     return d, out
 
 

@@ -324,6 +324,52 @@ def test_digits_above_the_cap_exit_2(tmp_path, capsys):
     assert run(capsys, *float_diagnose, "--digits", str(cli.MAX_DIGITS))[0] == 0
 
 
+@pytest.mark.parametrize("value", [str(cli.MAX_COEFFICIENT_RANGE + 1), "1" + "0" * 1500, "1" + "0" * 5000],
+                         ids=["cap-plus-1", "1500-digits", "above-int-str-limit"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sys", "generate", "{op}", "--random"],
+        ["sys", "diagnose", "{sys}", "--points", "1"],
+        ["op", "conformal-check", "{op}", "--sl", _identity(5), "--points", "1"],
+    ],
+    ids=["generate", "diagnose", "conformal-check"],
+)
+def test_coefficient_range_above_the_cap_exits_2(tmp_path, capsys, argv, value):
+    """The coefficient range is bounded before any coefficient is drawn, so a
+    huge bound never reaches the 4300-digit string limit inside a report."""
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n4-open", "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    run(capsys, "--seed", "3", "sys", "generate", op_path, "--random", "--out", sys_path)
+    args = [arg.format(op=op_path, sys=sys_path) for arg in argv]
+    code, err = _parser_exit(capsys, "--coefficient-range", value, *args)
+    assert code == 2
+    assert "argument --coefficient-range" in err and "Traceback" not in err
+    if value == str(cli.MAX_COEFFICIENT_RANGE + 1):
+        assert f"--coefficient-range must be at most {cli.MAX_COEFFICIENT_RANGE}" in err
+
+
+def test_coefficient_range_at_the_cap_diagnoses_n8(tmp_path, capsys):
+    """At the cap, an n=8 flux drawn from the whole range diagnoses at a point
+    drawn from it and the report prints: the factors of its characteristic
+    polynomial stay below the 4300-digit string limit."""
+    cap = str(cli.MAX_COEFFICIENT_RANGE)
+    op_path = str(tmp_path / "n8.json")
+    run(capsys, "catalog", "export", "n8-fam1", "--params", "lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7",
+        "--out", op_path)
+    sys_path = str(tmp_path / "sys.json")
+    assert run(capsys, "--seed", "1", "--coefficient-range", cap, "sys", "generate", op_path, "--random",
+               "--out", sys_path)[0] == 0
+    code, out, err = run(capsys, "--seed", "1", "--coefficient-range", cap, "--output", "json",
+                         "sys", "diagnose", sys_path, "--points", "1")
+    # Exit 1 is the known Haantjes failure at n = 8 (README, "Known red").
+    assert code == 1, err
+    report = json.loads(out)["report"]
+    assert report["charpoly_square_ok"] and report["all_diagonalizable"]
+    assert max(len(x) for x in report["diag"][0]["point"]) > 90
+
+
 # Pf(g) = u1^3 - u1 vanishes wherever u1 is -1, 0 or 1: with
 # --coefficient-range 1 every sample point lies on the degeneracy locus.
 _LOCUS_COVERS_BOX = {

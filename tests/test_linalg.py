@@ -338,3 +338,58 @@ def test_pfaffian_with_zero_first_row_is_zero():
     assert pfaffian(PolyMatrix(rows)).is_zero()
     with pytest.raises(ZeroDivisionError):
         pfaffian_adjugate(PolyMatrix(rows))
+
+
+def _minors_or_refusal(fn, m):
+    try:
+        return fn(m)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("adjugate_first", [False, True], ids=["pfaffian-first", "adjugate-first"])
+@pytest.mark.parametrize("kind", ["integer", "fraction"])
+def test_pfaffian_and_adjugate_share_one_expansion(monkeypatch, kind, adjugate_first):
+    """`pfaffian` and `pfaffian_adjugate` on one matrix check, clear and
+    expand it once, and in either order give what each gives on a fresh copy;
+    an integral matrix is expanded on its own entries."""
+    from hho2 import linalg
+
+    rng = random.Random(61 if kind == "integer" else 62)
+    expansions = []
+    expansion = linalg._pfaffian_expansion
+    monkeypatch.setattr(linalg, "_pfaffian_expansion", lambda rows, *rest: expansions.append(rows)
+                        or expansion(rows, *rest))
+    order = [pfaffian_adjugate, pfaffian] if adjugate_first else [pfaffian, pfaffian_adjugate]
+    dens = []
+    for n in (2, 4, 6):
+        for _ in range(3):
+            m = rand_skew(rng, n, max_deg=1, terms=2) if kind == "integer" else _fraction_skew(rng, n)
+            before = [[MultiPoly(VARS, dict(p.monomials())) for p in row] for row in m.entries]
+            fresh = [_minors_or_refusal(fn, PolyMatrix(m.entries)) for fn in order]
+            del expansions[:]
+            assert [_minors_or_refusal(fn, m) for fn in order] == fresh
+            den = m._expansion[0]
+            assert len(expansions) == 1 and (expansions[0] is m.entries) == (den == 1)
+            assert m.entries == before
+            dens.append(den)
+    assert (max(dens) > 1) == (kind == "fraction")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["x", "y"], ["y", "0"]], "non-skew"),
+        ([["0", "x", "1"], ["-x", "0", "y"]], "non-square"),
+        ([["0", "x", "1"], ["-x", "0", "y"], ["-1", "-y", "0"]], "even dimension"),
+    ],
+    ids=["non-skew", "non-square", "odd"],
+)
+def test_refused_matrix_raises_on_every_call(rows, message):
+    """A refused matrix keeps no expansion, so every later call refuses it
+    again, through either entry point."""
+    m = PolyMatrix([[MultiPoly.parse(VARS, x) for x in row] for row in rows])
+    for fn in (pfaffian, pfaffian_adjugate, pfaffian, pfaffian_adjugate):
+        with pytest.raises(ValueError, match=message):
+            fn(m)
+        assert m._expansion is None

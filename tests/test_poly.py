@@ -132,6 +132,32 @@ def test_exact_div_and_divides():
         (x + one).exact_div(x)
 
 
+def _int_coefficients(p):
+    return [type(c) is int for c in p.terms.values()]
+
+
+def test_exact_div_keeps_integral_quotients_in_int():
+    """Integer quotients stay ints, by a polynomial, a constant polynomial or
+    a scalar divisor, negative ones included; a quotient that is not
+    integral is a Fraction, never floored."""
+    x, y = MultiPoly.variable(VARS, "x"), MultiPoly.variable(VARS, "y")
+    a = 3 * x * x - 6 * x * y + 9
+    for divisor in (2 * x - 4 * y, -2 * x + 4 * y + 6, MultiPoly.const(VARS, -3), -3, Fraction(-6, 2)):
+        q = (a * divisor).exact_div(divisor)
+        assert q == a and all(_int_coefficients(q))
+    assert a.exact_div(-3) == -x * x + 2 * x * y - 3 and all(_int_coefficients(a.exact_div(-3)))
+    half = (2 * x + 1).exact_div(2)
+    assert half == x + Fraction(1, 2) and _int_coefficients(half) == [True, False]
+    assert (2 * x + 1).exact_div(MultiPoly.const(VARS, 2)) == half
+    mixed = ((2 * x + 1) * (2 * y - 3)).exact_div(2 * y - 3)
+    assert mixed == 2 * x + 1 and all(_int_coefficients(mixed))
+    assert (x * x + x).exact_div(2 * x + 2) == x * Fraction(1, 2)
+    with pytest.raises(ValueError, match="not exact"):
+        (x * x + 1).exact_div(2 * x + 2)
+    with pytest.raises(ValueError, match="not exact"):
+        (3 * x * y + 5).exact_div(-2 * x)
+
+
 def test_degree_and_leading_term():
     p = MultiPoly.parse(VARS, "x*y*z^2 + x^3")
     assert p.degree() == 4

@@ -7,6 +7,7 @@ computation, in rings of 1, 6 and 12 variables (12 = n=8 plus four
 parameters).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,33 @@ def test_exact_div_matches_reference(data):
             pa.exact_div(pb)
     else:
         same(pa.exact_div(pb), ref_clean(expected))
+
+
+@given(ring_and_polys(), st.integers(-12, 12).filter(bool), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_exact_div_by_integers_matches_reference(data, k, scale_up):
+    """Integer divisors: a constant int, as a scalar and as a constant
+    polynomial, and a non-monic integer polynomial, the numerators of the
+    drawn polynomial times k.  Quotients are exact over Q, so they match the
+    reference whether or not they are integral."""
+    variables, (a, b) = data
+    nv = len(variables)
+    pa = MultiPoly(variables, a) * (k if scale_up else 1)
+    expected = ref_mul(dict(pa.monomials()), {(0,) * nv: Fraction(1, k)})
+    same(pa.exact_div(k), expected)
+    same(pa.exact_div(MultiPoly.const(variables, k)), expected)
+    den = math.lcm(1, *(c.denominator for c in b.values()))
+    ib = {e: int(c * den) * k for e, c in b.items()}
+    if not any(map(sum, ib)):
+        return
+    pb = MultiPoly(variables, ib)
+    same((pa * pb).exact_div(pb), dict(pa.monomials()))
+    quotient = ref_exact_div(dict(pa.monomials()), ib)
+    if quotient is None:
+        with pytest.raises(ValueError):
+            pa.exact_div(pb)
+    else:
+        same(pa.exact_div(pb), ref_clean(quotient))
 
 
 @given(ring_and_polys(count=1), st.randoms(use_true_random=False))

@@ -1083,3 +1083,45 @@ def test_one_pass_construction_matches_the_chained_sums(name, constants):
     assert (system.q, system.a_eff, system.b_eff) == (q, a_eff, b_eff)
     assert system._pluecker_residuals() == _chained_residuals(system)
     assert not any(system._pluecker_residuals()[1])
+
+
+# ----- one checked Pfaffian expansion per metric --------------------------------
+
+
+@pytest.mark.parametrize("name", ["n6-VIII", "n6-X-moved"])
+def test_one_build_from_json_checks_and_expands_the_metric_once(monkeypatch, name):
+    """A system read from its document takes D from `pfaffian` and the
+    adjugate from `pfaffian_adjugate` on the operator's one metric: the metric
+    is checked for skewness once and expanded once, on an integral table and
+    on the fractional table of a moved one."""
+    from hho2 import linalg
+
+    op = _ORACLE_CASES[name]
+    text = generate_flux(op, rng=random.Random(909)).to_json()
+    skew_checks, expansions = [], []
+    is_skew, expansion = PolyMatrix.is_skew, linalg._pfaffian_expansion
+    monkeypatch.setattr(PolyMatrix, "is_skew", lambda self: skew_checks.append(1) or is_skew(self))
+    monkeypatch.setattr(linalg, "_pfaffian_expansion", lambda *args: expansions.append(1) or expansion(*args))
+    system = ConservativeSystem.from_json(text)
+    assert (len(skew_checks), len(expansions)) == (1, 1)
+    assert system.d == pfaffian(PolyMatrix(system.op.metric().entries))
+    assert (system.op._integer_table()[0] > 1) == name.endswith("-moved")
+
+
+@pytest.mark.parametrize("name", ["n6-VIII", "n6-X-moved"])
+def test_residuals_read_the_cached_integer_metric(monkeypatch, name):
+    """The residual builder reads the operator's integer metric forms, built
+    once per operator, and builds only the n affine rows itself; the forms
+    hold ints at every L, and over L they are the metric."""
+    op = _ORACLE_CASES[name]
+    system = generate_flux(op, rng=random.Random(909))
+    forms = op._integer_metric()
+    assert forms is op._integer_metric()
+    assert all(type(c) is int for row in forms for p in row for c in p.terms.values())
+    big_l = op._integer_table()[0]
+    assert op.metric() == PolyMatrix([[p * Fraction(1, big_l) for p in row] for row in forms])
+    built = []
+    linear = systems._linear
+    monkeypatch.setattr(systems, "_linear", lambda *args: built.append(1) or linear(*args))
+    assert check_compat(system, mode="symbolic").passed
+    assert len(built) == op.n
