@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys as _sys
 from fractions import Fraction
 from typing import List, Optional
@@ -113,10 +114,20 @@ def _sample_points(op: Hho2, count: int, rng, bound: int, allow_degenerate: bool
         raise InputError(str(exc)) from exc
 
 
+# A plain decimal integer: its sign and its digits after any leading zeros.
+_DECIMAL = re.compile(r"\s*([+-]?)0*([0-9]+)\s*", re.ASCII)
+
+
 def _bounded_int(flag: str, high: int):
-    """An argparse type: an int from 1 to `high`, refused naming `flag`."""
+    """An argparse type: an int from 1 to `high`, refused naming `flag`.
+
+    A decimal value is read only up to one digit more than `high` has: a
+    longer one is out of range either way, so one past Python's int string
+    limit is refused by the bound, not echoed back in full.
+    """
     def parse(text: str) -> int:
-        value = int(text)
+        decimal = _DECIMAL.fullmatch(text)
+        value = int(decimal[1] + decimal[2][:len(str(high)) + 1]) if decimal else int(text)
         if value < 1:
             raise argparse.ArgumentTypeError(f"{flag} must be at least 1")
         if value > high:

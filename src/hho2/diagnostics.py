@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 
 from .linalg import PolyMatrix, _pfaffian_expansion, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
-from .poly import MultiPoly, _poly_mul_coeffs, _trim
+from .poly import MultiPoly, _gcd, _primitive, _sum_coeff_products, _trim, rat
 from .systems import ConservativeSystem, _residual_quotients
 
 __all__ = [
@@ -250,23 +250,6 @@ def charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     return _charpoly(*_jacobian_numerators(system, u))
 
 
-def _sum_coeff_products(pairs) -> List[int]:
-    """The sum of a * b over the (a, b) pairs of ascending coefficient lists,
-    each product x * y added straight into the one running list.  As in
-    `_poly_mul_coeffs`, a pair with an empty list adds nothing."""
-    total = []
-    for a, b in pairs:
-        if not (a and b):
-            continue
-        total += [0] * (len(a) + len(b) - 1 - len(total))
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    if y:
-                        total[k] += x * y
-    return total
-
-
 def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
     """Coefficients (ascending) of the Pfaffian square root s(lam) at u:
 
@@ -299,7 +282,7 @@ def charpoly_square_at(system: ConservativeSystem, u) -> dict:
     """Exact check at one point that det(Jac - lam I) equals s(lam)^2."""
     det_coeffs = charpoly_at(system, u)
     s_coeffs = sqrt_charpoly_at(system, u)
-    square = _poly_mul_coeffs(s_coeffs, s_coeffs)
+    square = _sum_coeff_products([(s_coeffs, s_coeffs)])
     equal = det_coeffs == square
     return {
         "det_coeffs": det_coeffs,
@@ -375,7 +358,8 @@ def factor_univariate(coeffs: Sequence[Fraction]):
     a nonzero polynomial of degree at most 4 (the Pfaffian root s(lam) has
     degree n/2 <= 4); anything else raises ValueError.
 
-    Input is an ascending coefficient list; output is a list of
+    Input is an ascending list of exact coefficients, each read by `rat`, so
+    a float or bool raises ValueError; output is a list of
     (ascending coefficients of a monic irreducible factor, multiplicity),
     ordered by degree and then by the coefficients' strings.  The rational
     content is dropped.
@@ -389,9 +373,7 @@ def factor_univariate(coeffs: Sequence[Fraction]):
     is irreducible unless `_quadratic_split` splits it by the resolvent
     cubic test of Kappe and Warren (Amer. Math. Monthly 96 (1989) 133-137).
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    coeffs = _trim([rat(c) for c in coeffs])
     if not coeffs:
         raise ValueError("cannot factor the zero polynomial")
     if len(coeffs) > 5:
@@ -421,14 +403,6 @@ def _derivative(f: Sequence[int]) -> List[int]:
     return [k * c for k, c in enumerate(f)][1:]
 
 
-def _primitive(f: Sequence[int]) -> List[int]:
-    """f divided by its content, with a positive leading coefficient."""
-    content = math.gcd(*f)
-    if f[-1] < 0:
-        content = -content
-    return [c // content for c in f]
-
-
 def _quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """a / b for a primitive b dividing a in Q[x]; integral by Gauss's lemma."""
     a, db = list(a), len(b) - 1
@@ -438,24 +412,6 @@ def _quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
         for i, y in enumerate(b):
             a[k + i] -= c * y
     return q
-
-
-def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Primitive gcd of two nonzero integer polynomials, by Euclid on
-    primitive pseudo-remainders."""
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        r = list(a)
-        while len(r) >= len(b):
-            c, shift = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b):
-                r[shift + i] -= c * y
-            _trim(r)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
 
 
 def _square_free_parts(f: Sequence[int]) -> List[tuple]:

@@ -21,12 +21,11 @@ the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .poly import MultiPoly, _sum_of_products
+from .poly import MultiPoly, _sum_of_products, clear_denominators
 
 __all__ = [
     "PolyMatrix",
@@ -169,12 +168,6 @@ def det_laplace(matrix: PolyMatrix) -> MultiPoly:
                 sign = -sign
         minors.append(_sum_of_products(vars_, pairs))
     return minors[-1]
-
-
-def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
-    """(den, M) with M = matrix * den integral and den the least such."""
-    den = math.lcm(1, *(x.denominator for row in matrix for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
 def _pfaffian_expansion(rows, total, one):

@@ -24,7 +24,8 @@ variable is the least over e and every term of the other argument.  Any
 other pair is first sought to be proven coprime exactly on a few fixed lines,
 an evaluation-homomorphism test as in Geddes, Czapor & Labahn, *Algorithms
 for Computer Algebra* (1992), ch. 7; only the pairs neither rule settles go
-to sympy's multivariate gcd.
+to sympy's multivariate gcd.  The line proof and `diagnostics` share one
+kit for univariate polynomials held as ascending coefficient lists.
 
 Values are immutable in practice: operations return new objects and never
 mutate their arguments, so polynomials can be shared freely between threads.
@@ -32,6 +33,7 @@ mutate their arguments, so polynomials can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -152,8 +154,6 @@ def _norm_coeff(c):
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
     raise TypeError(f"non-exact coefficient {c!r} of type {type(c).__name__}")
 
 
@@ -439,8 +439,9 @@ class MultiPoly:
         return MultiPoly._raw(self.vars, out)
 
     def eval(self, point: Sequence) -> Fraction:
-        """Exact value at a full rational point (one value per variable)."""
-        vals = [Fraction(v) if not isinstance(v, (int, Fraction)) else v for v in point]
+        """Exact value at a full rational point (one value per variable), each
+        value read as `__init__` reads a coefficient: a float or bool raises."""
+        vals = [v if type(v) in _EXACT else rat(v) for v in point]
         nv = len(self.vars)
         if len(vals) != nv:
             raise ValueError(f"expected {nv} values, got {len(vals)}")
@@ -659,20 +660,15 @@ def _parse_atom(cls, vs, tokens, pos):
     raise ValueError(f"unknown variable {tok!r}; ring is {vs}")
 
 
-# ----- gcd machinery ------------------------------------------------------------
+# ----- univariate kit -----------------------------------------------------------
+# A univariate polynomial is an ascending coefficient list: [c0, c1, ...] is
+# c0 + c1 t + ...; trimmed, its last entry is nonzero and zero is [].
 
 
-def _poly_mul_coeffs(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
-    """Product of two ascending coefficient lists, skipping zero coefficients."""
-    if not (a and b):
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """(den, M) with M = matrix * den integral and den the least such."""
+    den = math.lcm(1, *(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
 def _trim(p: List[Scalar]) -> List[Scalar]:
@@ -681,39 +677,70 @@ def _trim(p: List[Scalar]) -> List[Scalar]:
     return p
 
 
+def _sum_coeff_products(pairs) -> List[Scalar]:
+    """The sum of a * b over the (a, b) pairs of coefficient lists, each
+    product x * y added straight into the one running list, zero
+    coefficients skipped; a pair with an empty list adds nothing.  One pair
+    is one product."""
+    total = []
+    for a, b in pairs:
+        if not (a and b):
+            continue
+        total += [0] * (len(a) + len(b) - 1 - len(total))
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    if y:
+                        total[k] += x * y
+    return total
+
+
+def _primitive(f: Sequence[int]) -> List[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Primitive gcd of two nonzero trimmed integer polynomials, by Euclid on
+    primitive pseudo-remainders; [1] when they are coprime."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+# ----- gcd machinery ------------------------------------------------------------
+
+
 def _restrict_to_line(p: MultiPoly, a: Sequence[int], c: Sequence[int]) -> List[Scalar]:
     """Ascending coefficients in t of p(a + c t), trailing zeros dropped."""
     powers = []
     for i, step in enumerate(zip(a, c)):
         row = [[1]]
         for _ in range(p.degree_in(i)):
-            row.append(_poly_mul_coeffs(row[-1], step))
+            row.append(_sum_coeff_products([(row[-1], step)]))
         powers.append(row)
-    out = [0] * (p.degree() + 1)
-    for e, coeff in p.monomials():
-        term = [coeff]
+
+    def along(e):  # the monomial u^e on the line
+        out = [1]
         for i, k in enumerate(e):
             if k:
-                term = _poly_mul_coeffs(term, powers[i][k])
-        for j, x in enumerate(term):
-            out[j] += x
-    return _trim(out)
+                out = _sum_coeff_products([(out, powers[i][k])])
+        return out
 
-
-def _univariate_coprime(f: List[Scalar], g: List[Scalar]) -> bool:
-    """Whether two trimmed coefficient lists have a constant gcd over Q.
-
-    Euclid's algorithm in place; both lists are consumed.
-    """
-    while g:
-        while len(f) >= len(g):
-            q = Fraction(f[-1], g[-1])
-            shift = len(f) - len(g)
-            for i, y in enumerate(g):
-                f[shift + i] -= q * y
-            _trim(f)
-        f, g = g, f
-    return len(f) == 1
+    return _trim(_sum_coeff_products(([coeff], along(e)) for e, coeff in p.monomials()))
 
 
 # Lines tried by the coprimality proof before poly_gcd falls back to sympy.
@@ -735,13 +762,18 @@ def _coprime_on_a_line(f: MultiPoly, g: MultiPoly) -> bool:
     the top-degree part of f; that value is the t^deg(f) coefficient of
     f(a + c t).  If h divides f and g, then h_top divides f_top, so
     h_top(c) != 0 and h(a + c t) has degree deg h in t.  It divides both
-    restrictions, so a constant univariate gcd forces deg h = 0.
+    restrictions, so a constant univariate gcd forces deg h = 0.  That gcd
+    is the integer Euclid `_gcd` of the restrictions cleared of
+    denominators; f must be nonzero, as it is in `poly_gcd`.
     """
     deg = f.degree()
     for a, c in islice(_proof_lines(len(f.vars)), _PROOF_LINES):
         rf = _restrict_to_line(f, a, c)
-        if len(rf) == deg + 1 and _univariate_coprime(rf, _restrict_to_line(g, a, c)):
-            return True
+        if len(rf) == deg + 1:
+            # A constant factor leaves coprimality alone, and gcd(rf, 0) = rf.
+            _, (rf, rg) = clear_denominators([rf, _restrict_to_line(g, a, c)])
+            if len(_gcd(rf, rg) if rg else rf) == 1:
+                return True
     return False
 
 

@@ -10,7 +10,6 @@ from hho2.catalog import build, list_entries
 from hho2.diagnostics import (
     _charpoly,
     _geometric_multiplicity,
-    _sum_coeff_products,
     charpoly_at,
     charpoly_square_at,
     charpoly_square_symbolic,
@@ -35,7 +34,7 @@ from hho2.linalg import (
     rat_inverse,
     rat_mat_mul,
 )
-from hho2.poly import MultiPoly, _poly_mul_coeffs, _trim
+from hho2.poly import MultiPoly, _sum_coeff_products, _trim
 from hho2.systems import generate_flux
 from test_operators import simple_n4
 from test_systems import _EDITS, _ci_moved, _edit_flux, _eigenvalue_pencil, _jacobian_numerators
@@ -404,7 +403,7 @@ def test_charpoly_square_symbolic_n6_report(name):
     assert (rep.n, rep.equal) == (6, True)
     u = sample_points(system.op, 1, random.Random(908))[0]
     sqrt_side = sqrt_charpoly_at(system, u)
-    assert len(_trim(charpoly_at(system, u))) == len(_trim(_poly_mul_coeffs(sqrt_side, sqrt_side))) == 7
+    assert len(_trim(charpoly_at(system, u))) == len(_trim(_sum_coeff_products([(sqrt_side, sqrt_side)]))) == 7
 
 
 @pytest.mark.parametrize("name", ["n2", "n4-open", "n6-VIII", *_NONCONSTANT_D])
@@ -493,7 +492,7 @@ def test_factor_univariate_matches_sympy_poly():
         if len(shape) > 1 and shape[0] == shape[1] and rng.random() < 0.4:
             factors[1] = factors[0]
         for factor in factors:
-            coeffs = _poly_mul_coeffs(coeffs, factor)
+            coeffs = _sum_coeff_products([(coeffs, factor)])
         expected = _sympy_factor_list(coeffs)
         assert factor_univariate(coeffs + [Fraction(0)]) == expected
         patterns.add(tuple(sorted(len(fc) - 1 for fc, mult in expected for _ in range(mult))))
@@ -538,6 +537,10 @@ def test_factor_univariate_rejects_degree_5_and_zero():
         factor_univariate([1, 0, 0, 0, 0, 1])
     with pytest.raises(ValueError, match="zero polynomial"):
         factor_univariate([Fraction(0), Fraction(0)])
+    # Coefficients are read as exact rationals: no float or bool slips in.
+    for coeffs in ([0.5, 1], [1, 2.0], [True, 1], [1, False, 1]):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            factor_univariate(coeffs)
 
 
 def _pf_of_integer_pencil(a, g):
@@ -569,7 +572,7 @@ def test_pf_of_the_integer_pencil_squares_to_the_laplace_determinant():
             pf = _pf_of_integer_pencil(a, g)
             rows = [[MultiPoly.const(lam_vars, a[i][j]) - lam * g[i][j] for j in range(n)] for i in range(n)]
             det = dict(det_laplace(PolyMatrix(rows)).monomials())
-            assert _trim(_poly_mul_coeffs(pf, pf)) == _trim([det.get((k,), 0) for k in range(n + 1)])
+            assert _trim(_sum_coeff_products([(pf, pf)])) == _trim([det.get((k,), 0) for k in range(n + 1)])
             if case == 0:
                 assert pf == []
     m = [[0, 2, -3, 5], [-2, 0, 7, -1], [3, -7, 0, 4], [-5, 1, -4, 0]]
@@ -579,27 +582,31 @@ def test_pf_of_the_integer_pencil_squares_to_the_laplace_determinant():
     def entry(i, j):
         return [m[i][j], -h[i][j]]
 
-    closed = [x - y + z for x, y, z in zip(_poly_mul_coeffs(entry(0, 1), entry(2, 3)),
-                                           _poly_mul_coeffs(entry(0, 2), entry(1, 3)),
-                                           _poly_mul_coeffs(entry(0, 3), entry(1, 2)))]
+    closed = [x - y + z for x, y, z in zip(_sum_coeff_products([(entry(0, 1), entry(2, 3))]),
+                                           _sum_coeff_products([(entry(0, 2), entry(1, 3))]),
+                                           _sum_coeff_products([(entry(0, 3), entry(1, 2))]))]
     assert _pf_of_integer_pencil(m, h) == closed
 
 
 def test_sum_coeff_products_adds_in_place_as_the_product_lists_sum():
-    """The running sum equals the sum of the `_poly_mul_coeffs` product lists,
-    padded to the longest: same length, so the pencil Pfaffian's coefficient
-    list is unchanged, including pairs with an empty list or zero entries."""
+    """The running sum equals the sum of the products as one-variable
+    `MultiPoly`s, padded to the longest product list, len(a) + len(b) - 1:
+    same length, so the pencil Pfaffian's coefficient list is unchanged,
+    including pairs with an empty list or zero entries."""
     rng = random.Random(41)
+    t = ("t",)
 
     def coeffs():
         return rng.choice([[], [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]])
 
+    def as_poly(c):
+        return MultiPoly(t, {(k,): x for k, x in enumerate(c)})
+
     for _ in range(300):
         pairs = [(coeffs(), coeffs()) for _ in range(rng.randint(0, 5))]
-        products = [_poly_mul_coeffs(a, b) for a, b in pairs]
-        width = max(map(len, products), default=0)
-        expected = [sum(p[k] for p in products if k < len(p)) for k in range(width)]
-        assert _sum_coeff_products(pairs) == expected
+        total = dict(sum((as_poly(a) * as_poly(b) for a, b in pairs), MultiPoly.zero(t)).monomials())
+        width = max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
+        assert _sum_coeff_products(pairs) == [total.get((k,), 0) for k in range(width)]
 
 
 def _bareiss_charpoly(a):

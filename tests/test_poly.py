@@ -10,10 +10,10 @@ from hho2.poly import (
     _RATIONAL,
     MultiPoly,
     _coprime_on_a_line,
+    _gcd,
     _gcd_via_sympy,
     _proof_lines,
     _restrict_to_line,
-    _univariate_coprime,
     index_entries,
     json_int,
     lowest_terms,
@@ -248,7 +248,7 @@ def test_line_proof_skips_lines_where_the_top_part_vanishes():
     q = MultiPoly.parse(variables, "u3*u4 - 2*u1 + 5")
     f, g = h * p, h * q
     # Without the f_top(c) != 0 guard the first line would call f, g coprime.
-    assert _univariate_coprime(_restrict_to_line(f, a, c), _restrict_to_line(g, a, c))
+    assert _gcd(_restrict_to_line(f, a, c), _restrict_to_line(g, a, c)) == [1]
     assert poly_gcd(f, g) == h.monic()
 
 
@@ -384,6 +384,27 @@ def test_rat_parse():
 def test_rat_rejects_floats_and_bools(value):
     with pytest.raises(ValueError, match=repr(value)):
         rat(value)
+
+
+def test_eval_reads_coordinates_as_exact_rationals():
+    p = MultiPoly.parse(("u1", "u2"), "u1*u2 + 1")
+    for point in ([0.5, 2], [1, 2.0], [True, 2], [1, False]):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            p.eval(point)
+    assert p.eval([3, 2]) == 7 and type(p.eval([3, 2])) is Fraction
+    assert p.eval([Fraction(1, 2), 2]) == p.eval(["1/2", "2"]) == 2
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p + True,
+    lambda p: p * True,
+    lambda p: True * p,
+    lambda p: p.exact_div(True),
+], ids=["add", "mul", "rmul", "exact_div"])
+def test_bool_scalars_are_refused(op):
+    p = MultiPoly.parse(("u1", "u2"), "u1*u2 + 1")
+    with pytest.raises((TypeError, ValueError), match="True"):
+        op(p)
 
 
 @pytest.mark.parametrize("value", ["1/0", "-3/00", "1e4300", "1e3000000", "0.5", " 1", "1_000", "3/-4", "", "\u0661"])
