@@ -55,7 +55,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -68,7 +68,7 @@ def _load(source: str, reader, inline: bool = False):
         return reader(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise InputError(f"{source}: {exc}") from exc
 
 

@@ -568,97 +568,6 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
-    # ----- parsing -------------------------------------------------------------
-
-    @classmethod
-    def parse(cls, variables: Sequence[str], text: str) -> "MultiPoly":
-        """Parse '+', '-', '*', '^', integers, fractions and variable names."""
-        vs = tuple(variables)
-        tokens = _tokenize(text)
-        poly, pos = _parse_sum(cls, vs, tokens, 0)
-        if pos != len(tokens):
-            raise ValueError(f"unexpected token {tokens[pos]!r} in {text!r}")
-        return poly
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in polynomial text")
-    return tokens
-
-
-def _parse_sum(cls, vs, tokens, pos):
-    sign = 1
-    if pos < len(tokens) and tokens[pos] in "+-":
-        sign = -1 if tokens[pos] == "-" else 1
-        pos += 1
-    poly, pos = _parse_product(cls, vs, tokens, pos)
-    if sign < 0:
-        poly = -poly
-    while pos < len(tokens) and tokens[pos] in "+-":
-        sign = -1 if tokens[pos] == "-" else 1
-        term, pos = _parse_product(cls, vs, tokens, pos + 1)
-        poly = poly + (-term if sign < 0 else term)
-    return poly, pos
-
-
-def _parse_product(cls, vs, tokens, pos):
-    poly, pos = _parse_power(cls, vs, tokens, pos)
-    while pos < len(tokens) and tokens[pos] == "*":
-        factor, pos = _parse_power(cls, vs, tokens, pos + 1)
-        poly = poly * factor
-    return poly, pos
-
-
-def _parse_power(cls, vs, tokens, pos):
-    base, pos = _parse_atom(cls, vs, tokens, pos)
-    if pos < len(tokens) and tokens[pos] == "^":
-        if pos + 1 >= len(tokens):
-            raise ValueError("dangling '^'")
-        base = base ** int(tokens[pos + 1])
-        pos += 2
-    return base, pos
-
-
-def _parse_atom(cls, vs, tokens, pos):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of polynomial text")
-    tok = tokens[pos]
-    if tok == "(":
-        poly, pos = _parse_sum(cls, vs, tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("unbalanced parentheses")
-        return poly, pos + 1
-    if tok == "-":
-        poly, pos = _parse_power(cls, vs, tokens, pos + 1)
-        return -poly, pos
-    if tok[0].isdigit():
-        return cls.const(vs, rat(tok)), pos + 1
-    if tok in vs:
-        return cls.variable(vs, tok), pos + 1
-    raise ValueError(f"unknown variable {tok!r}; ring is {vs}")
-
 
 # ----- univariate kit -----------------------------------------------------------
 # A univariate polynomial is an ascending coefficient list: [c0, c1, ...] is

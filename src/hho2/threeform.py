@@ -118,10 +118,14 @@ class LinearMapN1:
     def __init__(self, entries: Sequence[Sequence]):
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"entries: expected a list of rows, got {entries!r}")
-        rows = []
         for r, row in enumerate(entries):
             if not isinstance(row, (list, tuple)):
                 raise ValueError(f"entries[{r}]: expected a list of rationals, got {row!r}")
+        self.dim = len(entries)
+        if any(len(row) != self.dim for row in entries):
+            raise ValueError("linear map matrix must be square")
+        rows = []
+        for r, row in enumerate(entries):
             parsed = []
             for c, x in enumerate(row):
                 try:
@@ -129,9 +133,6 @@ class LinearMapN1:
                 except (ValueError, TypeError) as exc:
                     raise ValueError(f"entries[{r}][{c}]: {exc}") from None
             rows.append(parsed)
-        self.dim = len(rows)
-        if any(len(row) != self.dim for row in rows):
-            raise ValueError("linear map matrix must be square")
         self.den, self.num = clear_denominators(rows)
         self._inverse = None
         self.det = self._eliminate()

@@ -44,6 +44,7 @@ from hho2.systems import (
     random_flux_params,
 )
 from hho2.threeform import LinearMapN1, chart_restrict, embed, skew_dense
+from test_poly import from_text
 
 
 N8_PARAMS = {
@@ -88,7 +89,7 @@ def test_criterion_01_determinant_reproduction():
     ok = True
     for entry_id, base_text in expected.items():
         op = build(entry_id)
-        base = MultiPoly.parse(op.vars, base_text)
+        base = from_text(op.vars, base_text)
         if det_bareiss(op.metric()) != base * base:
             ok = False
     elapsed = time.perf_counter() - start

@@ -8,6 +8,7 @@ from hho2.catalog import N8_CLASS_COUNT, build, get_entry, list_entries
 from hho2.linalg import det_bareiss
 from hho2.poly import MultiPoly
 from hho2.threeform import chart_restrict, embed, skew_dense
+from test_poly import from_text
 
 
 N8_PARAMS = {
@@ -109,7 +110,7 @@ def test_n6_metric_tables():
         g = op.metric()
         for i in range(6):
             for j in range(6):
-                want = MultiPoly.parse(op.vars, table[i][j])
+                want = from_text(op.vars, table[i][j])
                 assert g.at(i, j) == want, (name, i, j)
 
 
@@ -119,7 +120,7 @@ def test_expected_determinants():
             continue
         op = entry.build()
         det = det_bareiss(op.metric())
-        want = MultiPoly.parse(op.vars, entry.expected_det)
+        want = from_text(op.vars, entry.expected_det)
         assert det == want, entry.id
         pf = op.pfaffian_poly()
         assert pf * pf == det, entry.id
@@ -129,7 +130,7 @@ def test_n8_family1_metric_known_entries():
     op = build("n8-fam1", N8_PARAMS)
     g = op.metric()
     for (i, j), text in N8_FAM1_UPPER.items():
-        want = MultiPoly.parse(op.vars, text)
+        want = from_text(op.vars, text)
         assert g.at(i, j) == want, (i, j)
         assert g.at(j, i) == -want, (j, i)
     for i in range(8):

@@ -656,6 +656,36 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+# An operator document nested far past Python's recursion limit.
+_DEEP = '{"n": 2, "T": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
+@pytest.mark.parametrize("document", ["deep", "not-utf-8"])
+@pytest.mark.parametrize("command", ["op-validate", "sys-verify", "op-from-3form", "op-transform-sl", "sys-generate-A"])
+def test_unreadable_documents_exit_2(tmp_path, capsys, document, command):
+    """A document nested too deeply for the JSON reader, or one that is not
+    UTF-8, is bad input: one error line naming the source, exit 2.  The
+    deep --A of sys generate is given inline, the other one as a file."""
+    good_op = write(tmp_path, "good.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]]}))
+    path = tmp_path / "doc.json"
+    if document == "deep":
+        path.write_text(_DEEP)
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    source = _DEEP if command == "sys-generate-A" and document == "deep" else str(path)
+    argv = {
+        "op-validate": ("op", "validate", source),
+        "sys-verify": ("sys", "verify", source),
+        "op-from-3form": ("op", "from-3form", source),
+        "op-transform-sl": ("op", "transform", good_op, "--sl", source),
+        "sys-generate-A": ("sys", "generate", good_op, "--A", source, "--B", "[0, 0]"),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {source}: " if document == "deep" else f"error: cannot read {source}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _system_doc(a_value, b_value):
     op = {"n": 2, "T": [], "g0": [[1, 2, "1"]], "params": {}}
     return json.dumps({"op": op, "A": [[1, 2, a_value]], "B": [b_value, "0"]})

@@ -18,6 +18,8 @@ from hho2.linalg import (
 from hho2.poly import MultiPoly
 
 VARS = ("x", "y")
+X, Y = MultiPoly.variable(VARS, "x"), MultiPoly.variable(VARS, "y")
+ZERO, ONE = MultiPoly.zero(VARS), MultiPoly.const(VARS, 1)
 VARS8 = tuple(f"u{k}" for k in range(1, 9))
 
 
@@ -95,8 +97,8 @@ def test_pfaffian_squares_to_det():
 
 
 def test_pfaffian_known_values():
-    a12 = MultiPoly.parse(VARS, "x")
-    b = MultiPoly.parse(VARS, "y + 1")
+    a12 = X
+    b = Y + 1
     zero = MultiPoly.zero(VARS)
     m = PolyMatrix([[zero, a12], [-a12, zero]])
     assert pfaffian(m) == a12
@@ -121,7 +123,7 @@ def test_pfaffian_odd_dimension_rejected():
 def test_pfaffian_rejects_one_unnegated_term():
     """Entries (0, 1) and (1, 0) agree but for the sign of their y term."""
     zero = MultiPoly.zero(VARS)
-    upper, lower = MultiPoly.parse(VARS, "x + y"), MultiPoly.parse(VARS, "-x + y")
+    upper, lower = X + Y, -X + Y
     for pf in (pfaffian, pfaffian_adjugate):
         with pytest.raises(ValueError, match="non-skew"):
             pf(PolyMatrix([[zero, upper], [lower, zero]]))
@@ -379,16 +381,16 @@ def test_pfaffian_and_adjugate_share_one_expansion(monkeypatch, kind, adjugate_f
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ([["x", "y"], ["y", "0"]], "non-skew"),
-        ([["0", "x", "1"], ["-x", "0", "y"]], "non-square"),
-        ([["0", "x", "1"], ["-x", "0", "y"], ["-1", "-y", "0"]], "even dimension"),
+        ([[X, Y], [Y, ZERO]], "non-skew"),
+        ([[ZERO, X, ONE], [-X, ZERO, Y]], "non-square"),
+        ([[ZERO, X, ONE], [-X, ZERO, Y], [-ONE, -Y, ZERO]], "even dimension"),
     ],
     ids=["non-skew", "non-square", "odd"],
 )
 def test_refused_matrix_raises_on_every_call(rows, message):
     """A refused matrix keeps no expansion, so every later call refuses it
     again, through either entry point."""
-    m = PolyMatrix([[MultiPoly.parse(VARS, x) for x in row] for row in rows])
+    m = PolyMatrix([list(row) for row in rows])
     for fn in (pfaffian, pfaffian_adjugate, pfaffian, pfaffian_adjugate):
         with pytest.raises(ValueError, match=message):
             fn(m)

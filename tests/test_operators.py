@@ -28,10 +28,11 @@ def test_metric_layout():
     op = simple_n4()
     g = op.metric()
     u = ("u1", "u2", "u3", "u4")
-    assert g.at(0, 1) == MultiPoly.parse(u, "u3")
-    assert g.at(0, 2) == MultiPoly.parse(u, "-u2")
-    assert g.at(1, 2) == MultiPoly.parse(u, "u1")
-    assert g.at(0, 3) == MultiPoly.parse(u, "1")
+    u1, u2, u3 = (MultiPoly.variable(u, i) for i in range(3))
+    assert g.at(0, 1) == u3
+    assert g.at(0, 2) == -u2
+    assert g.at(1, 2) == u1
+    assert g.at(0, 3) == MultiPoly.const(u, 1)
     for i in range(4):
         assert g.at(i, i).is_zero()
         for j in range(4):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hho2.poly import MultiPoly
+from test_poly import from_text
 
 RINGS = [
     ("x",),
@@ -246,7 +247,7 @@ def test_str_matches_the_previous_rendering_and_parses_back(data, lead, constant
     terms = ref_add(ref_add(a, {(40,) + (0,) * (len(variables) - 1): lead}), {(0,) * len(variables): constant})
     p = MultiPoly(variables, terms)
     assert str(p) == ref_str(variables, terms)
-    assert MultiPoly.parse(variables, str(p)) == p
+    assert from_text(variables, str(p)) == p
 
 
 def test_degree_guard():

@@ -65,12 +65,20 @@ def test_library_constructors_reject_inexact_values(make, bad):
         make(bad)
 
 
+def test_flux_shape_is_checked_before_any_entry():
+    # The stray third entry of A is a float: the shape refuses A before any
+    # entry is read.
+    with pytest.raises(ValueError, match="^A must be square of size len\\(B\\)$"):
+        FluxParams.make([[0, 1, 0.5], [-1, 0]], [0, 0])
+
+
 def test_n2_known_flux_vector():
     """With g0 = e1^e2 and W = (u2, -u1) the flux is the identity field."""
     system = ConservativeSystem(build("n2"), rotation_flux_n2())
     vs = system.vars
     one = MultiPoly.const(vs, 1)
-    assert _reduced(system) == [(MultiPoly.parse(vs, "u1"), one), (MultiPoly.parse(vs, "u2"), one)]
+    u1, u2 = MultiPoly.variable(vs, 0), MultiPoly.variable(vs, 1)
+    assert _reduced(system) == [(u1, one), (u2, one)]
     assert check_compat(system).passed
 
 
@@ -78,7 +86,8 @@ def test_n2_foreign_vector_fails_first_order():
     op = build("n2")
     vs = op.vars
     one = MultiPoly.const(vs, 1)
-    v = [(MultiPoly.parse(vs, "u2"), one), (MultiPoly.parse(vs, "-u1"), one)]
+    u1, u2 = MultiPoly.variable(vs, 0), MultiPoly.variable(vs, 1)
+    v = [(u2, one), (-u1, one)]
     rep = check_compat_rational(op, v)
     assert not rep.passed
     assert rep.first_order_failures
@@ -112,11 +121,12 @@ def test_compat_rational_distinct_denominators_match_sympy(name):
 
     system = generate_flux(build(name), rng=random.Random(3))
     op, vs, n = system.op, system.vars, system.op.n
-    m1, m2 = MultiPoly.parse(vs, "u1 + 2"), MultiPoly.parse(vs, "u2^2 - 3*u1 + 1")
+    u1, u2 = MultiPoly.variable(vs, 0), MultiPoly.variable(vs, 1)
+    m1, m2 = u1 + 2, u2 ** 2 - 3 * u1 + 1
     fractions = _reduced(system)
-    for k, (m, extra) in enumerate([(m1, "1"), (m2, "u1"), (m1, "u2")][:n]):
+    for k, (m, extra) in enumerate([(m1, 1), (m2, u1), (m1, u2)][:n]):
         num, den = fractions[k]
-        fractions[k] = (num * m + den * MultiPoly.parse(vs, extra), den * m)
+        fractions[k] = (num * m + den * extra, den * m)
     rep = check_compat_rational(op, fractions)
 
     symbols = sympy.symbols(vs)
@@ -157,7 +167,8 @@ def test_compat_pointwise_mode():
     # built.  The points must find exactly the first-order identities the
     # proof rejects, and the second-order ones the S-table oracle rejects.
     broken = generate_flux(build("n6-IX"), rng=rng)
-    broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "u1*u2 - 3*u5")
+    u1, u2, u5 = (MultiPoly.variable(broken.vars, i) for i in (0, 1, 4))
+    broken.q[0] = broken.q[0] + u1 * u2 - 3 * u5
     proof = check_compat(broken, mode="symbolic")
     rep = check_compat(broken, mode="points", points=pts)
     assert not rep.passed
@@ -290,7 +301,8 @@ def test_pointwise_readers_on_fractional_data():
     # points find exactly the first-order identities the proof rejects, and
     # the second-order ones the S-table oracle rejects.
     broken = _fractional_system(random.Random(30))
-    broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "1/3*u1*u2 - 5/7*u4")
+    u1, u2, u4 = (MultiPoly.variable(broken.vars, i) for i in (0, 1, 3))
+    broken.q[0] = broken.q[0] + Fraction(1, 3) * u1 * u2 - Fraction(5, 7) * u4
     proof = check_compat(broken, mode="symbolic")
     rep = check_compat(broken, mode="points", points=points)
     assert not proof.passed and proof.second_order_failures is None
@@ -396,7 +408,7 @@ def test_euler_variational_identity():
         system = generate_flux(build(name), rng=rng)
         rep = euler_check(system)
         assert rep.passed
-        assert all(r.is_zero() for r in rep.residuals)
+        assert rep.component_ok == [r.is_zero() for r in _euler_residuals_oracle(system)]
 
 
 def _total_x_derivative(f: MultiPoly, n: int) -> MultiPoly:
@@ -411,7 +423,8 @@ def _total_x_derivative(f: MultiPoly, n: int) -> MultiPoly:
 
 def _euler_residuals_oracle(system):
     """delta h / delta b^k - (-A_ks b^s_x - B_k) for each k, by differentiating
-    the density in the jet ring: the route `euler_check` replaced."""
+    `hamiltonian_density` in its jet ring: the oracle for `euler_check`,
+    which reads the rows of A + A^T instead."""
     n = system.op.n
     h = hamiltonian_density(system)
     ring = h.vars
@@ -431,24 +444,29 @@ def _euler_residuals_oracle(system):
 def test_euler_closed_form_matches_the_jet_ring_route(name):
     system = generate_flux(build(name), rng=random.Random(909))
     rep = euler_check(system)
-    oracle = _euler_residuals_oracle(system)
-    assert rep.residuals == oracle and all(r.is_zero() for r in oracle)
-    assert rep.passed and rep.component_ok == [True] * system.op.n
+    assert rep.component_ok == [r.is_zero() for r in _euler_residuals_oracle(system)] == [True] * system.op.n
+    assert rep.passed
 
 
 def test_euler_closed_form_matches_the_jet_ring_route_for_a_non_skew_a():
     """FluxParams built directly skips the skewness check of `make`: the
-    residual (A_kl + A_lk) b^l_x / 2 is nonzero, diagonal included."""
+    residual (A_kl + A_lk) b^l_x / 2 is nonzero, diagonal included, and
+    exactly the components whose row of A + A^T is nonzero fail."""
     q = Fraction
     a = [[q(3), q(1, 2), 0, q(-2)], [q(-1, 2), 0, q(4), 0], [q(1), q(-4), q(-5, 3), q(1)], [q(2), q(7), q(-1), 0]]
     flux = FluxParams(tuple(map(tuple, a)), (q(1), q(-2, 3), q(0), q(5)))
     system = ConservativeSystem(build("n4-open"), flux)
     rep = euler_check(system)
-    assert rep.residuals == _euler_residuals_oracle(system)
-    assert rep.component_ok == [False, False, False, False]
-    ring = rep.residuals[0].vars
-    assert rep.residuals[0] == MultiPoly.variable(ring, 4) * 3 + MultiPoly.variable(ring, 6) * q(1, 2)
+    oracle = _euler_residuals_oracle(system)
+    assert rep.component_ok == [r.is_zero() for r in oracle] == [False, False, False, False]
+    ring = oracle[0].vars
+    assert oracle[0] == MultiPoly.variable(ring, 4) * 3 + MultiPoly.variable(ring, 6) * q(1, 2)
     assert not rep.passed
+    # Only A_02 + A_20 is nonzero: components 1 and 3 still hold.
+    a = [[0, q(1), q(2), 0], [q(-1), 0, 0, q(3)], [q(-1), 0, 0, 0], [0, q(-3), 0, 0]]
+    system = ConservativeSystem(build("n4-open"), FluxParams(tuple(map(tuple, a)), (q(0),) * 4))
+    rep = euler_check(system)
+    assert rep.component_ok == [r.is_zero() for r in _euler_residuals_oracle(system)] == [False, True, False, True]
 
 
 def test_euler_constants_do_not_enter():
@@ -722,12 +740,13 @@ def _edit_flux(system, case):
     """The system with its numerators Q_k edited after construction, by one
     of `_EDITS`."""
     n, vs, q = system.op.n, system.vars, system.q
+    u1, u2, un = MultiPoly.variable(vs, 0), MultiPoly.variable(vs, 1), MultiPoly.variable(vs, n - 1)
     if case == "u1-in-v2":
-        q[1] = q[1] + MultiPoly.variable(vs, 0) * system.d
+        q[1] = q[1] + u1 * system.d
     elif case == "integer-quadratic-q1":
-        q[0] = q[0] + MultiPoly.parse(vs, f"u1*u{n} - 3*u2 + 2")
+        q[0] = q[0] + u1 * un - 3 * u2 + 2
     elif case == "fractional-quadratic-qlast":
-        q[-1] = q[-1] + MultiPoly.parse(vs, f"1/3*u1*u2 - 5/7*u{n}*u{n}")
+        q[-1] = q[-1] + Fraction(1, 3) * u1 * u2 - Fraction(5, 7) * un * un
     elif case == "v-plus-c":
         for k in range(n):
             q[k] = q[k] + system.d * Fraction(2 * k - 3, 2)
@@ -946,7 +965,8 @@ def test_compat_proof_on_a_moved_table_runs_on_integers(monkeypatch):
     op = _ci_moved(build("n6-X"))
     system = generate_flux(op, rng=random.Random(909))
     broken = generate_flux(op, rng=random.Random(909))
-    broken.q[0] = broken.q[0] + MultiPoly.parse(broken.vars, "u1*u2 - 3*u5")
+    u1, u2, u5 = (MultiPoly.variable(broken.vars, i) for i in (0, 1, 4))
+    broken.q[0] = broken.q[0] + u1 * u2 - 3 * u5
     assert any(type(c) is Fraction for p in (system.d, *system.q) for c in p.terms.values())
     monkeypatch.setattr(systems, "_sum_of_products", recorded)
     assert check_compat(system, mode="symbolic").passed

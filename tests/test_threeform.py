@@ -188,8 +188,11 @@ def test_linear_map_requires_invertible():
                  [[0, 1, 2], [0, 3, 4], [0, 5, 6]]):
         with pytest.raises(ValueError, match="^linear map must be invertible$"):
             LinearMapN1(rows)
-    with pytest.raises(ValueError):
-        LinearMapN1([[1, 0], [1]])
+    # The shape is checked before any entry is read, so a stray float entry
+    # is refused by the shape.
+    for rows in ([[1, 0], [1]], [[1, 0, 0, 0.5], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="^linear map matrix must be square$"):
+            LinearMapN1(rows)
 
 
 def test_map_det_and_inverse_match_the_rational_routes():
