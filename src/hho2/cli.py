@@ -59,22 +59,24 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(source: str, reader, inline: bool = False):
+def _load(source: str, reader, flag: Optional[str] = None):
     """`reader` applied to the document at the path `source`, or to `source`
-    itself where `inline` allows a JSON literal; a malformed document is an
-    InputError naming the source."""
-    text = source if inline and source.lstrip()[:1] in "[{" else _read_text(source)
+    itself when it is empty or a JSON literal given to the option `flag`; a
+    malformed document is an InputError naming the path, or the option for a
+    literal, which is never echoed."""
+    inline = flag is not None and source.lstrip()[:1] in "[{"
+    text, label = (source, f"{flag} (inline JSON)") if inline else (_read_text(source), source)
     try:
         return reader(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise InputError(f"{label}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise InputError(f"{source}: {exc}") from exc
+        raise InputError(f"{label}: {exc}") from exc
 
 
 def _load_sl(source: str, op: Hho2) -> LinearMapN1:
     """The --sl map of a command on `op`, refused unless it is (n+1)x(n+1)."""
-    a = _load(source, LinearMapN1.from_json, inline=True)
+    a = _load(source, LinearMapN1.from_json, "--sl")
     if a.dim != op.n + 1:
         raise InputError(f"--sl matrix must be {op.n + 1}x{op.n + 1} for this operator")
     return a
@@ -339,8 +341,8 @@ def cmd_sys_generate(args) -> int:
         elif args.A or args.B:
             if not (args.A and args.B):
                 raise InputError("--A and --B must be given together")
-            a_data = _load(args.A, json.loads, inline=True)
-            b_data = _load(args.B, json.loads, inline=True)
+            a_data = _load(args.A, json.loads, "--A")
+            b_data = _load(args.B, json.loads, "--B")
             try:
                 flux = FluxParams.make(a_data, b_data)
             except (ValueError, TypeError) as exc:

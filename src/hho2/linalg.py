@@ -6,11 +6,16 @@ point, a Laplace expansion memoised over column subsets as an independent
 determinant, and a skew adjugate assembled from Pfaffian minors, whose entries
 over the Pfaffian give the inverse.  One recursive first-row Pfaffian
 expansion, memoised over index subsets, serves every coefficient ring: here
-integer polynomials, each minor summed in one pass, and the integer
-eigenvalue pencil of `diagnostics`.  A matrix is checked, cleared of
-denominators and given its expansion once, on the first Pfaffian or adjugate
-asked of it, so `pfaffian(M)` then `pfaffian_adjugate(M)` expand each minor
-once; an integral matrix is expanded on its own entries.
+sparse integer polynomials, each minor summed in one pass; dense homogeneous
+forms, each minor a list of integer coefficients over the degree-k monomials
+in the coordinates (u, s), for a skew matrix of linear entries in which most
+coefficients are nonzero (`homogeneous_expansion`; on the full mask only the
+monomials with s are formed, as the caller vouches the s-free part is zero);
+and the integer eigenvalue pencil of `diagnostics`.  A matrix is checked,
+cleared of denominators and given its expansion once, on the first Pfaffian
+or adjugate asked of it or when `homogeneous_expansion` seeds it, so
+`pfaffian(M)` then `pfaffian_adjugate(M)` expand each minor once; an
+integral matrix is expanded on its own entries.
 Plain rational matrices (lists of lists of Fraction) are cleared of
 denominators and row-reduced in integers by fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
@@ -21,17 +26,20 @@ the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from operator import mul
+from itertools import combinations_with_replacement
+from operator import itemgetter, mul
 from typing import List, Sequence, Tuple
 
-from .poly import MultiPoly, _sum_of_products, clear_denominators
+from .poly import MultiPoly, _pack, _sum_of_products, clear_denominators
 
 __all__ = [
     "PolyMatrix",
     "clear_denominators",
     "det_bareiss",
     "det_laplace",
+    "homogeneous_expansion",
     "pfaffian",
     "pfaffian_adjugate",
     "poly_rank",
@@ -176,9 +184,10 @@ def _pfaffian_expansion(rows, total, one):
 
     `rows` holds both triangles of a skew matrix over any ring, so the entry
     with sign -1 is read from the transposed slot and nothing is negated.
-    Zero (falsy) entries are skipped, and `total(pairs)` sums the products of
-    the (entry, sub-Pfaffian) pairs of one expansion; `one` is Pf of the empty
-    matrix.
+    Pairs with a zero (falsy) entry or sub-Pfaffian are skipped, and
+    `total(pairs)` sums the products of the remaining (entry, sub-Pfaffian)
+    pairs of one expansion, none at all for a zero minor; `one` is Pf of the
+    empty matrix.
     """
     memo = {0: one}
 
@@ -193,13 +202,105 @@ def _pfaffian_expansion(rows, total, one):
                 j = bit.bit_length() - 1
                 entry = rows[j][first] if odd else row[j]
                 if entry:
-                    pairs.append((entry, pf(rest ^ bit)))
+                    sub = pf(rest ^ bit)
+                    if sub:
+                        pairs.append((entry, sub))
                 todo ^= bit
                 odd = not odd
             got = memo[mask] = total(pairs)
         return got
 
     return pf
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous_monomials(ncoords: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
+    """The degree-k monomials in x_0..x_{c-1} (c = ncoords) as sorted index
+    tuples: those without x_{c-1} first, then those with it, each part in the
+    order of `combinations_with_replacement`."""
+    last = ncoords - 1
+    return tuple(sorted(combinations_with_replacement(range(ncoords), degree), key=lambda m: m[-1:] == (last,)))
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous_degree(ncoords: int, degree: int, last_only: bool):
+    """How the dense homogeneous ring forms one degree.
+
+    A form of degree k is the list of its coefficients on the monomials of
+    `_homogeneous_monomials`.  A sum of products of linear forms e_j with
+    forms f_j of degree k - 1 has, at a monomial m, the sum over the
+    coordinates v dividing m of S[v, m / x_v] = sum_j e_j[v] f_j[m / x_v].
+    Returns (cuts, gathers, keys): for each coordinate v the slice of the
+    degree k - 1 monomials whose S the degree needs, S being laid out v by v;
+    for each output monomial an itemgetter of its S values, padded with the
+    zero after the last one so that a single value still gives a tuple; and
+    the packed `MultiPoly` key of each output monomial at x_{c-1} = 1.  With
+    `last_only` only the monomials that contain x_{c-1} are formed, and so
+    only the S of v = c - 1 or of m / x_v containing x_{c-1}."""
+    last = ncoords - 1
+    below = _homogeneous_monomials(ncoords, degree - 1)
+    outs = _homogeneous_monomials(ncoords, degree)
+    cuts = [slice(0, len(below))] * ncoords
+    if last_only:
+        # m -> m x_{c-1} maps the degree k - 1 monomials onto the last ones
+        outs = outs[len(outs) - len(below):]
+        cut = slice(len(below) - sum(m[-1:] == (last,) for m in below), len(below))
+        cuts = [cut] * last + [slice(0, len(below))]
+    at, offset = {}, 0
+    for v, cut in enumerate(cuts):
+        for i in range(cut.start, cut.stop):
+            at[v, below[i]] = offset + i - cut.start
+        offset += cut.stop - cut.start
+    gathers = []
+    for m in outs:
+        picks = [at[v, m[:i] + m[i + 1:]] for i, v in enumerate(m) if i == m.index(v)]
+        gathers.append(itemgetter(*picks, offset) if len(picks) == 1 else itemgetter(*picks))
+    keys = [_pack([m.count(v) for v in range(last)], last) for m in outs]
+    return cuts, gathers, keys
+
+
+def homogeneous_expansion(matrix: PolyMatrix, den: int, forms) -> None:
+    """Give a skew matrix of linear entries its Pfaffian expansion in the
+    dense homogeneous ring, in place of the sparse `MultiPoly` one that the
+    first Pfaffian or adjugate would build.
+
+    forms[i][j] lists the integer coefficients of den * matrix[i][j] on the
+    coordinates (u_1, ..., u_m, s) of the matrix's m variables, s standing
+    for 1: a minor on 2k indices is then a form of degree k in these m + 1
+    coordinates, held as a dense list (`_homogeneous_degree`) and converted
+    to a `MultiPoly` once, when first asked for.  On the full mask only the
+    monomials that contain s are formed: its s-free part is the Pfaffian of
+    the matrix at s = 0, which the caller vouches is zero (for the metric of
+    an operator, T(u) u = 0).  The matrix is checked as on every first
+    expansion."""
+    _check_pfaffian_input(matrix)
+    vars_, ncoords, top = matrix.vars, len(matrix.vars) + 1, matrix.rows // 2
+    plans = {len(_homogeneous_monomials(ncoords, k - 1)): _homogeneous_degree(ncoords, k, k == top)
+             for k in range(1, top + 1)}
+
+    def total(pairs):
+        if not pairs:
+            return ()
+        entries, subs = zip(*pairs)
+        cuts, gathers, _ = plans[len(subs[0])]
+        below = list(zip(*subs))
+        s = [sum(map(mul, e, f)) for e, cut in zip(zip(*entries), cuts) for f in below[cut]]
+        s.append(0)
+        return [sum(g(s)) for g in gathers]
+
+    rows = [[form if any(form) else () for form in row] for row in forms]
+    pf = _pfaffian_expansion(rows, total, [1])
+    converted = {}
+
+    def minor(mask: int) -> MultiPoly:
+        got = converted.get(mask)
+        if got is None:
+            k = mask.bit_count() // 2
+            keys = _homogeneous_degree(ncoords, k, k == top)[2] if k else [0]
+            got = converted[mask] = MultiPoly._raw(vars_, {key: c for key, c in zip(keys, pf(mask)) if c})
+        return got
+
+    matrix._expansion = den, minor
 
 
 def _pfaffian_minors(matrix: PolyMatrix, masks):
@@ -212,6 +313,7 @@ def _pfaffian_minors(matrix: PolyMatrix, masks):
     the matrix's `_expansion` slot for every later call.  An integral matrix
     (den = 1) is expanded on its own entries.  A minor on 2k indices is one
     `_sum_of_products` over its (entry, sub-minor) pairs, divided by den^k.
+    A matrix seeded by `homogeneous_expansion` reads its dense one instead.
     """
     if matrix._expansion is None:
         _check_pfaffian_input(matrix)

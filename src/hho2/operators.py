@@ -13,6 +13,16 @@ times the coefficients of the constant 3-form the operator corresponds to;
 when the Pfaffian of g is not the zero polynomial; degenerate operators are
 representable and flagged, but excluded from inversion-dependent work.
 
+With x = (u, s) the homogeneous metric G(x) = T(u) + s g0 has Pfaffian
+D = Pf G(x) of degree n/2, and its s-free part Pf(T(u)) vanishes, as
+T(u) u = 0: s divides Pf G(x), so deg D <= n/2 - 1.  The metric's Pfaffian
+minors expand in one of two coefficient rings of `linalg`, chosen by an
+observable property of the table: sparse `MultiPoly`s for a sparse table,
+as every catalog table is, or dense homogeneous forms in x read straight off
+the integer table's rows, forming only the monomials with s on the full
+mask, once at least half of the integer metric's coefficients are nonzero,
+as after a generic SL move (`_DENSE_SHARE`).
+
 Projective reciprocal transformations act through an invertible matrix on the
 n+1 homogeneous coordinates of the table; the induced point map and its
 Jacobian live on the affine chart, and the conformal checks evaluate them at a
@@ -20,7 +30,9 @@ point in one integer record.  `transform` pulls the operator's own table
 back along the inverse matrix: pullback is linear, so the table, three times
 the form, pulls back to three times the pulled-back form and the factor 3
 never enters.  This makes `conformal_check` the literal conformal identity
-J^T gt(ut) J = A(u)^{-3} g(u).
+J^T gt(ut) J = A(u)^{-3} g(u).  The table is checked by `skew_table` once,
+where it enters (the constructor and the document reader); `transform`
+builds the pulled-back form and the moved operator without checking again.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, clear_denominators, pfaffian, rat_det, rat_mat_mul
+from .linalg import PolyMatrix, clear_denominators, homogeneous_expansion, pfaffian, rat_det, rat_mat_mul
 from .poly import MultiPoly, _linear, bounded_n, index_entries, json_int
 from .threeform import LinearMapN1, ThreeForm, pullback, skew_dense, skew_table
 
@@ -42,6 +54,14 @@ __all__ = [
     "transform",
     "conformal_check",
 ]
+
+# The least share of nonzero coefficients in an integer metric whose Pfaffian
+# minors expand as dense homogeneous forms.  Catalog tables read 0.11 or less
+# (n = 2 reads 1/3) and stay in the sparse MultiPoly ring, where n = 8 expands
+# 4-5x faster; tables moved by generic SL maps read 0.55-0.76 at n = 8, where
+# the dense Pfaffian is 1.3-1.8x faster.  At n = 6 the two rings break even
+# near a share of one half.
+_DENSE_SHARE = 0.5
 
 
 class Hho2:
@@ -57,12 +77,19 @@ class Hho2:
     def __init__(self, n: int, table: Dict[Tuple[int, int, int], Fraction]):
         if n < 2 or n % 2 != 0:
             raise ValueError(f"n must be even and at least 2, got {n}")
-        self.n = n
-        self.table = skew_table(table, n + 1)
-        self._metric = None
-        self._pf = None
-        self._integer = None
-        self._integer_forms = None
+        self._start(n, skew_table(table, n + 1))
+
+    @classmethod
+    def _of(cls, n: int, table: Dict[Tuple[int, int, int], Fraction]) -> "Hho2":
+        # An operator on a table that is already checked (`skew_table`'s
+        # output, or `pullback`'s from one), for an even n >= 2.
+        obj = object.__new__(cls)
+        obj._start(n, table)
+        return obj
+
+    def _start(self, n: int, table: Dict[Tuple[int, int, int], Fraction]) -> None:
+        self.n, self.table = n, table
+        self._metric = self._pf = self._integer = self._integer_forms = None
 
     # ----- derived data ----------------------------------------------------
 
@@ -81,11 +108,25 @@ class Hho2:
     def metric(self) -> PolyMatrix:
         """Covariant metric g_ij(u) = T_ijk u^k + g0_ij: row (i, j) of
         `_integer_table` over L, read as one linear form in u.  An integral
-        table (L = 1) is its own metric: the entries are `_integer_metric`."""
+        table (L = 1) is its own metric: the entries are `_integer_metric`.
+        A dense table (`_dense`) seeds the metric's Pfaffian expansion in the
+        dense homogeneous ring on those rows; its s-free part is Pf(T(u)),
+        zero as T(u) u = 0."""
         if self._metric is None:
-            big_l = self._integer_table()[0]
-            self._metric = PolyMatrix(self._integer_metric() if big_l == 1 else self._linear_rows(big_l))
+            big_l, t = self._integer_table()
+            metric = PolyMatrix(self._integer_metric() if big_l == 1 else self._linear_rows(big_l))
+            if self._dense():
+                homogeneous_expansion(metric, big_l, t)
+            self._metric = metric
         return self._metric
+
+    def _dense(self) -> bool:
+        """Whether the metric's Pfaffian minors expand as dense homogeneous
+        forms: at least _DENSE_SHARE of the integer metric's coefficients,
+        rows (i, j) of `_integer_table` with i < j, are nonzero."""
+        n, t = self.n, self._integer_table()[1]
+        nonzero = sum(x != 0 for i in range(n) for j in range(i + 1, n) for x in t[i][j])
+        return nonzero >= _DENSE_SHARE * (n * (n - 1) // 2) * (n + 1)
 
     def pfaffian_poly(self) -> MultiPoly:
         if self._pf is None:
@@ -204,11 +245,13 @@ def transform(op: Hho2, a: LinearMapN1) -> Hho2:
     the affine factor A = a[n][j] u^j + a[n][n].  With this orientation the
     output plays the transformed-coordinates role in the conformal identity
     checked by `conformal_check`; compositions satisfy
-    transform(transform(op, a), b) = transform(op, b compose a).
+    transform(transform(op, a), b) = transform(op, b compose a).  The table
+    was checked when `op` was built, so neither the form nor the output is
+    checked again.
     """
     if a.dim != op.n + 1:
         raise ValueError(f"transformation dimension {a.dim - 1} does not match operator n={op.n}")
-    return Hho2(op.n, pullback(ThreeForm(op.n + 1, op.table), a.inverse()).coeffs)
+    return Hho2._of(op.n, pullback(ThreeForm._of(op.n + 1, op.table), a.inverse()).coeffs)
 
 
 def _conformal_point(op: Hho2, moved: Hho2, a: LinearMapN1, u: Sequence[Fraction]):

@@ -12,8 +12,11 @@ triples that contain the last index.  The conversion factor 3
 comes from collapsing the full-skew summation onto increasing triples and is
 applied only by `embed` and `chart_restrict`.
 
-Coefficient values are exact rationals, checked by `skew_table`; the
-parameters of the catalog's families never reach a form or an operator.
+Coefficient values are exact rationals, checked by `skew_table` once, where
+a table enters: the public constructors and the document readers.  Tables
+built from checked ones (`pullback`, `embed`, `operators.transform`) skip the
+check.  The parameters of the catalog's families never reach a form or an
+operator.
 
 A linear map (`LinearMapN1`) is held as one integer form num / den in lowest
 terms, its inverse too; `entries` is a derived `Fraction` view, and
@@ -76,6 +79,15 @@ class ThreeForm:
             raise ValueError("a 3-form needs dimension at least 3")
         self.dim = dim
         self.coeffs = skew_table(coeffs, dim)
+
+    @classmethod
+    def _of(cls, dim: int, coeffs: Dict[Tuple[int, int, int], Fraction]) -> "ThreeForm":
+        # A form on a table that is already checked: nonzero rationals on
+        # strictly increasing triples inside range(dim), as `skew_table`
+        # returns and `pullback` writes.
+        obj = object.__new__(cls)
+        obj.dim, obj.coeffs = dim, coeffs
+        return obj
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
@@ -267,7 +279,7 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
         totals = [t + v[i] * minors[jk] - v[j] * minors[ik] + v[k] * minors[ij]
                   for t, (i, j, k, jk, ik, ij) in zip(totals, layout)]
     scale = big_l * c**3
-    return ThreeForm(d, {t: Fraction(total, scale) for t, total in zip(targets, totals) if total})
+    return ThreeForm._of(d, {t: Fraction(total, scale) for t, total in zip(targets, totals) if total})
 
 
 def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Fraction]:
@@ -282,4 +294,4 @@ def chart_restrict(form: ThreeForm) -> Dict[Tuple[int, int, int], Fraction]:
 def embed(op) -> ThreeForm:
     """Inverse of chart_restrict: the form omega = table/3 of an operator."""
     third = Fraction(1, 3)
-    return ThreeForm(op.n + 1, {key: value * third for key, value in op.table.items()})
+    return ThreeForm._of(op.n + 1, {key: value * third for key, value in op.table.items()})

@@ -134,6 +134,26 @@ def test_transform_rejects_wrong_shape(tmp_path, capsys):
     assert code == 2
 
 
+def test_transform_checks_the_table_once(tmp_path, capsys, monkeypatch):
+    """`op transform` checks the operator's table once, when the document is
+    read: the form pulled back and the moved operator are built from checked
+    data."""
+    from hho2 import operators, threeform
+
+    op_path = str(tmp_path / "op.json")
+    run(capsys, "catalog", "export", "n6-X", "--out", op_path)
+    checks = []
+    skew_table = threeform.skew_table
+    counting = lambda *args: checks.append(1) or skew_table(*args)
+    monkeypatch.setattr(threeform, "skew_table", counting)
+    monkeypatch.setattr(operators, "skew_table", counting)
+    code, out, err = run(capsys, "op", "transform", op_path, "--sl", _fixed_sl(7))
+    assert code == 0 and err == ""
+    assert len(checks) == 1
+    assert hho2.Hho2.from_json(out) == operators.transform(hho2.Hho2.from_json(open(op_path).read()),
+                                                           hho2.LinearMapN1.from_json(_fixed_sl(7)))
+
+
 def test_conformal_check_passes(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-open", "--out", op_path)
@@ -682,8 +702,28 @@ def test_unreadable_documents_exit_2(tmp_path, capsys, document, command):
     }[command]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {source}: " if document == "deep" else f"error: cannot read {source}: ")
+    if document == "not-utf-8":
+        assert err.startswith(f"error: cannot read {source}: ")
+    else:
+        assert err.startswith(f"error: {'--A (inline JSON)' if source == _DEEP else source}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, document", [("--A", "long"), ("--sl", "long"), ("--sl", "empty")])
+def test_inline_documents_are_named_by_their_flag(tmp_path, capsys, flag, document):
+    """A malformed JSON literal given to an option is named by the option in
+    one short error line, never echoed: a 10,000-character --A or --sl, and
+    an empty --sl, whose label was once empty."""
+    good_op = write(tmp_path, "good.json", json.dumps({"n": 2, "T": [], "g0": [[1, 2, "1"]]}))
+    literal = "[" + "1, " * 3332 + "1,]" if document == "long" else ""
+    assert len(literal) == (10_000 if document == "long" else 0)
+    argv = {
+        "--A": ("sys", "generate", good_op, "--A", literal, "--B", "[0, 0]"),
+        "--sl": ("op", "transform", good_op, "--sl", literal),
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} (inline JSON): invalid JSON at line 1: Expecting value\n"
 
 
 def _system_doc(a_value, b_value):

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from hho2.catalog import build, list_entries
-from hho2.linalg import clear_denominators, rat_det, rat_mat_mul
+from hho2.linalg import PolyMatrix, clear_denominators, pfaffian, pfaffian_adjugate, rat_det, rat_mat_mul
 from hho2.operators import (
     Hho2,
     conformal_check,
@@ -408,3 +408,61 @@ def test_transform_equals_the_embedded_pullback(entry):
     for a in maps:
         moved, oracle = transform(op, a), _transform_by_embedding(op, a)
         assert moved == oracle and moved.to_json() == oracle.to_json()
+
+
+# ----- the metric Pfaffian in two coefficient rings -----------------------------
+
+
+def _with_two_moves(entry):
+    """The entry's operator, its families at fixed parameters, and two
+    `random_sl` moves of it, each flagged moved or not."""
+    op = entry.build({name: Fraction(k + 2) for k, name in enumerate(entry.params)} if entry.params else None)
+    rng = random.Random(404)
+    return [(op, False)] + [(transform(op, LinearMapN1.random_sl(op.n + 1, rng)), True) for _ in range(2)]
+
+
+@pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.id)
+def test_pfaffian_degree_bound(entry):
+    """deg D <= n/2 - 1: the homogeneous Pfaffian Pf G(x) of degree n/2 is
+    divisible by s, as its s-free part Pf(T(u)) vanishes (T(u) u = 0).  The
+    dense ring forms only the monomials with s on the full mask on this."""
+    for op, _ in _with_two_moves(entry):
+        assert op.pfaffian_poly().degree() <= op.n // 2 - 1
+
+
+@pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.id)
+def test_dense_ring_matches_the_multipoly_ring(entry):
+    """The metric's Pfaffian and adjugate equal those of the same entries in
+    a fresh `PolyMatrix`, which expands them in the sparse MultiPoly ring.
+    Catalog tables take the MultiPoly ring, and tables moved at n = 8 the
+    dense one; the metric of a dense table is seeded with its expansion
+    before any Pfaffian is asked of it."""
+    for op, moved in _with_two_moves(entry):
+        fresh = Hho2(op.n, op.table)
+        metric = fresh.metric()
+        assert (metric._expansion is not None) == fresh._dense()
+        if not moved:
+            assert not fresh._dense()
+        elif op.n == 8:
+            assert fresh._dense()
+        oracle = PolyMatrix(metric.entries)
+        assert pfaffian(metric) == pfaffian(oracle)
+        if entry.degenerate:
+            with pytest.raises(ZeroDivisionError):
+                pfaffian_adjugate(metric)
+        else:
+            assert pfaffian_adjugate(metric) == pfaffian_adjugate(oracle)
+
+
+@pytest.mark.parametrize("name", ["n6-X", "n8-fam1"])
+def test_rings_of_the_ci_maps(name):
+    """Moved by the fractional CI map of its size, a catalog table leaves
+    the MultiPoly ring for the dense one; its Pfaffian and adjugate match
+    the MultiPoly oracle and D has degree n/2 - 1 at most."""
+    op = build(name, {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7} if name == "n8-fam1" else None)
+    moved = transform(op, LinearMapN1.from_json(_CI_SL[op.n + 1]))
+    assert not op._dense() and moved._dense()
+    metric, oracle = moved.metric(), PolyMatrix(moved.metric().entries)
+    assert pfaffian(metric) == pfaffian(oracle)
+    assert pfaffian_adjugate(metric) == pfaffian_adjugate(oracle)
+    assert moved.pfaffian_poly().degree() <= op.n // 2 - 1
