@@ -48,6 +48,7 @@ from .systems import (
 )
 from .diagnostics import (
     DiagnosticsReport,
+    PairTensor,
     charpoly_at,
     charpoly_square_at,
     charpoly_square_symbolic,
@@ -101,6 +102,7 @@ __all__ = [
     "pluecker_relations",
     "random_flux_params",
     "DiagnosticsReport",
+    "PairTensor",
     "charpoly_at",
     "charpoly_square_at",
     "charpoly_square_symbolic",

@@ -317,8 +317,11 @@ def cmd_op_to_3form(args) -> int:
 
 def cmd_op_from_3form(args) -> int:
     def read(text: str) -> Hho2:
+        # chart_restrict scales the checked coefficients of the form by 3, so
+        # only n is left to check.
         form = ThreeForm.from_json(text)
-        return Hho2(form.dim - 1, chart_restrict(form))
+        Hho2._check_n(form.dim - 1)
+        return Hho2._of(form.dim - 1, chart_restrict(form))
 
     op = _load(args.file, read)
     _write_payload(op.to_json(), args.out)

@@ -16,8 +16,12 @@ Pfaffian-side quantities so that the equalities are genuine cross-checks.
 The three torsion tensors (direct and closed-form Nijenhuis, Haantjes) are
 skew in their lower indices by the form of each formula, for any flux, so the
 two Nijenhuis routes stay independent.  Each is contracted in integers on the
-pairs j < k only, divided once per pair and mirrored.  Haantjes goes through
-A^p = N^p V, which makes its four terms three products over the pair planes.
+pairs j < k only and returned as a `PairTensor`: one integer row per upper
+index, one entry per pair, over one common denominator, in lowest terms.  So
+`==` is exact equality of tensors although the two Nijenhuis routes divide by
+different denominators, and no `Fraction` is built unless `planes()` is read.
+Haantjes goes through A^p = N^p V, which makes its four terms three products
+over the pair planes.
 
 The exact eigenstructure runs in integers on the Jacobian cleared of its
 denominators, Jac(u) = M / c: the characteristic polynomial by the
@@ -34,15 +38,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .linalg import PolyMatrix, _pfaffian_expansion, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
 from .operators import Hho2
 from .poly import MultiPoly, _gcd, _primitive, _sum_coeff_products, _trim, rat
 from .systems import ConservativeSystem, _residual_quotients
+from .threeform import _lowest_terms
 
 __all__ = [
     "sample_points",
+    "PairTensor",
     "nijenhuis",
     "nijenhuis_closed_form",
     "haantjes",
@@ -98,20 +104,46 @@ def sample_points(
 # ----- torsion tensors ------------------------------------------------------
 
 
-def _skew_tensor(rows, den: int) -> List[List[List[Fraction]]]:
-    """t[i][j][k] = rows[i][m] / den for the m-th pair j < k of
-    combinations(range(n), 2), t[i][k][j] = -t[i][j][k], zero diagonal."""
+def _skew_planes(rows) -> List[List[list]]:
+    """The full skew planes of pair rows: plane i holds rows[i][m] at (j, k)
+    and its negation at (k, j) for the m-th pair j < k, zero on the diagonal."""
     n = len(rows)
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for plane, row in zip(out, rows):
-        for (j, k), x in zip(combinations(range(n), 2), row):
-            if x:
-                plane[j][k] = entry = Fraction(x, den)
-                plane[k][j] = -entry
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for row in rows:
+        plane = [[0] * n for _ in range(n)]
+        for (j, k), x in zip(pairs, row):
+            plane[j][k], plane[k][j] = x, -x
+        out.append(plane)
     return out
 
 
-def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
+@dataclass(frozen=True)
+class PairTensor:
+    """A tensor t^i_jk skew in its lower indices, stored on the pairs j < k.
+
+    t[i][j][k] = rows[i][m] / den for the m-th pair (j, k) of
+    combinations(range(n), 2).  Stored in lowest terms: den > 0 and
+    gcd(den, every entry) == 1, and the zero tensor has den == 1.  So two
+    tensors are equal exactly when their (den, rows) are.
+    """
+
+    den: int
+    rows: Tuple[Tuple[int, ...], ...]
+
+    def planes(self) -> List[List[List[Fraction]]]:
+        """The nested tensor t[i][j][k] of Fractions, skew, zero diagonal."""
+        return [[[Fraction(x, self.den) for x in row] for row in plane] for plane in _skew_planes(self.rows)]
+
+
+def _skew_tensor(rows, den: int) -> PairTensor:
+    """The `PairTensor` of integer pair rows over a nonzero den, in lowest
+    terms."""
+    den, rows = _lowest_terms(den, rows)
+    return PairTensor(den, tuple(map(tuple, rows)))
+
+
+def nijenhuis(system: ConservativeSystem, u) -> PairTensor:
     """Nijenhuis torsion of the flux Jacobian at u, from first principles:
 
     N^i_jk = V^p_j V^i_{kp} - V^p_k V^i_{jp} - V^i_p (V^p_{kj} - V^p_{jk}).
@@ -119,8 +151,9 @@ def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     Second partials commute, so the last bracket is zero: the point record
     stores S_kpl once for both orders of p and l, and the bracket is not
     evaluated.  The contraction runs over the integer numerators R (over D^2)
-    and S (over D^3) on the pairs j < k, one division each.  Swapping j and k
-    negates the formula for any flux, so the rest is mirrored.
+    and S (over D^3) on the pairs j < k, over the one denominator D^5.
+    Swapping j and k negates the formula for any flux, so the pairs j < k
+    hold the whole tensor.
     """
     n = system.op.n
     num = system._numerators(u)
@@ -133,7 +166,7 @@ def nijenhuis(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
     return _skew_tensor(rows, num.d ** 5)
 
 
-def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fraction]]]:
+def nijenhuis_closed_form(system: ConservativeSystem, u) -> PairTensor:
     """Closed form of the torsion using only first derivatives and the tensor:
 
     N^i_jk = g^{ia} (T_jal V^l_p V^p_k - T_kal V^l_p V^p_j - 2 T_alp V^l_k V^p_j).
@@ -142,9 +175,10 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     the integer tensor t = t_den T and the integer metric G = t_den q g, whose
     inverse is cleared of its denominators.  g^{-1} = t_den q G^{-1}, so t_den
     cancels and the numerator gains the factor q.  The bracket is formed on
-    the pairs j < k and contracted with g^{-1} in one product; one division
-    per pair.  Swapping j and k negates the bracket for any flux (V^T T_a V is
-    skew as T is), so the rest is mirrored.
+    the pairs j < k and contracted with g^{-1} in one product, over the one
+    denominator D^4 times that of G^{-1}.  Swapping j and k negates the
+    bracket for any flux (V^T T_a V is skew as T is), so the pairs j < k hold
+    the whole tensor.
     """
     n = system.op.n
     num = system._numerators(u)
@@ -162,7 +196,7 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> List[List[List[Fract
     return _skew_tensor(rows, num.d ** 4 * g_den)
 
 
-def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Fraction]]]:
+def haantjes(system: ConservativeSystem, u, torsion: Optional[PairTensor] = None) -> PairTensor:
     """Haantjes tensor of the flux Jacobian at u:
 
     H^i_jk = N^i_pr V^p_j V^r_k - N^p_jr V^i_p V^r_k
@@ -171,34 +205,33 @@ def haantjes(system: ConservativeSystem, u, torsion=None) -> List[List[List[Frac
     With A^p = N^p V and N skew in its lower indices, as both Nijenhuis
     routes give it, H^i_jk = V^p_j A^i_pk - V^i_p (A^p_jk - A^p_kj)
     + (V V)^i_p N^p_jk.  Each term is negated by swapping j and k, so the
-    pairs j < k are contracted, in integers over R and the torsion cleared of
-    its common denominator, one division each, and the rest is mirrored.
+    pairs j < k are contracted, in integers over R and the torsion's integer
+    rows, over D^4 times the torsion's denominator.
     """
     n = system.op.n
     num = system._numerators(u)
     nij = torsion if torsion is not None else nijenhuis(system, u)
     pairs = list(combinations(range(n), 2))
-    n_den, rows = clear_denominators([row for plane in nij for row in plane])
-    niji = [rows[i * n : (i + 1) * n] for i in range(n)]
     r = num.r
     rt = list(zip(*r))
     # a[p][k][j] = A^p_jk
-    a = [list(zip(*rat_mat_mul(plane, r))) for plane in niji]
+    a = [list(zip(*rat_mat_mul(plane, r))) for plane in _skew_planes(nij.rows)]
     # the last two terms: [R | R R] times the pair rows of A^p_kj - A^p_jk and N^p_jk
-    stacked = [[y[j][k] - y[k][j] for j, k in pairs] for y in a] + [[plane[j][k] for j, k in pairs] for plane in niji]
+    stacked = [[y[j][k] - y[k][j] for j, k in pairs] for y in a] + list(nij.rows)
     out = rat_mat_mul([ri + rri for ri, rri in zip(r, rat_mat_mul(r, r))], stacked)
     for row, ai in zip(out, a):
         for m, (j, k) in enumerate(pairs):
             row[m] += sum(map(mul, rt[j], ai[k]))
-    return _skew_tensor(out, num.d ** 4 * n_den)
+    return _skew_tensor(out, num.d ** 4 * nij.den)
 
 
-def tensor_is_zero(t) -> bool:
-    return all(not x for plane in t for row in plane for x in row)
+def tensor_is_zero(t: PairTensor) -> bool:
+    return not any(map(any, t.rows))
 
 
-def tensor_nonzero_count(t) -> int:
-    return sum(1 for plane in t for row in plane for x in row if x)
+def tensor_nonzero_count(t: PairTensor) -> int:
+    """Nonzero entries t[i][j][k] over both orders of (j, k)."""
+    return 2 * sum(1 for row in t.rows for x in row if x)
 
 
 # ----- characteristic polynomial --------------------------------------------

@@ -75,9 +75,13 @@ class Hho2:
     __slots__ = ("n", "table", "_metric", "_pf", "_integer", "_integer_forms")
 
     def __init__(self, n: int, table: Dict[Tuple[int, int, int], Fraction]):
+        self._check_n(n)
+        self._start(n, skew_table(table, n + 1))
+
+    @staticmethod
+    def _check_n(n: int) -> None:
         if n < 2 or n % 2 != 0:
             raise ValueError(f"n must be even and at least 2, got {n}")
-        self._start(n, skew_table(table, n + 1))
 
     @classmethod
     def _of(cls, n: int, table: Dict[Tuple[int, int, int], Fraction]) -> "Hho2":

@@ -154,6 +154,34 @@ def test_transform_checks_the_table_once(tmp_path, capsys, monkeypatch):
                                                            hho2.LinearMapN1.from_json(_fixed_sl(7)))
 
 
+def test_from_3form_checks_the_table_once(tmp_path, capsys, monkeypatch):
+    """`op from-3form` checks the form's table once, when the document is
+    read: the operator is built on `chart_restrict`'s scaled copy of it."""
+    from hho2 import operators, threeform
+
+    op_path = str(tmp_path / "op.json")
+    form_path = str(tmp_path / "form.json")
+    run(capsys, "catalog", "export", "n8-fam1", "--params", "lambda1=2", "lambda2=3", "lambda3=5", "lambda4=7",
+        "--out", op_path)
+    run(capsys, "op", "to-3form", op_path, "--out", form_path)
+    checks = []
+    skew_table = threeform.skew_table
+    counting = lambda *args: checks.append(1) or skew_table(*args)
+    monkeypatch.setattr(threeform, "skew_table", counting)
+    monkeypatch.setattr(operators, "skew_table", counting)
+    code, out, err = run(capsys, "op", "from-3form", form_path)
+    assert code == 0 and err == ""
+    assert len(checks) == 1
+    assert hho2.Hho2.from_json(out) == hho2.Hho2.from_json(open(op_path).read())
+
+
+def test_from_3form_rejects_an_even_dimension(tmp_path, capsys):
+    path = write(tmp_path, "form.json", json.dumps({"dim": 4, "coeffs": [[1, 2, 3, "1/2"]]}))
+    code, out, err = run(capsys, "op", "from-3form", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: n must be even and at least 2, got 3\n"
+
+
 def test_conformal_check_passes(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-open", "--out", op_path)

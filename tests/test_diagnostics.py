@@ -1,8 +1,12 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
@@ -233,12 +237,12 @@ def test_torsion_pair_contraction_matches_the_full_index_bodies(name, moved):
             assert clear_denominators(rat_inverse(system._numerators(u).g))[0] > 1
         direct, closed = nijenhuis(system, u), nijenhuis_closed_form(system, u)
         h = haantjes(system, u, torsion=direct)
-        assert direct == _nijenhuis_oracle(system, u)
-        assert closed == _nijenhuis_closed_form_oracle(system, u)
-        assert h == _haantjes_oracle(system, u, direct)
+        assert direct.planes() == _nijenhuis_oracle(system, u)
+        assert closed.planes() == _nijenhuis_closed_form_oracle(system, u)
+        assert h.planes() == _haantjes_oracle(system, u, direct.planes())
         assert haantjes(system, u) == h
         for tensor in (direct, closed, h):
-            _assert_skew(tensor)
+            _assert_skew(tensor.planes())
 
 
 @pytest.mark.parametrize("moved", [False, True], ids=["catalogued", "moved"])
@@ -252,10 +256,74 @@ def test_torsion_pair_contraction_on_an_edited_flux(name, moved):
         direct = nijenhuis(system, u)
         h = haantjes(system, u, torsion=direct)
         assert not tensor_is_zero(direct)
-        assert direct == _nijenhuis_oracle(system, u)
-        assert h == _haantjes_oracle(system, u, direct)
-        _assert_skew(direct)
-        _assert_skew(h)
+        assert direct.planes() == _nijenhuis_oracle(system, u)
+        assert h.planes() == _haantjes_oracle(system, u, direct.planes())
+        _assert_skew(direct.planes())
+        _assert_skew(h.planes())
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["catalogued", "moved"])
+@pytest.mark.parametrize("name", ["n4-open", "n6-X", "n8-fam1"])
+def test_run_diagnostics_flags_disagreeing_routes(name, moved):
+    """Negative control for the pair tensor comparison: with Q_0 edited
+    before the first read, the closed form (which assumes the flux the
+    operator supports) differs from the direct torsion at every point, and
+    `run_diagnostics` reports that the routes disagree."""
+    system = _torsion_system(name, moved, edit=True)
+    points = _torsion_points(system)
+    for u in points:
+        assert nijenhuis(system, u) != nijenhuis_closed_form(system, u)
+    assert run_diagnostics(system, points).nijenhuis_routes_agree is False
+
+
+def test_pair_tensors_compare_in_lowest_terms():
+    """On the moved n8-fam1 system the two Nijenhuis routes divide by
+    different denominators, D^5 and D^4 times that of the cleared inverse
+    metric, yet their pair tensors are equal: both are stored in lowest
+    terms, so `==` is equality of the tensors."""
+    system = _torsion_system("n8-fam1", moved=True)
+    for u in _torsion_points(system):
+        num = system._numerators(u)
+        g_den = clear_denominators(rat_inverse(num.g))[0]
+        assert num.d ** 5 != num.d ** 4 * g_den
+        direct, closed = nijenhuis(system, u), nijenhuis_closed_form(system, u)
+        assert not tensor_is_zero(direct)
+        assert direct == closed
+        assert direct.planes() == closed.planes()
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_system(name, seed, edit):
+    op = build(name, N8_PARAMS if name.startswith("n8") else None)
+    system = generate_flux(op, rng=random.Random(seed))
+    return _edit_flux(system, "integer-quadratic-q1") if edit else system
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["n2", "n4-open", "n6-X", "n6-VIII", "n8-fam1"]),
+    seed=st.integers(0, 3),
+    edit=st.booleans(),
+    coords=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=8, max_size=8),
+)
+def test_pair_tensor_invariants(name, seed, edit, coords):
+    """Every torsion tensor is stored in lowest terms with den > 0, is zero
+    exactly when den is 1 and every row is zero, expands to a skew tensor
+    whose nonzero entries `tensor_nonzero_count` counts, and Haantjes reads a
+    given torsion as it would compute it."""
+    system = _drawn_system(name, seed, edit)
+    u = tuple(coords[: system.op.n])
+    assume(system.d.eval(u))
+    direct = nijenhuis(system, u)
+    for t in (direct, nijenhuis_closed_form(system, u), haantjes(system, u)):
+        assert t.den > 0
+        assert math.gcd(t.den, *(x for row in t.rows for x in row)) == 1
+        planes = t.planes()
+        entries = [x for plane in planes for row in plane for x in row]
+        assert tensor_is_zero(t) == (t.den == 1 and not any(map(any, t.rows))) == (not any(entries))
+        _assert_skew(planes)
+        assert tensor_nonzero_count(t) == sum(1 for x in entries if x)
+    assert haantjes(system, u) == haantjes(system, u, torsion=direct)
 
 
 def test_nijenhuis_generically_nonzero():
@@ -282,7 +350,7 @@ def test_haantjes_nonzero_regression_pin():
     assert u == tuple(Fraction(x) for x in (3, -9, 8, -7, -3, 10))
     h = haantjes(system, u)
     assert tensor_nonzero_count(h) == 180
-    assert h[0][0][1] == Fraction(-108973296, 887410625)
+    assert h.planes()[0][0][1] == Fraction(-108973296, 887410625)
 
 
 def test_haantjes_matches_its_definition():
@@ -296,7 +364,7 @@ def test_haantjes_matches_its_definition():
     assert system.d.eval(v)
     for point in (u, v):
         jac = system.jacobian_at(point)
-        nij = nijenhuis(system, point)
+        nij = nijenhuis(system, point).planes()
         expected = [
             [
                 [
@@ -317,15 +385,16 @@ def test_haantjes_matches_its_definition():
             ]
             for i in range(n)
         ]
-        assert not tensor_is_zero(expected)
-        assert haantjes(system, point) == expected
+        h = haantjes(system, point)
+        assert not tensor_is_zero(h)
+        assert h.planes() == expected
 
 
 def test_haantjes_antisymmetry_in_lower_indices():
     rng = random.Random(34)
     system = generate_flux(build("n6-IX"), rng=rng)
     u = sample_points(system.op, 1, rng)[0]
-    h = haantjes(system, u)
+    h = haantjes(system, u).planes()
     n = 6
     for i in range(n):
         for j in range(n):
