@@ -42,11 +42,12 @@ scaled by the lcm `scale` of their coefficient denominators, the table by its
 own, t_den, and Aeff, Beff by theirs, every coefficient is an integer.  The
 pointwise check evaluates R, S and both families: an independent route.
 
-Pointwise evaluation works in integers, through one record per point.  D,
-the Q_k and their first and second partials are scaled by one common
-denominator and share one monomial table; each monomial is evaluated once at
-a point U/q, homogenised to one degree, so the powers of q cancel from V and
-its derivatives and D(u) divides by the one power of q left.  The record holds
+Pointwise evaluation works in integers, through one record per point.  D
+and the Q_k are scaled to integers once, by one common denominator, and
+differentiated on packed keys; the partials share one monomial table, in
+which each monomial is unpacked once and evaluated once at a point U/q,
+homogenised to one degree, so the powers of q cancel from V and its
+derivatives and D(u) divides by the one power of q left.  The record holds
 the integer numerators R_kp (over D^2) and S_kpl (over D^3) and the integer
 metric; every pointwise check reads it and divides once per entry at the end.
 """
@@ -62,7 +63,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import clear_denominators, pfaffian_adjugate, poly_rank
 from .operators import Hho2
-from .poly import MultiPoly, _linear, _sum_of_products, index_entries, lowest_terms, rat
+from .poly import MultiPoly, _linear, _sum_of_products, _unpack, index_entries, lowest_terms, rat
 
 __all__ = [
     "DegenerateOperatorError",
@@ -336,11 +337,14 @@ class _PointNumerators(NamedTuple):
 class _PointKernel:
     """Integer evaluation of D, the Q_k and their partials.
 
-    One common denominator `scale` (`_denominator_lcm` of D and the Q_k)
-    clears D, the Q_k and their partials, which are built here and kept only
-    compiled.  Each monomial of the one table is evaluated once, homogenised
-    to the top degree, so a point U/q needs only integers.  The metric
-    numerator G is `op._metric_numerator` at (U, q).
+    D and the Q_k are multiplied once by one common denominator `scale`
+    (`_denominator_lcm` of D and the Q_k) and differentiated as integer
+    polynomials; the partials are kept only compiled, as (monomial ids,
+    coefficients) in storage order.  The ids index one table keyed by packed
+    monomial key, and each distinct key is unpacked once, at the end.  Each
+    monomial of the table is evaluated once, homogenised to the top degree, so
+    a point U/q needs only integers.  The metric numerator G is
+    `op._metric_numerator` at (U, q).
     """
 
     def __init__(self, system: ConservativeSystem):
@@ -349,24 +353,16 @@ class _PointKernel:
         self.op = system.op
         self.pairs = [(p, l) for p in range(n) for l in range(p, n)]
         self.scale = _denominator_lcm((system.d, *system.q))
-        index: Dict[Tuple[int, ...], int] = {}
+        index: Dict[int, int] = {}
         self.polys = []
         for f in (system.d, *system.q):
+            f = f * self.scale
             f1 = [f.diff(p) for p in range(n)]
-            family = [f, *f1, *(f1[p].diff(l) for p, l in self.pairs)]
-            self.polys += [self._compile(x, self.scale, index) for x in family]
-        self.top = max((sum(e) for e in index), default=0)
-        self.monomials = [
-            (self.top - sum(e), [(v, x) for v, x in enumerate(e) if x]) for e in index
-        ]
-
-    @staticmethod
-    def _compile(poly: MultiPoly, scale: int, index: Dict[Tuple[int, ...], int]):
-        idxs, coeffs = [], []
-        for e, c in poly.monomials():
-            idxs.append(index.setdefault(e, len(index)))
-            coeffs.append(int(c * scale))
-        return idxs, coeffs
+            for x in (f, *f1, *(f1[p].diff(l) for p, l in self.pairs)):
+                self.polys.append(([index.setdefault(key, len(index)) for key in x.terms], list(x.terms.values())))
+        exps = [_unpack(key, n) for key in index]
+        self.top = max(map(sum, exps), default=0)
+        self.monomials = [(self.top - sum(e), [(v, x) for v, x in enumerate(e) if x]) for e in exps]
 
     def evaluate(self, point: Sequence[Fraction]) -> _PointNumerators:
         n, top = self.n, self.top

@@ -666,6 +666,76 @@ def test_point_kernel_tensor_is_the_scaled_dense_view():
     ]
 
 
+_N8_PARAMS = {
+    "n8-fam1": {"lambda1": 2, "lambda2": 3, "lambda3": 5, "lambda4": 7},
+    "n8-fam2-e1": {"lambda1": 2, "lambda2": 3, "lambda3": 5},
+    "n8-fam2-e2": {"lambda1": 2, "lambda2": 3, "lambda3": 5},
+}
+
+
+def _record_oracle(system, u, c):
+    """(d, qv, r, s) of the point record of u, from R_kp = Q_{k,p} D - Q_k D_p
+    and S_kpl = R_{kp,l} D - 2 R_kp D_l, with D, the Q_k and their partials
+    taken by `diff` and `eval` of system.d and system.q in their own Fraction
+    coefficients, and R_{kp,l} by the product rule at u.  (R and S built as
+    polynomials take about a minute at n = 8; the symbolic quotient rule is
+    checked at n = 4 by `test_jacobian_and_hessian_match_quotient_rule`.)
+    Every polynomial the record evaluates is c times its value at u, c the
+    record's d_scale, so d and qv carry c, r c^2 and s c^3."""
+    n = system.op.n
+
+    def partials(f):
+        f1 = [f.diff(p) for p in range(n)]
+        return f.eval(u), [x.eval(u) for x in f1], [[x.diff(l).eval(u) for l in range(n)] for x in f1]
+
+    d0, d1, d2 = partials(system.d)
+    qv, r, s = [], [], []
+    for qk in system.q:
+        q0, q1, q2 = partials(qk)
+        rk = [q1[p] * d0 - q0 * d1[p] for p in range(n)]
+        rk1 = [[q2[p][l] * d0 + q1[p] * d1[l] - q1[l] * d1[p] - q0 * d2[p][l] for l in range(n)] for p in range(n)]
+        qv.append(c * q0)
+        r.append([c**2 * x for x in rk])
+        s.append([[c**3 * (rk1[p][l] * d0 - 2 * rk[p] * d1[l]) for l in range(n)] for p in range(n)])
+    return c * d0, qv, r, s
+
+
+@pytest.mark.parametrize("name", ["n8-fam1", "n8-fam2-e1", "n8-fam2-e2", "n6-X-moved", "n8-fam1-moved"])
+def test_point_record_matches_the_quotient_rule_at_n6_and_n8(name):
+    """The point kernel's integer record equals R and S built from the
+    numerators by `diff` and `eval`, at an integer point and at a point p/q,
+    on the n = 8 catalog systems and on n6-X and n8-fam1 moved by fixed
+    determinant-one maps, whose D and Q_k have Fraction coefficients."""
+    entry, moved = name.removesuffix("-moved"), name.endswith("-moved")
+    op = build(entry, _N8_PARAMS.get(entry, {}))
+    if moved:
+        op = transform(op, LinearMapN1.random_sl(op.n + 1, random.Random(4)))
+    system = generate_flux(op, rng=random.Random(909))
+    kernel = system._kernel()
+    assert (kernel.scale > 1) == moved
+    assert moved == any(isinstance(c, Fraction) for f in (system.d, *system.q) for c in f.terms.values())
+    rng = random.Random(39)
+    points = _add_fractional_points(system, sample_points(op, 1, rng), rng, count=2)
+    for u in points:
+        num = system._numerators(u)
+        assert (num.d, num.qv, num.r, num.s) == _record_oracle(system, u, num.d_scale)
+
+
+def test_point_kernel_unpacks_each_monomial_once(monkeypatch):
+    """The kernel keys its monomial table by packed key and unpacks each
+    distinct monomial once; it never lists a polynomial's exponent tuples."""
+    system = generate_flux(build("n8-fam1", _N8_PARAMS["n8-fam1"]), rng=random.Random(909))
+    unpacks, listings = [], []
+    unpack = poly._unpack
+    counting = lambda key, nv: unpacks.append(key) or unpack(key, nv)
+    monkeypatch.setattr(poly, "_unpack", counting)
+    monkeypatch.setattr(systems, "_unpack", counting)
+    monkeypatch.setattr(MultiPoly, "monomials", lambda self: listings.append(self) or iter(()))
+    kernel = systems._PointKernel(system)
+    assert len(unpacks) == len(kernel.monomials) == len(set(unpacks))
+    assert listings == []
+
+
 def test_casimir_rank_of_a_moved_metric_needs_no_elimination(monkeypatch):
     """Full rank at the fixed rational point proves full rank: the dense
     linear metric of a moved operator is not eliminated over Q[u]."""
