@@ -16,12 +16,13 @@ Pfaffian-side quantities so that the equalities are genuine cross-checks.
 The three torsion tensors (direct and closed-form Nijenhuis, Haantjes) are
 skew in their lower indices by the form of each formula, for any flux, so the
 two Nijenhuis routes stay independent.  Each is contracted in integers on the
-pairs j < k only and returned as a `PairTensor`: one integer row per upper
-index, one entry per pair, over one common denominator, in lowest terms.  So
-`==` is exact equality of tensors although the two Nijenhuis routes divide by
-different denominators, and no `Fraction` is built unless `planes()` is read.
+pairs j < k only, in the one pair order of `linalg._index_pairs`, and
+returned as a `PairTensor`: one integer row per upper index, one entry per
+pair, over one common denominator, in lowest terms.  So `==` is exact
+equality of tensors although the two Nijenhuis routes divide by different
+denominators, and no `Fraction` is built unless `planes()` is read.
 Haantjes goes through A^p = N^p V, which makes its four terms three products
-over the pair planes.
+over the pair planes, each row mirrored into its plane by `linalg._skew_fill`.
 
 The exact eigenstructure runs in integers on the Jacobian cleared of its
 denominators, Jac(u) = M / c: the characteristic polynomial by the
@@ -36,15 +37,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import PolyMatrix, _pfaffian_expansion, clear_denominators, det_bareiss, det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank
+from .linalg import (PolyMatrix, _index_pairs, _pfaffian_expansion, _skew_fill, clear_denominators, det_bareiss,
+                     det_laplace, pfaffian, rat_inverse, rat_mat_mul, rat_rank)
 from .operators import Hho2
-from .poly import MultiPoly, _gcd, _primitive, _sum_coeff_products, _trim, rat
+from .poly import MultiPoly, _gcd, _lowest_terms, _primitive, _sum_coeff_products, _trim, rat
 from .systems import ConservativeSystem, _residual_quotients
-from .threeform import _lowest_terms
 
 __all__ = [
     "sample_points",
@@ -104,26 +104,12 @@ def sample_points(
 # ----- torsion tensors ------------------------------------------------------
 
 
-def _skew_planes(rows) -> List[List[list]]:
-    """The full skew planes of pair rows: plane i holds rows[i][m] at (j, k)
-    and its negation at (k, j) for the m-th pair j < k, zero on the diagonal."""
-    n = len(rows)
-    pairs = list(combinations(range(n), 2))
-    out = []
-    for row in rows:
-        plane = [[0] * n for _ in range(n)]
-        for (j, k), x in zip(pairs, row):
-            plane[j][k], plane[k][j] = x, -x
-        out.append(plane)
-    return out
-
-
 @dataclass(frozen=True)
 class PairTensor:
     """A tensor t^i_jk skew in its lower indices, stored on the pairs j < k.
 
     t[i][j][k] = rows[i][m] / den for the m-th pair (j, k) of
-    combinations(range(n), 2).  Stored in lowest terms: den > 0 and
+    `linalg._index_pairs(n)`.  Stored in lowest terms: den > 0 and
     gcd(den, every entry) == 1, and the zero tensor has den == 1.  So two
     tensors are equal exactly when their (den, rows) are.
     """
@@ -133,7 +119,8 @@ class PairTensor:
 
     def planes(self) -> List[List[List[Fraction]]]:
         """The nested tensor t[i][j][k] of Fractions, skew, zero diagonal."""
-        return [[[Fraction(x, self.den) for x in row] for row in plane] for plane in _skew_planes(self.rows)]
+        n = len(self.rows)
+        return [_skew_fill(n, [Fraction(x, self.den) for x in row], Fraction(0)) for row in self.rows]
 
 
 def _skew_tensor(rows, den: int) -> PairTensor:
@@ -162,7 +149,7 @@ def nijenhuis(system: ConservativeSystem, u) -> PairTensor:
     for i in range(n):
         # a[k][j] = S_ikp R_pj
         a = rat_mat_mul(s[i], r)
-        rows.append([a[k][j] - a[j][k] for j, k in combinations(range(n), 2)])
+        rows.append([a[k][j] - a[j][k] for j, k in _index_pairs(n)])
     return _skew_tensor(rows, num.d ** 5)
 
 
@@ -191,7 +178,7 @@ def nijenhuis_closed_form(system: ConservativeSystem, u) -> PairTensor:
     for a in range(n):
         x = rat_mat_mul([t[j][a] for j in range(n)], rr)
         y = list(zip(*rat_mat_mul(t[a], r)))
-        inner.append([x[j][k] - x[k][j] - 2 * sum(map(mul, rt[k], y[j])) for j, k in combinations(range(n), 2)])
+        inner.append([x[j][k] - x[k][j] - 2 * sum(map(mul, rt[k], y[j])) for j, k in _index_pairs(n)])
     rows = rat_mat_mul([[num.q * x for x in row] for row in ginv], inner)
     return _skew_tensor(rows, num.d ** 4 * g_den)
 
@@ -211,11 +198,11 @@ def haantjes(system: ConservativeSystem, u, torsion: Optional[PairTensor] = None
     n = system.op.n
     num = system._numerators(u)
     nij = torsion if torsion is not None else nijenhuis(system, u)
-    pairs = list(combinations(range(n), 2))
+    pairs = _index_pairs(n)
     r = num.r
     rt = list(zip(*r))
     # a[p][k][j] = A^p_jk
-    a = [list(zip(*rat_mat_mul(plane, r))) for plane in _skew_planes(nij.rows)]
+    a = [list(zip(*rat_mat_mul(_skew_fill(n, row, 0), r))) for row in nij.rows]
     # the last two terms: [R | R R] times the pair rows of A^p_kj - A^p_jk and N^p_jk
     stacked = [[y[j][k] - y[k][j] for j, k in pairs] for y in a] + list(nij.rows)
     out = rat_mat_mul([ri + rri for ri, rri in zip(r, rat_mat_mul(r, r))], stacked)
@@ -305,6 +292,7 @@ def sqrt_charpoly_at(system: ConservativeSystem, u) -> List[Fraction]:
         for j in range(h + 1, n):
             x = flux_scale * sum(map(mul, t[h][j], num.qv)) + affine_scale * a[h][j]
             y = lam_scale * num.g[h][j]
+            # the entries are coefficient lists, so the mirror negates a list, not an entry
             pencil[h][j], pencil[j][h] = _trim([x, -y]), _trim([-x, y])
     pf = _pfaffian_expansion(pencil, _sum_coeff_products, [1])
     den = (t_den * a_den * num.q * d) ** (n // 2) * d
@@ -339,16 +327,8 @@ def _universal_skew_det_is_pfaffian_square(n: int) -> bool:
     transfers by substitution.  The determinant is `det_laplace`: Bareiss
     over 28 variables takes tens of seconds at n = 8.
     """
-    names = tuple(f"x{i+1}_{j+1}" for i in range(n) for j in range(i + 1, n))
-    rows = [[MultiPoly.zero(names) for _ in range(n)] for _ in range(n)]
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = MultiPoly.variable(names, pos)
-            rows[i][j] = x
-            rows[j][i] = -x
-            pos += 1
-    mat = PolyMatrix(rows)
+    names = tuple(f"x{i+1}_{j+1}" for i, j in _index_pairs(n))
+    mat = PolyMatrix(_skew_fill(n, [MultiPoly.variable(names, pos) for pos in range(len(names))], MultiPoly.zero(names)))
     pf = pfaffian(mat)
     return det_laplace(mat) == pf * pf
 

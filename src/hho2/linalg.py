@@ -21,14 +21,18 @@ denominators and row-reduced in integers by fraction-free Gauss-Jordan
 elimination (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, 1997).
 
 Sign conventions are pinned by the small cases: Pf([[0,1],[-1,0]]) = +1 and
-the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.
+the 4x4 Pfaffian is m01*m23 - m02*m13 + m03*m12.  Every two-index skew object
+of the package (the metric, the flux matrix A, the adjugate, the torsion
+tensors) is laid out in one pair order, `_index_pairs`, and mirrored by one
+fill, `_skew_fill`: the upper entries in that order, their negations below
+the diagonal.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter, mul
 from typing import List, Sequence, Tuple
 
@@ -49,6 +53,22 @@ __all__ = [
     "rat_rank",
     "rat_kernel",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _index_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs i < j of range(n) in the order of `combinations`: the one
+    order of the upper entries of every skew matrix and pair tensor."""
+    return tuple(combinations(range(n), 2))
+
+
+def _skew_fill(n: int, upper, zero) -> list:
+    """The n x n skew matrix with upper[m] at the m-th pair (i, j) of
+    `_index_pairs(n)`, its negation at (j, i) and `zero` on the diagonal."""
+    out = [[zero] * n for _ in range(n)]
+    for (i, j), x in zip(_index_pairs(n), upper):
+        out[i][j], out[j][i] = x, -x
+    return out
 
 
 class PolyMatrix:
@@ -355,16 +375,12 @@ def pfaffian_adjugate(matrix: PolyMatrix):
     """
     n = matrix.rows
     full = (1 << n) - 1
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = _index_pairs(n)
     pf, *minors = _pfaffian_minors(matrix, [full] + [full ^ (1 << i) ^ (1 << j) for i, j in pairs])
     if pf.is_zero():
         raise ZeroDivisionError("matrix is degenerate (zero Pfaffian)")
-    zero = MultiPoly.zero(matrix.vars)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), minor in zip(pairs, minors):
-        entry = -minor if (i + j) % 2 else minor
-        out[i][j], out[j][i] = entry, -entry
-    return PolyMatrix(out), pf
+    signed = [-minor if (i + j) % 2 else minor for (i, j), minor in zip(pairs, minors)]
+    return PolyMatrix(_skew_fill(n, signed, MultiPoly.zero(matrix.vars))), pf
 
 
 def poly_rank(matrix: PolyMatrix) -> int:

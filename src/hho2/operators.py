@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import PolyMatrix, clear_denominators, homogeneous_expansion, pfaffian, rat_det, rat_mat_mul
+from .linalg import PolyMatrix, _index_pairs, _skew_fill, clear_denominators, homogeneous_expansion, pfaffian, rat_det, rat_mat_mul
 from .poly import MultiPoly, _linear, bounded_n, index_entries, json_int
 from .threeform import LinearMapN1, ThreeForm, pullback, skew_dense, skew_table
 
@@ -129,7 +129,7 @@ class Hho2:
         forms: at least _DENSE_SHARE of the integer metric's coefficients,
         rows (i, j) of `_integer_table` with i < j, are nonzero."""
         n, t = self.n, self._integer_table()[1]
-        nonzero = sum(x != 0 for i in range(n) for j in range(i + 1, n) for x in t[i][j])
+        nonzero = sum(x != 0 for i, j in _index_pairs(n) for x in t[i][j])
         return nonzero >= _DENSE_SHARE * (n * (n - 1) // 2) * (n + 1)
 
     def pfaffian_poly(self) -> MultiPoly:
@@ -158,15 +158,9 @@ class Hho2:
     def _linear_rows(self, big_l: int) -> List[List[MultiPoly]]:
         """The n x n skew matrix whose entry (i, j) is row (i, j) of
         `_integer_table` over big_l, read as one linear form in u."""
-        vs, n = self.vars, self.n
-        t = self._integer_table()[1]
-        zero = MultiPoly.zero(vs)
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = _linear(vs, t[i][j] if big_l == 1 else [Fraction(x, big_l) for x in t[i][j]])
-                rows[j][i] = -rows[i][j]
-        return rows
+        vs, n, t = self.vars, self.n, self._integer_table()[1]
+        upper = [_linear(vs, t[i][j] if big_l == 1 else [Fraction(x, big_l) for x in t[i][j]]) for i, j in _index_pairs(n)]
+        return _skew_fill(n, upper, MultiPoly.zero(vs))
 
     def _integer_metric(self) -> List[List[MultiPoly]]:
         """L g(u) with integer coefficients, `_linear_rows(1)`, built on first

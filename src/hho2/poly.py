@@ -306,13 +306,6 @@ class MultiPoly:
 
     # ----- scalars ------------------------------------------------------
 
-    def _lift(self, value) -> "MultiPoly":
-        if isinstance(value, MultiPoly):
-            if value.vars != self.vars:
-                raise ValueError(f"variable mismatch: {value.vars} vs {self.vars}")
-            return value
-        return MultiPoly.const(self.vars, value)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -337,7 +330,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = self._lift(other)
+            other = MultiPoly.const(self.vars, other)
         elif other.vars != self.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
         out = dict(self.terms)
@@ -359,7 +352,7 @@ class MultiPoly:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._lift(other)
+            other = MultiPoly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -578,6 +571,15 @@ def clear_denominators(matrix: Sequence[Sequence[Fraction]]) -> Tuple[int, List[
     """(den, M) with M = matrix * den integral and den the least such."""
     den = math.lcm(1, *(x.denominator for row in matrix for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+
+
+def _lowest_terms(den: int, num: List[List[int]]) -> Tuple[int, List[List[int]]]:
+    """The integer form num / den divided by its gcd, with den > 0: the form
+    `clear_denominators` gives of the same rational matrix."""
+    g = math.gcd(den, *(x for row in num for x in row))
+    if den < 0:
+        g = -g
+    return (den, num) if g == 1 else (den // g, [[x // g for x in row] for row in num])
 
 
 def _trim(p: List[Scalar]) -> List[Scalar]:

@@ -61,7 +61,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import clear_denominators, pfaffian_adjugate, poly_rank
+from .linalg import _index_pairs, _skew_fill, clear_denominators, pfaffian_adjugate, poly_rank
 from .operators import Hho2
 from .poly import MultiPoly, _linear, _sum_of_products, _unpack, index_entries, lowest_terms, rat
 
@@ -131,11 +131,7 @@ class FluxParams:
 
 
 def random_flux_params(n: int, rng, bound: int = 5) -> FluxParams:
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = Fraction(rng.randint(-bound, bound))
-            a[j][i] = -a[i][j]
+    a = _skew_fill(n, [Fraction(rng.randint(-bound, bound)) for _ in _index_pairs(n)], Fraction(0))
     b = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
     return FluxParams.make(a, b)
 
@@ -275,12 +271,8 @@ class ConservativeSystem:
     # ----- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
-        n = self.op.n
-        a_items = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.flux.a[i][j]:
-                    a_items.append([i + 1, j + 1, str(self.flux.a[i][j])])
+        a = self.flux.a
+        a_items = [[i + 1, j + 1, str(a[i][j])] for i, j in _index_pairs(self.op.n) if a[i][j]]
         doc = {
             "op": json.loads(self.op.to_json()),
             "A": a_items,
@@ -301,10 +293,8 @@ class ConservativeSystem:
         n = op.n
         if not isinstance(data.get("B"), list) or len(data["B"]) != n:
             raise ValueError("malformed system document: B must list n values")
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), value in index_entries(data.get("A", []), 2, n, "A"):
-            a[i][j] = rat(value)
-            a[j][i] = -a[i][j]
+        upper = {pair: rat(value) for pair, value in index_entries(data.get("A", []), 2, n, "A")}
+        a = _skew_fill(n, [upper.get(pair, Fraction(0)) for pair in _index_pairs(n)], Fraction(0))
         if "constants" in data and not isinstance(data["constants"], list):
             raise ValueError("malformed system document: constants must list n values")
         # A is skew by construction; the constructor parses the constants.

@@ -26,13 +26,12 @@ terms, its inverse too; `entries` is a derived `Fraction` view, and
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import _det_inverse, clear_denominators, rat_mat_mul
-from .poly import bounded_n, index_entries, json_int, rat
+from .linalg import _det_inverse, _index_pairs, clear_denominators, rat_mat_mul
+from .poly import _lowest_terms, bounded_n, index_entries, json_int, rat
 
 __all__ = [
     "ThreeForm",
@@ -111,14 +110,6 @@ class ThreeForm:
         bounded_n(dim - 1, "dim")
         coeffs = dict(index_entries(data["coeffs"], 3, dim, "coeffs"))
         return cls(dim, coeffs)
-
-
-def _lowest_terms(den: int, num: List[List[int]]) -> Tuple[int, List[List[int]]]:
-    """The integer form num / den divided by its gcd, with den > 0."""
-    g = math.gcd(den, *(x for row in num for x in row))
-    if den < 0:
-        g = -g
-    return (den, num) if g == 1 else (den // g, [[x // g for x in row] for row in num])
 
 
 class LinearMapN1:
@@ -268,7 +259,7 @@ def pullback(form: ThreeForm, a: LinearMapN1) -> ThreeForm:
     by_pair: Dict[Tuple[int, int], list] = {}
     for (p, q, r), x in zip(form.coeffs, numerators):
         by_pair.setdefault((q, r), []).append((p, x))
-    pairs = list(combinations(range(d), 2))
+    pairs = _index_pairs(d)
     at = {pair: i for i, pair in enumerate(pairs)}
     targets = list(combinations(range(d), 3))
     layout = [(i, j, k, at[j, k], at[i, k], at[i, j]) for i, j, k in targets]

@@ -650,6 +650,29 @@ def test_generate_random_with_flux_data_exits_2(tmp_path, capsys, flags):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "export", "n8-fam1", "--params", "lambda1"], "parameter 'lambda1' is not of the form name=value"),
+    (["catalog", "export", "n8-fam1", "--params", "=3"], "parameter '=3' is not of the form name=value"),
+    (["sys", "generate", "{n6}", "--random", "--constants", "1,2"], "--constants expects 6 comma-separated values"),
+    (["sys", "generate", "{n6}", "--A", "[[0]]"], "--A and --B must be given together"),
+    (["sys", "generate", "{n6}"], "either --random or both --A and --B are required"),
+    (["sys", "verify", "{empty}"], "{empty}: malformed system document: missing op"),
+    (["op", "validate", "{empty}"], "{empty}: malformed operator document: missing n"),
+    (["op", "from-3form", "{empty}"], "{empty}: malformed 3-form document: needs dim and coeffs"),
+    (["op", "transform", "{n2}", "--sl", '{{"dim": 3}}'],
+     "--sl (inline JSON): malformed linear map document: missing entries"),
+], ids=["params-no-equals", "params-no-name", "constants-count", "A-without-B", "no-flux", "sys-empty",
+        "op-empty", "3form-empty", "sl-no-entries"])
+def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv, message):
+    paths = {"n6": str(tmp_path / "n6.json"), "n2": str(tmp_path / "n2.json"), "empty": write(tmp_path, "empty.json", "{}")}
+    run(capsys, "catalog", "export", "n6-X", "--out", paths["n6"])
+    run(capsys, "catalog", "export", "n2", "--out", paths["n2"])
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err == f"error: {message.format(**paths)}\n"
+    assert "Traceback" not in err
+
+
 def test_generate_degenerate_operator_exits_2(tmp_path, capsys):
     op_path = str(tmp_path / "op.json")
     run(capsys, "catalog", "export", "n4-degenerate", "--out", op_path)

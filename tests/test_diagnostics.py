@@ -864,3 +864,9 @@ def test_run_diagnostics_refuses_an_empty_point_list():
     system = generate_flux(build("n4-open"), rng=random.Random(42))
     with pytest.raises(ValueError, match="nonempty"):
         run_diagnostics(system, [])
+
+
+def test_diag_check_refuses_an_unknown_mode():
+    system = generate_flux(build("n2"), rng=random.Random(1))
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'; use 'exact' or 'float'$"):
+        diag_check(system, (Fraction(1), Fraction(2)), mode="bogus")

@@ -358,3 +358,128 @@ def test_checker_flags_an_unused_export():
     exports = sorted(_exported(ast.parse(sources["__init__"])))
     assert unused_exports(exports, sources) == ["Node", "benched", "documented", "recursive"]
     assert unused_exports(exports, sources, {"benched"}, "`documented()` is library API") == ["Node", "recursive"]
+
+
+
+# The places a two-index skew pattern may be written out by hand:
+# `_index_pairs` holds the one pair order and `_skew_fill` the one mirror,
+# `skew_dense` writes the three-index table, and the eigenvalue pencil of
+# `sqrt_charpoly_at` holds coefficient lists, so its mirror negates a list.
+SKEW_SITES = {
+    ("linalg", "_index_pairs"),
+    ("linalg", "_skew_fill"),
+    ("threeform", "skew_dense"),
+    ("diagnostics", "sqrt_charpoly_at"),
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scope_nodes(node):
+    """The nodes under node, a nested definition included but not its body."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _DEFINITIONS):
+            yield from _scope_nodes(child)
+
+
+def _mirror_keys(node):
+    """The keys of a subscript x[a][b] and of its mirror x[b][a], or None;
+    x[a][a] is its own mirror, so None too."""
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
+        base, a, b = ast.dump(node.value.value), ast.dump(node.value.slice), ast.dump(node.slice)
+        if a != b:
+            return (base, a, b), (base, b, a)
+    return None
+
+
+def _stores(statement):
+    """(target, value) for each target of an assignment, a tuple target
+    matched element by element with a tuple value."""
+    for target in statement.targets:
+        value = statement.value
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) and len(value.elts) == len(target.elts):
+            yield from zip(target.elts, value.elts)
+        else:
+            yield target, value
+
+
+def _is_pair_combinations(node) -> bool:
+    """Whether node is a call combinations(range(...), 2)."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 2):
+        return False
+    func, (first, second) = node.func, node.args
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return (name == "combinations" and isinstance(first, ast.Call) and getattr(first.func, "id", None) == "range"
+            and isinstance(second, ast.Constant) and second.value == 2)
+
+
+def skew_patterns(sources):
+    """(module, enclosing function or None, line) of each hand-written
+    two-index skew pattern: a call combinations(range(...), 2), or a store to
+    x[a][b] in a function that stores a different value to x[b][a], or the
+    store of -x[b][a] itself.  A symmetric fill, one value on both sides, is
+    not skew.  The function is the dotted name of the innermost definition."""
+    out = set()
+
+    def visit(module, node, scope):
+        stores = {}
+        for child in _scope_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                visit(module, child, f"{scope}.{child.name}" if scope else child.name)
+            elif _is_pair_combinations(child):
+                out.add((module, scope, child.lineno))
+            elif isinstance(child, ast.Assign):
+                for target, value in _stores(child):
+                    keys = _mirror_keys(target)
+                    if keys is None:
+                        continue
+                    if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub) \
+                            and _mirror_keys(value.operand) == keys[::-1]:
+                        out.add((module, scope, child.lineno))
+                    stores.setdefault(keys, []).append((ast.dump(value), child.lineno))
+        for (key, mirrored), found in stores.items():
+            others = [value for value, _ in stores.get((mirrored, key), ())]
+            out.update((module, scope, line) for value, line in found if any(other != value for other in others))
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), None)
+    return sorted(out, key=lambda site: (site[0], site[2]))
+
+
+def test_skew_patterns_are_written_in_one_place():
+    sites = skew_patterns({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert [site for site in sites if site[:2] not in SKEW_SITES] == []
+    # Every allowed place still holds its pattern, so the table is not stale.
+    assert {site[:2] for site in sites} == SKEW_SITES
+
+
+def test_checker_flags_a_hand_written_skew_pattern():
+    sources = {
+        "a": (
+            "from itertools import combinations\n"
+            "def fill(n, xs):\n"
+            "    rows = [[0] * n for _ in range(n)]\n"
+            "    for (i, j), x in zip(combinations(range(n), 2), xs):\n"
+            "        rows[i][j] = x\n"
+            "        rows[j][i] = -x\n"
+            "    return rows\n"
+            "def symmetric(s, p, l, value):\n"
+            "    s[p][l] = value\n"
+            "    s[l][p] = value\n"
+            "    return combinations(range(4), 3)\n"
+            "class M:\n"
+            "    def mirror(self, i, j):\n"
+            "        self.m[j][i] = -self.m[i][j]\n"
+            "        self.m[i][i] = -self.m[i][i]\n"
+            "    def swap(self, out, i, j, x):\n"
+            "        out[i][j], out[j][i] = x, -x\n"
+        ),
+    }
+    assert skew_patterns(sources) == [
+        ("a", "fill", 4),
+        ("a", "fill", 5),
+        ("a", "fill", 6),
+        ("a", "M.mirror", 14),
+        ("a", "M.swap", 17),
+    ]

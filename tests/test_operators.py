@@ -466,3 +466,13 @@ def test_rings_of_the_ci_maps(name):
     assert pfaffian(metric) == pfaffian(oracle)
     assert pfaffian_adjugate(metric) == pfaffian_adjugate(oracle)
     assert moved.pfaffian_poly().degree() <= op.n // 2 - 1
+
+
+def test_transform_refuses_a_map_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="^transformation dimension 3 does not match operator n=2$"):
+        transform(build("n2"), LinearMapN1.identity(4))
+
+
+def test_table_keys_must_be_increasing_triples():
+    with pytest.raises(ValueError, match=r"^triple \(1, 0, 2\) is not strictly increasing inside range\(3\)$"):
+        Hho2(2, {(1, 0, 2): 1})

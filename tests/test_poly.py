@@ -490,3 +490,15 @@ class TestLowestTerms:
         x = MultiPoly.variable(("x",), "x")
         with pytest.raises(ZeroDivisionError):
             lowest_terms(x, MultiPoly.zero(("x",)))
+
+
+def test_comparison_with_scalars_and_constant_value():
+    vs = ("x", "y")
+    x = MultiPoly.variable(vs, 0)
+    assert MultiPoly.zero(vs) == 0
+    assert MultiPoly.const(vs, 3) == 3
+    assert not x == 3
+    with pytest.raises(ValueError, match="^not a constant: x \\+ 1$"):
+        (x + 1).constant_value()
+    assert 3 - x == MultiPoly.const(vs, 3) - x
+    assert str(3 - x) == "-x + 3"

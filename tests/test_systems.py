@@ -1215,3 +1215,32 @@ def test_residuals_read_the_cached_integer_metric(monkeypatch, name):
     monkeypatch.setattr(systems, "_linear", lambda *args: built.append(1) or linear(*args))
     assert check_compat(system, mode="symbolic").passed
     assert len(built) == op.n
+
+
+def test_compat_summary_lines():
+    """One line per report: both modes, passing and failing.  A failing proof
+    leaves the second family unevaluated, so its line names the first only."""
+    system = ConservativeSystem(build("n2"), rotation_flux_n2())
+    points = sample_points(system.op, 3, random.Random(1))
+    assert check_compat(system).summary() == "compatible (symbolic): both identity families hold"
+    assert check_compat(system, mode="points", points=points).summary() == (
+        "compatible (points at 3 points): both identity families hold")
+    broken = ConservativeSystem(build("n2"), rotation_flux_n2())
+    broken.q[0] = broken.q[0] + MultiPoly.variable(broken.vars, 0) ** 2
+    proof = check_compat(broken)
+    assert proof.second_order_failures is None
+    assert proof.summary() == "NOT compatible (symbolic): 1 first-order identities fail"
+    assert check_compat(broken, mode="points", points=points).summary() == (
+        "NOT compatible (points at 3 points): 1 first-order and 1 second-order identities fail")
+
+
+def test_compat_refusals():
+    system = ConservativeSystem(build("n2"), rotation_flux_n2())
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'; use 'symbolic' or 'points'$"):
+        check_compat(system, mode="bogus")
+    with pytest.raises(ValueError, match="^mode 'points' needs a nonempty list of sample points$"):
+        check_compat(system, mode="points")
+    with pytest.raises(ValueError, match="^flux vector must have n components$"):
+        check_compat_rational(system.op, [(system.q[0], system.d)])
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        check_compat_rational(system.op, [(system.q[0], system.d), (system.q[1], MultiPoly.zero(system.vars))])
